@@ -33,6 +33,7 @@ from .errors import (
 from .gf import build_field
 from .ghw import (
     ComputeOptions,
+    Spectrum,
     ghw,
     hierarchy,
     higher_spectrum,
@@ -105,22 +106,8 @@ def _load(path: str) -> LinearCode:
         return parse_code_file(fh.read())
 
 
-def _print_round(ev) -> None:
-    print(
-        f"w={ev.w} lower={ev.lower} upper={ev.upper} mats={ev.active_mats}"
-        f" subspaces={ev.subspaces} t={ev.elapsed_s * 1000:.1f}ms",
-        file=sys.stderr,
-    )
-
-
 def _options(args) -> ComputeOptions:
-    return ComputeOptions(
-        low_mem=getattr(args, "low_mem", False),
-        verbose=getattr(args, "verbose", False),
-        work_limit=getattr(args, "work_limit", 10**9),
-        threads=args.threads,
-        progress=_print_round if getattr(args, "verbose", False) else None,
-    )
+    return ComputeOptions(verbose=args.verbose, work_limit=getattr(args, "work_limit", 10**9))
 
 
 def _render(args, payload: dict, text: str) -> None:
@@ -142,73 +129,6 @@ def _result(op, code, r, value, elapsed_s) -> dict:
     }
 
 
-def _cmd_ghw(args) -> int:
-    code = _load(args.code)
-    opts = _options(args)
-    t0 = time.perf_counter()
-    if args.algorithm == "naive":
-        value = naive_ghw(code, args.r, low_mem=args.low_mem)
-    else:
-        value = ghw(code, args.r, opts)
-    payload = _result("ghw", code, args.r, value, time.perf_counter() - t0)
-    _render(args, payload, str(value))
-    return 0
-
-
-def _cmd_mindist(args) -> int:
-    code = _load(args.code)
-    opts = _options(args)
-    t0 = time.perf_counter()
-    if args.algorithm == "naive":
-        value = naive_ghw(code, 1, low_mem=args.low_mem)
-    else:
-        value = ghw(code, 1, opts)
-    payload = _result("mindist", code, 1, value, time.perf_counter() - t0)
-    _render(args, payload, str(value))
-    return 0
-
-
-def _cmd_hierarchy(args) -> int:
-    code = _load(args.code)
-    opts = _options(args)
-    t0 = time.perf_counter()
-    if args.algorithm == "naive":
-        values = [naive_ghw(code, r, low_mem=args.low_mem) for r in range(1, code.k + 1)]
-    else:
-        values = list(hierarchy(code, opts))
-    payload = _result("hierarchy", code, None, values, time.perf_counter() - t0)
-    _render(args, payload, " ".join(str(v) for v in values))
-    return 0
-
-
-def _cmd_rghw(args) -> int:
-    c1, c2 = _load(args.code1), _load(args.code2)
-    opts = _options(args)
-    t0 = time.perf_counter()
-    if args.algorithm == "naive":
-        value = naive_rghw(c1, c2, args.r, low_mem=args.low_mem)
-    else:
-        value = rghw(c1, c2, args.r, opts)
-    payload = _result("rghw", c1, args.r, value, time.perf_counter() - t0)
-    _render(args, payload, str(value))
-    return 0
-
-
-def _cmd_rhierarchy(args) -> int:
-    c1, c2 = _load(args.code1), _load(args.code2)
-    opts = _options(args)
-    t0 = time.perf_counter()
-    if args.algorithm == "naive":
-        values = [
-            naive_rghw(c1, c2, r, low_mem=args.low_mem) for r in range(1, c1.k - c2.k + 1)
-        ]
-    else:
-        values = list(rhierarchy(c1, c2, opts))
-    payload = _result("rhierarchy", c1, None, values, time.perf_counter() - t0)
-    _render(args, payload, " ".join(str(v) for v in values))
-    return 0
-
-
 def _spectrum_text(counts: dict) -> str:
     lines = []
     for r in sorted(counts):
@@ -217,40 +137,52 @@ def _spectrum_text(counts: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_spectrum(args) -> int:
-    code = _load(args.code)
-    opts = _options(args)
-    t0 = time.perf_counter()
-    spectrum = higher_spectrum(code, opts)
-    value = {str(r): {str(w): c for w, c in ws.items()} for r, ws in spectrum.counts.items()}
-    payload = _result("spectrum", code, None, value, time.perf_counter() - t0)
-    _render(args, payload, _spectrum_text(spectrum.counts))
-    return 0
+# The compute subcommands: name -> (help, number of codes, takes -r, search,
+# naive oracle or None).  mindist runs ghw with r fixed to 1.
+_COMPUTE = {
+    "ghw": ("r-th generalized Hamming weight", 1, True, ghw, naive_ghw),
+    "mindist": ("minimum distance (ghw -r 1)", 1, False, ghw, naive_ghw),
+    "hierarchy": (
+        "full weight hierarchy d_1..d_k", 1, False, hierarchy,
+        lambda c: [naive_ghw(c, r) for r in range(1, c.k + 1)],
+    ),
+    "rghw": ("r-th relative generalized Hamming weight", 2, True, rghw, naive_rghw),
+    "rhierarchy": (
+        "relative weight hierarchy", 2, False, rhierarchy,
+        lambda c1, c2: [naive_rghw(c1, c2, r) for r in range(1, c1.k - c2.k + 1)],
+    ),
+    "spectrum": ("higher weight spectra A_w^(r)", 1, False, higher_spectrum, None),
+    "rspectrum": ("relative higher weight spectra", 2, False, rhigher_spectrum, None),
+}
 
 
-def _cmd_rspectrum(args) -> int:
-    c1, c2 = _load(args.code1), _load(args.code2)
-    opts = _options(args)
+def _compute(args) -> int:
+    _, ncodes, _, search, naive = _COMPUTE[args.command]
+    codes = [_load(args.code)] if ncodes == 1 else [_load(args.code1), _load(args.code2)]
+    rank = () if args.r is None else (args.r,)
     t0 = time.perf_counter()
-    spectrum = rhigher_spectrum(c1, c2, opts)
-    value = {str(r): {str(w): c for w, c in ws.items()} for r, ws in spectrum.counts.items()}
-    payload = _result("rspectrum", c1, None, value, time.perf_counter() - t0)
-    _render(args, payload, _spectrum_text(spectrum.counts))
+    if args.algorithm == "naive" and naive is not None:
+        value = naive(*codes, *rank)
+    else:
+        value = search(*codes, *rank, _options(args))
+    elapsed_s = time.perf_counter() - t0
+    if isinstance(value, Spectrum):
+        text = _spectrum_text(value.counts)
+        value = {str(r): {str(w): c for w, c in ws.items()} for r, ws in value.counts.items()}
+    elif isinstance(value, int):
+        text = str(value)
+    else:
+        value = list(value)
+        text = " ".join(str(v) for v in value)
+    _render(args, _result(args.command, codes[0], args.r, value, elapsed_s), text)
     return 0
 
 
 def _cmd_duality(args) -> int:
     t0 = time.perf_counter()
     values = list(wei_duality(args.weights, args.n))
-    payload = {
-        "op": "duality",
-        "n": args.n,
-        "k": None,
-        "q": None,
-        "r": None,
-        "value": values,
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3),
-    }
+    payload = _result("duality", None, None, values, time.perf_counter() - t0)
+    payload["n"] = args.n
     _render(args, payload, " ".join(str(v) for v in values))
     return 0
 
@@ -260,16 +192,16 @@ def benchmark(code_files, r: int, low_mem: bool = False, threads: int = 1):
 
     Returns a list of row dicts; raises :class:`MismatchedResults` if the two
     algorithms ever disagree (a correctness bug, not a benchmark artifact).
+    ``low_mem`` and ``threads`` are accepted and ignored.
     """
     rows = []
     for path in code_files:
         code = _load(path)
-        opts = ComputeOptions(low_mem=low_mem, threads=threads)
         t0 = time.perf_counter()
-        value_bz = ghw(code, r, opts)
+        value_bz = ghw(code, r)
         bz_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        value_naive = naive_ghw(code, r, low_mem=low_mem)
+        value_naive = naive_ghw(code, r)
         naive_s = time.perf_counter() - t0
         if value_bz != value_naive:
             raise MismatchedResults(
@@ -295,7 +227,7 @@ _BENCH_COLUMNS = ["code", "n", "k", "q", "r", "value", "bz_ms", "naive_ms", "spe
 
 
 def _cmd_benchmark(args) -> int:
-    rows = benchmark(args.codes, args.r, low_mem=args.low_mem, threads=args.threads)
+    rows = benchmark(args.codes, args.r)
     if args.json:
         print(json.dumps(rows))
     else:
@@ -311,67 +243,30 @@ def _cmd_benchmark(args) -> int:
     return 0
 
 
-def _add_common(sub, rank_flag=True):
-    if rank_flag:
-        sub.add_argument("-r", type=int, required=True, help="subcode dimension")
-    sub.add_argument("--low-mem", action="store_true", help="regenerate subspace streams instead of caching them")
-    sub.add_argument("--verbose", action="store_true", help="print one progress line per round to stderr")
-    sub.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
-    sub.add_argument("--algorithm", choices=["bz", "naive"], default="bz", help="bounded search (default) or the naive oracle")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghwkit",
         description="Generalized Hamming weights of linear codes over GF(p^s)",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="max worker threads per round (default: machine parallelism)",
-    )
+    # --threads and --low-mem are accepted and ignored: runs use one thread
+    parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("ghw", help="r-th generalized Hamming weight")
-    p.add_argument("code")
-    _add_common(p)
-    p.set_defaults(func=_cmd_ghw)
-
-    p = subs.add_parser("mindist", help="minimum distance (ghw -r 1)")
-    p.add_argument("code")
-    _add_common(p, rank_flag=False)
-    p.set_defaults(func=_cmd_mindist)
-
-    p = subs.add_parser("hierarchy", help="full weight hierarchy d_1..d_k")
-    p.add_argument("code")
-    _add_common(p, rank_flag=False)
-    p.set_defaults(func=_cmd_hierarchy)
-
-    p = subs.add_parser("rghw", help="r-th relative generalized Hamming weight")
-    p.add_argument("code1")
-    p.add_argument("code2")
-    _add_common(p)
-    p.set_defaults(func=_cmd_rghw)
-
-    p = subs.add_parser("rhierarchy", help="relative weight hierarchy")
-    p.add_argument("code1")
-    p.add_argument("code2")
-    _add_common(p, rank_flag=False)
-    p.set_defaults(func=_cmd_rhierarchy)
-
-    p = subs.add_parser("spectrum", help="higher weight spectra A_w^(r)")
-    p.add_argument("code")
-    _add_common(p, rank_flag=False)
-    p.add_argument("--work-limit", type=int, default=10**9, help="max subspaces per dimension")
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = subs.add_parser("rspectrum", help="relative higher weight spectra")
-    p.add_argument("code1")
-    p.add_argument("code2")
-    _add_common(p, rank_flag=False)
-    p.add_argument("--work-limit", type=int, default=10**9, help="max subspaces per dimension")
-    p.set_defaults(func=_cmd_rspectrum)
+    for name, (help_text, ncodes, takes_r, _, _) in _COMPUTE.items():
+        p = subs.add_parser(name, help=help_text)
+        for arg in ["code"] if ncodes == 1 else ["code1", "code2"]:
+            p.add_argument(arg)
+        if takes_r:
+            p.add_argument("-r", type=int, required=True, help="subcode dimension")
+        else:
+            p.set_defaults(r=1 if name == "mindist" else None)
+        p.add_argument("--low-mem", action="store_true", help=argparse.SUPPRESS)
+        p.add_argument("--verbose", action="store_true", help="print one progress line per round to stderr")
+        p.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
+        p.add_argument("--algorithm", choices=["bz", "naive"], default="bz", help="bounded search (default) or the naive oracle")
+        if name.endswith("spectrum"):
+            p.add_argument("--work-limit", type=int, default=10**9, help="max subspaces per dimension")
+        p.set_defaults(func=_compute)
 
     p = subs.add_parser("duality", help="hierarchy of the dual from a hierarchy and n")
     p.add_argument("-n", type=int, required=True, help="code length")
@@ -382,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("benchmark", help="time the search against the naive oracle")
     p.add_argument("codes", nargs="+")
     p.add_argument("-r", type=int, required=True)
-    p.add_argument("--low-mem", action="store_true", help="compare the low-memory variants instead")
+    p.add_argument("--low-mem", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", help="also write the table to this CSV file")
     p.set_defaults(func=_cmd_benchmark)

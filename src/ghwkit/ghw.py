@@ -8,25 +8,25 @@ through matrix G_j must meet at least w + 1 - R_j coordinates of its
 information set, so the per-matrix contributions sum to a lower bound on
 everything still unseen.  The search stops as soon as the bounds meet.
 
-The naive oracles enumerate the full Grassmannian through a single generator
-matrix with no bounds and serve as an independent cross-check.
+Relative weights M_r(C1, C2) run the same search on C1 and keep only the
+subspaces that meet C2 in 0.  The naive oracles enumerate the full
+Grassmannian through a single generator matrix with no bounds and serve as
+an independent cross-check.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .code import LinearCode, bch_bound, dual, is_cyclic
-from .enumeration import DEFAULT_BLOCK, gaussian_binomial, subspace_blocks
+from .enumeration import gaussian_binomial, subspace_blocks
 from .errors import BadHierarchy, BadRank, GHWError, NotNested, WorkLimitExceeded
-from .gf import FiniteField
 from .infoset import InfoSetDecomposition, information
 from .matrix import MatrixGF, rank_array
 
@@ -93,13 +93,21 @@ class Witness:
 
 @dataclass
 class RunReport:
-    """Instrumentation for a single weight computation."""
+    """Instrumentation for a single weight computation.
+
+    ``conditional`` is true when the run stopped because a caller's
+    ``initial_lower``, or a conditional weight it was chained from, met the
+    upper bound before the run's own evidence (round coverage, the BCH
+    floor, r, or a proven earlier weight) did.  The value is then exact only
+    if that hint was a valid lower bound.
+    """
 
     r: int
     value: int | None = None
     rounds: list[RoundEvent] = dc_field(default_factory=list)
     witness: Witness | None = None
     subspaces_enumerated: int = 0
+    conditional: bool = False
 
 
 @dataclass
@@ -113,11 +121,12 @@ class Report:
 class ComputeOptions:
     """Knobs shared by all weight computations.
 
-    ``low_mem`` regenerates subspace streams per support set instead of
-    materializing them once per (r, w).  ``initial_lower`` must be a valid
-    lower bound for the requested weight (for hierarchies, for d_1).
-    ``info_sets`` supplies a precomputed decomposition.  Progress events go
-    to ``progress`` if set, else to stderr when ``verbose``.
+    ``initial_lower`` is a lower bound for the requested weight (for
+    hierarchies, for d_1); a run that stops on it alone is reported as
+    conditional.  ``info_sets`` supplies a precomputed decomposition.
+    Progress events go to ``progress`` if set, else to stderr when
+    ``verbose``.  ``low_mem`` and ``threads`` are accepted and ignored:
+    every run streams one block at a time on the calling thread.
     """
 
     low_mem: bool = False
@@ -128,14 +137,6 @@ class ComputeOptions:
     threads: int = 1
     progress: Callable[[RoundEvent], None] | None = None
     report: Report | None = None
-
-
-@dataclass
-class BoundsState:
-    w: int
-    lower: int
-    upper: int
-    last_round: dict[int, int | None]
 
 
 def _emit(opts: ComputeOptions, ev: RoundEvent) -> None:
@@ -149,27 +150,6 @@ def _emit(opts: ComputeOptions, ev: RoundEvent) -> None:
         )
 
 
-class _BlockSource:
-    """Subspace-block supplier: caching mode materializes each (r, w) stream
-    once and replays it; low-memory mode regenerates it on every request."""
-
-    def __init__(self, field: FiniteField, low_mem: bool, block_size: int = DEFAULT_BLOCK):
-        self.field = field
-        self.low_mem = low_mem
-        self.block_size = block_size
-        self._cache: dict[tuple[int, int], list[np.ndarray]] = {}
-
-    def ensure(self, r: int, w: int) -> None:
-        if not self.low_mem and (r, w) not in self._cache:
-            self._cache[(r, w)] = list(subspace_blocks(r, w, self.field, self.block_size))
-
-    def blocks(self, r: int, w: int) -> Iterable[np.ndarray]:
-        if self.low_mem:
-            return subspace_blocks(r, w, self.field, self.block_size)
-        self.ensure(r, w)
-        return self._cache[(r, w)]
-
-
 def _make_witness(field, base: np.ndarray, s_cols: np.ndarray, j: int, weight: int, k: int):
     expanded = np.zeros((base.shape[0], k), dtype=np.int64)
     expanded[:, s_cols] = base
@@ -180,73 +160,60 @@ def _passes_intersection(field, enc: np.ndarray, h2t: np.ndarray, r: int) -> boo
     return rank_array(field, field.matmul(enc, h2t)) == r
 
 
-def _scan_supports(field, mats, sel, supports, r, w, k, upper, source, h2t, stop_lower):
-    """Scan the given support sets; returns (upper, witness, subspaces)."""
+def _round_pairs(field, r: int, w: int, k: int):
+    """Every (block, support set) pair of round (r, w).  Each block of the
+    subspace stream is built once and paired with every w-subset of the k
+    message coordinates before the next block is built, so a round holds one
+    block in memory."""
+    supports = [np.array(c, dtype=np.intp) for c in combinations(range(k), w)]
+    for block in subspace_blocks(r, w, field):
+        for s_cols in supports:
+            yield block, s_cols
+
+
+def _encode(field, block: np.ndarray, G: np.ndarray, s_cols: np.ndarray):
+    """Encodings of a block of r x w bases placed on ``s_cols``, and the
+    support size of each subspace."""
+    nsub, r, w = block.shape
+    prod = field.matmul(block.reshape(-1, w), G[s_cols, :])
+    return prod, (prod != 0).reshape(nsub, r, -1).any(axis=1).sum(axis=1)
+
+
+def _scan_round(field, mats, sel, r, w, k, upper, h2t, stop):
+    """Scan round w through the selected matrices, ending early once
+    upper <= stop; returns (upper, witness or None, subspaces)."""
     witness = None
     count = 0
-    for s_cols in supports:
-        for block in source.blocks(r, w):
-            nsub = block.shape[0]
-            count += nsub
-            flat = block.reshape(-1, w)
-            for j in sel:
-                gsub = mats[j][s_cols, :]
-                prod = field.matmul(flat, gsub)
-                weights = (prod != 0).reshape(nsub, r, -1).any(axis=1).sum(axis=1)
-                if h2t is None:
-                    i = int(weights.argmin())
-                    wt = int(weights[i])
-                    if wt < upper:
-                        upper = wt
-                        witness = _make_witness(field, block[i], s_cols, j, wt, k)
-                else:
-                    cand = np.flatnonzero(weights < upper)
-                    if cand.size:
-                        order = cand[np.argsort(weights[cand], kind="stable")]
-                        for c in order:
-                            wt = int(weights[c])
-                            if wt >= upper:
-                                break
-                            enc = prod[c * r : (c + 1) * r]
-                            if _passes_intersection(field, enc, h2t, r):
-                                upper = wt
-                                witness = _make_witness(field, block[c], s_cols, j, wt, k)
-                                break
-        if stop_lower is not None and upper <= stop_lower:
+    for block, s_cols in _round_pairs(field, r, w, k):
+        count += block.shape[0]
+        for j in sel:
+            prod, weights = _encode(field, block, mats[j], s_cols)
+            if h2t is None:
+                i = int(weights.argmin())
+                if weights[i] < upper:
+                    upper = int(weights[i])
+                    witness = _make_witness(field, block[i], s_cols, j, upper, k)
+                continue
+            cand = np.flatnonzero(weights < upper)
+            for c in cand[np.argsort(weights[cand], kind="stable")]:
+                if _passes_intersection(field, prod[c * r : (c + 1) * r], h2t, r):
+                    upper = int(weights[c])
+                    witness = _make_witness(field, block[c], s_cols, j, upper, k)
+                    break
+        if stop is not None and upper <= stop:
             break
     return upper, witness, count
 
 
-def _process_round(field, mats, sel, supports, r, w, k, upper, source, h2t, threads, stop_lower):
-    if threads <= 1 or len(supports) < 2:
-        return _scan_supports(field, mats, sel, supports, r, w, k, upper, source, h2t, stop_lower)
-    source.ensure(r, w)
-    nparts = min(threads, len(supports))
-    bounds = np.linspace(0, len(supports), nparts + 1, dtype=int)
-    parts = [supports[bounds[i] : bounds[i + 1]] for i in range(nparts)]
-    with ThreadPoolExecutor(max_workers=nparts) as ex:
-        futs = [
-            ex.submit(_scan_supports, field, mats, sel, part, r, w, k, upper, source, h2t, None)
-            for part in parts
-        ]
-        results = [f.result() for f in futs]
-    best_upper, best_witness = upper, None
-    total = 0
-    for part_upper, part_witness, part_count in results:
-        total += part_count
-        if part_upper < best_upper:
-            best_upper, best_witness = part_upper, part_witness
-    return best_upper, best_witness, total
-
-
-def _select_final_matrices(reds, last, active, w, upper):
-    """Minimal prefix (ascending redundancy) of matrices to process in a
-    predicted final round, counting skipped matrices at their stale bound."""
-    contrib = {j: max(0, last[j] + 1 - reds[j]) if last[j] is not None else 0 for j in last}
+def _select_final_matrices(reds, last, w, upper):
+    """Minimal prefix (ascending redundancy) of the participating matrices
+    (the keys of ``last``) to process in a predicted final round, counting
+    the others at their stale bound."""
+    contrib = {j: last[j] + 1 - reds[j] if last[j] is not None else 0 for j in last}
     total = sum(contrib.values())
     sel = []
-    for j in sorted(active, key=lambda j: (reds[j], j)):
-        total += max(0, w + 1 - reds[j]) - contrib[j]
+    for j in sorted(last, key=lambda j: (reds[j], j)):
+        total += w + 1 - reds[j] - contrib[j]
         sel.append(j)
         if total >= upper:
             break
@@ -276,67 +243,53 @@ def _synthesize_witness(field, mats, r, k, value, h2t):
     return None
 
 
-def _bz_search(code, r, dec, base_lower, opts, source, h2t=None, upper0=None):
-    """Core bounded search; returns (value, RunReport)."""
+def _run(code, dec, r, h2t, lower, proven, opts) -> RunReport:
+    """Bounded search for d_r (M_r when ``h2t`` is given), starting from the
+    lower bound ``lower``, of which ``proven`` is backed by evidence."""
     field, k, n = code.field, code.k, code.n
     mats = [M.array for M in dec.mats]
-    reds = list(dec.reds)
-    m = len(mats)
+    reds = dec.reds
     report = RunReport(r=r)
+    # Matrix j is credited w + 1 - R_j only after covering every round r..w.
+    # One with R_j > r would skip round r, so it takes no part in this run.
+    last_round = {j: None for j in range(len(mats)) if reds[j] <= r}
+    w, upper, witness = r, n - k + r, None
 
-    upper = n - k + r if upper0 is None else upper0
-    raw_lower = max(r, base_lower)
-    state = BoundsState(w=r, lower=min(upper, raw_lower), upper=upper, last_round={j: None for j in range(m)})
-    witness = None
-
-    while state.w <= k and state.lower < state.upper:
-        w = state.w
+    while w <= k and lower < upper:
         t0 = time.perf_counter()
-        active = [j for j in range(m) if w + 1 - reds[j] > 0]
-        sel = active
-        w0 = next(
-            (wp for wp in range(w, k + 1) if sum(max(0, wp + 1 - R) for R in reds) >= state.upper),
-            None,
-        )
-        if w0 is not None and w >= w0:
-            sel = _select_final_matrices(reds, state.last_round, active, w, state.upper)
-        supports = [np.array(c, dtype=np.intp) for c in combinations(range(k), w)]
-        new_upper, new_witness, nsub = _process_round(
-            field, mats, sel, supports, r, w, k, state.upper, source, h2t, opts.threads, state.lower
-        )
-        if new_upper < state.upper:
-            state.upper = new_upper
-            witness = new_witness
+        sel = list(last_round)
+        if sum(w + 1 - reds[j] for j in sel) >= upper:
+            sel = _select_final_matrices(reds, last_round, w, upper)
+        upper, found, nsub = _scan_round(field, mats, sel, r, w, k, upper, h2t, lower)
+        if found is not None:
+            witness = found
         report.subspaces_enumerated += nsub
         for j in sel:
-            state.last_round[j] = w
-        contrib = sum(
-            max(0, state.last_round[j] + 1 - reds[j])
-            for j in range(m)
-            if state.last_round[j] is not None
-        )
-        raw_lower = max(raw_lower, contrib)
-        state.lower = min(state.upper, raw_lower)
+            last_round[j] = w
+        covered = sum(last + 1 - reds[j] for j, last in last_round.items() if last is not None)
+        lower, proven = max(lower, covered), max(proven, covered)
         ev = RoundEvent(
             r=r,
             w=w,
-            lower=state.lower,
-            upper=state.upper,
+            lower=min(upper, lower),
+            upper=upper,
             active_mats=len(sel),
             subspaces=nsub,
             elapsed_s=time.perf_counter() - t0,
         )
         report.rounds.append(ev)
         _emit(opts, ev)
-        state.w = w + 1
+        w += 1
 
     if witness is None:
-        witness = _synthesize_witness(field, mats, r, k, state.upper, h2t)
-    report.value = state.upper
+        witness = _synthesize_witness(field, mats, r, k, upper, h2t)
+    report.value = upper
     report.witness = witness
+    # past round k, matrix 0 (R_0 = 0) has enumerated every subspace
+    report.conditional = w <= k and proven < upper
     if opts.report is not None:
         opts.report.runs.append(report)
-    return state.upper, report
+    return report
 
 
 def _cyclic_floor(code: LinearCode) -> int | None:
@@ -349,43 +302,11 @@ def _cyclic_floor(code: LinearCode) -> int | None:
     return None
 
 
-def _check_rank_arg(code, r):
-    if not 1 <= r <= code.k:
-        raise BadRank(f"need 1 <= r <= k = {code.k}, got r={r}")
-
-
-def ghw(code: LinearCode, r: int, opts: ComputeOptions | None = None) -> int:
-    """The r-th generalized Hamming weight d_r of a linear code."""
-    opts = opts or ComputeOptions()
-    _check_rank_arg(code, r)
-    dec = opts.info_sets or information(code)
-    base = max(r, opts.initial_lower or 1)
-    floor = _cyclic_floor(code)
-    if floor is not None:
-        base = max(base, floor + r - 1)
-    source = _BlockSource(code.field, opts.low_mem)
-    value, _ = _bz_search(code, r, dec, base, opts, source)
-    return value
-
-
-def hierarchy(code: LinearCode, opts: ComputeOptions | None = None) -> Hierarchy:
-    """The full weight hierarchy [d_1..d_k], chaining d_{r-1}+1 as the lower
-    bound of each inner run."""
-    opts = opts or ComputeOptions()
-    dec = opts.info_sets or information(code)
-    floor = _cyclic_floor(code)
-    source = _BlockSource(code.field, opts.low_mem)
-    values: list[int] = []
-    for r in range(1, code.k + 1):
-        base = values[-1] + 1 if values else max(1, opts.initial_lower or 1)
-        if floor is not None:
-            base = max(base, floor + r - 1)
-        value, _ = _bz_search(code, r, dec, base, opts, source)
-        values.append(value)
-    return Hierarchy(tuple(values))
-
-
-def _validate_nested(c1: LinearCode, c2: LinearCode) -> None:
+def _nested_pair(c1: LinearCode, c2: LinearCode | None):
+    """C2's parity-check matrix transposed (None without C2) and the largest
+    valid r, after checking that C2 is a proper subcode of C1."""
+    if c2 is None:
+        return None, c1.k
     if c1.field != c2.field or c1.n != c2.n:
         raise NotNested("codes must share the same field and length")
     if c2.k >= c1.k:
@@ -393,45 +314,56 @@ def _validate_nested(c1: LinearCode, c2: LinearCode) -> None:
     stacked = np.vstack([c1.G.array, c2.G.array])
     if rank_array(c1.field, stacked) != c1.k:
         raise NotNested("C2 is not a subcode of C1")
+    return dual(c2).G.array.T.copy(), c1.k - c2.k
 
 
-def _relative_parity_check_t(c2: LinearCode) -> np.ndarray:
-    return dual(c2).G.array.T.copy()
+def _check_rank(r: int, rmax: int, c2) -> None:
+    if not 1 <= r <= rmax:
+        bound = "k" if c2 is None else "k1 - k2"
+        raise BadRank(f"need 1 <= r <= {bound} = {rmax}, got r={r}")
+
+
+def _search(c1, c2, ranks, opts: ComputeOptions) -> list[int]:
+    """d_r of C1, or M_r(C1, C2) when ``c2`` is given, for each r of
+    ``ranks`` (None: every valid r).  Each run after the first chains the
+    previous value + 1 as its lower bound."""
+    h2t, rmax = _nested_pair(c1, c2)
+    ranks = range(1, rmax + 1) if ranks is None else ranks
+    for r in ranks:
+        _check_rank(r, rmax, c2)
+    dec = opts.info_sets or information(c1)
+    floor = _cyclic_floor(c1)
+    values: list[int] = []
+    chained = 0  # the previous value + 1, if that value is proven
+    for r in ranks:
+        floor_r = 0 if floor is None else floor + r - 1
+        start = values[-1] + 1 if values else opts.initial_lower or 1
+        run = _run(c1, dec, r, h2t, max(r, floor_r, start), max(r, floor_r, chained), opts)
+        values.append(run.value)
+        chained = 0 if run.conditional else run.value + 1
+    return values
+
+
+def ghw(code: LinearCode, r: int, opts: ComputeOptions | None = None) -> int:
+    """The r-th generalized Hamming weight d_r of a linear code."""
+    return _search(code, None, [r], opts or ComputeOptions())[0]
+
+
+def hierarchy(code: LinearCode, opts: ComputeOptions | None = None) -> Hierarchy:
+    """The full weight hierarchy [d_1..d_k], chaining d_{r-1}+1 as the lower
+    bound of each inner run."""
+    return Hierarchy(tuple(_search(code, None, None, opts or ComputeOptions())))
 
 
 def rghw(c1: LinearCode, c2: LinearCode, r: int, opts: ComputeOptions | None = None) -> int:
     """The r-th relative generalized Hamming weight M_r(C1, C2): minimum
     support among r-dimensional subcodes of C1 meeting C2 only in 0."""
-    opts = opts or ComputeOptions()
-    _validate_nested(c1, c2)
-    if not 1 <= r <= c1.k - c2.k:
-        raise BadRank(f"need 1 <= r <= k1 - k2 = {c1.k - c2.k}, got r={r}")
-    dec = opts.info_sets or information(c1)
-    base = max(r, opts.initial_lower or 1)
-    floor = _cyclic_floor(c1)
-    if floor is not None:
-        base = max(base, floor + r - 1)
-    source = _BlockSource(c1.field, opts.low_mem)
-    value, _ = _bz_search(c1, r, dec, base, opts, source, h2t=_relative_parity_check_t(c2))
-    return value
+    return _search(c1, c2, [r], opts or ComputeOptions())[0]
 
 
 def rhierarchy(c1: LinearCode, c2: LinearCode, opts: ComputeOptions | None = None) -> Hierarchy:
     """The relative weight hierarchy [M_1..M_{k1-k2}] with chained bounds."""
-    opts = opts or ComputeOptions()
-    _validate_nested(c1, c2)
-    dec = opts.info_sets or information(c1)
-    h2t = _relative_parity_check_t(c2)
-    floor = _cyclic_floor(c1)
-    source = _BlockSource(c1.field, opts.low_mem)
-    values: list[int] = []
-    for r in range(1, c1.k - c2.k + 1):
-        base = values[-1] + 1 if values else max(1, opts.initial_lower or 1)
-        if floor is not None:
-            base = max(base, floor + r - 1)
-        value, _ = _bz_search(c1, r, dec, base, opts, source, h2t=h2t)
-        values.append(value)
-    return Hierarchy(tuple(values))
+    return Hierarchy(tuple(_search(c1, c2, None, opts or ComputeOptions())))
 
 
 def wei_duality(h, n: int) -> Hierarchy:
@@ -454,149 +386,84 @@ def hierarchy_auto(code: LinearCode, opts: ComputeOptions | None = None) -> Hier
         return Hierarchy(tuple(range(1, code.n + 1)))
     if 2 * code.k <= code.n:
         return hierarchy(code, opts)
-    dual_opts = ComputeOptions(
-        low_mem=opts.low_mem,
-        verbose=opts.verbose,
-        initial_lower=None,
-        work_limit=opts.work_limit,
-        threads=opts.threads,
-        progress=opts.progress,
-        report=opts.report,
-    )
+    dual_opts = replace(opts, info_sets=None, initial_lower=None)
     return wei_duality(hierarchy(dual(code), dual_opts), code.n)
+
+
+def _naive(c1: LinearCode, c2: LinearCode | None, r: int) -> int:
+    """Minimum encoded support over the whole Grassmannian through C1's
+    generator matrix, keeping only subspaces that meet C2 in 0."""
+    h2t, rmax = _nested_pair(c1, c2)
+    _check_rank(r, rmax, c2)
+    best = c1.n + 1
+    for w in range(r, c1.k + 1):
+        best, _, _ = _scan_round(c1.field, [c1.G.array], [0], r, w, c1.k, best, h2t, None)
+    return best
 
 
 def naive_ghw(code: LinearCode, r: int, low_mem: bool = False) -> int:
     """Oracle: minimum encoded support over the whole Grassmannian through a
-    single generator matrix; no bounds, no early exit."""
-    _check_rank_arg(code, r)
-    field, k, n = code.field, code.k, code.n
-    source = _BlockSource(field, low_mem)
-    best = n + 1
-    for w in range(r, k + 1):
-        supports = [np.array(c, dtype=np.intp) for c in combinations(range(k), w)]
-        best, _, _ = _scan_supports(
-            field, [code.G.array], [0], supports, r, w, k, best, source, None, None
-        )
-    return best
+    single generator matrix; no bounds, no early exit.  ``low_mem`` is
+    accepted and ignored."""
+    return _naive(code, None, r)
 
 
 def naive_rghw(c1: LinearCode, c2: LinearCode, r: int, low_mem: bool = False) -> int:
     """Oracle for the relative weight: full enumeration with the trivial
-    intersection test, no bounds."""
-    _validate_nested(c1, c2)
-    if not 1 <= r <= c1.k - c2.k:
-        raise BadRank(f"need 1 <= r <= k1 - k2 = {c1.k - c2.k}, got r={r}")
-    field, k, n = c1.field, c1.k, c1.n
-    h2t = _relative_parity_check_t(c2)
-    source = _BlockSource(field, low_mem)
-    best = n + 1
-    for w in range(r, k + 1):
-        supports = [np.array(c, dtype=np.intp) for c in combinations(range(k), w)]
-        best, _, _ = _scan_supports(
-            field, [c1.G.array], [0], supports, r, w, k, best, source, h2t, None
-        )
-    return best
+    intersection test, no bounds.  ``low_mem`` is accepted and ignored."""
+    return _naive(c1, c2, r)
 
 
-def _count_supports(field, G, r, w, n, supports, source, h2t):
-    """Weight histogram over the given support sets; one worker's share."""
-    acc = np.zeros(n + 1, dtype=np.int64)
-    nsub = 0
-    for s_cols in supports:
-        gsub = G[s_cols, :]
-        for block in source.blocks(r, w):
-            cnt = block.shape[0]
-            nsub += cnt
-            flat = block.reshape(-1, w)
-            prod = field.matmul(flat, gsub)
-            weights = (prod != 0).reshape(cnt, r, -1).any(axis=1).sum(axis=1)
-            if h2t is None:
+def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Spectrum:
+    """Support-weight histograms of all r-dimensional subspaces through C1's
+    generator matrix, restricted to those meeting C2 in 0 when given."""
+    h2t, rmax = _nested_pair(c1, c2)
+    field, k, n, G = c1.field, c1.k, c1.n, c1.G.array
+    for r in range(rmax + 1):
+        if gaussian_binomial(k, r, field.q) > opts.work_limit:
+            raise WorkLimitExceeded(
+                f"Grassmannian of dimension {r} exceeds the work limit {opts.work_limit}"
+            )
+    counts: dict[int, dict[int, int]] = {0: {0: 1}}
+    for r in range(1, rmax + 1):
+        acc = np.zeros(n + 1, dtype=np.int64)
+        for w in range(r, k + 1):
+            t0 = time.perf_counter()
+            nsub = 0
+            for block, s_cols in _round_pairs(field, r, w, k):
+                cnt = block.shape[0]
+                nsub += cnt
+                prod, weights = _encode(field, block, G, s_cols)
+                if h2t is not None:
+                    t = field.matmul(prod, h2t)
+                    if r == 1:
+                        ok = (t != 0).any(axis=1)
+                    else:
+                        ok = np.fromiter(
+                            (rank_array(field, t[i * r : (i + 1) * r]) == r for i in range(cnt)),
+                            dtype=bool,
+                            count=cnt,
+                        )
+                    weights = weights[ok]
                 acc += np.bincount(weights, minlength=n + 1)
-            else:
-                t = field.matmul(prod, h2t)
-                if r == 1:
-                    ok = (t != 0).any(axis=1)
-                else:
-                    ok = np.fromiter(
-                        (rank_array(field, t[i * r : (i + 1) * r]) == r for i in range(cnt)),
-                        dtype=bool,
-                        count=cnt,
-                    )
-                if ok.any():
-                    acc += np.bincount(weights[ok], minlength=n + 1)
-    return acc, nsub
-
-
-def _spectrum_counts(field, G, r, k, n, source, h2t, opts):
-    """Support-weight histogram of all r-dimensional subspaces (optionally
-    restricted to trivial C2-intersection).  Per-worker histograms merge by
-    addition, so the result is independent of the partitioning."""
-    acc = np.zeros(n + 1, dtype=np.int64)
-    for w in range(r, k + 1):
-        t0 = time.perf_counter()
-        supports = [np.array(c, dtype=np.intp) for c in combinations(range(k), w)]
-        if opts.threads > 1 and len(supports) > 1:
-            source.ensure(r, w)
-            nparts = min(opts.threads, len(supports))
-            bounds = np.linspace(0, len(supports), nparts + 1, dtype=int)
-            with ThreadPoolExecutor(max_workers=nparts) as ex:
-                futs = [
-                    ex.submit(
-                        _count_supports, field, G, r, w, n,
-                        supports[bounds[i] : bounds[i + 1]], source, h2t,
-                    )
-                    for i in range(nparts)
-                ]
-                results = [f.result() for f in futs]
-            nsub = sum(c for _, c in results)
-            for part_acc, _ in results:
-                acc += part_acc
-        else:
-            part_acc, nsub = _count_supports(field, G, r, w, n, supports, source, h2t)
-            acc += part_acc
-        _emit(
-            opts,
-            RoundEvent(
-                r=r, w=w, lower=0, upper=0, active_mats=1, subspaces=nsub,
-                elapsed_s=time.perf_counter() - t0,
-            ),
-        )
-    return {int(w): int(c) for w, c in enumerate(acc) if c}
+            _emit(
+                opts,
+                RoundEvent(
+                    r=r, w=w, lower=0, upper=0, active_mats=1, subspaces=nsub,
+                    elapsed_s=time.perf_counter() - t0,
+                ),
+            )
+        counts[r] = {int(w): int(c) for w, c in enumerate(acc) if c}
+    return Spectrum(counts)
 
 
 def higher_spectrum(code: LinearCode, opts: ComputeOptions | None = None) -> Spectrum:
     """Exact counts A_w^(r) for r = 0..k by full enumeration through one
     fixed generator matrix."""
-    opts = opts or ComputeOptions()
-    field, k, n, q = code.field, code.k, code.n, code.field.q
-    for r in range(k + 1):
-        if gaussian_binomial(k, r, q) > opts.work_limit:
-            raise WorkLimitExceeded(
-                f"Grassmannian of dimension {r} exceeds the work limit {opts.work_limit}"
-            )
-    source = _BlockSource(field, opts.low_mem)
-    counts: dict[int, dict[int, int]] = {0: {0: 1}}
-    for r in range(1, k + 1):
-        counts[r] = _spectrum_counts(field, code.G.array, r, k, n, source, None, opts)
-    return Spectrum(counts)
+    return _spectrum(code, None, opts or ComputeOptions())
 
 
 def rhigher_spectrum(c1: LinearCode, c2: LinearCode, opts: ComputeOptions | None = None) -> Spectrum:
     """Relative higher weight spectra: counts restricted to subcodes meeting
     C2 only in 0, for r = 0..k1-k2."""
-    opts = opts or ComputeOptions()
-    _validate_nested(c1, c2)
-    field, k, n, q = c1.field, c1.k, c1.n, c1.field.q
-    rmax = c1.k - c2.k
-    for r in range(rmax + 1):
-        if gaussian_binomial(k, r, q) > opts.work_limit:
-            raise WorkLimitExceeded(
-                f"Grassmannian of dimension {r} exceeds the work limit {opts.work_limit}"
-            )
-    h2t = _relative_parity_check_t(c2)
-    source = _BlockSource(field, opts.low_mem)
-    counts: dict[int, dict[int, int]] = {0: {0: 1}}
-    for r in range(1, rmax + 1):
-        counts[r] = _spectrum_counts(field, c1.G.array, r, k, n, source, h2t, opts)
-    return Spectrum(counts)
+    return _spectrum(c1, c2, opts or ComputeOptions())

@@ -199,6 +199,15 @@ def test_benchmark_speedup_at_moderate_scale(tmp_path):
     assert rows[0]["speedup"] >= 1.0, rows
 
 
+def test_help_for_every_subcommand():
+    for cmd in ("ghw", "mindist", "hierarchy", "rghw", "rhierarchy", "spectrum", "rspectrum", "duality", "benchmark"):
+        rc, out, _ = invoke([cmd, "--help"])
+        assert rc == 0 and out.startswith(f"usage: ghwkit {cmd}"), out
+        usage = " ".join(out.split("\n\n")[0].split())
+        if cmd in ("rghw", "rhierarchy", "rspectrum"):
+            assert usage.endswith("code1 code2"), usage
+
+
 def test_exit_codes(tmp_path, ham_file):
     rc, _, _ = invoke(["ghw", ham_file])  # missing -r
     assert rc == 2

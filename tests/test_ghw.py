@@ -323,3 +323,36 @@ def test_matrix_skipping_and_final_round_dropping():
     assert [ev.w for ev in rounds] == [1, 2, 3]
     assert [ev.active_mats for ev in rounds] == [3, 3, 1]
     assert rounds[-1].lower == rounds[-1].upper == 10
+
+
+def test_matrix_sitting_out_early_rounds_earns_no_credit():
+    # [12, 7] binary code with redundancies (0, 3, 6): for r <= 2 the last two
+    # matrices skip round r, so they must not lift the lower bound later on.
+    C = code_from_rows(F2, [
+        [1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0],
+        [1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1],
+        [0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 1],
+        [1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1],
+        [1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 0, 1],
+        [0, 1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0],
+        [1, 1, 1, 1, 0, 1, 0, 1, 0, 0, 1, 1],
+    ])
+    dec = information(C)
+    assert dec.reds == (0, 3, 6)
+    report = Report()
+    h = hierarchy(C, ComputeOptions(info_sets=dec, report=report))
+    assert h.values == (2, 4, 6, 8, 9, 11, 12)
+    assert h.values == tuple(naive_ghw(C, r) for r in range(1, 8))
+    for run in report.runs:
+        verify_run(C, dec, run)
+        assert not run.conditional
+
+
+def test_run_stopped_by_a_hint_is_conditional():
+    C = random_code(np.random.default_rng(7), F2, 48, 12)
+    report = Report()
+    assert ghw(C, 1, ComputeOptions(initial_lower=14, report=report)) == 14
+    assert report.runs[0].conditional
+    report = Report()
+    assert ghw(C, 1, ComputeOptions(report=report)) == 12
+    assert not report.runs[0].conditional
