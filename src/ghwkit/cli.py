@@ -161,7 +161,7 @@ def _compute(args) -> int:
     codes = [_load(args.code)] if ncodes == 1 else [_load(args.code1), _load(args.code2)]
     rank = () if args.r is None else (args.r,)
     t0 = time.perf_counter()
-    if args.algorithm == "naive" and naive is not None:
+    if getattr(args, "algorithm", "bz") == "naive":
         value = naive(*codes, *rank)
     else:
         value = search(*codes, *rank, _options(args))
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, (help_text, ncodes, takes_r, _, _) in _COMPUTE.items():
+    for name, (help_text, ncodes, takes_r, _, naive) in _COMPUTE.items():
         p = subs.add_parser(name, help=help_text)
         for arg in ["code"] if ncodes == 1 else ["code1", "code2"]:
             p.add_argument(arg)
@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--low-mem", action="store_true", help=argparse.SUPPRESS)
         p.add_argument("--verbose", action="store_true", help="print one progress line per round to stderr")
         p.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
-        p.add_argument("--algorithm", choices=["bz", "naive"], default="bz", help="bounded search (default) or the naive oracle")
+        if naive is not None:
+            p.add_argument("--algorithm", choices=["bz", "naive"], default="bz", help="bounded search (default) or the naive oracle")
         if name.endswith("spectrum"):
             p.add_argument("--work-limit", type=int, default=10**9, help="max subspaces per dimension")
         p.set_defaults(func=_compute)

@@ -138,8 +138,6 @@ class FiniteField:
         self.digits = digits
 
         if s > 1:
-            # x^(s+t) mod modulus for t = 0..s-2, as digit vectors
-            self._reduction = self._build_reduction()
             # structure tensor: digits of x^u * x^v mod modulus
             T = np.empty((s, s, s), dtype=np.int64)
             for u in range(s):
@@ -147,7 +145,6 @@ class FiniteField:
                     T[u, v] = self.digits[self._mul_poly(p**u, p**v)]
             self._tensor = T
         else:
-            self._reduction = None
             self._tensor = None
 
         self._build_log_tables()
@@ -156,48 +153,18 @@ class FiniteField:
         self.neg_table = (neg_digits @ self.pow_p).astype(np.int64)
 
         inv = np.zeros(q, dtype=np.int64)
-        if q > 2:
-            nz = np.arange(1, q)
-            inv[1:] = self.exp_table[(self.q - 1 - self.log_table[nz]) % (q - 1)]
-        elif q == 2:
-            inv[1] = 1
+        inv[1:] = self.exp_table[(q - 1 - self.log_table[1:]) % (q - 1)]
         self.inv_table = inv
 
     # -- construction helpers -------------------------------------------
 
-    def _build_reduction(self) -> np.ndarray:
-        p, s, m = self.p, self.s, self.modulus
-        red = np.zeros((s - 1, s), dtype=np.int64)
-        # x^s = -(m_0 + m_1 x + ... + m_{s-1} x^{s-1})
-        cur = [(-m[i]) % p for i in range(s)]
-        red[0] = cur
-        for t in range(1, s - 1):
-            nxt = [0] + cur[:-1]
-            hi = cur[-1]
-            if hi:
-                for i in range(s):
-                    nxt[i] = (nxt[i] + hi * red[0][i]) % p
-            red[t] = nxt
-            cur = nxt
-        return red
-
     def _mul_poly(self, a: int, b: int) -> int:
         """Polynomial-arithmetic product of two element indices; table-free."""
-        p, s = self.p, self.s
-        da = self.digits[a]
-        db = self.digits[b]
-        conv = [0] * (2 * s - 1)
-        for i in range(s):
-            if da[i]:
-                for j in range(s):
-                    conv[i + j] = (conv[i + j] + int(da[i]) * int(db[j])) % p
-        out = conv[:s]
-        for t in range(s - 1):
-            hi = conv[s + t]
-            if hi:
-                for i in range(s):
-                    out[i] = (out[i] + hi * int(self._reduction[t, i])) % p
-        return int(np.dot(out, self.pow_p))
+        p = self.p
+        prod = _poly_mul(tuple(self.digits[a].tolist()), tuple(self.digits[b].tolist()), p)
+        if self.modulus is not None:
+            prod = _poly_mod(prod, self.modulus, p)
+        return sum(c * p**t for t, c in enumerate(prod))
 
     def _pow_poly(self, a: int, e: int) -> int:
         res, base = 1, a

@@ -28,7 +28,7 @@ from .code import LinearCode, bch_bound, dual, is_cyclic
 from .enumeration import gaussian_binomial, subspace_blocks
 from .errors import BadHierarchy, BadRank, GHWError, NotNested, WorkLimitExceeded
 from .infoset import InfoSetDecomposition, information
-from .matrix import MatrixGF, rank_array
+from .matrix import MatrixGF, rank_array, rref_array
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,15 @@ class Witness:
     subspace: MatrixGF  # r x k, in RREF
     mat_index: int  # index into the decomposition's matrices
     weight: int
-    synthesized: bool  # produced after a bound-certified exit
+    synthesized: bool  # the run's starting witness, r rows of the first matrix
 
 
 @dataclass
 class RunReport:
     """Instrumentation for a single weight computation.
 
+    Every run records a ``witness`` of weight ``value``: the run starts from
+    r rows of a systematic matrix and keeps the lightest subspace it finds.
     ``conditional`` is true when the run stopped because a caller's
     ``initial_lower``, or a conditional weight it was chained from, met the
     upper bound before the run's own evidence (round coverage, the BCH
@@ -156,8 +158,26 @@ def _make_witness(field, base: np.ndarray, s_cols: np.ndarray, j: int, weight: i
     return Witness(MatrixGF(field, expanded), j, weight, synthesized=False)
 
 
-def _passes_intersection(field, enc: np.ndarray, h2t: np.ndarray, r: int) -> bool:
-    return rank_array(field, field.matmul(enc, h2t)) == r
+def _meets_c2_in_zero(field, enc: np.ndarray, h2t: np.ndarray, r: int) -> np.ndarray:
+    """Which subspaces meet C2 only in 0, given their encoded bases stacked r
+    rows at a time.  That holds exactly when the r syndromes enc·H2ᵀ are
+    linearly independent, tested by forward elimination on all the r x
+    (n - k2) syndrome blocks at once: row i survives iff it is nonzero after
+    the pivots of rows 0..i-1 are cleared from it."""
+    syn = field.matmul(enc.reshape(-1, h2t.shape[0]), h2t).reshape(-1, r, h2t.shape[1])
+    rows = np.arange(syn.shape[0])
+    ok = np.ones(syn.shape[0], dtype=bool)
+    for i in range(r - 1):
+        nz = syn[:, i, :] != 0
+        ok &= nz.any(axis=1)
+        piv = nz.argmax(axis=1)
+        # factors -t_j / p clear the pivot column of the rows below; a zero
+        # row has p = 0, inverse 0 in the table, and clears nothing
+        scale = field.inv_table[syn[rows, i, piv]]
+        factors = field.neg_arrays(field.mul_arrays(syn[rows, i + 1 :, piv], scale[:, None]))
+        upd = field.mul_arrays(factors[:, :, None], syn[:, i : i + 1, :])
+        syn[:, i + 1 :, :] = field.add_arrays(syn[:, i + 1 :, :], upd)
+    return ok & (syn[:, r - 1, :] != 0).any(axis=1)
 
 
 def _round_pairs(field, r: int, w: int, k: int):
@@ -179,27 +199,27 @@ def _encode(field, block: np.ndarray, G: np.ndarray, s_cols: np.ndarray):
     return prod, (prod != 0).reshape(nsub, r, -1).any(axis=1).sum(axis=1)
 
 
-def _scan_round(field, mats, sel, r, w, k, upper, h2t, stop):
-    """Scan round w through the selected matrices, ending early once
-    upper <= stop; returns (upper, witness or None, subspaces)."""
-    witness = None
+def _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop):
+    """Scan round w through the selected matrices for the least-weight
+    subspace below ``upper`` (meeting C2 in 0 when ``h2t`` is given; the
+    first on ties), ending early once upper <= stop; returns (upper,
+    witness, subspaces)."""
     count = 0
     for block, s_cols in _round_pairs(field, r, w, k):
         count += block.shape[0]
         for j in sel:
             prod, weights = _encode(field, block, mats[j], s_cols)
-            if h2t is None:
-                i = int(weights.argmin())
-                if weights[i] < upper:
-                    upper = int(weights[i])
-                    witness = _make_witness(field, block[i], s_cols, j, upper, k)
+            c = int(weights.argmin())
+            if weights[c] >= upper:
                 continue
-            cand = np.flatnonzero(weights < upper)
-            for c in cand[np.argsort(weights[cand], kind="stable")]:
-                if _passes_intersection(field, prod[c * r : (c + 1) * r], h2t, r):
-                    upper = int(weights[c])
-                    witness = _make_witness(field, block[c], s_cols, j, upper, k)
-                    break
+            if h2t is not None:
+                cand = np.flatnonzero(weights < upper)
+                cand = cand[_meets_c2_in_zero(field, prod.reshape(len(weights), r, -1)[cand], h2t, r)]
+                if not cand.size:
+                    continue
+                c = int(cand[weights[cand].argmin()])
+            upper = int(weights[c])
+            witness = _make_witness(field, block[c], s_cols, j, upper, k)
         if stop is not None and upper <= stop:
             break
     return upper, witness, count
@@ -220,49 +240,37 @@ def _select_final_matrices(reds, last, w, upper):
     return sorted(sel)
 
 
-def _synthesize_witness(field, mats, r, k, value, h2t):
-    """Witness for a bound-certified exit (value = generalized Singleton
-    bound): any r rows of a systematic matrix then attain it exactly."""
-    limit = 5000
-    tried = 0
-    for j, mat in enumerate(mats):
-        for rows in combinations(range(k), r):
-            tried += 1
-            if tried > limit:
-                return None
-            enc = mat[list(rows), :]
-            weight = int((enc != 0).any(axis=0).sum())
-            if weight != value:
-                continue
-            if h2t is not None and not _passes_intersection(field, enc, h2t, r):
-                continue
-            base = np.zeros((r, k), dtype=np.int64)
-            for t, c in enumerate(rows):
-                base[t, c] = 1
-            return Witness(MatrixGF(field, base), j, weight, synthesized=True)
-    return None
+def _first_witness(field, mats, r, k, h2t):
+    """The starting witness: r rows of the systematic ``mats[0]``, of weight
+    at most n - k + r.  With C2, the first r rows whose syndromes are
+    independent; the k1 syndromes span dimension k1 - k2 >= r."""
+    rows = list(range(r))
+    if h2t is not None:
+        rows = rref_array(field, field.matmul(mats[0], h2t).T)[1][:r]
+    weight = int((mats[0][rows] != 0).any(axis=0).sum())
+    witness = _make_witness(field, np.eye(r, dtype=np.int64), np.array(rows), 0, weight, k)
+    return replace(witness, synthesized=True)
 
 
 def _run(code, dec, r, h2t, lower, proven, opts) -> RunReport:
     """Bounded search for d_r (M_r when ``h2t`` is given), starting from the
     lower bound ``lower``, of which ``proven`` is backed by evidence."""
-    field, k, n = code.field, code.k, code.n
+    field, k = code.field, code.k
     mats = [M.array for M in dec.mats]
     reds = dec.reds
     report = RunReport(r=r)
     # Matrix j is credited w + 1 - R_j only after covering every round r..w.
     # One with R_j > r would skip round r, so it takes no part in this run.
     last_round = {j: None for j in range(len(mats)) if reds[j] <= r}
-    w, upper, witness = r, n - k + r, None
+    witness = _first_witness(field, mats, r, k, h2t)
+    w, upper = r, witness.weight
 
     while w <= k and lower < upper:
         t0 = time.perf_counter()
         sel = list(last_round)
         if sum(w + 1 - reds[j] for j in sel) >= upper:
             sel = _select_final_matrices(reds, last_round, w, upper)
-        upper, found, nsub = _scan_round(field, mats, sel, r, w, k, upper, h2t, lower)
-        if found is not None:
-            witness = found
+        upper, witness, nsub = _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, lower)
         report.subspaces_enumerated += nsub
         for j in sel:
             last_round[j] = w
@@ -281,8 +289,6 @@ def _run(code, dec, r, h2t, lower, proven, opts) -> RunReport:
         _emit(opts, ev)
         w += 1
 
-    if witness is None:
-        witness = _synthesize_witness(field, mats, r, k, upper, h2t)
     report.value = upper
     report.witness = witness
     # past round k, matrix 0 (R_0 = 0) has enumerated every subspace
@@ -397,7 +403,7 @@ def _naive(c1: LinearCode, c2: LinearCode | None, r: int) -> int:
     _check_rank(r, rmax, c2)
     best = c1.n + 1
     for w in range(r, c1.k + 1):
-        best, _, _ = _scan_round(c1.field, [c1.G.array], [0], r, w, c1.k, best, h2t, None)
+        best, _, _ = _scan_round(c1.field, [c1.G.array], [0], r, w, c1.k, best, None, h2t, None)
     return best
 
 
@@ -431,20 +437,10 @@ def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Sp
             t0 = time.perf_counter()
             nsub = 0
             for block, s_cols in _round_pairs(field, r, w, k):
-                cnt = block.shape[0]
-                nsub += cnt
+                nsub += block.shape[0]
                 prod, weights = _encode(field, block, G, s_cols)
                 if h2t is not None:
-                    t = field.matmul(prod, h2t)
-                    if r == 1:
-                        ok = (t != 0).any(axis=1)
-                    else:
-                        ok = np.fromiter(
-                            (rank_array(field, t[i * r : (i + 1) * r]) == r for i in range(cnt)),
-                            dtype=bool,
-                            count=cnt,
-                        )
-                    weights = weights[ok]
+                    weights = weights[_meets_c2_in_zero(field, prod, h2t, r)]
                 acc += np.bincount(weights, minlength=n + 1)
             _emit(
                 opts,

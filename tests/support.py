@@ -138,6 +138,19 @@ def brute_spectrum(code: LinearCode, r: int) -> dict[int, int]:
     return counts
 
 
+def brute_rspectrum(c1: LinearCode, c2: LinearCode, r: int) -> dict[int, int]:
+    """Support sizes of the r-dimensional subcodes V of C1 with V ∩ C2 = 0,
+    tested as rank [V·G1; G2] = r + k2 rather than through syndromes."""
+    f = c1.field
+    counts: dict[int, int] = {}
+    for rows in brute_subspaces(f, c1.k, r).values():
+        enc = f.matmul(rows, c1.G.array)
+        if rank_array(f, np.vstack([enc, c2.G.array])) == r + c2.k:
+            w = int((enc != 0).any(axis=0).sum())
+            counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
 # -- random codes -------------------------------------------------------------
 
 

@@ -143,6 +143,13 @@ def test_spectrum_subcommands(ham_file, pair_files):
     assert rc == 1 and "work limit" in err
 
 
+def test_algorithm_is_refused_where_there_is_no_oracle(ham_file, pair_files):
+    rc, _, err = invoke(["spectrum", ham_file, "--algorithm", "naive"])
+    assert rc == 2 and "--algorithm" in err
+    rc, _, err = invoke(["rspectrum", *pair_files, "--algorithm", "naive"])
+    assert rc == 2 and "--algorithm" in err
+
+
 def test_duality_subcommand():
     rc, out, _ = invoke(["duality", "-n", "7", "3", "5", "6", "7"])
     assert rc == 0 and out.strip() == "4 6 7"

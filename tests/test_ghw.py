@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghwkit.code import code_from_rows, dual, make_rs, new_code, support_weight
 from ghwkit.enumeration import gaussian_binomial
@@ -9,6 +10,7 @@ from ghwkit.ghw import (
     ComputeOptions,
     Hierarchy,
     Report,
+    _meets_c2_in_zero,
     ghw,
     hierarchy,
     hierarchy_auto,
@@ -16,6 +18,7 @@ from ghwkit.ghw import (
     naive_rghw,
     rghw,
     rhierarchy,
+    rhigher_spectrum,
     wei_duality,
 )
 from ghwkit.infoset import information
@@ -24,6 +27,7 @@ from ghwkit.matrix import MatrixGF, rank_array
 from support import (
     HAMMING_7_4,
     brute_ghw,
+    brute_rspectrum,
     cyclic_code_from_cosets,
     example_pairs,
     random_code,
@@ -32,6 +36,7 @@ from support import (
 
 F2 = build_field(2)
 F3 = build_field(3)
+F4 = build_field(2, 2)
 F13 = build_field(13)
 
 
@@ -356,3 +361,58 @@ def test_run_stopped_by_a_hint_is_conditional():
     report = Report()
     assert ghw(C, 1, ComputeOptions(report=report)) == 12
     assert not report.runs[0].conditional
+
+
+def test_every_run_records_a_witness_under_a_hint():
+    # hints far above d_1 = 12 stop the run before its first round, on the
+    # starting witness
+    C = random_code(np.random.default_rng(7), F2, 48, 12)
+    dec = information(C)
+    for hint in (37, 40):
+        report = Report()
+        value = ghw(C, 1, ComputeOptions(info_sets=dec, initial_lower=hint, report=report))
+        run = report.runs[0]
+        assert run.witness is not None and run.witness.weight == value <= 37, hint
+        assert run.conditional
+        verify_run(C, dec, run)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([F2, F3, F4]), st.data())
+def test_relative_weights_against_brute_force(F, data):
+    k1 = data.draw(st.integers(2, 4 if F.q == 2 else 3), label="k1")
+    k2 = data.draw(st.integers(1, k1 - 1), label="k2")
+    n = data.draw(st.integers(k1, 7), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    c1, c2 = random_nested_pair(np.random.default_rng(seed), F, n, k1, k2)
+    spectrum = rhigher_spectrum(c1, c2)
+    for r in range(1, k1 - k2 + 1):
+        ref = brute_rspectrum(c1, c2, r)
+        assert spectrum.counts[r] == ref, r
+        assert rghw(c1, c2, r) == naive_rghw(c1, c2, r) == min(ref), r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([F2, F3, F4, build_field(5), build_field(2, 3), build_field(3, 2)]),
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_c2_mask_against_rank(F, r, c, seed):
+    # blocks of r syndromes with planted zero, repeated and combined rows;
+    # with H2^T = I the mask must equal a per-block rank test
+    rng = np.random.default_rng(seed)
+    S = rng.integers(0, F.q, (50, r, c)) * (rng.random((50, r, c)) < 0.7)
+    for blk in S:
+        i, j, l = rng.integers(r, size=3)
+        kind = rng.integers(4)
+        if kind == 0:
+            blk[i] = 0
+        elif kind == 1:
+            blk[i] = blk[j]
+        elif kind == 2:
+            a, b = rng.integers(F.q, size=2)
+            blk[i] = F.add_arrays(F.mul_arrays(blk[j], a), F.mul_arrays(blk[l], b))
+    got = _meets_c2_in_zero(F, S, np.eye(c, dtype=np.int64), r)
+    assert got.tolist() == [rank_array(F, blk) == r for blk in S]
