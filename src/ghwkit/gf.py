@@ -186,15 +186,28 @@ class FiniteField:
                     gen = cand
                     break
         self.generator = gen
+        # exp[2^t : 2^(t+1)] = exp[:2^t] * g^(2^t), doubling the filled prefix
         exp = np.empty(order, dtype=np.int64)
+        exp[0] = 1
+        size, power = 1, gen
+        while size < order:
+            hi = min(2 * size, order)
+            exp[size:hi] = self._times_constant(exp[: hi - size], power)
+            size, power = hi, self._mul_poly(power, power)
         log = np.full(q, -1, dtype=np.int64)
-        cur = 1
-        for i in range(order):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._mul_poly(cur, gen)
+        log[exp] = np.arange(order)
         self.exp_table = exp
         self.log_table = log
+
+    def _times_constant(self, X: np.ndarray, c: int) -> np.ndarray:
+        """The elements X times the constant c, table-free: multiplying by c
+        is the GF(p)-linear map of digit vectors with matrix
+        M_c[u, t] = sum_v c_v T[u, v, t]."""
+        p = self.p
+        if self.s == 1:
+            return X * c % p
+        M = np.einsum("v,uvt->ut", self.digits[c], self._tensor)
+        return (self.digits[X] @ M % p) @ self.pow_p
 
     # -- scalar operations ------------------------------------------------
 

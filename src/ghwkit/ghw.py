@@ -8,10 +8,21 @@ through matrix G_j must meet at least w + 1 - R_j coordinates of its
 information set, so the per-matrix contributions sum to a lower bound on
 everything still unseen.  The search stops as soon as the bounds meet.
 
+Subspaces are weighed by a support-mask kernel, the Brouwer–Zimmermann
+trick of encoding every message on a window once, extended from codewords to
+subspaces.  Per round, every w-subset S of the message coordinates and every
+matrix G_j gets a table of the supports of x·G_j[S] for all q^w messages x,
+packed into uint64 words; a subspace's support is the OR of its r basis
+rows' masks.  Relative weights also tabulate the syndromes x·(G_j·H2ᵀ)[S].  A
+round whose tables would exceed a fixed byte budget takes the plain path,
+one matmul per (block, support set, matrix); both paths give the same
+bounds, witnesses and counts.
+
 Relative weights M_r(C1, C2) run the same search on C1 and keep only the
 subspaces that meet C2 in 0.  The naive oracles enumerate the full
-Grassmannian through a single generator matrix with no bounds and serve as
-an independent cross-check.
+Grassmannian through a single generator matrix with no bounds, always on the
+plain path, and serve as an independent cross-check of the search and of
+its kernel.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ import sys
 import time
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import combinations
+from math import comb
 from typing import Callable
 
 import numpy as np
@@ -158,13 +170,11 @@ def _make_witness(field, base: np.ndarray, s_cols: np.ndarray, j: int, weight: i
     return Witness(MatrixGF(field, expanded), j, weight, synthesized=False)
 
 
-def _meets_c2_in_zero(field, enc: np.ndarray, h2t: np.ndarray, r: int) -> np.ndarray:
-    """Which subspaces meet C2 only in 0, given their encoded bases stacked r
-    rows at a time.  That holds exactly when the r syndromes enc·H2ᵀ are
-    linearly independent, tested by forward elimination on all the r x
-    (n - k2) syndrome blocks at once: row i survives iff it is nonzero after
-    the pivots of rows 0..i-1 are cleared from it."""
-    syn = field.matmul(enc.reshape(-1, h2t.shape[0]), h2t).reshape(-1, r, h2t.shape[1])
+def _independent(field, syn: np.ndarray, r: int) -> np.ndarray:
+    """Which stacks of r syndromes, an (m, r, c) array, are linearly
+    independent, by forward elimination on all of them at once (in place):
+    row i survives iff it is nonzero after the pivots of rows 0..i-1 are
+    cleared from it."""
     rows = np.arange(syn.shape[0])
     ok = np.ones(syn.shape[0], dtype=bool)
     for i in range(r - 1):
@@ -178,6 +188,13 @@ def _meets_c2_in_zero(field, enc: np.ndarray, h2t: np.ndarray, r: int) -> np.nda
         upd = field.mul_arrays(factors[:, :, None], syn[:, i : i + 1, :])
         syn[:, i + 1 :, :] = field.add_arrays(syn[:, i + 1 :, :], upd)
     return ok & (syn[:, r - 1, :] != 0).any(axis=1)
+
+
+def _meets_c2_in_zero(field, enc: np.ndarray, h2t: np.ndarray, r: int) -> np.ndarray:
+    """Which subspaces meet C2 only in 0, given their encoded bases stacked r
+    rows at a time: exactly those whose r syndromes enc·H2ᵀ are independent."""
+    syn = field.matmul(enc.reshape(-1, h2t.shape[0]), h2t).reshape(-1, r, h2t.shape[1])
+    return _independent(field, syn, r)
 
 
 def _round_pairs(field, r: int, w: int, k: int):
@@ -203,7 +220,8 @@ def _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop):
     """Scan round w through the selected matrices for the least-weight
     subspace below ``upper`` (meeting C2 in 0 when ``h2t`` is given; the
     first on ties), ending early once upper <= stop; returns (upper,
-    witness, subspaces)."""
+    witness, subspaces).  The plain path: one matmul per (block, support
+    set, matrix)."""
     count = 0
     for block, s_cols in _round_pairs(field, r, w, k):
         count += block.shape[0]
@@ -225,6 +243,110 @@ def _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop):
     return upper, witness, count
 
 
+# The support-mask kernel.  For round (r, w), X lists the q^w message
+# vectors on w coordinates (row x has code sum x_t q^t).  For every w-subset
+# S of the message coordinates and every selected matrix G_j, the mask table
+# holds the support of X·G_j[S] as packed uint64 words, and with C2 the
+# syndrome table holds X·(G_j·H2ᵀ)[S].  A subspace placed on S is then
+# weighed as the popcount of the OR of its r basis rows' masks.
+_GATHER_ELEMS = 1 << 16  # elements per table-build or gather chunk
+_TABLE_BYTES = 1 << 25  # largest tables of one round; above it, the plain path
+
+
+def _tables(field, X: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X·B[i] for each w x c matrix of the (a, w, c) stack B, with one
+    field.matmul for the whole stack; an (a, q^w, c) array."""
+    a, w, c = B.shape
+    prod = field.matmul(X, B.transpose(1, 0, 2).reshape(w, a * c))
+    return prod.reshape(-1, a, c).transpose(1, 0, 2)
+
+
+def _round_tables(field, mats, ghs, sel, k: int, w: int):
+    """The nS = C(k, w) support sets of round w as an (nS, w) array, their
+    mask tables, an (nS, |sel|, q^w, words) uint64 array, and their syndrome
+    tables, (nS, |sel|, q^w, n - k2) or None without C2; None when the
+    tables would exceed _TABLE_BYTES."""
+    ns, nq, n, nj = comb(k, w), field.q**w, mats[0].shape[1], len(sel)
+    words = -(-n // 64)
+    c = 0 if ghs is None else ghs[0].shape[1]
+    if ns * nq * (words + c) * 8 * nj > _TABLE_BYTES:
+        return None
+    supports = np.array(list(combinations(range(k), w)), dtype=np.intp).reshape(ns, w)
+    X = np.zeros((nq, w), dtype=np.int64)
+    for t in range(w):
+        X[:, t] = np.arange(nq) // field.q**t % field.q
+    masks = np.zeros((ns, nj, nq, words * 8), dtype=np.uint8)
+    syn = None if ghs is None else np.empty((ns, nj, nq, c), dtype=np.int64)
+    # one product gives each message's codeword and, with C2, its syndrome
+    B = np.stack([mats[j] if ghs is None else np.hstack([mats[j], ghs[j]]) for j in sel])
+    step = max(1, _GATHER_ELEMS // (nj * nq * (n + c)))
+    for lo in range(0, ns, step):
+        cols = supports[lo : lo + step]
+        prod = _tables(field, X, B[:, cols].reshape(-1, w, n + c))
+        prod = prod.reshape(nj, len(cols), nq, n + c).transpose(1, 0, 2, 3)
+        packed = np.packbits(prod[..., :n] != 0, axis=-1, bitorder="little")
+        masks[lo : lo + step, :, :, : packed.shape[-1]] = packed
+        if syn is not None:
+            syn[lo : lo + step] = prod[..., n:]
+    return supports, masks.view("<u8"), syn
+
+
+def _weights(masks: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Support sizes of the subspaces whose basis rows have the (m, r)
+    ``codes``, through each table of ``masks`` (..., q^w, words): the
+    popcount of the OR of their rows' masks, an (..., m) array."""
+    acc = masks[..., codes[:, 0], :]
+    for t in range(1, codes.shape[1]):
+        acc |= masks[..., codes[:, t], :]
+    return np.bitwise_count(acc).sum(axis=-1, dtype=np.int64)
+
+
+def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, h2t, stop):
+    """_scan_round through the support-mask tables, with the same visit
+    order (block, support set, matrix), selection rule, early exit and
+    count; a round whose tables exceed _TABLE_BYTES takes the plain path.
+    Each chunk of support sets is weighed at once and then replayed: the
+    running minimum of the per-(S, j) minima is the upper bound after each
+    (S, j), and the witness is the first subspace at its final value.  With
+    C2, only subspaces below the chunk's starting bound can be picked, so
+    only they are tested and those that fail count as weight n + 1."""
+    tabs = _round_tables(field, mats, ghs, sel, k, w)
+    if tabs is None:
+        return _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop)
+    supports, masks, syn = tabs
+    n, nj = mats[0].shape[1], len(sel)
+    qpow = field.q ** np.arange(w)
+    count = 0
+    for block in subspace_blocks(r, w, field):
+        m = block.shape[0]
+        codes = block @ qpow
+        step = max(1, _GATHER_ELEMS // (nj * m * masks.shape[-1]))
+        for lo in range(0, len(supports), step):
+            wts = _weights(masks[lo : lo + step], codes)  # (nS, |sel|, m)
+            if syn is not None:
+                s, j, i = np.nonzero(wts < upper)
+                if s.size:
+                    bad = ~_independent(field, syn[lo + s[:, None], j[:, None], codes[i]], r)
+                    wts[s[bad], j[bad], i[bad]] = n + 1
+            mins = wts.min(axis=2).ravel()
+            run = np.minimum(np.minimum.accumulate(mins), upper)
+            visited, stopped = wts.shape[0], False
+            if stop is not None:
+                hit = np.flatnonzero(run[nj - 1 :: nj] <= stop)
+                if hit.size:
+                    visited, stopped = int(hit[0]) + 1, True
+            count += m * visited
+            best = int(run[visited * nj - 1])
+            if best < upper:
+                s, jj = divmod(int(np.argmax(mins == best)), nj)
+                c = int(wts[s, jj].argmin())
+                upper = best
+                witness = _make_witness(field, block[c], supports[lo + s], sel[jj], upper, k)
+            if stopped:
+                return upper, witness, count
+    return upper, witness, count
+
+
 def _select_final_matrices(reds, last, w, upper):
     """Minimal prefix (ascending redundancy) of the participating matrices
     (the keys of ``last``) to process in a predicted final round, counting
@@ -240,13 +362,14 @@ def _select_final_matrices(reds, last, w, upper):
     return sorted(sel)
 
 
-def _first_witness(field, mats, r, k, h2t):
+def _first_witness(field, mats, r, k, ghs):
     """The starting witness: r rows of the systematic ``mats[0]``, of weight
-    at most n - k + r.  With C2, the first r rows whose syndromes are
-    independent; the k1 syndromes span dimension k1 - k2 >= r."""
+    at most n - k + r.  With C2, the first r rows whose syndromes (the rows
+    of ``ghs[0]``) are independent; the k1 syndromes span dimension
+    k1 - k2 >= r."""
     rows = list(range(r))
-    if h2t is not None:
-        rows = rref_array(field, field.matmul(mats[0], h2t).T)[1][:r]
+    if ghs is not None:
+        rows = rref_array(field, ghs[0].T)[1][:r]
     weight = int((mats[0][rows] != 0).any(axis=0).sum())
     witness = _make_witness(field, np.eye(r, dtype=np.int64), np.array(rows), 0, weight, k)
     return replace(witness, synthesized=True)
@@ -262,7 +385,8 @@ def _run(code, dec, r, h2t, lower, proven, opts) -> RunReport:
     # Matrix j is credited w + 1 - R_j only after covering every round r..w.
     # One with R_j > r would skip round r, so it takes no part in this run.
     last_round = {j: None for j in range(len(mats)) if reds[j] <= r}
-    witness = _first_witness(field, mats, r, k, h2t)
+    ghs = None if h2t is None else [field.matmul(M, h2t) for M in mats]
+    witness = _first_witness(field, mats, r, k, ghs)
     w, upper = r, witness.weight
 
     while w <= k and lower < upper:
@@ -270,7 +394,7 @@ def _run(code, dec, r, h2t, lower, proven, opts) -> RunReport:
         sel = list(last_round)
         if sum(w + 1 - reds[j] for j in sel) >= upper:
             sel = _select_final_matrices(reds, last_round, w, upper)
-        upper, witness, nsub = _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, lower)
+        upper, witness, nsub = _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, h2t, lower)
         report.subspaces_enumerated += nsub
         for j in sel:
             last_round[j] = w
@@ -420,11 +544,44 @@ def naive_rghw(c1: LinearCode, c2: LinearCode, r: int, low_mem: bool = False) ->
     return _naive(c1, c2, r)
 
 
+def _spectrum_round(field, G, gh, r, w, k, n, h2t) -> tuple[np.ndarray, int]:
+    """Support-size histogram of round (r, w) through G, restricted to the
+    subspaces meeting C2 in 0 when ``h2t`` is given, and its subspace count;
+    through the mask tables, or the plain block loop when they are too big."""
+    acc = np.zeros(n + 1, dtype=np.int64)
+    nsub = 0
+    tabs = _round_tables(field, [G], None if gh is None else [gh], [0], k, w)
+    if tabs is None:
+        for block, s_cols in _round_pairs(field, r, w, k):
+            nsub += block.shape[0]
+            prod, weights = _encode(field, block, G, s_cols)
+            if h2t is not None:
+                weights = weights[_meets_c2_in_zero(field, prod, h2t, r)]
+            acc += np.bincount(weights, minlength=n + 1)
+        return acc, nsub
+    supports, masks, syn = tabs
+    qpow = field.q ** np.arange(w)
+    width = masks.shape[-1] + (0 if syn is None else r * syn.shape[-1])
+    for block in subspace_blocks(r, w, field):
+        m = block.shape[0]
+        nsub += m * len(supports)
+        codes = block @ qpow
+        step = max(1, _GATHER_ELEMS // (m * width))
+        for lo in range(0, len(supports), step):
+            weights = _weights(masks[lo : lo + step, 0], codes).ravel()
+            if syn is not None:
+                syns = syn[lo : lo + step, 0][:, codes].reshape(-1, r, syn.shape[-1])
+                weights = weights[_independent(field, syns, r)]
+            acc += np.bincount(weights, minlength=n + 1)
+    return acc, nsub
+
+
 def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Spectrum:
     """Support-weight histograms of all r-dimensional subspaces through C1's
     generator matrix, restricted to those meeting C2 in 0 when given."""
     h2t, rmax = _nested_pair(c1, c2)
     field, k, n, G = c1.field, c1.k, c1.n, c1.G.array
+    gh = None if h2t is None else field.matmul(G, h2t)
     for r in range(rmax + 1):
         if gaussian_binomial(k, r, field.q) > opts.work_limit:
             raise WorkLimitExceeded(
@@ -435,13 +592,8 @@ def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Sp
         acc = np.zeros(n + 1, dtype=np.int64)
         for w in range(r, k + 1):
             t0 = time.perf_counter()
-            nsub = 0
-            for block, s_cols in _round_pairs(field, r, w, k):
-                nsub += block.shape[0]
-                prod, weights = _encode(field, block, G, s_cols)
-                if h2t is not None:
-                    weights = weights[_meets_c2_in_zero(field, prod, h2t, r)]
-                acc += np.bincount(weights, minlength=n + 1)
+            hist, nsub = _spectrum_round(field, G, gh, r, w, k, n, h2t)
+            acc += hist
             _emit(
                 opts,
                 RoundEvent(

@@ -187,6 +187,19 @@ def test_pow_and_generator():
         assert F.pow(0, 0) == 1 and F.pow(0, 5) == 0
 
 
+@pytest.mark.parametrize("p, s", [(2, 8), (3, 5)])
+def test_exp_table_steps_by_the_generator(p, s):
+    # the table is filled by doubling; each entry must still be the previous
+    # one times the generator, by polynomial arithmetic
+    F = build_field(p, s)
+    exp = F.exp_table.tolist()
+    assert len(exp) == F.q - 1 and sorted(exp) == list(range(1, F.q))
+    for i in range(F.q - 2):
+        assert exp[i + 1] == F._mul_poly(exp[i], F.generator), i
+    assert F._mul_poly(exp[-1], F.generator) == 1
+    assert F.log_table[exp].tolist() == list(range(F.q - 1))
+
+
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 

@@ -1,0 +1,171 @@
+"""The support-mask kernel against the plain matmul path.
+
+The kernel weighs subspaces by OR-ing packed row-support masks looked up in
+per-support-set tables; the plain path encodes every (block, support set,
+matrix) triple with one matmul.  Both must agree exactly: the bound, the
+witness and the subspace count of every round, and every spectrum.
+"""
+
+import sys
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ghwkit.code import code_from_rows
+from ghwkit.enumeration import gaussian_binomial
+from ghwkit.gf import build_field
+from ghwkit.ghw import (
+    higher_spectrum,
+    hierarchy,
+    naive_ghw,
+    naive_rghw,
+    rhierarchy,
+    rhigher_spectrum,
+)
+from ghwkit.infoset import information
+
+from support import brute_rspectrum, brute_spectrum, random_code, random_nested_pair
+
+GHW = sys.modules["ghwkit.ghw"]
+F2, F3, F4, F5 = build_field(2), build_field(3), build_field(2, 2), build_field(5)
+
+
+@contextmanager
+def budgets(gather=None, table=None):
+    """Override the kernel's gather chunk budget and table byte cap."""
+    with mock.patch.object(GHW, "_GATHER_ELEMS", gather or GHW._GATHER_ELEMS), \
+            mock.patch.object(GHW, "_TABLE_BYTES", GHW._TABLE_BYTES if table is None else table):
+        yield
+
+
+def _witness_key(wit):
+    if wit is None:
+        return None
+    return wit.subspace.array.tolist(), wit.mat_index, wit.weight
+
+
+def _check_round(c1, c2, r, w, sel, upper, stop):
+    """One round through the kernel and through the plain path."""
+    field, k = c1.field, c1.k
+    mats = [M.array for M in information(c1).mats]
+    h2t, _ = GHW._nested_pair(c1, c2)
+    ghs = None if h2t is None else [field.matmul(M, h2t) for M in mats]
+    got = GHW._scan_kernel(field, mats, ghs, sel, r, w, k, upper, None, h2t, stop)
+    want = GHW._scan_round(field, mats, sel, r, w, k, upper, None, h2t, stop)
+    assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
+
+
+def _check_spectrum_round(c1, c2, r, w):
+    field, G = c1.field, c1.G.array
+    h2t, _ = GHW._nested_pair(c1, c2)
+    gh = None if h2t is None else field.matmul(G, h2t)
+    hist, nsub = GHW._spectrum_round(field, G, gh, r, w, c1.k, c1.n, h2t)
+    with budgets(table=0):
+        plain, plain_nsub = GHW._spectrum_round(field, G, gh, r, w, c1.k, c1.n, h2t)
+    assert hist.tolist() == plain.tolist() and nsub == plain_nsub
+
+
+@pytest.mark.parametrize("gather", [1, None], ids=["chunk1", "default"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([F2, F3, F4, F5]), st.data())
+def test_kernel_matches_plain_path(gather, F, data):
+    k1 = data.draw(st.integers(2, 6 if F.q == 2 else 4), label="k1")
+    n = data.draw(st.integers(k1, 13), label="n")
+    k2 = data.draw(st.integers(0, k1 - 1), label="k2")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if k2:
+        c1, c2 = random_nested_pair(rng, F, n, k1, k2)
+    else:
+        c1, c2 = random_code(rng, F, n, k1), None
+    r = data.draw(st.integers(1, k1 - k2), label="r")
+    w = data.draw(st.integers(r, k1), label="w")
+    nmats = len(information(c1).mats)
+    sel = data.draw(st.lists(st.integers(0, nmats - 1), min_size=1, unique=True), label="sel")
+    upper = data.draw(st.integers(1, n + 1), label="upper")
+    stop = data.draw(st.none() | st.integers(0, n), label="stop")
+    with budgets(gather=gather):
+        _check_round(c1, c2, r, w, sorted(sel), upper, stop)
+        _check_spectrum_round(c1, c2, r, w)
+
+
+@pytest.mark.parametrize("gather", [1, None], ids=["chunk1", "default"])
+def test_kernel_on_the_scan_mixed_pair_shape(gather):
+    # GF(2) [12,5] > [12,1], the shape of the benchmark's binary rhierarchy
+    # queries, through every matrix of its decomposition and every round
+    for seed in range(3):
+        c1, c2 = random_nested_pair(np.random.default_rng(seed), F2, 12, 5, 1)
+        sel = list(range(len(information(c1).mats)))
+        assert len(sel) > 1
+        with budgets(gather=gather):
+            for r in range(1, 5):
+                for w in range(r, 6):
+                    for upper, stop in ((13, None), (12 - r, r + 2), (7, None)):
+                        _check_round(c1, c2, r, w, sel, upper, stop)
+                    _check_spectrum_round(c1, c2, r, w)
+
+
+def _spectrum_matches_brute(code, spectrum, ranks):
+    for r in ranks:
+        assert spectrum.counts[r] == brute_spectrum(code, r), r
+    for r in spectrum.counts:
+        assert spectrum.total(r) == gaussian_binomial(code.k, r, code.field.q), r
+
+
+@pytest.mark.parametrize("field, n, k, ranks", [(F2, 130, 5, (1, 2)), (F2, 70, 6, (1, 2)), (F4, 80, 4, (1,))])
+def test_masks_of_several_words(field, n, k, ranks):
+    # n > 64: every mask spans ceil(n / 64) uint64 words
+    code = random_code(np.random.default_rng(n), field, n, k)
+    assert hierarchy(code).values == tuple(naive_ghw(code, r) for r in range(1, k + 1))
+    spectrum = higher_spectrum(code)
+    _spectrum_matches_brute(code, spectrum, ranks)
+    with budgets(table=0):
+        assert higher_spectrum(code).counts == spectrum.counts
+
+
+def test_nested_pair_of_length_70():
+    c1, c2 = random_nested_pair(np.random.default_rng(70), F2, 70, 5, 2)
+    assert rhierarchy(c1, c2).values == tuple(naive_rghw(c1, c2, r) for r in range(1, 4))
+    spectrum = rhigher_spectrum(c1, c2)
+    for r in (1, 2):
+        assert spectrum.counts[r] == brute_rspectrum(c1, c2, r), r
+
+
+def test_rounds_above_the_table_cap_take_the_plain_path():
+    # with a 2,500-byte cap some rounds fit and others fall back, so one run
+    # mixes both paths
+    code = random_code(np.random.default_rng(3), F3, 10, 5)
+    c1, c2 = random_nested_pair(np.random.default_rng(4), F3, 9, 4, 1)
+    weights = tuple(naive_ghw(code, r) for r in range(1, 6))
+    rweights = tuple(naive_rghw(c1, c2, r) for r in range(1, 4))
+    ref = {r: brute_spectrum(code, r) for r in (1, 2)}
+    rref = {r: brute_rspectrum(c1, c2, r) for r in (1, 2)}
+    for table in (2500, 0):
+        with budgets(table=table):
+            assert hierarchy(code).values == weights
+            assert rhierarchy(c1, c2).values == rweights
+            spectrum, rspectrum = higher_spectrum(code), rhigher_spectrum(c1, c2)
+        assert {r: spectrum.counts[r] for r in ref} == ref
+        assert {r: rspectrum.counts[r] for r in rref} == rref
+        assert min(rspectrum.counts[3]) == rweights[2]
+
+
+def test_gf5_round_of_15625_messages():
+    # round w = 6 of a GF(5) [8,6] code has 5^6 message vectors in its one
+    # table: the kernel must match the plain path on it
+    code = random_code(np.random.default_rng(5), F5, 8, 6)
+    c1, c2 = random_nested_pair(np.random.default_rng(6), F5, 8, 6, 2)
+    nmats = len(information(code).mats)
+    _check_spectrum_round(code, None, 1, 6)
+    _check_spectrum_round(c1, c2, 1, 6)
+    for r in (1, 2):
+        _check_round(code, None, r, 6, list(range(nmats)), 9, None)
+        _check_round(c1, c2, r, 6, [0], 9, r + 1)
+
+
+def test_code_with_zero_columns():
+    code = code_from_rows(F2, [[1, 0, 1, 1, 0, 0, 1], [0, 0, 1, 0, 1, 0, 1], [1, 0, 0, 1, 1, 0, 1]])
+    assert hierarchy(code).values == tuple(naive_ghw(code, r) for r in range(1, 4))
+    _spectrum_matches_brute(code, higher_spectrum(code), (1, 2, 3))
