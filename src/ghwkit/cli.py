@@ -107,7 +107,8 @@ def _load(path: str) -> LinearCode:
 
 
 def _options(args) -> ComputeOptions:
-    return ComputeOptions(verbose=args.verbose, work_limit=getattr(args, "work_limit", 10**9))
+    limit = getattr(args, "work_limit", ComputeOptions.work_limit)
+    return ComputeOptions(verbose=args.verbose, work_limit=limit)
 
 
 def _render(args, payload: dict, text: str) -> None:
@@ -187,12 +188,11 @@ def _cmd_duality(args) -> int:
     return 0
 
 
-def benchmark(code_files, r: int, low_mem: bool = False, threads: int = 1):
+def benchmark(code_files, r: int):
     """Time the bounded search against the naive oracle on each code file.
 
     Returns a list of row dicts; raises :class:`MismatchedResults` if the two
     algorithms ever disagree (a correctness bug, not a benchmark artifact).
-    ``low_mem`` and ``threads`` are accepted and ignored.
     """
     rows = []
     for path in code_files:
@@ -248,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ghwkit",
         description="Generalized Hamming weights of linear codes over GF(p^s)",
     )
-    # --threads and --low-mem are accepted and ignored: runs use one thread
-    parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     subs = parser.add_subparsers(dest="command", required=True)
 
     for name, (help_text, ncodes, takes_r, _, naive) in _COMPUTE.items():
@@ -260,13 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-r", type=int, required=True, help="subcode dimension")
         else:
             p.set_defaults(r=1 if name == "mindist" else None)
-        p.add_argument("--low-mem", action="store_true", help=argparse.SUPPRESS)
         p.add_argument("--verbose", action="store_true", help="print one progress line per round to stderr")
         p.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
         if naive is not None:
             p.add_argument("--algorithm", choices=["bz", "naive"], default="bz", help="bounded search (default) or the naive oracle")
         if name.endswith("spectrum"):
-            p.add_argument("--work-limit", type=int, default=10**9, help="max subspaces per dimension")
+            p.add_argument("--work-limit", type=int, default=ComputeOptions.work_limit, help="max subspaces per dimension")
         p.set_defaults(func=_compute)
 
     p = subs.add_parser("duality", help="hierarchy of the dual from a hierarchy and n")
@@ -278,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("benchmark", help="time the search against the naive oracle")
     p.add_argument("codes", nargs="+")
     p.add_argument("-r", type=int, required=True)
-    p.add_argument("--low-mem", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", help="also write the table to this CSV file")
     p.set_defaults(func=_cmd_benchmark)

@@ -19,10 +19,12 @@ one matmul per (block, support set, matrix); both paths give the same
 bounds, witnesses and counts.
 
 Relative weights M_r(C1, C2) run the same search on C1 and keep only the
-subspaces that meet C2 in 0.  The naive oracles enumerate the full
-Grassmannian through a single generator matrix with no bounds, always on the
-plain path, and serve as an independent cross-check of the search and of
-its kernel.
+subspaces that meet C2 in 0.  The spectra weigh every subspace through one
+generator matrix with the search's kernel and C2 rejection and no bound;
+they go by w, then r, so each w's tables are built once.  The naive oracles
+enumerate the full Grassmannian through a single generator matrix with no
+bounds, always on the plain path, and serve as an independent cross-check
+of the search and of its kernel.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from .code import LinearCode, bch_bound, dual, is_cyclic
 from .enumeration import gaussian_binomial, subspace_blocks
 from .errors import BadHierarchy, BadRank, GHWError, NotNested, WorkLimitExceeded
-from .infoset import InfoSetDecomposition, information
+from .infoset import InfoSetDecomposition, check_decomposition, information
 from .matrix import MatrixGF, rank_array, rref_array
 
 
@@ -137,18 +139,15 @@ class ComputeOptions:
 
     ``initial_lower`` is a lower bound for the requested weight (for
     hierarchies, for d_1); a run that stops on it alone is reported as
-    conditional.  ``info_sets`` supplies a precomputed decomposition.
-    Progress events go to ``progress`` if set, else to stderr when
-    ``verbose``.  ``low_mem`` and ``threads`` are accepted and ignored:
-    every run streams one block at a time on the calling thread.
+    conditional.  ``info_sets`` supplies a precomputed decomposition, which
+    is checked before use.  Progress events go to ``progress`` if set, else
+    to stderr when ``verbose``.
     """
 
-    low_mem: bool = False
     verbose: bool = False
     info_sets: InfoSetDecomposition | None = None
     initial_lower: int | None = None
     work_limit: int = 10**9
-    threads: int = 1
     progress: Callable[[RoundEvent], None] | None = None
     report: Report | None = None
 
@@ -291,14 +290,32 @@ def _round_tables(field, mats, ghs, sel, k: int, w: int):
     return supports, masks.view("<u8"), syn
 
 
-def _weights(masks: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Support sizes of the subspaces whose basis rows have the (m, r)
-    ``codes``, through each table of ``masks`` (..., q^w, words): the
-    popcount of the OR of their rows' masks, an (..., m) array."""
+def _chunks(masks: np.ndarray, syn: np.ndarray | None, m: int, r: int) -> list[slice]:
+    """Slices of the support sets, each gathering at most _GATHER_ELEMS
+    elements for m subspaces through every table: their mask words and, with
+    C2, their r syndromes."""
+    width = masks.shape[-1] + (0 if syn is None else r * syn.shape[-1])
+    step = max(1, _GATHER_ELEMS // (masks.shape[1] * m * width))
+    return [slice(lo, lo + step) for lo in range(0, masks.shape[0], step)]
+
+
+def _weigh(field, masks, syn, sl: slice, codes: np.ndarray, r: int, upper: int, n: int) -> np.ndarray:
+    """Support sizes of the subspaces whose basis rows have the (m, r) row
+    ``codes``, placed on the support sets ``sl`` and weighed through each of
+    their tables: the popcount of the OR of their rows' masks, an (nS, |sel|,
+    m) array.  With C2, every one below ``upper`` that meets C2 outside 0
+    weighs n + 1."""
+    masks = masks[sl]
     acc = masks[..., codes[:, 0], :]
-    for t in range(1, codes.shape[1]):
+    for t in range(1, r):
         acc |= masks[..., codes[:, t], :]
-    return np.bitwise_count(acc).sum(axis=-1, dtype=np.int64)
+    wts = np.bitwise_count(acc).sum(axis=-1, dtype=np.int64)
+    if syn is not None:
+        s, j, i = np.nonzero(wts < upper)
+        if s.size:
+            bad = ~_independent(field, syn[sl][s[:, None], j[:, None], codes[i]], r)
+            wts[s[bad], j[bad], i[bad]] = n + 1
+    return wts
 
 
 def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, h2t, stop):
@@ -309,7 +326,7 @@ def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, h2t, stop):
     running minimum of the per-(S, j) minima is the upper bound after each
     (S, j), and the witness is the first subspace at its final value.  With
     C2, only subspaces below the chunk's starting bound can be picked, so
-    only they are tested and those that fail count as weight n + 1."""
+    only they are tested."""
     tabs = _round_tables(field, mats, ghs, sel, k, w)
     if tabs is None:
         return _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop)
@@ -320,14 +337,8 @@ def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, h2t, stop):
     for block in subspace_blocks(r, w, field):
         m = block.shape[0]
         codes = block @ qpow
-        step = max(1, _GATHER_ELEMS // (nj * m * masks.shape[-1]))
-        for lo in range(0, len(supports), step):
-            wts = _weights(masks[lo : lo + step], codes)  # (nS, |sel|, m)
-            if syn is not None:
-                s, j, i = np.nonzero(wts < upper)
-                if s.size:
-                    bad = ~_independent(field, syn[lo + s[:, None], j[:, None], codes[i]], r)
-                    wts[s[bad], j[bad], i[bad]] = n + 1
+        for sl in _chunks(masks, syn, m, r):
+            wts = _weigh(field, masks, syn, sl, codes, r, upper, n)
             mins = wts.min(axis=2).ravel()
             run = np.minimum(np.minimum.accumulate(mins), upper)
             visited, stopped = wts.shape[0], False
@@ -341,7 +352,7 @@ def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, h2t, stop):
                 s, jj = divmod(int(np.argmax(mins == best)), nj)
                 c = int(wts[s, jj].argmin())
                 upper = best
-                witness = _make_witness(field, block[c], supports[lo + s], sel[jj], upper, k)
+                witness = _make_witness(field, block[c], supports[sl][s], sel[jj], upper, k)
             if stopped:
                 return upper, witness, count
     return upper, witness, count
@@ -462,6 +473,8 @@ def _search(c1, c2, ranks, opts: ComputeOptions) -> list[int]:
     for r in ranks:
         _check_rank(r, rmax, c2)
     dec = opts.info_sets or information(c1)
+    if opts.info_sets is not None:
+        check_decomposition(c1, dec)
     floor = _cyclic_floor(c1)
     values: list[int] = []
     chained = 0  # the previous value + 1, if that value is proven
@@ -531,69 +544,53 @@ def _naive(c1: LinearCode, c2: LinearCode | None, r: int) -> int:
     return best
 
 
-def naive_ghw(code: LinearCode, r: int, low_mem: bool = False) -> int:
+def naive_ghw(code: LinearCode, r: int) -> int:
     """Oracle: minimum encoded support over the whole Grassmannian through a
-    single generator matrix; no bounds, no early exit.  ``low_mem`` is
-    accepted and ignored."""
+    single generator matrix; no bounds, no early exit."""
     return _naive(code, None, r)
 
 
-def naive_rghw(c1: LinearCode, c2: LinearCode, r: int, low_mem: bool = False) -> int:
+def naive_rghw(c1: LinearCode, c2: LinearCode, r: int) -> int:
     """Oracle for the relative weight: full enumeration with the trivial
-    intersection test, no bounds.  ``low_mem`` is accepted and ignored."""
+    intersection test, no bounds."""
     return _naive(c1, c2, r)
-
-
-def _spectrum_round(field, G, gh, r, w, k, n, h2t) -> tuple[np.ndarray, int]:
-    """Support-size histogram of round (r, w) through G, restricted to the
-    subspaces meeting C2 in 0 when ``h2t`` is given, and its subspace count;
-    through the mask tables, or the plain block loop when they are too big."""
-    acc = np.zeros(n + 1, dtype=np.int64)
-    nsub = 0
-    tabs = _round_tables(field, [G], None if gh is None else [gh], [0], k, w)
-    if tabs is None:
-        for block, s_cols in _round_pairs(field, r, w, k):
-            nsub += block.shape[0]
-            prod, weights = _encode(field, block, G, s_cols)
-            if h2t is not None:
-                weights = weights[_meets_c2_in_zero(field, prod, h2t, r)]
-            acc += np.bincount(weights, minlength=n + 1)
-        return acc, nsub
-    supports, masks, syn = tabs
-    qpow = field.q ** np.arange(w)
-    width = masks.shape[-1] + (0 if syn is None else r * syn.shape[-1])
-    for block in subspace_blocks(r, w, field):
-        m = block.shape[0]
-        nsub += m * len(supports)
-        codes = block @ qpow
-        step = max(1, _GATHER_ELEMS // (m * width))
-        for lo in range(0, len(supports), step):
-            weights = _weights(masks[lo : lo + step, 0], codes).ravel()
-            if syn is not None:
-                syns = syn[lo : lo + step, 0][:, codes].reshape(-1, r, syn.shape[-1])
-                weights = weights[_independent(field, syns, r)]
-            acc += np.bincount(weights, minlength=n + 1)
-    return acc, nsub
 
 
 def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Spectrum:
     """Support-weight histograms of all r-dimensional subspaces through C1's
-    generator matrix, restricted to those meeting C2 in 0 when given."""
+    generator matrix, restricted to those meeting C2 in 0 when given.  The
+    rounds go by w, then r, so each w's tables serve every r; a subspace
+    that meets C2 outside 0 is counted at weight n + 1, which is dropped."""
     h2t, rmax = _nested_pair(c1, c2)
     field, k, n, G = c1.field, c1.k, c1.n, c1.G.array
-    gh = None if h2t is None else field.matmul(G, h2t)
+    ghs = None if h2t is None else [field.matmul(G, h2t)]
     for r in range(rmax + 1):
         if gaussian_binomial(k, r, field.q) > opts.work_limit:
             raise WorkLimitExceeded(
                 f"Grassmannian of dimension {r} exceeds the work limit {opts.work_limit}"
             )
-    counts: dict[int, dict[int, int]] = {0: {0: 1}}
-    for r in range(1, rmax + 1):
-        acc = np.zeros(n + 1, dtype=np.int64)
-        for w in range(r, k + 1):
-            t0 = time.perf_counter()
-            hist, nsub = _spectrum_round(field, G, gh, r, w, k, n, h2t)
-            acc += hist
+    hist = np.zeros((rmax + 1, n + 2), dtype=np.int64)
+    for w in range(1, k + 1):
+        t0 = time.perf_counter()
+        tabs = _round_tables(field, [G], ghs, [0], k, w)
+        qpow = field.q ** np.arange(w)
+        for r in range(1, min(w, rmax) + 1):
+            nsub = 0
+            if tabs is None:
+                for block, s_cols in _round_pairs(field, r, w, k):
+                    nsub += block.shape[0]
+                    prod, weights = _encode(field, block, G, s_cols)
+                    if h2t is not None:
+                        weights[~_meets_c2_in_zero(field, prod, h2t, r)] = n + 1
+                    hist[r] += np.bincount(weights, minlength=n + 2)
+            else:
+                supports, masks, syn = tabs
+                for block in subspace_blocks(r, w, field):
+                    codes = block @ qpow
+                    nsub += len(codes) * len(supports)
+                    for sl in _chunks(masks, syn, len(codes), r):
+                        wts = _weigh(field, masks, syn, sl, codes, r, n + 1, n)
+                        hist[r] += np.bincount(wts.ravel(), minlength=n + 2)
             _emit(
                 opts,
                 RoundEvent(
@@ -601,8 +598,9 @@ def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Sp
                     elapsed_s=time.perf_counter() - t0,
                 ),
             )
-        counts[r] = {int(w): int(c) for w, c in enumerate(acc) if c}
-    return Spectrum(counts)
+            t0 = time.perf_counter()
+    counts = {r: {w: int(c) for w, c in enumerate(hist[r, : n + 1]) if c} for r in range(1, rmax + 1)}
+    return Spectrum({0: {0: 1}, **counts})
 
 
 def higher_spectrum(code: LinearCode, opts: ComputeOptions | None = None) -> Spectrum:

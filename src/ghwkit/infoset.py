@@ -78,6 +78,28 @@ def information(code) -> InfoSetDecomposition:
     return InfoSetDecomposition(tuple(sets), tuple(mats), tuple(reds))
 
 
+def check_decomposition(code, dec: InfoSetDecomposition) -> None:
+    """Raise BadArgs unless ``dec`` is a decomposition of ``code`` that the
+    search's lower bound can rest on: every G_j generates the code and is
+    the identity on I_j, and every R_j is the number of columns I_j shares
+    with the earlier sets."""
+    field, G = code.field, code.G.array
+    k, n = G.shape
+    used: set[int] = set()
+    for j, (iset, M, red) in enumerate(zip(dec.sets, dec.mats, dec.reds)):
+        cols = [c - 1 for c in iset]
+        if M.field != field or M.array.shape != (k, n) or not all(0 <= c < n for c in cols):
+            raise BadArgs(f"matrix {j} or information set {j} does not fit a [{n},{k}] code")
+        if len(cols) != k or not np.array_equal(M.array[:, cols], np.eye(k)):
+            raise BadArgs(f"matrix {j} is not the identity on information set {j}")
+        if rank_array(field, np.vstack([G, M.array])) != k:
+            raise BadArgs(f"matrix {j} does not generate the code")
+        shared = len(used.intersection(cols))
+        if red != shared:
+            raise BadArgs(f"redundancy {j} is {red}, but set {j} shares {shared} columns with the earlier sets")
+        used.update(cols)
+
+
 def _systematic_on(field, G: np.ndarray, iset: list[int]) -> MatrixGF:
     """Row-reduce G so the columns in ``iset`` (0-based) carry the identity."""
     k, n = G.shape

@@ -82,8 +82,6 @@ def test_ghw_subcommand(ham_file):
     assert rc == 0 and out.strip() == "5"
     rc, out, _ = invoke(["ghw", ham_file, "-r", "2", "--algorithm", "naive"])
     assert rc == 0 and out.strip() == "5"
-    rc, out, _ = invoke(["ghw", ham_file, "-r", "2", "--low-mem"])
-    assert rc == 0 and out.strip() == "5"
 
 
 def test_json_schema(ham_file):
@@ -188,11 +186,15 @@ def test_benchmark(tmp_path, ham_file):
     assert "speedup" in out
 
 
-def test_threads_flag(ham_file):
-    rc, out, _ = invoke(["--threads", "2", "ghw", ham_file, "-r", "2"])
-    assert rc == 0 and out.strip() == "5"
-    rc, out, _ = invoke(["--threads", "1", "hierarchy", ham_file])
-    assert out.strip() == "3 5 6 7"
+def test_removed_flags_are_usage_errors(ham_file):
+    for argv in (
+        ["ghw", ham_file, "-r", "2", "--low-mem"],
+        ["spectrum", ham_file, "--low-mem"],
+        ["benchmark", ham_file, "-r", "1", "--low-mem"],
+        ["--threads", "2", "ghw", ham_file, "-r", "2"],
+    ):
+        rc, out, err = invoke(argv)
+        assert rc == 2 and out == "" and err.startswith("usage:"), argv
 
 
 def test_benchmark_speedup_at_moderate_scale(tmp_path):

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghwkit.code import code_from_rows, dual, make_rs, new_code, support_weight
 from ghwkit.enumeration import gaussian_binomial
-from ghwkit.errors import BadHierarchy, BadRank, NotNested
+from ghwkit.errors import BadArgs, BadHierarchy, BadRank, NotNested
 from ghwkit.gf import build_field
 from ghwkit.ghw import (
     ComputeOptions,
@@ -21,7 +23,7 @@ from ghwkit.ghw import (
     rhigher_spectrum,
     wei_duality,
 )
-from ghwkit.infoset import information
+from ghwkit.infoset import InfoSetDecomposition, information
 from ghwkit.matrix import MatrixGF, rank_array
 
 from support import (
@@ -106,6 +108,46 @@ def test_mds_chaining_enumerates_nothing_after_d1():
         verify_run(C, dec, run)
 
 
+def test_a_wrong_decomposition_is_refused():
+    # the decomposition of another [14,5] code gave d_1 = 4 where it is 3
+    a = random_code(np.random.default_rng(1), F2, 14, 5)
+    b = random_code(np.random.default_rng(2), F2, 14, 5)
+    assert naive_ghw(a, 1) == 3
+    with pytest.raises(BadArgs, match="generate"):
+        ghw(a, 1, ComputeOptions(info_sets=information(b)))
+    # zeroed redundancies gave the hierarchy (3, 6, 8, ...) where it is
+    # (3, 5, 7, ...)
+    c = random_code(np.random.default_rng(84), F3, 11, 6)
+    dec = information(c)
+    assert dec.reds == (0, 1) and hierarchy(c).values[:3] == (3, 5, 7)
+    with pytest.raises(BadArgs, match="redundancy"):
+        hierarchy(c, ComputeOptions(info_sets=replace(dec, reds=(0, 0))))
+    # rows in another order still generate the code, but not systematically
+    swapped = replace(dec, mats=(MatrixGF(F3, dec.mats[0].array[::-1]),) + dec.mats[1:])
+    with pytest.raises(BadArgs, match="identity"):
+        ghw(c, 2, ComputeOptions(info_sets=swapped))
+
+
+def test_a_valid_decomposition_that_is_not_greedy():
+    # the greedy decomposition of the code with its columns reversed, mapped
+    # back: M[::-1, ::-1] is the identity on the mirrored, ascending set
+    code = random_code(np.random.default_rng(84), F3, 11, 6)
+    flipped = information(new_code(F3, MatrixGF(F3, code.G.array[:, ::-1])))
+    dec = InfoSetDecomposition(
+        tuple(tuple(sorted(code.n + 1 - c for c in s)) for s in flipped.sets),
+        tuple(MatrixGF(F3, M.array[::-1, ::-1]) for M in flipped.mats),
+        flipped.reds,
+    )
+    assert dec.sets != information(code).sets
+    want = (3, 5, 7, 9, 10, 11)
+    assert tuple(naive_ghw(code, r) for r in (1, 2, 3)) == want[:3]
+    for d in (dec, InfoSetDecomposition(dec.sets[:1], dec.mats[:1], dec.reds[:1])):
+        report = Report()
+        assert hierarchy(code, ComputeOptions(info_sets=d, report=report)).values == want
+        for run in report.runs:
+            verify_run(code, d, run)
+
+
 def test_rghw_reference_pairs():
     (c1, c2), (c1p, c2p) = example_pairs()
     assert rghw(c1, c2, 1) == 2 and rghw(c1, c2, 2) == 4
@@ -151,8 +193,6 @@ def test_oracle_equivalence_random():
             for r in range(1, min(k, 3) + 1):
                 expect = naive_ghw(C, r)
                 assert ghw(C, r) == expect
-                assert ghw(C, r, ComputeOptions(low_mem=True)) == expect
-                assert naive_ghw(C, r, low_mem=True) == expect
 
 
 def test_relative_oracle_equivalence_random():
@@ -166,7 +206,6 @@ def test_relative_oracle_equivalence_random():
             for r in range(1, min(k1 - k2, 2) + 1):
                 expect = naive_rghw(c1, c2, r)
                 assert rghw(c1, c2, r) == expect
-                assert rghw(c1, c2, r, ComputeOptions(low_mem=True)) == expect
                 assert expect >= ghw(c1, r)  # relative bound
 
 
@@ -214,18 +253,6 @@ def test_hierarchy_auto_examples():
     assert hierarchy_auto(simplex).values == (4, 6, 7)  # k <= n/2: direct
     full = new_code(F2, MatrixGF.identity(F2, 6))
     assert hierarchy_auto(full).values == tuple(range(1, 7))
-
-
-def test_low_mem_and_threads_match_default():
-    C = code_from_rows(F2, HAMMING_7_4)
-    rng = np.random.default_rng(59)
-    D = random_code(rng, F3, 9, 4)
-    for code in (C, D):
-        for r in range(1, 4):
-            base = ghw(code, r)
-            assert ghw(code, r, ComputeOptions(low_mem=True)) == base
-            assert ghw(code, r, ComputeOptions(threads=4)) == base
-            assert ghw(code, r, ComputeOptions(threads=4, low_mem=True)) == base
 
 
 def test_initial_lower_bound_is_honored():

@@ -1,3 +1,6 @@
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,9 @@ from ghwkit.gf import build_field
 from ghwkit.ghw import ComputeOptions, ghw, higher_spectrum, rhigher_spectrum
 from ghwkit.matrix import MatrixGF
 
-from support import brute_spectrum, example_pairs, random_code
+from support import brute_spectrum, example_pairs, random_code, random_nested_pair
+
+GHW = sys.modules["ghwkit.ghw"]
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -47,8 +52,6 @@ def test_spectrum_consistency():
             k = int(rng.integers(1, min(5, n) + 1))
             C = random_code(rng, F, n, k)
             sp = higher_spectrum(C)
-            sp_low = higher_spectrum(C, ComputeOptions(low_mem=True))
-            assert sp.counts == sp_low.counts
             assert sp.counts[0] == {0: 1}
             for r in range(0, k + 1):
                 assert sp.total(r) == gaussian_binomial(k, r, F.q)
@@ -64,17 +67,31 @@ def test_relative_spectrum_paper_pair():
     assert rsp.total(1) == ((q**k1 - 1) - (q**k2 - 1)) // (q - 1)
     assert rsp.min_support(2) == 4  # = M_2(C1, C2)
     assert set(rsp.counts) == {0, 1, 2}  # r <= k1 - k2
-    low = rhigher_spectrum(c1, c2, ComputeOptions(low_mem=True))
-    assert low.counts == rsp.counts
-    threaded = rhigher_spectrum(c1, c2, ComputeOptions(threads=3))
-    assert threaded.counts == rsp.counts
-    assert higher_spectrum(c1, ComputeOptions(threads=3)).counts == higher_spectrum(c1).counts
+
+
+@pytest.mark.parametrize("table", [None, 0], ids=["kernel", "plain"])
+def test_spectrum_rounds_and_table_builds(table):
+    # rounds go by w, then r: each w's tables are built once and serve every
+    # r <= w, and each r's rounds together enumerate its whole Grassmannian
+    code = random_code(np.random.default_rng(79), F3, 8, 4)
+    pair = random_nested_pair(np.random.default_rng(83), F3, 8, 5, 2)
+    for c1, c2 in ((code, None), pair):
+        events = []
+        opts = ComputeOptions(progress=events.append)
+        with mock.patch.object(GHW, "_round_tables", wraps=GHW._round_tables) as built, \
+                mock.patch.object(GHW, "_TABLE_BYTES", GHW._TABLE_BYTES if table is None else table):
+            sp = higher_spectrum(c1, opts) if c2 is None else rhigher_spectrum(c1, c2, opts)
+        k, rmax = c1.k, max(sp.counts)
+        assert built.call_count == k
+        assert [(e.r, e.w) for e in events] == [
+            (r, w) for w in range(1, k + 1) for r in range(1, min(w, rmax) + 1)
+        ]
+        for r in range(1, rmax + 1):
+            assert sum(e.subspaces for e in events if e.r == r) == gaussian_binomial(k, r, F3.q)
 
 
 def test_relative_spectrum_point_count_random():
     rng = np.random.default_rng(73)
-    from support import random_nested_pair
-
     for F in (F2, F3):
         for _ in range(4):
             n = int(rng.integers(4, 9))
