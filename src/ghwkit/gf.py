@@ -118,6 +118,13 @@ def _factorize(n: int) -> list[int]:
 class FiniteField:
     """GF(p^s) with precomputed digit / discrete-log tables.
 
+    Array products over extension fields are one table gather,
+    ``_exp2[_zlog[X] + _zlog[Y]]``.  ``_zlog`` is ``log_table`` with zero's
+    log set to the sentinel 2(q-1); ``_exp2`` is ``exp_table`` twice
+    followed by 2(q-1)+1 zeros.  Two nonzero logs sum below 2(q-1), where
+    ``_exp2`` repeats ``exp_table``; a zero factor lifts the sum to 2(q-1)
+    or more, where it reads 0.
+
     Use :func:`build_field` rather than instantiating directly; it validates
     arguments and caches field objects.
     """
@@ -198,6 +205,9 @@ class FiniteField:
         log[exp] = np.arange(order)
         self.exp_table = exp
         self.log_table = log
+        self._zlog = log.copy()
+        self._zlog[0] = 2 * order
+        self._exp2 = np.concatenate([exp, exp, np.zeros(2 * order + 1, dtype=np.int64)])
 
     def _times_constant(self, X: np.ndarray, c: int) -> np.ndarray:
         """The elements X times the constant c, table-free: multiplying by c
@@ -267,15 +277,11 @@ class FiniteField:
         return self.neg_table[np.asarray(X, dtype=np.int64)]
 
     def mul_arrays(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        X, Y = np.broadcast_arrays(np.asarray(X, np.int64), np.asarray(Y, np.int64))
+        X = np.asarray(X, dtype=np.int64)
+        Y = np.asarray(Y, dtype=np.int64)
         if self.s == 1:
             return X * Y % self.p
-        out = np.zeros(X.shape, dtype=np.int64)
-        mask = (X != 0) & (Y != 0)
-        out[mask] = self.exp_table[
-            (self.log_table[X[mask]] + self.log_table[Y[mask]]) % (self.q - 1)
-        ]
-        return out
+        return self._exp2[self._zlog[X] + self._zlog[Y]]
 
     @staticmethod
     def _int_matmul(A: np.ndarray, B: np.ndarray, bound: int) -> np.ndarray:

@@ -157,7 +157,7 @@ def _emit(opts: ComputeOptions, ev: RoundEvent) -> None:
         opts.progress(ev)
     elif opts.verbose:
         print(
-            f"w={ev.w} lower={ev.lower} upper={ev.upper} mats={ev.active_mats}"
+            f"r={ev.r} w={ev.w} lower={ev.lower} upper={ev.upper} mats={ev.active_mats}"
             f" subspaces={ev.subspaces} t={ev.elapsed_s * 1000:.1f}ms",
             file=sys.stderr,
         )
@@ -373,31 +373,26 @@ def _select_final_matrices(reds, last, w, upper):
     return sorted(sel)
 
 
-def _first_witness(field, mats, r, k, ghs):
-    """The starting witness: r rows of the systematic ``mats[0]``, of weight
-    at most n - k + r.  With C2, the first r rows whose syndromes (the rows
-    of ``ghs[0]``) are independent; the k1 syndromes span dimension
-    k1 - k2 >= r."""
-    rows = list(range(r))
-    if ghs is not None:
-        rows = rref_array(field, ghs[0].T)[1][:r]
+def _first_witness(field, mats, rows, k):
+    """The starting witness: r = len(``rows``) rows of the systematic
+    ``mats[0]``, of weight at most n - k + r."""
+    r = len(rows)
     weight = int((mats[0][rows] != 0).any(axis=0).sum())
     witness = _make_witness(field, np.eye(r, dtype=np.int64), np.array(rows), 0, weight, k)
     return replace(witness, synthesized=True)
 
 
-def _run(code, dec, r, h2t, lower, proven, opts) -> RunReport:
-    """Bounded search for d_r (M_r when ``h2t`` is given), starting from the
-    lower bound ``lower``, of which ``proven`` is backed by evidence."""
-    field, k = code.field, code.k
-    mats = [M.array for M in dec.mats]
-    reds = dec.reds
+def _run(field, mats, reds, ghs, rows, r, h2t, lower, proven, opts) -> RunReport:
+    """Bounded search for d_r (M_r when ``h2t`` is given) through the
+    systematic ``mats`` with redundancies ``reds``, their syndrome matrices
+    ``ghs`` and starting-witness rows ``rows``, from the lower bound
+    ``lower``, of which ``proven`` is backed by evidence."""
+    k = mats[0].shape[0]
     report = RunReport(r=r)
     # Matrix j is credited w + 1 - R_j only after covering every round r..w.
     # One with R_j > r would skip round r, so it takes no part in this run.
     last_round = {j: None for j in range(len(mats)) if reds[j] <= r}
-    ghs = None if h2t is None else [field.matmul(M, h2t) for M in mats]
-    witness = _first_witness(field, mats, r, k, ghs)
+    witness = _first_witness(field, mats, rows[:r], k)
     w, upper = r, witness.weight
 
     while w <= k and lower < upper:
@@ -476,12 +471,19 @@ def _search(c1, c2, ranks, opts: ComputeOptions) -> list[int]:
     if opts.info_sets is not None:
         check_decomposition(c1, dec)
     floor = _cyclic_floor(c1)
+    field, mats = c1.field, [M.array for M in dec.mats]
+    ghs = None if h2t is None else [field.matmul(M, h2t) for M in mats]
+    # each run's starting witness takes the first r of these rows: with C2,
+    # the rows whose syndromes extend the span of those before them (the k1
+    # syndromes span dimension k1 - k2 >= r)
+    rows = list(range(c1.k)) if ghs is None else rref_array(field, ghs[0].T)[1]
     values: list[int] = []
     chained = 0  # the previous value + 1, if that value is proven
     for r in ranks:
         floor_r = 0 if floor is None else floor + r - 1
         start = values[-1] + 1 if values else opts.initial_lower or 1
-        run = _run(c1, dec, r, h2t, max(r, floor_r, start), max(r, floor_r, chained), opts)
+        lower, proven = max(r, floor_r, start), max(r, floor_r, chained)
+        run = _run(field, mats, dec.reds, ghs, rows, r, h2t, lower, proven, opts)
         values.append(run.value)
         chained = 0 if run.conditional else run.value + 1
     return values

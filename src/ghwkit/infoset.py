@@ -37,16 +37,22 @@ class InfoSetDecomposition:
 def information(code) -> InfoSetDecomposition:
     """Greedy information-set decomposition of a linear code.
 
-    Repeatedly Gauss-eliminates on columns not used by earlier information
-    sets, always picking the lowest-index eligible column; when the fresh
-    columns only reach rank rho < k, the set is completed with the
-    lowest-index previously used columns that extend the rank.  Stops once
-    every nonzero column of the generator matrix is covered.
+    Each set takes the lowest-index columns not used by earlier sets that
+    extend the rank and, when those reach only rank rho < k, the
+    lowest-index previously used columns that extend it further.  One RREF
+    per set finds both: over the columns in the order fresh, then used
+    (ascending), then the rest, RREF pivots on exactly the columns that
+    extend the rank of those before them, so its pivots are the greedy
+    fresh columns followed by the greedy reused ones.  Its rows, sorted by
+    set order and with the columns put back in place, form the unique
+    generator matrix that is the identity on the set.  Stops once every
+    nonzero column of the generator matrix is covered.
     """
     field = code.field
     G = code.G.array
     k, n = G.shape
     nonzero_cols = [c for c in range(n) if G[:, c].any()]
+    zero_cols = [c for c in range(n) if not G[:, c].any()]
     used: set[int] = set()
     sets: list[tuple[int, ...]] = []
     mats: list[MatrixGF] = []
@@ -56,23 +62,19 @@ def information(code) -> InfoSetDecomposition:
         fresh = [c for c in nonzero_cols if c not in used]
         if not fresh:
             break
-        _, piv_local = rref_array(field, G[:, fresh])
-        chosen = [fresh[i] for i in piv_local]
-        reused: list[int] = []
-        if len(chosen) < k:
-            rank = len(chosen)
-            for c in sorted(used):
-                if rank_array(field, G[:, chosen + reused + [c]]) > rank:
-                    reused.append(c)
-                    rank += 1
-                    if rank == k:
-                        break
-        iset = sorted(chosen + reused)
+        order = np.array(fresh + sorted(used) + zero_cols)
+        R, piv = rref_array(field, G[:, order])
+        if len(piv) < k:
+            raise BadArgs("generator matrix rows are linearly dependent")
+        chosen = order[piv]
+        out = np.empty_like(G)
+        out[:, order] = R
+        iset = sorted(chosen.tolist())
         sets.append(tuple(c + 1 for c in iset))
-        mats.append(_systematic_on(field, G, iset))
+        mats.append(MatrixGF(field, out[np.argsort(chosen)]))
         # fresh columns are disjoint from every earlier set, so the overlap
-        # with their union is exactly the reused columns
-        reds.append(len(reused))
+        # with their union is exactly the pivots past the fresh block
+        reds.append(sum(p >= len(fresh) for p in piv))
         used.update(iset)
 
     return InfoSetDecomposition(tuple(sets), tuple(mats), tuple(reds))
@@ -98,16 +100,3 @@ def check_decomposition(code, dec: InfoSetDecomposition) -> None:
         if red != shared:
             raise BadArgs(f"redundancy {j} is {red}, but set {j} shares {shared} columns with the earlier sets")
         used.update(cols)
-
-
-def _systematic_on(field, G: np.ndarray, iset: list[int]) -> MatrixGF:
-    """Row-reduce G so the columns in ``iset`` (0-based) carry the identity."""
-    k, n = G.shape
-    rest = [c for c in range(n) if c not in set(iset)]
-    perm = list(iset) + rest
-    R, piv = rref_array(field, G[:, perm])
-    if piv != list(range(k)):
-        raise BadArgs("columns do not form an information set")
-    out = np.empty_like(G)
-    out[:, perm] = R
-    return MatrixGF(field, out)

@@ -12,7 +12,7 @@ from itertools import combinations, product
 import numpy as np
 
 from ghwkit.gf import build_field
-from ghwkit.matrix import MatrixGF, rank_array
+from ghwkit.matrix import MatrixGF, rank_array, rref_array
 from ghwkit.code import LinearCode, new_code
 
 
@@ -149,6 +149,46 @@ def brute_rspectrum(c1: LinearCode, c2: LinearCode, r: int) -> dict[int, int]:
             w = int((enc != 0).any(axis=0).sum())
             counts[w] = counts.get(w, 0) + 1
     return counts
+
+
+# -- reference information-set decomposition ----------------------------------
+
+
+def greedy_information(code):
+    """(sets, reds, mats) of the greedy decomposition by the probe loop:
+    each set takes the RREF pivots of the columns no earlier set used, then,
+    below rank k, probes the used columns in ascending order one rank
+    computation at a time, keeping each that extends the rank; its matrix
+    is G row-reduced on the columns of the set followed by the rest."""
+    field, G = code.field, code.G.array
+    k, n = G.shape
+    nonzero_cols = [c for c in range(n) if G[:, c].any()]
+    used: set[int] = set()
+    sets, reds, mats = [], [], []
+    while True:
+        fresh = [c for c in nonzero_cols if c not in used]
+        if not fresh:
+            break
+        chosen = [fresh[i] for i in rref_array(field, G[:, fresh])[1]]
+        reused: list[int] = []
+        rank = len(chosen)
+        for c in sorted(used):
+            if rank == k:
+                break
+            if rank_array(field, G[:, chosen + reused + [c]]) > rank:
+                reused.append(c)
+                rank += 1
+        iset = sorted(chosen + reused)
+        perm = iset + [c for c in range(n) if c not in iset]
+        R, piv = rref_array(field, G[:, perm])
+        assert piv == list(range(k))
+        out = np.empty_like(G)
+        out[:, perm] = R
+        sets.append(tuple(c + 1 for c in iset))
+        reds.append(len(reused))
+        mats.append(out)
+        used.update(iset)
+    return tuple(sets), tuple(reds), mats
 
 
 # -- random codes -------------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 
@@ -157,17 +158,33 @@ def test_duality_subcommand():
     assert rc == 1
 
 
-def test_verbose_round_lines(ham_file):
-    rc, out, err = invoke(["ghw", ham_file, "-r", "1", "--verbose"])
-    assert rc == 0
-    lines = [l for l in err.splitlines() if l.startswith("w=")]
-    assert lines, err
-    import re
+ROUND_LINE = re.compile(
+    r"^r=(\d+) w=(\d+) lower=\d+ upper=\d+ mats=\d+ subspaces=\d+ t=\d+(\.\d+)?ms$"
+)
 
-    for line in lines:
-        assert re.match(
-            r"^w=\d+ lower=\d+ upper=\d+ mats=\d+ subspaces=\d+ t=\d+(\.\d+)?ms$", line
-        ), line
+
+def test_verbose_round_lines(ham_file):
+    for r in (1, 2):
+        rc, out, err = invoke(["ghw", ham_file, "-r", str(r), "--verbose"])
+        assert rc == 0
+        lines = err.splitlines()
+        assert lines, err
+        for line in lines:
+            m = ROUND_LINE.match(line)
+            assert m and int(m.group(1)) == r, line
+
+
+def test_spectrum_verbose_names_each_round_once(ham_file):
+    rc, out, err = invoke(["spectrum", ham_file, "--verbose"])
+    assert rc == 0
+    rounds = []
+    for line in err.splitlines():
+        m = ROUND_LINE.match(line)
+        assert m, line
+        rounds.append((int(m.group(1)), int(m.group(2))))
+    k = 4
+    expected = [(r, w) for r in range(1, k + 1) for w in range(r, k + 1)]
+    assert sorted(rounds) == expected
 
 
 def test_benchmark(tmp_path, ham_file):

@@ -163,6 +163,48 @@ def test_vector_ops_match_scalar_ops():
             assert neg[i] == F.neg(int(X[i]))
 
 
+@pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (2, 8)])
+def test_mul_arrays_matches_scalar_mul_on_every_pair(p, s):
+    F = build_field(p, s)
+    X, Y = np.meshgrid(np.arange(F.q), np.arange(F.q), indexing="ij")
+    got = F.mul_arrays(X, Y)
+    assert got.dtype == np.int64 and got.shape == (F.q, F.q)
+    assert got.tolist() == [[F.mul(a, b) for b in range(F.q)] for a in range(F.q)]
+
+
+def test_mul_arrays_matches_scalar_mul_over_gf65536():
+    F = build_field(2, 16)
+    rng = np.random.default_rng(16)
+    X = rng.integers(0, F.q, 3000)
+    Y = rng.integers(0, F.q, 3000)
+    X[:20], Y[20:40], X[40:50], Y[40:50] = 0, 0, 0, 0
+    X[50:60], Y[60:70] = F.q - 1, F.q - 1
+    got = F.mul_arrays(X, Y)
+    assert got.dtype == np.int64 and got.shape == X.shape
+    assert got.tolist() == [F.mul(a, b) for a, b in zip(X.tolist(), Y.tolist())]
+
+
+def test_mul_arrays_broadcasts():
+    rng = np.random.default_rng(8)
+    for p, s in ((2, 1), (5, 1), (2, 2), (3, 2), (2, 3)):
+        F = build_field(p, s)
+        row = rng.integers(0, F.q, 7)
+        cases = [
+            (np.int64(F.q - 1), row),
+            (np.array(0), row),
+            (row, np.asarray(F.q - 1)),
+            (rng.integers(0, F.q, (4, 1)), row),
+            (rng.integers(0, F.q, (3, 4, 1)), rng.integers(0, F.q, (3, 1, 5))),
+        ]
+        for X, Y in cases:
+            got = F.mul_arrays(X, Y)
+            Xb, Yb = np.broadcast_arrays(X, Y)
+            assert isinstance(got, np.ndarray) and got.dtype == np.int64
+            assert got.shape == Xb.shape
+            expect = [F.mul(a, b) for a, b in zip(Xb.ravel().tolist(), Yb.ravel().tolist())]
+            assert got.ravel().tolist() == expect, (p, s, X.shape, Y.shape)
+
+
 def test_matmul_matches_scalar_accumulation():
     rng = np.random.default_rng(5)
     for p, s in ((2, 1), (3, 1), (13, 1), (2, 2), (3, 2), (2, 3)):

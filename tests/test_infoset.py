@@ -1,11 +1,13 @@
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
+import ghwkit.infoset as infoset
 from ghwkit.code import code_from_rows, new_code
 from ghwkit.gf import build_field
 from ghwkit.infoset import information
 from ghwkit.matrix import MatrixGF
 
-from support import HAMMING_7_4, random_code
+from support import HAMMING_7_4, greedy_information, random_code
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -83,3 +85,51 @@ def test_decomposition_is_deterministic():
     b = information(C)
     assert a.sets == b.sets and a.reds == b.reds
     assert all(x == y for x, y in zip(a.mats, b.mats))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([F2, F3, build_field(2, 2), F5, build_field(3, 2)]), st.data())
+def test_information_matches_the_probe_loop(F, data):
+    # a full-rank k x (b + k) matrix, then zero columns and repeated columns
+    # (scalar multiples of drawn ones), all in a drawn column order
+    k = data.draw(st.integers(1, 5), label="k")
+    b = data.draw(st.integers(0, 6), label="b")
+    entries = data.draw(st.lists(st.integers(0, F.q - 1), min_size=k * b, max_size=k * b))
+    cols = list(np.array(entries, dtype=np.int64).reshape(k, b).T) + list(np.eye(k, dtype=np.int64))
+    for _ in range(data.draw(st.integers(0, 2), label="zero columns")):
+        cols.append(np.zeros(k, dtype=np.int64))
+    for _ in range(data.draw(st.integers(0, 3), label="repeats")):
+        c = cols[data.draw(st.integers(0, len(cols) - 1))]
+        cols.append(F.mul_arrays(c, data.draw(st.integers(1, F.q - 1))))
+    order = data.draw(st.permutations(range(len(cols))), label="order")
+    C = new_code(F, MatrixGF(F, np.stack([cols[i] for i in order], axis=1)))
+    dec = information(C)
+    sets, reds, mats = greedy_information(C)
+    assert dec.sets == sets and dec.reds == reds and len(dec.mats) == len(mats)
+    for got, want in zip(dec.mats, mats):
+        assert got.array.dtype == want.dtype and got.array.tobytes() == want.tobytes()
+
+
+def test_one_elimination_per_information_set(monkeypatch):
+    calls = {"rref": 0, "rank": 0}
+    real_rref = infoset.rref_array
+
+    def rref(*args):
+        calls["rref"] += 1
+        return real_rref(*args)
+
+    def rank(*args):
+        calls["rank"] += 1
+        raise AssertionError("information() must not probe ranks")
+
+    monkeypatch.setattr(infoset, "rref_array", rref)
+    monkeypatch.setattr(infoset, "rank_array", rank)
+    rng = np.random.default_rng(41)
+    codes = [code_from_rows(F2, HAMMING_7_4)] + [random_code(rng, F3, 9, k) for k in (2, 4, 6, 9)]
+    reused = False
+    for C in codes:
+        calls["rref"] = 0
+        dec = information(C)
+        assert calls == {"rref": dec.m, "rank": 0}
+        reused |= any(dec.reds)
+    assert reused
