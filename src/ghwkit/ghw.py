@@ -14,8 +14,9 @@ subspaces.  Per round, every w-subset S of the message coordinates and every
 matrix G_j gets a table of the supports of x·G_j[S] for all q^w messages x,
 packed into uint64 words; a subspace's support is the OR of its r basis
 rows' masks.  Relative weights also tabulate the syndromes x·(G_j·H2ᵀ)[S].  A
-round whose tables would exceed a fixed byte budget takes the plain path,
-one matmul per (block, support set, matrix); both paths give the same
+round whose tables would exceed a fixed byte budget tabulates instead the
+distinct rows of each block of the subspace stream, a few support sets at a
+time, through the same product and weighing; both modes give the same
 bounds, witnesses and counts.
 
 Relative weights M_r(C1, C2) run the same search on C1 and keep only the
@@ -23,8 +24,9 @@ subspaces that meet C2 in 0.  The spectra weigh every subspace through one
 generator matrix with the search's kernel and C2 rejection and no bound;
 they go by w, then r, so each w's tables are built once.  The naive oracles
 enumerate the full Grassmannian through a single generator matrix with no
-bounds, always on the plain path, and serve as an independent cross-check
-of the search and of its kernel.
+bounds on the plain path, one matmul per (block, support set), which only
+they use, and serve as an independent cross-check of the search and of its
+kernel.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .code import LinearCode, bch_bound, dual, is_cyclic
+from .code import LinearCode, bch_bound, dual
 from .enumeration import gaussian_binomial, subspace_blocks
 from .errors import BadHierarchy, BadRank, GHWError, NotNested, WorkLimitExceeded
 from .infoset import InfoSetDecomposition, check_decomposition, information
@@ -163,10 +165,11 @@ def _emit(opts: ComputeOptions, ev: RoundEvent) -> None:
         )
 
 
-def _make_witness(field, base: np.ndarray, s_cols: np.ndarray, j: int, weight: int, k: int):
+def _make_witness(field, base: np.ndarray, s_cols: np.ndarray, j: int, weight: int, k: int,
+                  synthesized: bool = False):
     expanded = np.zeros((base.shape[0], k), dtype=np.int64)
     expanded[:, s_cols] = base
-    return Witness(MatrixGF(field, expanded), j, weight, synthesized=False)
+    return Witness(MatrixGF(field, expanded), j, weight, synthesized)
 
 
 def _independent(field, syn: np.ndarray, r: int) -> np.ndarray:
@@ -196,116 +199,120 @@ def _meets_c2_in_zero(field, enc: np.ndarray, h2t: np.ndarray, r: int) -> np.nda
     return _independent(field, syn, r)
 
 
-def _round_pairs(field, r: int, w: int, k: int):
-    """Every (block, support set) pair of round (r, w).  Each block of the
-    subspace stream is built once and paired with every w-subset of the k
-    message coordinates before the next block is built, so a round holds one
-    block in memory."""
-    supports = [np.array(c, dtype=np.intp) for c in combinations(range(k), w)]
-    for block in subspace_blocks(r, w, field):
-        for s_cols in supports:
-            yield block, s_cols
-
-
-def _encode(field, block: np.ndarray, G: np.ndarray, s_cols: np.ndarray):
-    """Encodings of a block of r x w bases placed on ``s_cols``, and the
-    support size of each subspace."""
-    nsub, r, w = block.shape
-    prod = field.matmul(block.reshape(-1, w), G[s_cols, :])
-    return prod, (prod != 0).reshape(nsub, r, -1).any(axis=1).sum(axis=1)
-
-
 def _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop):
     """Scan round w through the selected matrices for the least-weight
     subspace below ``upper`` (meeting C2 in 0 when ``h2t`` is given; the
     first on ties), ending early once upper <= stop; returns (upper,
-    witness, subspaces).  The plain path: one matmul per (block, support
-    set, matrix)."""
+    witness, subspaces).  The plain path of the naive oracles, and the
+    reference the kernel is tested against: each block of the subspace
+    stream is paired with every w-subset of the k message coordinates before
+    the next block is built, and each (block, support set, matrix) is
+    encoded with one matmul."""
+    supports = [np.array(c, dtype=np.intp) for c in combinations(range(k), w)]
     count = 0
-    for block, s_cols in _round_pairs(field, r, w, k):
-        count += block.shape[0]
-        for j in sel:
-            prod, weights = _encode(field, block, mats[j], s_cols)
-            c = int(weights.argmin())
-            if weights[c] >= upper:
-                continue
-            if h2t is not None:
-                cand = np.flatnonzero(weights < upper)
-                cand = cand[_meets_c2_in_zero(field, prod.reshape(len(weights), r, -1)[cand], h2t, r)]
-                if not cand.size:
+    for block in subspace_blocks(r, w, field):
+        nsub = block.shape[0]
+        for s_cols in supports:
+            count += nsub
+            for j in sel:
+                prod = field.matmul(block.reshape(-1, w), mats[j][s_cols, :])
+                weights = (prod != 0).reshape(nsub, r, -1).any(axis=1).sum(axis=1)
+                c = int(weights.argmin())
+                if weights[c] >= upper:
                     continue
-                c = int(cand[weights[cand].argmin()])
-            upper = int(weights[c])
-            witness = _make_witness(field, block[c], s_cols, j, upper, k)
-        if stop is not None and upper <= stop:
-            break
+                if h2t is not None:
+                    cand = np.flatnonzero(weights < upper)
+                    cand = cand[_meets_c2_in_zero(field, prod.reshape(nsub, r, -1)[cand], h2t, r)]
+                    if not cand.size:
+                        continue
+                    c = int(cand[weights[cand].argmin()])
+                upper = int(weights[c])
+                witness = _make_witness(field, block[c], s_cols, j, upper, k)
+            if stop is not None and upper <= stop:
+                return upper, witness, count
     return upper, witness, count
 
 
-# The support-mask kernel.  For round (r, w), X lists the q^w message
-# vectors on w coordinates (row x has code sum x_t q^t).  For every w-subset
-# S of the message coordinates and every selected matrix G_j, the mask table
-# holds the support of X·G_j[S] as packed uint64 words, and with C2 the
-# syndrome table holds X·(G_j·H2ᵀ)[S].  A subspace placed on S is then
-# weighed as the popcount of the OR of its r basis rows' masks.
+# The support-mask kernel.  For every w-subset S of the message coordinates
+# and every selected matrix G_j, the mask table of a list X of messages on w
+# coordinates holds the support of X·G_j[S] as packed uint64 words, and with
+# C2 the syndrome table holds X·(G_j·H2ᵀ)[S].  A subspace placed on S is then
+# weighed as the popcount of the OR of its r basis rows' masks.  X lists all
+# q^w messages (row x has code sum x_t q^t), built once per round, when
+# those tables fit _TABLE_BYTES; otherwise X lists the distinct rows of one
+# block of the subspace stream, and a row's code is its position in X.
 _GATHER_ELEMS = 1 << 16  # elements per table-build or gather chunk
-_TABLE_BYTES = 1 << 25  # largest tables of one round; above it, the plain path
+_TABLE_BYTES = 1 << 25  # largest tables of all q^w messages in one round
 
 
-def _tables(field, X: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """X·B[i] for each w x c matrix of the (a, w, c) stack B, with one
-    field.matmul for the whole stack; an (a, q^w, c) array."""
-    a, w, c = B.shape
-    prod = field.matmul(X, B.transpose(1, 0, 2).reshape(w, a * c))
-    return prod.reshape(-1, a, c).transpose(1, 0, 2)
+def _tables(field, X: np.ndarray, B: np.ndarray, cols: np.ndarray, n: int):
+    """The tables of the messages X on the support sets ``cols``, an (nS, w)
+    array, through each stacked [G_j | G_j·H2ᵀ] of B, with one field.matmul:
+    the masks, an (nS, |sel|, len(X), words) uint64 array, and the
+    syndromes, (nS, |sel|, len(X), n - k2), or None without C2."""
+    nj, (ns, w), width = len(B), cols.shape, B.shape[-1]
+    prod = field.matmul(X, B[:, cols].transpose(2, 1, 0, 3).reshape(w, -1))
+    prod = prod.reshape(-1, ns, nj, width).transpose(1, 2, 0, 3)
+    masks = np.zeros(prod.shape[:3] + (-(-n // 64) * 8,), dtype=np.uint8)
+    packed = np.packbits(prod[..., :n] != 0, axis=-1, bitorder="little")
+    masks[..., : packed.shape[-1]] = packed
+    return masks.view("<u8"), prod[..., n:].copy() if width > n else None
 
 
 def _round_tables(field, mats, ghs, sel, k: int, w: int):
-    """The nS = C(k, w) support sets of round w as an (nS, w) array, their
-    mask tables, an (nS, |sel|, q^w, words) uint64 array, and their syndrome
-    tables, (nS, |sel|, q^w, n - k2) or None without C2; None when the
-    tables would exceed _TABLE_BYTES."""
+    """The nS = C(k, w) support sets of round w as an (nS, w) array, the
+    stacked [G_j | G_j·H2ᵀ] of the selected matrices (G_j alone without C2),
+    and the tables of all q^w messages on every support set when they fit
+    _TABLE_BYTES, else None: then each block tabulates its own rows."""
     ns, nq, n, nj = comb(k, w), field.q**w, mats[0].shape[1], len(sel)
-    words = -(-n // 64)
-    c = 0 if ghs is None else ghs[0].shape[1]
-    if ns * nq * (words + c) * 8 * nj > _TABLE_BYTES:
-        return None
-    supports = np.array(list(combinations(range(k), w)), dtype=np.intp).reshape(ns, w)
-    X = np.zeros((nq, w), dtype=np.int64)
-    for t in range(w):
-        X[:, t] = np.arange(nq) // field.q**t % field.q
-    masks = np.zeros((ns, nj, nq, words * 8), dtype=np.uint8)
-    syn = None if ghs is None else np.empty((ns, nj, nq, c), dtype=np.int64)
     # one product gives each message's codeword and, with C2, its syndrome
     B = np.stack([mats[j] if ghs is None else np.hstack([mats[j], ghs[j]]) for j in sel])
+    supports = np.array(list(combinations(range(k), w)), dtype=np.intp).reshape(ns, w)
+    words, c = -(-n // 64), B.shape[-1] - n
+    if ns * nq * (words + c) * 8 * nj > _TABLE_BYTES:
+        return supports, B, None
+    X = np.arange(nq)[:, None] // field.q ** np.arange(w) % field.q
+    masks = np.empty((ns, nj, nq, words), dtype="<u8")
+    syn = None if ghs is None else np.empty((ns, nj, nq, c), dtype=np.int64)
     step = max(1, _GATHER_ELEMS // (nj * nq * (n + c)))
     for lo in range(0, ns, step):
-        cols = supports[lo : lo + step]
-        prod = _tables(field, X, B[:, cols].reshape(-1, w, n + c))
-        prod = prod.reshape(nj, len(cols), nq, n + c).transpose(1, 0, 2, 3)
-        packed = np.packbits(prod[..., :n] != 0, axis=-1, bitorder="little")
-        masks[lo : lo + step, :, :, : packed.shape[-1]] = packed
+        masks[lo : lo + step], part = _tables(field, X, B, supports[lo : lo + step], n)
         if syn is not None:
-            syn[lo : lo + step] = prod[..., n:]
-    return supports, masks.view("<u8"), syn
+            syn[lo : lo + step] = part
+    return supports, B, (masks, syn)
 
 
-def _chunks(masks: np.ndarray, syn: np.ndarray | None, m: int, r: int) -> list[slice]:
-    """Slices of the support sets, each gathering at most _GATHER_ELEMS
-    elements for m subspaces through every table: their mask words and, with
-    C2, their r syndromes."""
-    width = masks.shape[-1] + (0 if syn is None else r * syn.shape[-1])
-    step = max(1, _GATHER_ELEMS // (masks.shape[1] * m * width))
-    return [slice(lo, lo + step) for lo in range(0, masks.shape[0], step)]
+def _block_tables(field, tabs, block: np.ndarray, r: int, n: int):
+    """For the (m, r, w) ``block`` and the round's ``tabs``, per chunk of
+    support sets in order: the chunk's support sets, the (m, r) codes of the
+    block's rows, and the chunk's mask and syndrome tables.  A chunk is a
+    slice of the round's tables of all messages, or else the block's
+    distinct rows tabulated on it; either way it gathers or builds at most
+    _GATHER_ELEMS elements."""
+    supports, B, full = tabs
+    m, _, w = block.shape
+    qpow = field.q ** np.arange(w)
+    codes = block @ qpow
+    if full is None:
+        used, codes = np.unique(codes.ravel(), return_inverse=True)
+        X, codes = used[:, None] // qpow % field.q, codes.reshape(m, r)
+        step = max(1, _GATHER_ELEMS // (len(B) * len(X) * B.shape[-1]))
+    else:
+        width = full[0].shape[-1] + r * (B.shape[-1] - n)
+        step = max(1, _GATHER_ELEMS // (len(B) * m * width))
+    for lo in range(0, len(supports), step):
+        sl = slice(lo, lo + step)
+        if full is None:
+            yield supports[sl], codes, *_tables(field, X, B, supports[sl], n)
+        else:
+            yield supports[sl], codes, full[0][sl], None if full[1] is None else full[1][sl]
 
 
-def _weigh(field, masks, syn, sl: slice, codes: np.ndarray, r: int, upper: int, n: int) -> np.ndarray:
+def _weigh(field, masks, syn, codes: np.ndarray, r: int, upper: int, n: int) -> np.ndarray:
     """Support sizes of the subspaces whose basis rows have the (m, r) row
-    ``codes``, placed on the support sets ``sl`` and weighed through each of
-    their tables: the popcount of the OR of their rows' masks, an (nS, |sel|,
-    m) array.  With C2, every one below ``upper`` that meets C2 outside 0
-    weighs n + 1."""
-    masks = masks[sl]
+    ``codes``, weighed through each of a chunk's tables: the popcount of the
+    OR of their rows' masks, an (nS, |sel|, m) array.  With C2, every one
+    below ``upper`` that meets C2 outside 0 weighs n + 1."""
     acc = masks[..., codes[:, 0], :]
     for t in range(1, r):
         acc |= masks[..., codes[:, t], :]
@@ -313,32 +320,27 @@ def _weigh(field, masks, syn, sl: slice, codes: np.ndarray, r: int, upper: int, 
     if syn is not None:
         s, j, i = np.nonzero(wts < upper)
         if s.size:
-            bad = ~_independent(field, syn[sl][s[:, None], j[:, None], codes[i]], r)
+            bad = ~_independent(field, syn[s[:, None], j[:, None], codes[i]], r)
             wts[s[bad], j[bad], i[bad]] = n + 1
     return wts
 
 
-def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, h2t, stop):
-    """_scan_round through the support-mask tables, with the same visit
-    order (block, support set, matrix), selection rule, early exit and
-    count; a round whose tables exceed _TABLE_BYTES takes the plain path.
-    Each chunk of support sets is weighed at once and then replayed: the
-    running minimum of the per-(S, j) minima is the upper bound after each
-    (S, j), and the witness is the first subspace at its final value.  With
-    C2, only subspaces below the chunk's starting bound can be picked, so
-    only they are tested."""
+def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, stop):
+    """_scan_round through the support-mask tables, with C2 given by the
+    syndrome matrices ``ghs``, and with the same visit order (block, support
+    set, matrix), selection rule, early exit and count.  Each chunk of
+    support sets is weighed at once and then replayed: the running minimum
+    of the per-(S, j) minima is the upper bound after each (S, j), and the
+    witness is the first subspace at its final value.  With C2, only
+    subspaces below the chunk's starting bound can be picked, so only they
+    are tested."""
     tabs = _round_tables(field, mats, ghs, sel, k, w)
-    if tabs is None:
-        return _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop)
-    supports, masks, syn = tabs
     n, nj = mats[0].shape[1], len(sel)
-    qpow = field.q ** np.arange(w)
     count = 0
     for block in subspace_blocks(r, w, field):
         m = block.shape[0]
-        codes = block @ qpow
-        for sl in _chunks(masks, syn, m, r):
-            wts = _weigh(field, masks, syn, sl, codes, r, upper, n)
+        for cols, codes, masks, syn in _block_tables(field, tabs, block, r, n):
+            wts = _weigh(field, masks, syn, codes, r, upper, n)
             mins = wts.min(axis=2).ravel()
             run = np.minimum(np.minimum.accumulate(mins), upper)
             visited, stopped = wts.shape[0], False
@@ -352,7 +354,7 @@ def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, h2t, stop):
                 s, jj = divmod(int(np.argmax(mins == best)), nj)
                 c = int(wts[s, jj].argmin())
                 upper = best
-                witness = _make_witness(field, block[c], supports[sl][s], sel[jj], upper, k)
+                witness = _make_witness(field, block[c], cols[s], sel[jj], upper, k)
             if stopped:
                 return upper, witness, count
     return upper, witness, count
@@ -378,12 +380,11 @@ def _first_witness(field, mats, rows, k):
     ``mats[0]``, of weight at most n - k + r."""
     r = len(rows)
     weight = int((mats[0][rows] != 0).any(axis=0).sum())
-    witness = _make_witness(field, np.eye(r, dtype=np.int64), np.array(rows), 0, weight, k)
-    return replace(witness, synthesized=True)
+    return _make_witness(field, np.eye(r, dtype=np.int64), np.array(rows), 0, weight, k, synthesized=True)
 
 
-def _run(field, mats, reds, ghs, rows, r, h2t, lower, proven, opts) -> RunReport:
-    """Bounded search for d_r (M_r when ``h2t`` is given) through the
+def _run(field, mats, reds, ghs, rows, r, lower, proven, opts) -> RunReport:
+    """Bounded search for d_r (M_r when ``ghs`` is given) through the
     systematic ``mats`` with redundancies ``reds``, their syndrome matrices
     ``ghs`` and starting-witness rows ``rows``, from the lower bound
     ``lower``, of which ``proven`` is backed by evidence."""
@@ -400,7 +401,7 @@ def _run(field, mats, reds, ghs, rows, r, h2t, lower, proven, opts) -> RunReport
         sel = list(last_round)
         if sum(w + 1 - reds[j] for j in sel) >= upper:
             sel = _select_final_matrices(reds, last_round, w, upper)
-        upper, witness, nsub = _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, h2t, lower)
+        upper, witness, nsub = _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, lower)
         report.subspaces_enumerated += nsub
         for j in sel:
             last_round[j] = w
@@ -428,14 +429,23 @@ def _run(field, mats, reds, ghs, rows, r, h2t, lower, proven, opts) -> RunReport
     return report
 
 
-def _cyclic_floor(code: LinearCode) -> int | None:
-    """BCH bound of a cyclic code, or None when unavailable."""
+def _is_cyclic(field, M: np.ndarray, iset) -> bool:
+    """Whether the code that M generates is cyclic, for M the identity on
+    the (1-based) information set ``iset``: whether the right shift S of
+    each row stays in the code, that is, S = S[:, I]·M."""
+    S = np.roll(M, 1, axis=1)
+    return np.array_equal(field.matmul(S[:, np.array(iset) - 1], M), S)
+
+
+def _cyclic_floor(code: LinearCode, M: np.ndarray, iset) -> int | None:
+    """BCH bound of the code if it is cyclic and the bound is available,
+    else None; M and ``iset`` as for _is_cyclic."""
+    if not _is_cyclic(code.field, M, iset):
+        return None
     try:
-        if is_cyclic(code):
-            return bch_bound(code)
+        return bch_bound(code)
     except (GHWError, ValueError):
         return None
-    return None
 
 
 def _nested_pair(c1: LinearCode, c2: LinearCode | None):
@@ -470,8 +480,8 @@ def _search(c1, c2, ranks, opts: ComputeOptions) -> list[int]:
     dec = opts.info_sets or information(c1)
     if opts.info_sets is not None:
         check_decomposition(c1, dec)
-    floor = _cyclic_floor(c1)
     field, mats = c1.field, [M.array for M in dec.mats]
+    floor = _cyclic_floor(c1, mats[0], dec.sets[0])
     ghs = None if h2t is None else [field.matmul(M, h2t) for M in mats]
     # each run's starting witness takes the first r of these rows: with C2,
     # the rows whose syndromes extend the span of those before them (the k1
@@ -483,7 +493,7 @@ def _search(c1, c2, ranks, opts: ComputeOptions) -> list[int]:
         floor_r = 0 if floor is None else floor + r - 1
         start = values[-1] + 1 if values else opts.initial_lower or 1
         lower, proven = max(r, floor_r, start), max(r, floor_r, chained)
-        run = _run(field, mats, dec.reds, ghs, rows, r, h2t, lower, proven, opts)
+        run = _run(field, mats, dec.reds, ghs, rows, r, lower, proven, opts)
         values.append(run.value)
         chained = 0 if run.conditional else run.value + 1
     return values
@@ -575,24 +585,13 @@ def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Sp
     for w in range(1, k + 1):
         t0 = time.perf_counter()
         tabs = _round_tables(field, [G], ghs, [0], k, w)
-        qpow = field.q ** np.arange(w)
         for r in range(1, min(w, rmax) + 1):
             nsub = 0
-            if tabs is None:
-                for block, s_cols in _round_pairs(field, r, w, k):
-                    nsub += block.shape[0]
-                    prod, weights = _encode(field, block, G, s_cols)
-                    if h2t is not None:
-                        weights[~_meets_c2_in_zero(field, prod, h2t, r)] = n + 1
-                    hist[r] += np.bincount(weights, minlength=n + 2)
-            else:
-                supports, masks, syn = tabs
-                for block in subspace_blocks(r, w, field):
-                    codes = block @ qpow
-                    nsub += len(codes) * len(supports)
-                    for sl in _chunks(masks, syn, len(codes), r):
-                        wts = _weigh(field, masks, syn, sl, codes, r, n + 1, n)
-                        hist[r] += np.bincount(wts.ravel(), minlength=n + 2)
+            for block in subspace_blocks(r, w, field):
+                nsub += block.shape[0] * comb(k, w)
+                for _, codes, masks, syn in _block_tables(field, tabs, block, r, n):
+                    wts = _weigh(field, masks, syn, codes, r, n + 1, n)
+                    hist[r] += np.bincount(wts.ravel(), minlength=n + 2)
             _emit(
                 opts,
                 RoundEvent(

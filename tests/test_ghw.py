@@ -1,10 +1,13 @@
+import sys
+from contextlib import ExitStack
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghwkit.code import code_from_rows, dual, make_rs, new_code, support_weight
+from ghwkit.code import code_from_rows, dual, is_cyclic, make_rs, new_code, support_weight
 from ghwkit.enumeration import gaussian_binomial
 from ghwkit.errors import BadArgs, BadHierarchy, BadRank, NotNested
 from ghwkit.gf import build_field
@@ -24,7 +27,7 @@ from ghwkit.ghw import (
     wei_duality,
 )
 from ghwkit.infoset import InfoSetDecomposition, information
-from ghwkit.matrix import MatrixGF, rank_array
+from ghwkit.matrix import MatrixGF, rank_array, rref_array
 
 from support import (
     HAMMING_7_4,
@@ -265,15 +268,17 @@ def test_initial_lower_bound_is_honored():
     assert report.runs[0].witness is not None
 
 
+CYCLIC_CASES = (
+    (F2, 7, [1]),
+    (F2, 15, [1, 3]),
+    (F2, 15, [1, 3, 5]),
+    (F3, 13, [1, 2]),
+    (F2, 9, [1]),
+)
+
+
 def test_cyclic_bound_does_not_break_correctness():
-    cases = (
-        (F2, 7, [1]),
-        (F2, 15, [1, 3]),
-        (F2, 15, [1, 3, 5]),
-        (F3, 13, [1, 2]),
-        (F2, 9, [1]),
-    )
-    for F, n, reps in cases:
+    for F, n, reps in CYCLIC_CASES:
         C = cyclic_code_from_cosets(F, n, reps)
         for r in (1, 2):
             if r > C.k or gaussian_binomial(C.k, r, F.q) > 200_000:
@@ -281,6 +286,56 @@ def test_cyclic_bound_does_not_break_correctness():
             assert ghw(C, r) == naive_ghw(C, r), (F.q, n, reps, r)
         if C.k <= 5:
             assert hierarchy(C).values[0] == naive_ghw(C, 1)
+
+
+def test_cyclicity_through_the_systematic_matrix():
+    # a code generated by M, the identity on I, is cyclic iff the shifted
+    # rows S satisfy S[:, I]·M = S; the cyclic codes are also tried through
+    # matrices systematic on rotated sets, and random codes include ones
+    # whose first information set is not the leading columns
+    is_cyc = sys.modules["ghwkit.ghw"]._is_cyclic
+    for F, n, reps in CYCLIC_CASES:
+        C = cyclic_code_from_cosets(F, n, reps)
+        dec = information(C)
+        iset = np.array(dec.sets[0]) - 1
+        for t in range(n):
+            assert is_cyc(F, np.roll(dec.mats[0].array, t, axis=1), (iset + t) % n + 1)
+    rng = np.random.default_rng(67)
+    seen = set()
+    for _ in range(300):
+        F = (F2, F3)[int(rng.integers(2))]
+        n = int(rng.integers(2, 7))
+        C = random_code(rng, F, n, int(rng.integers(1, n + 1)))
+        dec = information(C)
+        assert is_cyc(F, dec.mats[0].array, dec.sets[0]) == is_cyclic(C), C.G.array.tolist()
+        seen.add((is_cyclic(C), dec.sets[0] != tuple(range(1, C.k + 1))))
+    assert seen == {(False, False), (False, True), (True, False)}
+
+
+def test_a_search_on_a_non_cyclic_code_runs_one_rref_per_information_set():
+    C = random_code(np.random.default_rng(7), F2, 24, 6)
+    assert not is_cyclic(C)
+    counting = mock.Mock(wraps=rref_array)
+    with ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ghwkit") and getattr(module, "rref_array", None) is rref_array:
+                stack.enter_context(mock.patch.object(module, "rref_array", counting))
+        ghw(C, 2)
+    assert counting.call_count == information(C).m
+
+
+def test_witnesses_say_whether_they_were_synthesized():
+    # an MDS code's starting witnesses, r systematic rows of weight
+    # n - k + r, are already minimal; d_1 of the [48,12] code is found by
+    # the rounds
+    report = Report()
+    hierarchy(make_rs(F13, 6), ComputeOptions(report=report))
+    assert [run.witness.synthesized for run in report.runs] == [True] * 6
+    C = random_code(np.random.default_rng(7), F2, 48, 12)
+    dec, report = information(C), Report()
+    assert ghw(C, 1, ComputeOptions(info_sets=dec, report=report)) == 12
+    assert not report.runs[0].witness.synthesized
+    verify_run(C, dec, report.runs[0])
 
 
 def test_soundness_and_witnesses_on_instrumented_runs():

@@ -1,13 +1,18 @@
 """The support-mask kernel against the plain matmul path.
 
 The kernel weighs subspaces by OR-ing packed row-support masks looked up in
-per-support-set tables; the plain path encodes every (block, support set,
-matrix) triple with one matmul.  Both must agree exactly: the bound, the
-witness and the subspace count of every round, and every spectrum.
+per-support-set tables, of all q^w messages when they fit the table cap and
+else of each block's distinct rows; the plain path, which only the naive
+oracles take, encodes every (block, support set, matrix) triple with one
+matmul.
+Every round must agree exactly with the plain path in both table modes: the
+bound, the witness and the subspace count.  Every spectrum must agree in
+both modes.
 """
 
 import sys
 from contextlib import contextmanager
+from math import comb
 from unittest import mock
 
 import numpy as np
@@ -15,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghwkit.code import code_from_rows
-from ghwkit.enumeration import gaussian_binomial
+from ghwkit.enumeration import gaussian_binomial, subspace_blocks
 from ghwkit.gf import build_field
 from ghwkit.ghw import (
     ComputeOptions,
@@ -32,6 +37,7 @@ from support import brute_rspectrum, brute_spectrum, random_code, random_nested_
 
 GHW = sys.modules["ghwkit.ghw"]
 F2, F3, F4, F5 = build_field(2), build_field(3), build_field(2, 2), build_field(5)
+F8, F9, F16 = build_field(2, 3), build_field(3, 2), build_field(2, 4)
 
 
 @contextmanager
@@ -49,19 +55,24 @@ def _witness_key(wit):
 
 
 def _check_round(c1, c2, r, w, sel, upper, stop):
-    """One round through the kernel and through the plain path."""
+    """One round through the plain path and through the kernel, at the
+    default table cap and with a cap of 0, which tabulates every block's
+    distinct rows; returns the plain path's (upper, witness, subspaces)."""
     field, k = c1.field, c1.k
     mats = [M.array for M in information(c1).mats]
     h2t, _ = GHW._nested_pair(c1, c2)
     ghs = None if h2t is None else [field.matmul(M, h2t) for M in mats]
-    got = GHW._scan_kernel(field, mats, ghs, sel, r, w, k, upper, None, h2t, stop)
     want = GHW._scan_round(field, mats, sel, r, w, k, upper, None, h2t, stop)
-    assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
+    for table in (None, 0):
+        with budgets(table=table):
+            got = GHW._scan_kernel(field, mats, ghs, sel, r, w, k, upper, None, stop)
+        assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
+    return want
 
 
 def _check_spectrum(c1, c2):
-    """The whole spectrum, and its round events, through the kernel and
-    through the plain path."""
+    """The whole spectrum, and its round events, at the default table cap
+    and per block."""
     spectra = []
     for table in (None, 0):
         events = []
@@ -74,9 +85,9 @@ def _check_spectrum(c1, c2):
 
 @pytest.mark.parametrize("gather", [1, None], ids=["chunk1", "default"])
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.sampled_from([F2, F3, F4, F5]), st.data())
+@given(st.sampled_from([F2, F3, F4, F5, F8, F9]), st.data())
 def test_kernel_matches_plain_path(gather, F, data):
-    k1 = data.draw(st.integers(2, 6 if F.q == 2 else 4), label="k1")
+    k1 = data.draw(st.integers(2, 6 if F.q == 2 else 4 if F.q <= 5 else 3), label="k1")
     n = data.draw(st.integers(k1, 13), label="n")
     k2 = data.draw(st.integers(0, k1 - 1), label="k2")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -137,9 +148,9 @@ def test_nested_pair_of_length_70():
         assert spectrum.counts[r] == brute_rspectrum(c1, c2, r), r
 
 
-def test_rounds_above_the_table_cap_take_the_plain_path():
-    # with a 2,500-byte cap some rounds fit and others fall back, so one run
-    # mixes both paths
+def test_rounds_above_the_table_cap_tabulate_per_block():
+    # with a 2,500-byte cap some rounds fit and others tabulate per block, so
+    # one run mixes both modes
     code = random_code(np.random.default_rng(3), F3, 10, 5)
     c1, c2 = random_nested_pair(np.random.default_rng(4), F3, 9, 4, 1)
     weights = tuple(naive_ghw(code, r) for r in range(1, 6))
@@ -154,6 +165,35 @@ def test_rounds_above_the_table_cap_take_the_plain_path():
         assert {r: spectrum.counts[r] for r in ref} == ref
         assert {r: rspectrum.counts[r] for r in rref} == rref
         assert min(rspectrum.counts[3]) == rweights[2]
+
+
+def test_rounds_over_the_default_cap():
+    # round w = 5 of a GF(16) [12,6] code would need about 100 MB of tables
+    # for all 16^5 messages through its two matrices, so it runs per block
+    # with no patching; round (4, 5) is stopped after its first block's first
+    # support set
+    code = random_code(np.random.default_rng(16), F16, 12, 6)
+    sel = list(range(len(information(code).mats)))
+    assert comb(6, 5) * F16.q**5 * 8 * len(sel) > GHW._TABLE_BYTES
+    assert _check_round(code, None, 5, 5, sel, 13, None)[2] == comb(6, 5)
+    assert _check_round(code, None, 4, 5, sel, 13, 12)[2] == len(next(subspace_blocks(4, 5, F16)))
+
+
+def test_search_and_spectra_never_take_the_plain_path():
+    code = random_code(np.random.default_rng(11), F3, 8, 4)
+    c1, c2 = random_nested_pair(np.random.default_rng(12), F3, 8, 4, 1)
+
+    def compute():
+        return (hierarchy(code).values, rhierarchy(c1, c2).values,
+                higher_spectrum(code).counts, rhigher_spectrum(c1, c2).counts)
+
+    want = compute()
+    plain = mock.Mock(side_effect=AssertionError("the plain path was taken"))
+    for table in (None, 0):
+        with budgets(table=table), mock.patch.object(GHW, "_scan_round", plain), \
+                mock.patch.object(GHW, "_meets_c2_in_zero", plain):
+            assert compute() == want
+    assert not plain.called
 
 
 def test_gf5_round_of_15625_messages():

@@ -69,20 +69,24 @@ def test_relative_spectrum_paper_pair():
     assert set(rsp.counts) == {0, 1, 2}  # r <= k1 - k2
 
 
-@pytest.mark.parametrize("table", [None, 0], ids=["kernel", "plain"])
+@pytest.mark.parametrize("table", [None, 0], ids=["kernel", "per-block"])
 def test_spectrum_rounds_and_table_builds(table):
     # rounds go by w, then r: each w's tables are built once and serve every
-    # r <= w, and each r's rounds together enumerate its whole Grassmannian
+    # r <= w, and each r's rounds together enumerate its whole Grassmannian.
+    # With a cap of 0 no table of all q^w messages, whose row 0 is the zero
+    # message, is built: every table holds a block's own (nonzero) rows.
     code = random_code(np.random.default_rng(79), F3, 8, 4)
     pair = random_nested_pair(np.random.default_rng(83), F3, 8, 5, 2)
     for c1, c2 in ((code, None), pair):
         events = []
         opts = ComputeOptions(progress=events.append)
         with mock.patch.object(GHW, "_round_tables", wraps=GHW._round_tables) as built, \
+                mock.patch.object(GHW, "_tables", wraps=GHW._tables) as tabulated, \
                 mock.patch.object(GHW, "_TABLE_BYTES", GHW._TABLE_BYTES if table is None else table):
             sp = higher_spectrum(c1, opts) if c2 is None else rhigher_spectrum(c1, c2, opts)
         k, rmax = c1.k, max(sp.counts)
         assert built.call_count == k
+        assert {not call.args[1][0].any() for call in tabulated.call_args_list} == {table is None}
         assert [(e.r, e.w) for e in events] == [
             (r, w) for w in range(1, k + 1) for r in range(1, min(w, rmax) + 1)
         ]
