@@ -154,6 +154,8 @@ def subspace_blocks(
     arrays, in the documented deterministic order."""
     if not 1 <= r <= w:
         raise BadArgs(f"need 1 <= r <= w, got r={r}, w={w}")
+    if block_size < 1:
+        raise BadArgs(f"block_size must be >= 1, got {block_size}")
     for shape in pivot_shapes(r, w):
         yield from _shape_blocks(shape, r, w, field, block_size)
 

@@ -123,7 +123,8 @@ class FiniteField:
     log set to the sentinel 2(q-1); ``_exp2`` is ``exp_table`` twice
     followed by 2(q-1)+1 zeros.  Two nonzero logs sum below 2(q-1), where
     ``_exp2`` repeats ``exp_table``; a zero factor lifts the sum to 2(q-1)
-    or more, where it reads 0.
+    or more, where it reads 0.  A matrix product is one integer matmul
+    against blocks of multiplication matrices M_b (see :meth:`matmul`).
 
     Use :func:`build_field` rather than instantiating directly; it validates
     arguments and caches field objects.
@@ -143,16 +144,6 @@ class FiniteField:
             digits[:, t] = idx % p
             idx = idx // p
         self.digits = digits
-
-        if s > 1:
-            # structure tensor: digits of x^u * x^v mod modulus
-            T = np.empty((s, s, s), dtype=np.int64)
-            for u in range(s):
-                for v in range(s):
-                    T[u, v] = self.digits[self._mul_poly(p**u, p**v)]
-            self._tensor = T
-        else:
-            self._tensor = None
 
         self._build_log_tables()
 
@@ -211,12 +202,12 @@ class FiniteField:
 
     def _times_constant(self, X: np.ndarray, c: int) -> np.ndarray:
         """The elements X times the constant c, table-free: multiplying by c
-        is the GF(p)-linear map of digit vectors with matrix
-        M_c[u, t] = sum_v c_v T[u, v, t]."""
+        is the GF(p)-linear map of digit vectors whose matrix M_c has in row
+        u the digits of x^u * c."""
         p = self.p
         if self.s == 1:
             return X * c % p
-        M = np.einsum("v,uvt->ut", self.digits[c], self._tensor)
+        M = self.digits[[self._mul_poly(p**u, c) for u in range(self.s)]]
         return (self.digits[X] @ M % p) @ self.pow_p
 
     # -- scalar operations ------------------------------------------------
@@ -292,29 +283,32 @@ class FiniteField:
         return A @ B
 
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Matrix product of two index-encoded arrays over this field."""
+        """Matrix product of two index-encoded arrays over this field.
+
+        Multiplying by b is the GF(p)-linear map M_b of digit vectors, row u
+        holding the digits of x^u * b.  So over an extension field the
+        product is one integer matmul of A's digits, flattened to
+        (..., k*s), against the (k*s, n*s) matrix whose block (i, j) is
+        M_{B[i, j]}, reduced mod p.  Those blocks hold s^2 entries per
+        element, so they are built from the smaller operand: a 2-D A with
+        fewer entries than B is multiplied as (B^T A^T)^T."""
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
         if A.shape[-1] != B.shape[0]:
             raise BadArgs(f"inner dimensions differ: {A.shape} x {B.shape}")
         if self.s == 1:
             return self._int_matmul(A, B, self.p - 1) % self.p
-        # Multiplication is GF(p)-bilinear on digit vectors, so the product
-        # decomposes into s^2 integer matmuls recombined via the structure
-        # tensor of the basis monomials.
+        if A.ndim == 2 and A.size < B.size:
+            return self._block_matmul(B.T, A.T).T
+        return self._block_matmul(A, B)
+
+    def _block_matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         s, p = self.s, self.p
-        Ad = self.digits[A]  # (..., k, s)
-        Bd = self.digits[B]  # (k, n, s)
-        out_digits = np.zeros(A.shape[:-1] + (B.shape[1], s), dtype=np.int64)
-        for u in range(s):
-            Au = np.ascontiguousarray(Ad[..., u])
-            for v in range(s):
-                M = self._int_matmul(Au, np.ascontiguousarray(Bd[..., v]), p - 1)
-                for t in range(s):
-                    c = int(self._tensor[u, v, t])
-                    if c:
-                        out_digits[..., t] += c * M
-        return (out_digits % p) @ self.pow_p
+        (k, n), lead = B.shape, A.shape[:-1]
+        blocks = self.digits[self.mul_arrays(self.pow_p[:, None, None], B)]  # [u, i, j, t]
+        blocks = blocks.transpose(1, 0, 2, 3).reshape(k * s, n * s)
+        prod = self._int_matmul(self.digits[A].reshape(lead + (k * s,)), blocks, p - 1)
+        return (prod.reshape(lead + (n, s)) % p) @ self.pow_p
 
     # -- dunder -----------------------------------------------------------
 

@@ -23,7 +23,10 @@ class MatrixGF:
     __slots__ = ("field", "array")
 
     def __init__(self, field: FiniteField, entries):
-        arr = np.asarray(entries, dtype=np.int64)
+        given = np.asarray(entries)
+        arr = given.astype(np.int64, copy=False)
+        if given.dtype.kind not in "biu" and not np.array_equal(arr, given):
+            raise BadArgs("matrix entries must be whole numbers")
         if arr.ndim != 2:
             raise BadArgs(f"matrix entries must be 2-dimensional, got shape {arr.shape}")
         if arr.size and (arr.min() < 0 or arr.max() >= field.q):

@@ -180,6 +180,12 @@ def test_subspace_blocks_agree_with_stream():
     assert flat_stream == flat_blocks
 
 
+@pytest.mark.parametrize("block_size", [0, -5])
+def test_subspace_blocks_rejects_block_sizes_below_one(block_size):
+    with pytest.raises(BadArgs):
+        list(subspace_blocks(2, 4, F2, block_size=block_size))
+
+
 def test_support_choices():
     assert list(support_choices(3, 3)) == [(1, 2, 3)]
     assert list(support_choices(3, 2)) == [(1, 2), (1, 3), (2, 3)]

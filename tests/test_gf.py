@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -205,19 +207,53 @@ def test_mul_arrays_broadcasts():
             assert got.ravel().tolist() == expect, (p, s, X.shape, Y.shape)
 
 
+# (A's shape, B's shape): A larger than B, A smaller than B (multiplied as
+# (B^T A^T)^T over extension fields), equal sizes, an empty inner dimension,
+# 1 x 1, and operands of similar size with a long inner dimension
+MATMUL_SHAPES = [
+    ((9, 3), (3, 2)),
+    ((3, 5), (5, 4)),
+    ((2, 3), (3, 9)),
+    ((3, 5), (5, 3)),
+    ((3, 0), (0, 4)),
+    ((1, 1), (1, 1)),
+    ((64, 130), (130, 60)),
+]
+
+
 def test_matmul_matches_scalar_accumulation():
     rng = np.random.default_rng(5)
-    for p, s in ((2, 1), (3, 1), (13, 1), (2, 2), (3, 2), (2, 3)):
+    fields = [(2, 1), (3, 1), (13, 1), (2, 2), (3, 2), (2, 3), (2, 4), (5, 2), (3, 5), (2, 8), (2, 16)]
+    for p, s in fields:
         F = build_field(p, s)
-        A = rng.integers(0, F.q, (3, 5))
-        B = rng.integers(0, F.q, (5, 4))
-        C = F.matmul(A, B)
-        for i in range(3):
-            for j in range(4):
+        for a_shape, b_shape in MATMUL_SHAPES:
+            A = rng.integers(0, F.q, a_shape)
+            B = rng.integers(0, F.q, b_shape)
+            C = F.matmul(A, B)
+            assert C.dtype == np.int64 and C.shape == (a_shape[0], b_shape[1])
+            # every entry of the small products, 40 sampled of the large ones
+            pairs = [(i, j) for i in range(C.shape[0]) for j in range(C.shape[1])]
+            if len(pairs) > 40:
+                pairs = [pairs[t] for t in rng.choice(len(pairs), 40, replace=False)]
+            for i, j in pairs:
                 acc = 0
-                for l in range(5):
+                for l in range(a_shape[1]):
                     acc = F.add(acc, F.mul(int(A[i, l]), int(B[l, j])))
-                assert C[i, j] == acc
+                assert C[i, j] == acc, (p, s, a_shape, b_shape, i, j)
+
+
+def test_matmul_builds_its_blocks_from_the_smaller_operand():
+    # blocks from B here would take s^2 * 8 = 2 KiB per entry of B, 134 MB
+    F = build_field(2, 16)
+    rng = np.random.default_rng(0)
+    A, B = rng.integers(0, F.q, (2, 2)), rng.integers(0, F.q, (2, 32768))
+    tracemalloc.start()
+    try:
+        F.matmul(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 def test_pow_and_generator():

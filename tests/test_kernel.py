@@ -85,7 +85,7 @@ def _check_spectrum(c1, c2):
 
 @pytest.mark.parametrize("gather", [1, None], ids=["chunk1", "default"])
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.sampled_from([F2, F3, F4, F5, F8, F9]), st.data())
+@given(st.sampled_from([F2, F3, F4, F5, F8, F9, F16]), st.data())
 def test_kernel_matches_plain_path(gather, F, data):
     k1 = data.draw(st.integers(2, 6 if F.q == 2 else 4 if F.q <= 5 else 3), label="k1")
     n = data.draw(st.integers(k1, 13), label="n")

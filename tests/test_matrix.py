@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ghwkit.code import code_from_rows
 from ghwkit.errors import BadArgs, DimensionMismatch
 from ghwkit.gf import build_field
 from ghwkit.matrix import MatrixGF
@@ -107,6 +108,17 @@ def test_entry_validation():
         MatrixGF(F2, [[0, 2]])
     with pytest.raises(BadArgs):
         MatrixGF(F2, [1, 0])  # not 2-dimensional
+
+
+def test_entries_must_be_whole_numbers():
+    with pytest.raises(BadArgs):
+        MatrixGF(F2, [[1.7, 0.2]])
+    with pytest.raises(BadArgs):
+        code_from_rows(F2, np.array([[1.0, 0.5, 1.0]]))
+    M = MatrixGF(F3, np.array([[1.0, 2.0], [0.0, 1.0]]))
+    assert M.array.dtype == np.int64 and M.array.tolist() == [[1, 2], [0, 1]]
+    ints = np.array([[1, 0], [2, 1]], dtype=np.int64)
+    assert MatrixGF(F3, ints).array is ints
 
 
 def _all_matrices(q, r, c):
