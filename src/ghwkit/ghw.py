@@ -13,11 +13,14 @@ trick of encoding every message on a window once, extended from codewords to
 subspaces.  Per round, every w-subset S of the message coordinates and every
 matrix G_j gets a table of the supports of x·G_j[S] for all q^w messages x,
 packed into uint64 words; a subspace's support is the OR of its r basis
-rows' masks.  Relative weights also tabulate the syndromes x·(G_j·H2ᵀ)[S].  A
-round whose tables would exceed a fixed byte budget tabulates instead the
-distinct rows of each block of the subspace stream, a few support sets at a
-time, through the same product and weighing; both modes give the same
-bounds, witnesses and counts.
+rows' masks.  Relative weights also tabulate the syndromes x·(G_j·H2ᵀ)[S].
+Over GF(2^s) the tables of all messages are built additively, with no field
+product: a message's entry is a shorter message's entry XOR one precomputed
+multiple of a matrix row, kept as packed bit-planes.  A round whose tables
+would exceed a fixed byte budget tabulates instead the distinct rows of each
+block of the subspace stream, a few support sets at a time, through one
+product per chunk and the same weighing; both modes give the same bounds,
+witnesses and counts.
 
 Relative weights M_r(C1, C2) run the same search on C1 and keep only the
 subspaces that meet C2 in 0.  The spectra weigh every subspace through one
@@ -34,6 +37,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 from itertools import combinations
 from math import comb
 from typing import Callable
@@ -241,6 +245,9 @@ def _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop):
 # q^w messages (row x has code sum x_t q^t), built once per round, when
 # those tables fit _TABLE_BYTES; otherwise X lists the distinct rows of one
 # block of the subspace stream, and a row's code is its position in X.
+# Tables of X go through one field.matmul per chunk (_tables), except those
+# of all messages over GF(2^s), which are built by XOR doubling of packed
+# bit-planes (_xor_tables), byte for byte the same tables.
 _GATHER_ELEMS = 1 << 16  # elements per table-build or gather chunk
 _TABLE_BYTES = 1 << 25  # largest tables of all q^w messages in one round
 
@@ -259,6 +266,45 @@ def _tables(field, X: np.ndarray, B: np.ndarray, cols: np.ndarray, n: int):
     return masks.view("<u8"), prod[..., n:].copy() if width > n else None
 
 
+def _xor_entries(field, B: np.ndarray, n: int) -> np.ndarray:
+    """The XOR-able entry of c·B[j, i] for every stacked matrix j, message
+    row i and c in GF(2^s), a (|sel|, k, q, s·words + n2) uint64 array: the
+    s bit-planes of its codeword part, each packed into words = ceil(n/64)
+    words, then its syndrome part.  Addition over GF(2^s) is XOR of the
+    integer encodings, so the entry of a sum is the XOR of the entries."""
+    q, s, words = field.q, field.s, -(-n // 64)
+    nj, k, width = B.shape
+    entries = np.zeros((nj, k, q, s * words + width - n), dtype="<u8")
+    # a few rows at a time, in the narrowest dtype, so temporaries stay small
+    step = max(1, _GATHER_ELEMS // (nj * q * width))
+    for lo in range(0, k, step):
+        rows = slice(lo, lo + step)
+        scaled = field.mul_arrays(np.arange(q)[:, None], B[:, rows, None, :]).astype(np.min_scalar_type(q - 1))
+        for u in range(s):
+            plane = entries[:, rows, :, u * words : (u + 1) * words].view(np.uint8)
+            bits = scaled[..., :n] >> u & 1
+            plane[..., : -(-n // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+        entries[:, rows, :, s * words :] = scaled[..., n:]
+    return entries
+
+
+def _xor_tables(entries: np.ndarray, cols: np.ndarray, s: int, n: int):
+    """_tables of all q^w messages over GF(2^s) on the support sets ``cols``,
+    doubled from the round's ``entries`` with no field product.  Rows c < q
+    of a table are the entries of c·B[j, S_0]; for x < q^t, row c·q^t + x is
+    row x XOR the entry of c·B[j, S_t]; and a mask is the OR of its row's
+    planes."""
+    (nj, _, q, width), (ns, w), words = entries.shape, cols.shape, -(-n // 64)
+    tab = np.empty((ns, nj, q**w, width), dtype="<u8")
+    tab[:, :, :q] = entries[:, cols[:, 0]].transpose(1, 0, 2, 3)
+    for t in range(1, w):
+        for c in range(1, q):
+            add = entries[:, cols[:, t], c].transpose(1, 0, 2)[:, :, None]
+            np.bitwise_xor(tab[:, :, : q**t], add, out=tab[:, :, c * q**t : (c + 1) * q**t])
+    masks = np.bitwise_or.reduce(tab[..., : s * words].reshape(tab.shape[:3] + (s, words)), axis=3)
+    return masks, tab[..., s * words :].view(np.int64) if width > s * words else None
+
+
 def _round_tables(field, mats, ghs, sel, k: int, w: int):
     """The nS = C(k, w) support sets of round w as an (nS, w) array, the
     stacked [G_j | G_j·H2ᵀ] of the selected matrices (G_j alone without C2),
@@ -271,12 +317,19 @@ def _round_tables(field, mats, ghs, sel, k: int, w: int):
     words, c = -(-n // 64), B.shape[-1] - n
     if ns * nq * (words + c) * 8 * nj > _TABLE_BYTES:
         return supports, B, None
-    X = np.arange(nq)[:, None] // field.q ** np.arange(w) % field.q
+    # over GF(2^s) double the packed entries, else one product per chunk
+    if field.p == 2:
+        build = partial(_xor_tables, _xor_entries(field, B, n), s=field.s, n=n)
+        width = field.s * words + c
+    else:
+        X = np.arange(nq)[:, None] // field.q ** np.arange(w) % field.q
+        build = partial(_tables, field, X, B, n=n)
+        width = n + c
     masks = np.empty((ns, nj, nq, words), dtype="<u8")
     syn = None if ghs is None else np.empty((ns, nj, nq, c), dtype=np.int64)
-    step = max(1, _GATHER_ELEMS // (nj * nq * (n + c)))
+    step = max(1, _GATHER_ELEMS // (nj * nq * width))
     for lo in range(0, ns, step):
-        masks[lo : lo + step], part = _tables(field, X, B, supports[lo : lo + step], n)
+        masks[lo : lo + step], part = build(supports[lo : lo + step])
         if syn is not None:
             syn[lo : lo + step] = part
     return supports, B, (masks, syn)

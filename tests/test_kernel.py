@@ -7,11 +7,13 @@ oracles take, encodes every (block, support set, matrix) triple with one
 matmul.
 Every round must agree exactly with the plain path in both table modes: the
 bound, the witness and the subspace count.  Every spectrum must agree in
-both modes.
+both modes.  Over GF(2^s) the tables of all messages are built by XOR
+doubling, with no product, and must equal the product's byte for byte.
 """
 
 import sys
 from contextlib import contextmanager
+from itertools import combinations
 from math import comb
 from unittest import mock
 
@@ -21,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from ghwkit.code import code_from_rows
 from ghwkit.enumeration import gaussian_binomial, subspace_blocks
-from ghwkit.gf import build_field
+from ghwkit.gf import FiniteField, build_field
 from ghwkit.ghw import (
     ComputeOptions,
     higher_spectrum,
@@ -38,6 +40,7 @@ from support import brute_rspectrum, brute_spectrum, random_code, random_nested_
 GHW = sys.modules["ghwkit.ghw"]
 F2, F3, F4, F5 = build_field(2), build_field(3), build_field(2, 2), build_field(5)
 F8, F9, F16 = build_field(2, 3), build_field(3, 2), build_field(2, 4)
+F256 = build_field(2, 8)
 
 
 @contextmanager
@@ -214,3 +217,73 @@ def test_code_with_zero_columns():
     code = code_from_rows(F2, [[1, 0, 1, 1, 0, 0, 1], [0, 0, 1, 0, 1, 0, 1], [1, 0, 0, 1, 1, 0, 1]])
     assert hierarchy(code).values == tuple(naive_ghw(code, r) for r in range(1, 4))
     _spectrum_matches_brute(code, higher_spectrum(code), (1, 2, 3))
+
+
+@pytest.mark.parametrize("gather", [1, None], ids=["chunk1", "default"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([F2, F4, F8, F16, F256]), st.sampled_from([1, 63, 64, 65, 130]), st.data())
+def test_char2_tables_match_the_product(gather, F, n, data):
+    # a round's XOR-doubled tables of all q^w messages against one
+    # field.matmul of those messages, with and without syndrome columns,
+    # some columns zero
+    k = data.draw(st.integers(1, 4), label="k")
+    w = data.draw(st.integers(1, max(x for x in range(1, k + 1) if F.q**x <= 512)), label="w")
+    nj = data.draw(st.integers(1, 3), label="nj")
+    c = data.draw(st.sampled_from([0, 1, 4]), label="c2 columns")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    B = rng.integers(0, F.q, (nj, k, n + c))
+    B[:, :, data.draw(st.lists(st.integers(0, n + c - 1), max_size=n + c), label="zero")] = 0
+    cols = np.array(list(combinations(range(k), w)), dtype=np.intp)
+    X = np.arange(F.q**w)[:, None] // F.q ** np.arange(w) % F.q
+    want = GHW._tables(F, X, B, cols, n)
+    mats, ghs = list(B[..., :n]), list(B[..., n:]) if c else None
+    with budgets(gather=gather):
+        supports, _, got = GHW._round_tables(F, mats, ghs, range(nj), k, w)
+    assert supports.tolist() == cols.tolist()
+    assert got[0].dtype == want[0].dtype == np.dtype("<u8")
+    assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+    if c:
+        assert got[1].dtype == want[1].dtype == np.int64
+        assert got[1].shape == want[1].shape and got[1].tobytes() == want[1].tobytes()
+    else:
+        assert got[1] is None and want[1] is None
+
+
+def test_char2_round_tables_take_no_field_product():
+    # under the table cap a characteristic-2 search builds its tables with
+    # no _tables call and no field.matmul, while a GF(3) search takes both
+    binary = random_code(np.random.default_rng(21), F2, 12, 5)
+    c1, c2 = random_nested_pair(np.random.default_rng(22), F4, 8, 4, 1)
+    octal = random_code(np.random.default_rng(23), F8, 8, 3)
+    ternary = random_code(np.random.default_rng(24), F3, 8, 4)
+    round_tables, matmul = GHW._round_tables, FiniteField.matmul
+    inside, products = [False], []
+
+    def in_round(*args):
+        inside[0] = True
+        try:
+            return round_tables(*args)
+        finally:
+            inside[0] = False
+
+    def product(self, A, B):
+        if inside[0]:
+            products.append(self.q)
+        return matmul(self, A, B)
+
+    def run(compute):
+        products.clear()
+        with mock.patch.object(GHW, "_round_tables", in_round), \
+                mock.patch.object(GHW, "_tables", wraps=GHW._tables) as tabulated, \
+                mock.patch.object(FiniteField, "matmul", product):
+            value = compute()
+        return value, tabulated.call_count, len(products)
+
+    for code in (binary, octal):
+        want = tuple(naive_ghw(code, r) for r in range(1, code.k + 1))
+        assert run(lambda: hierarchy(code).values) == (want, 0, 0)
+    want = tuple(naive_rghw(c1, c2, r) for r in range(1, 4))
+    assert run(lambda: rhierarchy(c1, c2).values) == (want, 0, 0)
+    value, tabulated, products = run(lambda: hierarchy(ternary).values)
+    assert value == tuple(naive_ghw(ternary, r) for r in range(1, 5))
+    assert tabulated > 0 and products == tabulated
