@@ -4,9 +4,14 @@ Every subspace is represented by its unique reduced-row-echelon-form basis
 matrix.  Subspaces with support exactly {1..w} are generated shape by shape:
 a pivot shape is the ascending tuple of pivot columns (i_1=1 < ... < i_r <= w),
 and each free column between pivots i_z and i_{z+1} ranges over the nonzero
-vectors of F^r with weight at most z.  Emission order is deterministic: pivot
-shapes in lexicographic order, free-column choices in odometer order with the
-rightmost free column varying fastest.
+vectors of F^r supported on the first z coordinates.  Emission order is
+deterministic: pivot shapes in lexicographic order, free-column choices in
+odometer order with the rightmost free column varying fastest.
+
+The stream yields each matrix as its r row codes: row x of length w has code
+sum_t x_t q^t (x_t at 0-based column t), exact for every q^w.  This module is
+the only one that encodes or decodes that format; ``row_digits`` turns codes
+back into rows, and ``subspace_blocks`` is the decoded stream.
 
 All counting functions use exact arbitrary-precision integers.
 """
@@ -14,7 +19,7 @@ All counting functions use exact arbitrary-precision integers.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import Iterator
 
 import numpy as np
@@ -101,63 +106,58 @@ def columns_up_to_weight(r: int, z: int, field: FiniteField) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-def _shape_blocks(
-    shape: tuple[int, ...], r: int, w: int, field: FiniteField, block_size: int
+def subspace_codes(
+    r: int, w: int, field: FiniteField, block_size: int = DEFAULT_BLOCK
 ) -> Iterator[np.ndarray]:
-    """Stream (count, r, w) arrays of RREF matrices for one pivot shape."""
-    pivots0 = [i - 1 for i in shape]
-    pivot_set = set(pivots0)
-    free: list[int] = []
-    choices: list[np.ndarray] = []
-    z = 0
-    for col in range(w):
-        if col in pivot_set:
-            z += 1
-        else:
+    """Stream all full-support r x w RREF matrices as (count, r) arrays of
+    row codes, in the documented deterministic order, at most ``block_size``
+    matrices a block and never spanning two pivot shapes.  Row z's code is
+    q^(i_z - 1) plus, for each free column, its entry in row z times
+    q^(column - 1); codes are int64 when q^w <= 2^63, else exact Python ints
+    in object arrays."""
+    if not 1 <= r <= w:
+        raise BadArgs(f"need 1 <= r <= w, got r={r}, w={w}")
+    if block_size < 1:
+        raise BadArgs(f"block_size must be >= 1, got {block_size}")
+    dtype = np.int64 if field.q**w <= 2**63 else object
+    qpow = np.array([field.q**t for t in range(w)], dtype=dtype)
+    for shape in pivot_shapes(r, w):
+        adds = []
+        for z, (pivot, nxt) in enumerate(zip(shape, shape[1:] + (w + 1,)), 1):
             # A free column between pivots i_z and i_{z+1} may be nonzero only
             # in its first z coordinates (rows below still await their pivot),
             # and must be nonzero somewhere: q^z - 1 choices.
-            vals = columns_up_to_weight(z, z, field)
-            padded = np.zeros((vals.shape[0], r), dtype=np.int64)
-            padded[:, :z] = vals
-            free.append(col)
-            choices.append(padded)
-    sizes = [c.shape[0] for c in choices]
-    total = 1
-    for s in sizes:
-        total *= s
-    strides = []
-    acc = 1
-    for s in reversed(sizes):
-        strides.append(acc)
-        acc *= s
-    strides.reverse()
+            for col in range(pivot, nxt - 1):
+                vals = columns_up_to_weight(z, z, field).astype(dtype)
+                add = np.zeros((vals.shape[0], r), dtype=dtype)
+                add[:, :z] = vals * qpow[col]
+                adds.append(add)
+        base = qpow[[i - 1 for i in shape]]
+        sizes = [a.shape[0] for a in adds]
+        total = prod(sizes)
+        for lo in range(0, total, block_size):
+            idx = np.arange(lo, min(lo + block_size, total))
+            codes = np.tile(base, (idx.size, 1))
+            for add, sel in zip(adds, np.unravel_index(idx, sizes or [1])):
+                codes += add[sel]
+            yield codes
 
-    base = np.zeros((r, w), dtype=np.int64)
-    for z, col in enumerate(pivots0):
-        base[z, col] = 1
 
-    for lo in range(0, total, block_size):
-        hi = min(lo + block_size, total)
-        idx = np.arange(lo, hi)
-        block = np.broadcast_to(base, (hi - lo, r, w)).copy()
-        for t, col in enumerate(free):
-            sel = idx // strides[t] % sizes[t]
-            block[:, :, col] = choices[t][sel]
-        yield block
+def row_digits(codes: np.ndarray, q: int, w: int) -> np.ndarray:
+    """The rows x of the row ``codes`` sum_t x_t q^t, an int64 array with a
+    last axis of length w."""
+    qpow = np.array([q**t for t in range(w)], dtype=codes.dtype)
+    return (codes[..., None] // qpow % q).astype(np.int64)
 
 
 def subspace_blocks(
     r: int, w: int, field: FiniteField, block_size: int = DEFAULT_BLOCK
 ) -> Iterator[np.ndarray]:
     """Stream all full-support r x w RREF matrices as stacked (count, r, w)
-    arrays, in the documented deterministic order."""
-    if not 1 <= r <= w:
-        raise BadArgs(f"need 1 <= r <= w, got r={r}, w={w}")
-    if block_size < 1:
-        raise BadArgs(f"block_size must be >= 1, got {block_size}")
-    for shape in pivot_shapes(r, w):
-        yield from _shape_blocks(shape, r, w, field, block_size)
+    arrays, in the documented deterministic order: the blocks of
+    subspace_codes, decoded."""
+    for codes in subspace_codes(r, w, field, block_size):
+        yield row_digits(codes, field.q, w)
 
 
 def subspaces(r: int, w: int, field: FiniteField) -> Iterator[MatrixGF]:

@@ -13,14 +13,15 @@ trick of encoding every message on a window once, extended from codewords to
 subspaces.  Per round, every w-subset S of the message coordinates and every
 matrix G_j gets a table of the supports of x·G_j[S] for all q^w messages x,
 packed into uint64 words; a subspace's support is the OR of its r basis
-rows' masks.  Relative weights also tabulate the syndromes x·(G_j·H2ᵀ)[S].
-Over GF(2^s) the tables of all messages are built additively, with no field
-product: a message's entry is a shorter message's entry XOR one precomputed
-multiple of a matrix row, kept as packed bit-planes.  A round whose tables
-would exceed a fixed byte budget tabulates instead the distinct rows of each
-block of the subspace stream, a few support sets at a time, through one
-product per chunk and the same weighing; both modes give the same bounds,
-witnesses and counts.
+rows' masks, looked up by the row codes that the subspace stream yields.
+Relative weights also tabulate the syndromes x·(G_j·H2ᵀ)[S].  Over GF(2^s)
+the tables of all messages are built additively, with no field product: a
+message's entry is a shorter message's entry XOR one precomputed multiple of
+a matrix row, kept as packed bit-planes.  A round whose tables, with the
+entries they are built from, would exceed a fixed byte budget tabulates
+instead the distinct rows of each block of the subspace stream, a few support
+sets at a time, through one product per chunk and the same weighing; both
+modes give the same bounds, witnesses and counts.
 
 Relative weights M_r(C1, C2) run the same search on C1 and keep only the
 subspaces that meet C2 in 0.  The spectra weigh every subspace through one
@@ -45,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .code import LinearCode, bch_bound, dual
-from .enumeration import gaussian_binomial, subspace_blocks
+from .enumeration import gaussian_binomial, row_digits, subspace_blocks, subspace_codes
 from .errors import BadHierarchy, BadRank, GHWError, NotNested, WorkLimitExceeded
 from .infoset import InfoSetDecomposition, check_decomposition, information
 from .matrix import MatrixGF, rank_array, rref_array
@@ -241,15 +242,15 @@ def _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop):
 # and every selected matrix G_j, the mask table of a list X of messages on w
 # coordinates holds the support of X·G_j[S] as packed uint64 words, and with
 # C2 the syndrome table holds X·(G_j·H2ᵀ)[S].  A subspace placed on S is then
-# weighed as the popcount of the OR of its r basis rows' masks.  X lists all
-# q^w messages (row x has code sum x_t q^t), built once per round, when
-# those tables fit _TABLE_BYTES; otherwise X lists the distinct rows of one
-# block of the subspace stream, and a row's code is its position in X.
-# Tables of X go through one field.matmul per chunk (_tables), except those
-# of all messages over GF(2^s), which are built by XOR doubling of packed
-# bit-planes (_xor_tables), byte for byte the same tables.
+# weighed as the popcount of the OR of its r basis rows' masks, looked up by
+# their row codes (subspace_codes).  X lists all q^w messages in code order,
+# once per round, when those tables and the XOR entries they are built from
+# fit _TABLE_BYTES; otherwise X lists the distinct rows of one stream block,
+# looked up by position.  Tables of X go through one field.matmul per chunk
+# (_tables), except those of all messages over GF(2^s), which are built by
+# XOR doubling of packed bit-planes (_xor_tables), the same bytes.
 _GATHER_ELEMS = 1 << 16  # elements per table-build or gather chunk
-_TABLE_BYTES = 1 << 25  # largest tables of all q^w messages in one round
+_TABLE_BYTES = 1 << 25  # largest tables of all q^w messages, with their entries, in one round
 
 
 def _tables(field, X: np.ndarray, B: np.ndarray, cols: np.ndarray, n: int):
@@ -309,22 +310,22 @@ def _round_tables(field, mats, ghs, sel, k: int, w: int):
     """The nS = C(k, w) support sets of round w as an (nS, w) array, the
     stacked [G_j | G_j·H2ᵀ] of the selected matrices (G_j alone without C2),
     and the tables of all q^w messages on every support set when they fit
-    _TABLE_BYTES, else None: then each block tabulates its own rows."""
+    _TABLE_BYTES together with the XOR entries they are built from, else
+    None: then each block tabulates its own rows."""
     ns, nq, n, nj = comb(k, w), field.q**w, mats[0].shape[1], len(sel)
     # one product gives each message's codeword and, with C2, its syndrome
     B = np.stack([mats[j] if ghs is None else np.hstack([mats[j], ghs[j]]) for j in sel])
     supports = np.array(list(combinations(range(k), w)), dtype=np.intp).reshape(ns, w)
     words, c = -(-n // 64), B.shape[-1] - n
-    if ns * nq * (words + c) * 8 * nj > _TABLE_BYTES:
+    # over GF(2^s) the tables are doubled from k·q entries, which count too
+    width = field.s * words + c if field.p == 2 else n + c
+    entries = k * field.q * width if field.p == 2 else 0
+    if (ns * nq * (words + c) + entries) * 8 * nj > _TABLE_BYTES:
         return supports, B, None
-    # over GF(2^s) double the packed entries, else one product per chunk
     if field.p == 2:
         build = partial(_xor_tables, _xor_entries(field, B, n), s=field.s, n=n)
-        width = field.s * words + c
     else:
-        X = np.arange(nq)[:, None] // field.q ** np.arange(w) % field.q
-        build = partial(_tables, field, X, B, n=n)
-        width = n + c
+        build = partial(_tables, field, row_digits(np.arange(nq), field.q, w), B, n=n)
     masks = np.empty((ns, nj, nq, words), dtype="<u8")
     syn = None if ghs is None else np.empty((ns, nj, nq, c), dtype=np.int64)
     step = max(1, _GATHER_ELEMS // (nj * nq * width))
@@ -335,20 +336,19 @@ def _round_tables(field, mats, ghs, sel, k: int, w: int):
     return supports, B, (masks, syn)
 
 
-def _block_tables(field, tabs, block: np.ndarray, r: int, n: int):
-    """For the (m, r, w) ``block`` and the round's ``tabs``, per chunk of
-    support sets in order: the chunk's support sets, the (m, r) codes of the
-    block's rows, and the chunk's mask and syndrome tables.  A chunk is a
-    slice of the round's tables of all messages, or else the block's
-    distinct rows tabulated on it; either way it gathers or builds at most
-    _GATHER_ELEMS elements."""
+def _block_tables(field, tabs, codes: np.ndarray, n: int):
+    """For the (m, r) row ``codes`` of a stream block and the round's
+    ``tabs``, per chunk of support sets in order: the chunk's support sets,
+    the (m, r) positions of the block's rows in the chunk's tables, and the
+    chunk's mask and syndrome tables.  A chunk is a slice of the round's
+    tables of all messages, where a row's position is its code, or else the
+    block's distinct rows tabulated on it; either way it gathers or builds
+    at most _GATHER_ELEMS elements."""
     supports, B, full = tabs
-    m, _, w = block.shape
-    qpow = field.q ** np.arange(w)
-    codes = block @ qpow
+    m, r = codes.shape
     if full is None:
         used, codes = np.unique(codes.ravel(), return_inverse=True)
-        X, codes = used[:, None] // qpow % field.q, codes.reshape(m, r)
+        X, codes = row_digits(used, field.q, supports.shape[1]), codes.reshape(m, r)
         step = max(1, _GATHER_ELEMS // (len(B) * len(X) * B.shape[-1]))
     else:
         width = full[0].shape[-1] + r * (B.shape[-1] - n)
@@ -390,10 +390,10 @@ def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, stop):
     tabs = _round_tables(field, mats, ghs, sel, k, w)
     n, nj = mats[0].shape[1], len(sel)
     count = 0
-    for block in subspace_blocks(r, w, field):
-        m = block.shape[0]
-        for cols, codes, masks, syn in _block_tables(field, tabs, block, r, n):
-            wts = _weigh(field, masks, syn, codes, r, upper, n)
+    for codes in subspace_codes(r, w, field):
+        m = codes.shape[0]
+        for cols, rows, masks, syn in _block_tables(field, tabs, codes, n):
+            wts = _weigh(field, masks, syn, rows, r, upper, n)
             mins = wts.min(axis=2).ravel()
             run = np.minimum(np.minimum.accumulate(mins), upper)
             visited, stopped = wts.shape[0], False
@@ -407,7 +407,7 @@ def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, stop):
                 s, jj = divmod(int(np.argmax(mins == best)), nj)
                 c = int(wts[s, jj].argmin())
                 upper = best
-                witness = _make_witness(field, block[c], cols[s], sel[jj], upper, k)
+                witness = _make_witness(field, row_digits(codes[c], field.q, w), cols[s], sel[jj], upper, k)
             if stopped:
                 return upper, witness, count
     return upper, witness, count
@@ -640,10 +640,10 @@ def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Sp
         tabs = _round_tables(field, [G], ghs, [0], k, w)
         for r in range(1, min(w, rmax) + 1):
             nsub = 0
-            for block in subspace_blocks(r, w, field):
-                nsub += block.shape[0] * comb(k, w)
-                for _, codes, masks, syn in _block_tables(field, tabs, block, r, n):
-                    wts = _weigh(field, masks, syn, codes, r, n + 1, n)
+            for codes in subspace_codes(r, w, field):
+                nsub += codes.shape[0] * comb(k, w)
+                for _, rows, masks, syn in _block_tables(field, tabs, codes, n):
+                    wts = _weigh(field, masks, syn, rows, r, n + 1, n)
                     hist[r] += np.bincount(wts.ravel(), minlength=n + 2)
             _emit(
                 opts,

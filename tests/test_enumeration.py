@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ghwkit.enumeration import (
+    DEFAULT_BLOCK,
     columns_up_to_weight,
     count_e,
     count_full_support,
@@ -11,7 +12,9 @@ from ghwkit.enumeration import (
     expected_enumeration,
     gaussian_binomial,
     pivot_shapes,
+    row_digits,
     subspace_blocks,
+    subspace_codes,
     subspaces,
     support_choices,
 )
@@ -180,10 +183,37 @@ def test_subspace_blocks_agree_with_stream():
     assert flat_stream == flat_blocks
 
 
+@pytest.mark.parametrize("block_size", [1, 7, DEFAULT_BLOCK])
+@pytest.mark.parametrize("F", [F2, F3, F4, F5], ids=["GF2", "GF3", "GF4", "GF5"])
+@pytest.mark.parametrize("r,w", [(1, 1), (3, 3), (1, 4), (2, 4), (3, 5)])
+def test_subspace_codes_are_the_blocks_row_codes(block_size, F, r, w):
+    # same block boundaries, each code the row's sum x_t q^t in exact ints
+    blocks = list(subspace_blocks(r, w, F, block_size=block_size))
+    streams = list(subspace_codes(r, w, F, block_size=block_size))
+    assert len(blocks) == len(streams)
+    for block, codes in zip(blocks, streams):
+        assert codes.shape == block.shape[:2] and codes.dtype == np.int64
+        assert np.array_equal(row_digits(codes, F.q, w), block)
+        want = [[sum(int(x) * F.q**t for t, x in enumerate(row)) for row in rows] for rows in block]
+        assert codes.tolist() == want
+    assert sum(len(c) for c in streams) == count_full_support(w, r, F.q)
+
+
+def test_row_codes_beyond_int64_are_exact():
+    # 65536^5 = 2^80: the one r = w = 5 matrix is the identity
+    F = build_field(2, 16)
+    (codes,) = list(subspace_codes(5, 5, F))
+    assert codes.tolist() == [[1, 2**16, 2**32, 2**48, 2**64]]
+    assert np.array_equal(row_digits(codes, F.q, 5), np.eye(5, dtype=np.int64)[None])
+    (block,) = list(subspace_blocks(5, 5, F))
+    assert np.array_equal(block, np.eye(5, dtype=np.int64)[None])
+
+
 @pytest.mark.parametrize("block_size", [0, -5])
 def test_subspace_blocks_rejects_block_sizes_below_one(block_size):
-    with pytest.raises(BadArgs):
-        list(subspace_blocks(2, 4, F2, block_size=block_size))
+    for stream in (subspace_blocks, subspace_codes):
+        with pytest.raises(BadArgs):
+            list(stream(2, 4, F2, block_size=block_size))
 
 
 def test_support_choices():

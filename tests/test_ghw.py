@@ -250,6 +250,23 @@ def test_duality_identity_random():
             assert hierarchy_auto(C).values == h.values
 
 
+@pytest.mark.parametrize(
+    "s,n,k,ranks,want",
+    [(16, 7, 6, (4, 5, 6), (5, 6, 7)), (8, 10, 9, (8, 9), (9, 10))],
+    ids=["GF(2^16)[7,6]", "GF(2^8)[10,9]"],
+)
+def test_weights_of_rounds_whose_row_codes_pass_int64(s, n, k, ranks, want):
+    # rounds with q^w > 2^63 (w >= 4 over GF(2^16), w = 8 and 9 over
+    # GF(2^8)) have row codes that int64 cannot hold
+    C = random_code(np.random.default_rng(3), build_field(2, s), n, k)
+    dec = information(C)
+    for r, value in zip(ranks, want):
+        report = Report()
+        assert ghw(C, r, ComputeOptions(info_sets=dec, report=report)) == value
+        verify_run(C, dec, report.runs[0])
+    assert wei_duality(hierarchy(dual(C)), n).values[ranks[0] - 1 :] == want
+
+
 def test_hierarchy_auto_examples():
     assert hierarchy_auto(hamming()).values == (3, 5, 6, 7)  # k > n/2: via dual
     simplex = dual(hamming())

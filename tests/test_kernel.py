@@ -26,6 +26,7 @@ from ghwkit.enumeration import gaussian_binomial, subspace_blocks
 from ghwkit.gf import FiniteField, build_field
 from ghwkit.ghw import (
     ComputeOptions,
+    ghw,
     higher_spectrum,
     hierarchy,
     naive_ghw,
@@ -34,13 +35,14 @@ from ghwkit.ghw import (
     rhigher_spectrum,
 )
 from ghwkit.infoset import information
+from ghwkit.matrix import rank_array
 
 from support import brute_rspectrum, brute_spectrum, random_code, random_nested_pair
 
 GHW = sys.modules["ghwkit.ghw"]
 F2, F3, F4, F5 = build_field(2), build_field(3), build_field(2, 2), build_field(5)
 F8, F9, F16 = build_field(2, 3), build_field(3, 2), build_field(2, 4)
-F256 = build_field(2, 8)
+F256, F65536 = build_field(2, 8), build_field(2, 16)
 
 
 @contextmanager
@@ -180,6 +182,23 @@ def test_rounds_over_the_default_cap():
     assert comb(6, 5) * F16.q**5 * 8 * len(sel) > GHW._TABLE_BYTES
     assert _check_round(code, None, 5, 5, sel, 13, None)[2] == comb(6, 5)
     assert _check_round(code, None, 4, 5, sel, 13, 12)[2] == len(next(subspace_blocks(4, 5, F16)))
+
+
+def test_xor_entries_count_against_the_table_cap():
+    # round w = 1 of d_1 of a GF(2^16) [8,4] code: its tables of all 2^16
+    # messages fit the cap, but the XOR entries they would be built from,
+    # 16 bit-planes for every multiple of every row, do not, so the round
+    # tabulates per block and builds no entries
+    code = random_code(np.random.default_rng(3), F65536, 8, 4)
+    nj, words = len(information(code).mats), 1
+    assert comb(4, 1) * F65536.q * words * 8 * nj <= GHW._TABLE_BYTES
+    assert nj * 4 * F65536.q * F65536.s * words * 8 > GHW._TABLE_BYTES
+    with mock.patch.object(GHW, "_xor_entries", wraps=GHW._xor_entries) as entries:
+        assert ghw(code, 1) == 5
+    assert not entries.called
+    # every 4 columns are independent, so the code is MDS and d_1 = n - k + 1
+    G = code.G.array
+    assert all(rank_array(F65536, G[:, cols]) == 4 for cols in combinations(range(8), 4))
 
 
 def test_search_and_spectra_never_take_the_plain_path():
