@@ -128,9 +128,9 @@ def _poly_eval(field, c: list[int], x: int) -> int:
 
 def generator_polynomial(code: LinearCode) -> list[int]:
     """Monic generator polynomial of a cyclic code: the gcd of the row
-    polynomials and x^n - 1 (column i holds the coefficient of x^(i-1))."""
-    if not is_cyclic(code):
-        raise NotCyclic("code is not cyclic")
+    polynomials and x^n - 1 (column i holds the coefficient of x^(i-1)),
+    which generates the least cyclic code containing this one: of dimension
+    n - deg gcd, so the code is cyclic iff deg gcd = n - k."""
     field, n = code.field, code.n
     xn1 = [field.neg(1)] + [0] * (n - 1) + [1]
     g = xn1
@@ -138,6 +138,8 @@ def generator_polynomial(code: LinearCode) -> list[int]:
         g = _poly_gcd(field, g, _poly_trim([int(c) for c in row]))
         if g == [1]:
             break
+    if len(g) - 1 != n - code.k:
+        raise NotCyclic("code is not cyclic")
     return g
 
 

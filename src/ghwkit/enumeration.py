@@ -18,6 +18,7 @@ All counting functions use exact arbitrary-precision integers.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from math import comb, prod
 from typing import Iterator
@@ -121,6 +122,7 @@ def subspace_codes(
         raise BadArgs(f"block_size must be >= 1, got {block_size}")
     dtype = np.int64 if field.q**w <= 2**63 else object
     qpow = np.array([field.q**t for t in range(w)], dtype=dtype)
+    nonzero = cache(lambda z: columns_up_to_weight(z, z, field).astype(dtype))  # F^z minus 0
     for shape in pivot_shapes(r, w):
         adds = []
         for z, (pivot, nxt) in enumerate(zip(shape, shape[1:] + (w + 1,)), 1):
@@ -128,7 +130,7 @@ def subspace_codes(
             # in its first z coordinates (rows below still await their pivot),
             # and must be nonzero somewhere: q^z - 1 choices.
             for col in range(pivot, nxt - 1):
-                vals = columns_up_to_weight(z, z, field).astype(dtype)
+                vals = nonzero(z)
                 add = np.zeros((vals.shape[0], r), dtype=dtype)
                 add[:, :z] = vals * qpow[col]
                 adds.append(add)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from functools import partial
 from itertools import combinations
 from math import comb
@@ -48,7 +48,7 @@ import numpy as np
 from .code import LinearCode, bch_bound, dual
 from .enumeration import gaussian_binomial, row_digits, subspace_blocks, subspace_codes
 from .errors import BadHierarchy, BadRank, GHWError, NotNested, WorkLimitExceeded
-from .infoset import InfoSetDecomposition, check_decomposition, information
+from .infoset import information
 from .matrix import MatrixGF, rank_array, rref_array
 
 
@@ -107,7 +107,7 @@ class Witness:
     """A subspace representative attaining the returned weight."""
 
     subspace: MatrixGF  # r x k, in RREF
-    mat_index: int  # index into the decomposition's matrices
+    mat_index: int  # index into information(code).mats
     weight: int
     synthesized: bool  # the run's starting witness, r rows of the first matrix
 
@@ -118,11 +118,6 @@ class RunReport:
 
     Every run records a ``witness`` of weight ``value``: the run starts from
     r rows of a systematic matrix and keeps the lightest subspace it finds.
-    ``conditional`` is true when the run stopped because a caller's
-    ``initial_lower``, or a conditional weight it was chained from, met the
-    upper bound before the run's own evidence (round coverage, the BCH
-    floor, r, or a proven earlier weight) did.  The value is then exact only
-    if that hint was a valid lower bound.
     """
 
     r: int
@@ -130,7 +125,6 @@ class RunReport:
     rounds: list[RoundEvent] = dc_field(default_factory=list)
     witness: Witness | None = None
     subspaces_enumerated: int = 0
-    conditional: bool = False
 
 
 @dataclass
@@ -144,16 +138,12 @@ class Report:
 class ComputeOptions:
     """Knobs shared by all weight computations.
 
-    ``initial_lower`` is a lower bound for the requested weight (for
-    hierarchies, for d_1); a run that stops on it alone is reported as
-    conditional.  ``info_sets`` supplies a precomputed decomposition, which
-    is checked before use.  Progress events go to ``progress`` if set, else
-    to stderr when ``verbose``.
+    Progress events go to ``progress`` if set, else to stderr when
+    ``verbose``; ``work_limit`` caps each Grassmannian a spectrum enumerates;
+    ``report`` collects one RunReport per weight computation.
     """
 
     verbose: bool = False
-    info_sets: InfoSetDecomposition | None = None
-    initial_lower: int | None = None
     work_limit: int = 10**9
     progress: Callable[[RoundEvent], None] | None = None
     report: Report | None = None
@@ -436,11 +426,11 @@ def _first_witness(field, mats, rows, k):
     return _make_witness(field, np.eye(r, dtype=np.int64), np.array(rows), 0, weight, k, synthesized=True)
 
 
-def _run(field, mats, reds, ghs, rows, r, lower, proven, opts) -> RunReport:
+def _run(field, mats, reds, ghs, rows, r, lower, opts) -> RunReport:
     """Bounded search for d_r (M_r when ``ghs`` is given) through the
     systematic ``mats`` with redundancies ``reds``, their syndrome matrices
     ``ghs`` and starting-witness rows ``rows``, from the lower bound
-    ``lower``, of which ``proven`` is backed by evidence."""
+    ``lower``."""
     k = mats[0].shape[0]
     report = RunReport(r=r)
     # Matrix j is credited w + 1 - R_j only after covering every round r..w.
@@ -459,7 +449,7 @@ def _run(field, mats, reds, ghs, rows, r, lower, proven, opts) -> RunReport:
         for j in sel:
             last_round[j] = w
         covered = sum(last + 1 - reds[j] for j, last in last_round.items() if last is not None)
-        lower, proven = max(lower, covered), max(proven, covered)
+        lower = max(lower, covered)
         ev = RoundEvent(
             r=r,
             w=w,
@@ -475,8 +465,6 @@ def _run(field, mats, reds, ghs, rows, r, lower, proven, opts) -> RunReport:
 
     report.value = upper
     report.witness = witness
-    # past round k, matrix 0 (R_0 = 0) has enumerated every subspace
-    report.conditional = w <= k and proven < upper
     if opts.report is not None:
         opts.report.runs.append(report)
     return report
@@ -530,9 +518,7 @@ def _search(c1, c2, ranks, opts: ComputeOptions) -> list[int]:
     ranks = range(1, rmax + 1) if ranks is None else ranks
     for r in ranks:
         _check_rank(r, rmax, c2)
-    dec = opts.info_sets or information(c1)
-    if opts.info_sets is not None:
-        check_decomposition(c1, dec)
+    dec = information(c1)
     field, mats = c1.field, [M.array for M in dec.mats]
     floor = _cyclic_floor(c1, mats[0], dec.sets[0])
     ghs = None if h2t is None else [field.matmul(M, h2t) for M in mats]
@@ -541,14 +527,10 @@ def _search(c1, c2, ranks, opts: ComputeOptions) -> list[int]:
     # syndromes span dimension k1 - k2 >= r)
     rows = list(range(c1.k)) if ghs is None else rref_array(field, ghs[0].T)[1]
     values: list[int] = []
-    chained = 0  # the previous value + 1, if that value is proven
     for r in ranks:
         floor_r = 0 if floor is None else floor + r - 1
-        start = values[-1] + 1 if values else opts.initial_lower or 1
-        lower, proven = max(r, floor_r, start), max(r, floor_r, chained)
-        run = _run(field, mats, dec.reds, ghs, rows, r, lower, proven, opts)
-        values.append(run.value)
-        chained = 0 if run.conditional else run.value + 1
+        lower = max(r, floor_r, values[-1] + 1 if values else 0)
+        values.append(_run(field, mats, dec.reds, ghs, rows, r, lower, opts).value)
     return values
 
 
@@ -589,13 +571,11 @@ def wei_duality(h, n: int) -> Hierarchy:
 def hierarchy_auto(code: LinearCode, opts: ComputeOptions | None = None) -> Hierarchy:
     """Weight hierarchy via whichever of the code and its dual has the
     smaller dimension, using duality to translate."""
-    opts = opts or ComputeOptions()
     if code.k == code.n:
         return Hierarchy(tuple(range(1, code.n + 1)))
     if 2 * code.k <= code.n:
         return hierarchy(code, opts)
-    dual_opts = replace(opts, info_sets=None, initial_lower=None)
-    return wei_duality(hierarchy(dual(code), dual_opts), code.n)
+    return wei_duality(hierarchy(dual(code), opts), code.n)
 
 
 def _naive(c1: LinearCode, c2: LinearCode | None, r: int) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadArgs
-from .matrix import MatrixGF, rank_array, rref_array
+from .matrix import MatrixGF, rref_array
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,6 @@ class InfoSetDecomposition:
     sets: tuple[tuple[int, ...], ...]
     mats: tuple[MatrixGF, ...]
     reds: tuple[int, ...]
-
-    def __post_init__(self):
-        if not (len(self.sets) == len(self.mats) == len(self.reds)) or not self.sets:
-            raise BadArgs("sets, mats and reds must be nonempty and equally long")
 
     @property
     def m(self) -> int:
@@ -78,25 +74,3 @@ def information(code) -> InfoSetDecomposition:
         used.update(iset)
 
     return InfoSetDecomposition(tuple(sets), tuple(mats), tuple(reds))
-
-
-def check_decomposition(code, dec: InfoSetDecomposition) -> None:
-    """Raise BadArgs unless ``dec`` is a decomposition of ``code`` that the
-    search's lower bound can rest on: every G_j generates the code and is
-    the identity on I_j, and every R_j is the number of columns I_j shares
-    with the earlier sets."""
-    field, G = code.field, code.G.array
-    k, n = G.shape
-    used: set[int] = set()
-    for j, (iset, M, red) in enumerate(zip(dec.sets, dec.mats, dec.reds)):
-        cols = [c - 1 for c in iset]
-        if M.field != field or M.array.shape != (k, n) or not all(0 <= c < n for c in cols):
-            raise BadArgs(f"matrix {j} or information set {j} does not fit a [{n},{k}] code")
-        if len(cols) != k or not np.array_equal(M.array[:, cols], np.eye(k)):
-            raise BadArgs(f"matrix {j} is not the identity on information set {j}")
-        if rank_array(field, np.vstack([G, M.array])) != k:
-            raise BadArgs(f"matrix {j} does not generate the code")
-        shared = len(used.intersection(cols))
-        if red != shared:
-            raise BadArgs(f"redundancy {j} is {red}, but set {j} shares {shared} columns with the earlier sets")
-        used.update(cols)

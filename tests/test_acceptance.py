@@ -69,7 +69,7 @@ class _criterion:
 def _instrumented_rghw(label, c1, c2, r):
     dec = information(c1)
     report = Report()
-    value = rghw(c1, c2, r, ComputeOptions(info_sets=dec, report=report))
+    value = rghw(c1, c2, r, ComputeOptions(report=report))
     _INSTRUMENTED.append((label, c1, dec, report.runs[-1], c2))
     return value
 
@@ -95,7 +95,7 @@ def test_criterion_2_mds_hierarchy():
             C = make_rs(F13, k)
             dec = information(C)
             report = Report()
-            h = hierarchy(C, ComputeOptions(info_sets=dec, report=report))
+            h = hierarchy(C, ComputeOptions(report=report))
             assert h.values == tuple(range(13 - k + 1, 14)), k
             assert len(report.runs) == k
             for run in report.runs:
@@ -128,7 +128,7 @@ def test_criterion_3_oracle_equivalence():
                 dec = information(C)
                 for r in range(1, min(k, 3) + 1):
                     report = Report()
-                    v = ghw(C, r, ComputeOptions(info_sets=dec, report=report))
+                    v = ghw(C, r, ComputeOptions(report=report))
                     _INSTRUMENTED.append((f"random q={q} n={n} k={k} r={r}", C, dec, report.runs[-1], None))
                     assert v == naive_ghw(C, r)
                 done += 1
@@ -171,7 +171,7 @@ def test_criterion_4_wei_duality():
             C = random_code(rng, F, n, k)
             dec = information(C)
             report = Report()
-            h = hierarchy(C, ComputeOptions(info_sets=dec, report=report))
+            h = hierarchy(C, ComputeOptions(report=report))
             for run in report.runs:
                 _INSTRUMENTED.append((f"dual q={F.q} n={n} k={k} r={run.r}", C, dec, run, None))
             hd = hierarchy(dual(C))

@@ -24,7 +24,7 @@ from ghwkit.errors import (
 )
 from ghwkit.gf import build_field
 from ghwkit.infoset import information
-from ghwkit.matrix import MatrixGF
+from ghwkit.matrix import MatrixGF, rref_array
 from ghwkit.ghw import naive_ghw
 
 from support import (
@@ -141,6 +141,33 @@ def test_generator_polynomial():
     assert len(g) - 1 == 7 - cyc.k
     with pytest.raises(NotCyclic):
         generator_polynomial(code_from_rows(F2, [[1, 0, 0], [0, 1, 0]]))
+
+
+def test_generator_polynomial_decides_cyclicity_as_is_cyclic_does():
+    # random codes, and cyclic codes spanned by the shifts of a random word,
+    # over GF(2..5); is_cyclic's rank test is the reference
+    rng = np.random.default_rng(73)
+    fields = (F2, F3, build_field(2, 2), F5)
+    seen = set()
+    for _ in range(400):
+        F = fields[int(rng.integers(len(fields)))]
+        n = int(rng.integers(2, 7))
+        if rng.integers(2):
+            word = rng.integers(0, F.q, n)
+            R, piv = rref_array(F, np.stack([np.roll(word, t) for t in range(n)]))
+            if not piv:
+                continue
+            C = new_code(F, MatrixGF(F, R[: len(piv)]))
+        else:
+            C = random_code(rng, F, n, int(rng.integers(1, n + 1)))
+        cyclic = is_cyclic(C)
+        seen.add(cyclic)
+        if cyclic:
+            assert len(generator_polynomial(C)) - 1 == n - C.k
+        else:
+            with pytest.raises(NotCyclic):
+                generator_polynomial(C)
+    assert seen == {False, True}
 
 
 def test_bch_bound_examples():

@@ -1,15 +1,15 @@
 import sys
 from contextlib import ExitStack
-from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghwkit.code import code_from_rows, dual, is_cyclic, make_rs, new_code, support_weight
+from ghwkit.code import bch_bound, code_from_rows, dual, is_cyclic, make_rs, new_code, support_weight
 from ghwkit.enumeration import gaussian_binomial
-from ghwkit.errors import BadArgs, BadHierarchy, BadRank, NotNested
+from ghwkit.errors import BadHierarchy, BadRank, NotNested
 from ghwkit.gf import build_field
 from ghwkit.ghw import (
     ComputeOptions,
@@ -26,7 +26,7 @@ from ghwkit.ghw import (
     rhigher_spectrum,
     wei_duality,
 )
-from ghwkit.infoset import InfoSetDecomposition, information
+from ghwkit.infoset import information
 from ghwkit.matrix import MatrixGF, rank_array, rref_array
 
 from support import (
@@ -102,53 +102,13 @@ def test_mds_chaining_enumerates_nothing_after_d1():
     report = Report()
     C = make_rs(F13, 5)
     dec = information(C)
-    h = hierarchy(C, ComputeOptions(info_sets=dec, report=report))
+    h = hierarchy(C, ComputeOptions(report=report))
     assert h.values == (9, 10, 11, 12, 13)
     assert len(report.runs) == 5
     assert report.runs[0].subspaces_enumerated > 0
     for run in report.runs[1:]:
         assert run.subspaces_enumerated == 0  # chained bound met the upper bound
         verify_run(C, dec, run)
-
-
-def test_a_wrong_decomposition_is_refused():
-    # the decomposition of another [14,5] code gave d_1 = 4 where it is 3
-    a = random_code(np.random.default_rng(1), F2, 14, 5)
-    b = random_code(np.random.default_rng(2), F2, 14, 5)
-    assert naive_ghw(a, 1) == 3
-    with pytest.raises(BadArgs, match="generate"):
-        ghw(a, 1, ComputeOptions(info_sets=information(b)))
-    # zeroed redundancies gave the hierarchy (3, 6, 8, ...) where it is
-    # (3, 5, 7, ...)
-    c = random_code(np.random.default_rng(84), F3, 11, 6)
-    dec = information(c)
-    assert dec.reds == (0, 1) and hierarchy(c).values[:3] == (3, 5, 7)
-    with pytest.raises(BadArgs, match="redundancy"):
-        hierarchy(c, ComputeOptions(info_sets=replace(dec, reds=(0, 0))))
-    # rows in another order still generate the code, but not systematically
-    swapped = replace(dec, mats=(MatrixGF(F3, dec.mats[0].array[::-1]),) + dec.mats[1:])
-    with pytest.raises(BadArgs, match="identity"):
-        ghw(c, 2, ComputeOptions(info_sets=swapped))
-
-
-def test_a_valid_decomposition_that_is_not_greedy():
-    # the greedy decomposition of the code with its columns reversed, mapped
-    # back: M[::-1, ::-1] is the identity on the mirrored, ascending set
-    code = random_code(np.random.default_rng(84), F3, 11, 6)
-    flipped = information(new_code(F3, MatrixGF(F3, code.G.array[:, ::-1])))
-    dec = InfoSetDecomposition(
-        tuple(tuple(sorted(code.n + 1 - c for c in s)) for s in flipped.sets),
-        tuple(MatrixGF(F3, M.array[::-1, ::-1]) for M in flipped.mats),
-        flipped.reds,
-    )
-    assert dec.sets != information(code).sets
-    want = (3, 5, 7, 9, 10, 11)
-    assert tuple(naive_ghw(code, r) for r in (1, 2, 3)) == want[:3]
-    for d in (dec, InfoSetDecomposition(dec.sets[:1], dec.mats[:1], dec.reds[:1])):
-        report = Report()
-        assert hierarchy(code, ComputeOptions(info_sets=d, report=report)).values == want
-        for run in report.runs:
-            verify_run(code, d, run)
 
 
 def test_rghw_reference_pairs():
@@ -262,7 +222,7 @@ def test_weights_of_rounds_whose_row_codes_pass_int64(s, n, k, ranks, want):
     dec = information(C)
     for r, value in zip(ranks, want):
         report = Report()
-        assert ghw(C, r, ComputeOptions(info_sets=dec, report=report)) == value
+        assert ghw(C, r, ComputeOptions(report=report)) == value
         verify_run(C, dec, report.runs[0])
     assert wei_duality(hierarchy(dual(C)), n).values[ranks[0] - 1 :] == want
 
@@ -275,14 +235,25 @@ def test_hierarchy_auto_examples():
     assert hierarchy_auto(full).values == tuple(range(1, 7))
 
 
-def test_initial_lower_bound_is_honored():
-    C = make_rs(F13, 6)
-    report = Report()
-    # d_2 = 9; a valid external bound of 9 makes the run exit immediately
-    v = ghw(C, 2, ComputeOptions(initial_lower=9, report=report))
-    assert v == 9
-    assert report.runs[0].subspaces_enumerated == 0
-    assert report.runs[0].witness is not None
+def test_hierarchy_auto_reports_the_runs_on_the_dual():
+    # k > n/2: the caller's report and progress receive the dual's runs
+    C = random_code(np.random.default_rng(5), F3, 10, 7)
+    D = dual(C)
+    events, report = [], Report()
+    h = hierarchy_auto(C, ComputeOptions(progress=events.append, report=report))
+    assert h.values == hierarchy(C).values
+    assert [run.r for run in report.runs] == list(range(1, D.k + 1))
+    dec = information(D)
+    for run in report.runs:
+        verify_run(D, dec, run)
+    assert events and events == [ev for run in report.runs for ev in run.rounds]
+
+
+def test_options_take_no_lower_bound_or_decomposition():
+    # the search proves its bounds from its own decomposition only
+    for name, value in (("initial_lower", 9), ("info_sets", information(hamming()))):
+        with pytest.raises(TypeError):
+            ComputeOptions(**{name: value})
 
 
 CYCLIC_CASES = (
@@ -329,16 +300,32 @@ def test_cyclicity_through_the_systematic_matrix():
     assert seen == {(False, False), (False, True), (True, False)}
 
 
-def test_a_search_on_a_non_cyclic_code_runs_one_rref_per_information_set():
-    C = random_code(np.random.default_rng(7), F2, 24, 6)
-    assert not is_cyclic(C)
+def _rref_calls(fn) -> int:
+    """How many times fn() calls rref_array, from any ghwkit module."""
     counting = mock.Mock(wraps=rref_array)
     with ExitStack() as stack:
         for name, module in list(sys.modules.items()):
             if name.startswith("ghwkit") and getattr(module, "rref_array", None) is rref_array:
                 stack.enter_context(mock.patch.object(module, "rref_array", counting))
-        ghw(C, 2)
-    assert counting.call_count == information(C).m
+        fn()
+    return counting.call_count
+
+
+def test_a_search_on_a_non_cyclic_code_runs_one_rref_per_information_set():
+    C = random_code(np.random.default_rng(7), F2, 24, 6)
+    assert not is_cyclic(C)
+    assert _rref_calls(partial(ghw, C, 2)) == information(C).m
+
+
+def test_a_search_on_a_cyclic_code_runs_one_rref_per_information_set():
+    # the BCH floor applies, and bch_bound takes cyclicity from the degree of
+    # the generator polynomial rather than from a second rank test
+    cyclic_floor = sys.modules["ghwkit.ghw"]._cyclic_floor
+    for F, n, reps in CYCLIC_CASES:
+        C = cyclic_code_from_cosets(F, n, reps)
+        dec = information(C)
+        assert cyclic_floor(C, dec.mats[0].array, dec.sets[0]) == bch_bound(C)
+        assert _rref_calls(partial(ghw, C, 1)) == dec.m, (F.q, n, reps)
 
 
 def test_witnesses_say_whether_they_were_synthesized():
@@ -350,7 +337,7 @@ def test_witnesses_say_whether_they_were_synthesized():
     assert [run.witness.synthesized for run in report.runs] == [True] * 6
     C = random_code(np.random.default_rng(7), F2, 48, 12)
     dec, report = information(C), Report()
-    assert ghw(C, 1, ComputeOptions(info_sets=dec, report=report)) == 12
+    assert ghw(C, 1, ComputeOptions(report=report)) == 12
     assert not report.runs[0].witness.synthesized
     verify_run(C, dec, report.runs[0])
 
@@ -364,9 +351,17 @@ def test_soundness_and_witnesses_on_instrumented_runs():
             C = random_code(rng, F, n, k)
             dec = information(C)
             report = Report()
-            hierarchy(C, ComputeOptions(info_sets=dec, report=report))
+            hierarchy(C, ComputeOptions(report=report))
             for run in report.runs:
                 verify_run(C, dec, run)
+    # a greedy decomposition that reuses a column (R = (0, 1))
+    C = random_code(np.random.default_rng(84), F3, 11, 6)
+    dec, report = information(C), Report()
+    assert dec.reds == (0, 1)
+    assert hierarchy(C, ComputeOptions(report=report)).values == (3, 5, 7, 9, 10, 11)
+    assert tuple(naive_ghw(C, r) for r in (1, 2, 3)) == (3, 5, 7)
+    for run in report.runs:
+        verify_run(C, dec, run)
 
 
 def test_relative_witnesses():
@@ -374,7 +369,7 @@ def test_relative_witnesses():
     for a, b in ((c1, c2), (c1p, c2p)):
         dec = information(a)
         report = Report()
-        rhierarchy(a, b, ComputeOptions(info_sets=dec, report=report))
+        rhierarchy(a, b, ComputeOptions(report=report))
         for run in report.runs:
             verify_run(a, dec, run, c2=b)
 
@@ -390,12 +385,6 @@ def test_progress_events():
     # rounds are consecutive and bounds are sane
     assert [ev.w for ev in events] == list(range(1, len(events) + 1))
     assert all(ev.lower <= ev.upper for ev in events)
-
-
-def test_custom_info_sets_are_used():
-    C = code_from_rows(F2, HAMMING_7_4)
-    dec = information(C)
-    assert ghw(C, 2, ComputeOptions(info_sets=dec)) == 5
 
 
 def test_zero_columns():
@@ -421,7 +410,7 @@ def test_matrix_skipping_and_final_round_dropping():
     dec = information(C)
     assert dec.reds == (0, 0, 0, 3)
     report = Report()
-    v = ghw(C, 1, ComputeOptions(info_sets=dec, report=report))
+    v = ghw(C, 1, ComputeOptions(report=report))
     assert v == 10 == naive_ghw(C, 1)
     rounds = report.runs[0].rounds
     assert [ev.w for ev in rounds] == [1, 2, 3]
@@ -444,35 +433,10 @@ def test_matrix_sitting_out_early_rounds_earns_no_credit():
     dec = information(C)
     assert dec.reds == (0, 3, 6)
     report = Report()
-    h = hierarchy(C, ComputeOptions(info_sets=dec, report=report))
+    h = hierarchy(C, ComputeOptions(report=report))
     assert h.values == (2, 4, 6, 8, 9, 11, 12)
     assert h.values == tuple(naive_ghw(C, r) for r in range(1, 8))
     for run in report.runs:
-        verify_run(C, dec, run)
-        assert not run.conditional
-
-
-def test_run_stopped_by_a_hint_is_conditional():
-    C = random_code(np.random.default_rng(7), F2, 48, 12)
-    report = Report()
-    assert ghw(C, 1, ComputeOptions(initial_lower=14, report=report)) == 14
-    assert report.runs[0].conditional
-    report = Report()
-    assert ghw(C, 1, ComputeOptions(report=report)) == 12
-    assert not report.runs[0].conditional
-
-
-def test_every_run_records_a_witness_under_a_hint():
-    # hints far above d_1 = 12 stop the run before its first round, on the
-    # starting witness
-    C = random_code(np.random.default_rng(7), F2, 48, 12)
-    dec = information(C)
-    for hint in (37, 40):
-        report = Report()
-        value = ghw(C, 1, ComputeOptions(info_sets=dec, initial_lower=hint, report=report))
-        run = report.runs[0]
-        assert run.witness is not None and run.witness.weight == value <= 37, hint
-        assert run.conditional
         verify_run(C, dec, run)
 
 

@@ -123,7 +123,8 @@ def test_one_elimination_per_information_set(monkeypatch):
         raise AssertionError("information() must not probe ranks")
 
     monkeypatch.setattr(infoset, "rref_array", rref)
-    monkeypatch.setattr(infoset, "rank_array", rank)
+    # information() imports no rank_array; one put there must go uncalled
+    monkeypatch.setattr(infoset, "rank_array", rank, raising=False)
     rng = np.random.default_rng(41)
     codes = [code_from_rows(F2, HAMMING_7_4)] + [random_code(rng, F3, 9, k) for k in (2, 4, 6, 9)]
     reused = False
