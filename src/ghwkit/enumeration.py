@@ -9,7 +9,10 @@ deterministic: pivot shapes in lexicographic order, free-column choices in
 odometer order with the rightmost free column varying fastest.
 
 The stream yields each matrix as its r row codes: row x of length w has code
-sum_t x_t q^t (x_t at 0-based column t), exact for every q^w.  This module is
+sum_t x_t q^t (x_t at 0-based column t), exact for every q^w.  Per pivot
+shape, the codes of the longest suffix of free columns that fits in a block
+are tabulated once; a block decodes only its rows' prefix columns and adds
+them to that table by broadcasting; blocks are read-only.  This module is
 the only one that encodes or decodes that format; ``row_digits`` turns codes
 back into rows, and ``subspace_blocks`` is the decoded stream.
 
@@ -107,22 +110,27 @@ def columns_up_to_weight(r: int, z: int, field: FiniteField) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
+_nonzero = cache(lambda z, field, dtype: columns_up_to_weight(z, z, field).astype(dtype))  # F^z - 0
+
+
 def subspace_codes(
     r: int, w: int, field: FiniteField, block_size: int = DEFAULT_BLOCK
 ) -> Iterator[np.ndarray]:
-    """Stream all full-support r x w RREF matrices as (count, r) arrays of
-    row codes, in the documented deterministic order, at most ``block_size``
-    matrices a block and never spanning two pivot shapes.  Row z's code is
-    q^(i_z - 1) plus, for each free column, its entry in row z times
-    q^(column - 1); codes are int64 when q^w <= 2^63, else exact Python ints
-    in object arrays."""
+    """Stream all full-support r x w RREF matrices as read-only (count, r)
+    arrays of row codes, in the documented deterministic order, at most
+    ``block_size`` matrices a block and never spanning two pivot shapes.  Row
+    z's code is q^(i_z - 1) plus, for each free column, its entry in row z
+    times q^(column - 1); codes are int64 when q^w <= 2^63, else exact Python
+    ints in object arrays.  A shape's longest suffix of free columns with at
+    most ``block_size`` choices is tabulated once, pivots included (P codes);
+    a block decodes its rows' prefixes by ``np.unravel_index`` and adds each to
+    the table, so it may be a slice of an array shared with its shape."""
     if not 1 <= r <= w:
         raise BadArgs(f"need 1 <= r <= w, got r={r}, w={w}")
     if block_size < 1:
         raise BadArgs(f"block_size must be >= 1, got {block_size}")
     dtype = np.int64 if field.q**w <= 2**63 else object
     qpow = np.array([field.q**t for t in range(w)], dtype=dtype)
-    nonzero = cache(lambda z: columns_up_to_weight(z, z, field).astype(dtype))  # F^z minus 0
     for shape in pivot_shapes(r, w):
         adds = []
         for z, (pivot, nxt) in enumerate(zip(shape, shape[1:] + (w + 1,)), 1):
@@ -130,18 +138,25 @@ def subspace_codes(
             # in its first z coordinates (rows below still await their pivot),
             # and must be nonzero somewhere: q^z - 1 choices.
             for col in range(pivot, nxt - 1):
-                vals = nonzero(z)
+                vals = _nonzero(z, field, dtype)
                 add = np.zeros((vals.shape[0], r), dtype=dtype)
                 add[:, :z] = vals * qpow[col]
                 adds.append(add)
-        base = qpow[[i - 1 for i in shape]]
         sizes = [a.shape[0] for a in adds]
         total = prod(sizes)
+        suffix, cut = qpow[[i - 1 for i in shape]][None], len(adds)
+        while cut and len(suffix) * sizes[cut - 1] <= block_size:
+            cut -= 1
+            suffix = (adds[cut][:, None] + suffix[None]).reshape(-1, r)
+        P = len(suffix)
         for lo in range(0, total, block_size):
-            idx = np.arange(lo, min(lo + block_size, total))
-            codes = np.tile(base, (idx.size, 1))
-            for add, sel in zip(adds, np.unravel_index(idx, sizes or [1])):
-                codes += add[sel]
+            hi = min(lo + block_size, total)
+            idx = np.arange(lo // P, -(-hi // P))
+            prefix = np.zeros((idx.size, r), dtype=dtype)
+            for add, sel in zip(adds[:cut], np.unravel_index(idx, sizes[:cut] or [1])):
+                prefix += add[sel]
+            codes = (prefix[:, None] + suffix[None]).reshape(-1, r)[lo - idx[0] * P : hi - idx[0] * P]
+            codes.flags.writeable = False
             yield codes
 
 

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -20,14 +23,18 @@ from ghwkit.enumeration import (
 )
 from ghwkit.errors import BadArgs
 from ghwkit.gf import build_field
+from ghwkit.ghw import higher_spectrum
 from ghwkit.matrix import MatrixGF
 
-from support import brute_subspaces
+from support import brute_subspaces, random_code
+
+ENUM = sys.modules["ghwkit.enumeration"]
 
 F2 = build_field(2)
 F3 = build_field(3)
 F4 = build_field(2, 2)
 F5 = build_field(5)
+F8 = build_field(2, 3)
 
 
 def test_gaussian_binomial_examples():
@@ -207,6 +214,82 @@ def test_row_codes_beyond_int64_are_exact():
     assert np.array_equal(row_digits(codes, F.q, 5), np.eye(5, dtype=np.int64)[None])
     (block,) = list(subspace_blocks(5, 5, F))
     assert np.array_equal(block, np.eye(5, dtype=np.int64)[None])
+
+
+def reference_code_blocks(r, w, F, block_size):
+    """The stream's blocks built without subspace_codes: pivot shapes in
+    lexicographic order, each shape's free-column choices by
+    itertools.product (rightmost column fastest), cut into blocks of
+    block_size that restart at every shape."""
+    q, blocks = F.q, []
+    for rest in combinations(range(2, w + 1), r - 1):
+        shape = (1,) + rest
+        free = [(c, sum(i < c for i in shape)) for c in range(1, w + 1) if c not in shape]
+        choices = [columns_up_to_weight(z, z, F).tolist() for _, z in free]
+        rows = []
+        for pick in product(*choices):
+            code = [q ** (i - 1) for i in shape]
+            for (c, _), col in zip(free, pick):
+                for t, x in enumerate(col):
+                    code[t] += x * q ** (c - 1)
+            rows.append(code)
+        blocks += [rows[lo : lo + block_size] for lo in range(0, len(rows), block_size)]
+    return blocks
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4, F5, F8], ids=["GF2", "GF3", "GF4", "GF5", "GF8"])
+def test_subspace_codes_match_an_independent_odometer(F):
+    # every block but a shape's last holds block_size rows; the cap keeps
+    # the pure-Python reference within a second per field
+    for w in range(1, 6):
+        for r in range(1, w + 1):
+            if count_full_support(w, r, F.q) > 6000:
+                continue
+            for block_size in (1, 7, 64, DEFAULT_BLOCK):
+                got = list(subspace_codes(r, w, F, block_size))
+                assert all(c.dtype == np.int64 and c.shape[1:] == (r,) for c in got)
+                assert [c.tolist() for c in got] == reference_code_blocks(r, w, F, block_size)
+
+
+def test_large_q_stream_stays_blockwise():
+    # GF(2^16), r = 1, w = 3: 65535^2 matrices in one shape; the first block
+    # fixes column 2 at 1 and runs column 3 through 1..16384
+    F = build_field(2, 16)
+    tracemalloc.start()
+    try:
+        first = next(subspace_codes(1, 3, F))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    v = np.arange(1, DEFAULT_BLOCK + 1, dtype=np.int64)
+    assert first.dtype == np.int64
+    assert np.array_equal(first[:, 0], 1 + 65536 + v * 65536**2)
+    assert peak < 16 * 2**20
+
+
+def test_subspace_code_blocks_are_read_only():
+    blocks = list(subspace_codes(2, 4, F3, block_size=7))
+    assert len(blocks) > 1
+    for codes in blocks:
+        with pytest.raises(ValueError):
+            codes[0, 0] = 0
+
+
+def test_free_columns_are_built_once_per_process(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return columns_up_to_weight(*args)
+
+    monkeypatch.setattr(ENUM, "columns_up_to_weight", counted)
+    ENUM._nonzero.cache_clear()
+    code = random_code(np.random.default_rng(5), F4, 8, 4)
+    first = higher_spectrum(code)
+    built = len(calls)
+    assert built > 0
+    assert higher_spectrum(code) == first
+    assert len(calls) == built
 
 
 @pytest.mark.parametrize("block_size", [0, -5])
