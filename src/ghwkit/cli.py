@@ -33,6 +33,7 @@ from .errors import (
 from .gf import build_field
 from .ghw import (
     ComputeOptions,
+    RoundEvent,
     Spectrum,
     ghw,
     hierarchy,
@@ -106,9 +107,14 @@ def _load(path: str) -> LinearCode:
         return parse_code_file(fh.read())
 
 
+def _print_round(ev: RoundEvent) -> None:
+    print(f"r={ev.r} w={ev.w} lower={ev.lower} upper={ev.upper} mats={ev.active_mats}"
+          f" subspaces={ev.subspaces} t={ev.elapsed_s * 1000:.1f}ms", file=sys.stderr)
+
+
 def _options(args) -> ComputeOptions:
     limit = getattr(args, "work_limit", ComputeOptions.work_limit)
-    return ComputeOptions(verbose=args.verbose, work_limit=limit)
+    return ComputeOptions(work_limit=limit, progress=_print_round if args.verbose else None)
 
 
 def _render(args, payload: dict, text: str) -> None:

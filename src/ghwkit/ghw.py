@@ -3,10 +3,11 @@
 The search enumerates r-dimensional subspaces of the message space with
 increasing support size w, encodes each through every systematic generator
 matrix of an information-set decomposition, and keeps the smallest encoded
-support as an upper bound.  After a round, any subspace not yet enumerated
-through matrix G_j must meet at least w + 1 - R_j coordinates of its
-information set, so the per-matrix contributions sum to a lower bound on
-everything still unseen.  The search stops as soon as the bounds meet.
+support as an upper bound.  Any subspace not yet seen through G_j meets at
+least r - R_j fresh coordinates of its information set, and w + 1 - R_j
+once rounds r..w are scanned through G_j: the lower bound is one counter
+that each matrix a round scans raises by one.  The search stops once the
+bounds meet.
 
 Subspaces are weighed by a support-mask kernel, the Brouwer–Zimmermann
 trick of encoding every message on a window once, extended from codewords to
@@ -35,7 +36,6 @@ kernel.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import partial
@@ -138,12 +138,11 @@ class Report:
 class ComputeOptions:
     """Knobs shared by all weight computations.
 
-    Progress events go to ``progress`` if set, else to stderr when
-    ``verbose``; ``work_limit`` caps each Grassmannian a spectrum enumerates;
-    ``report`` collects one RunReport per weight computation.
+    Progress events go to ``progress`` if set; ``work_limit`` caps each
+    Grassmannian a spectrum enumerates; ``report`` collects one RunReport per
+    weight computation.
     """
 
-    verbose: bool = False
     work_limit: int = 10**9
     progress: Callable[[RoundEvent], None] | None = None
     report: Report | None = None
@@ -152,12 +151,6 @@ class ComputeOptions:
 def _emit(opts: ComputeOptions, ev: RoundEvent) -> None:
     if opts.progress is not None:
         opts.progress(ev)
-    elif opts.verbose:
-        print(
-            f"r={ev.r} w={ev.w} lower={ev.lower} upper={ev.upper} mats={ev.active_mats}"
-            f" subspaces={ev.subspaces} t={ev.elapsed_s * 1000:.1f}ms",
-            file=sys.stderr,
-        )
 
 
 def _make_witness(field, base: np.ndarray, s_cols: np.ndarray, j: int, weight: int, k: int,
@@ -403,21 +396,6 @@ def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, stop):
     return upper, witness, count
 
 
-def _select_final_matrices(reds, last, w, upper):
-    """Minimal prefix (ascending redundancy) of the participating matrices
-    (the keys of ``last``) to process in a predicted final round, counting
-    the others at their stale bound."""
-    contrib = {j: last[j] + 1 - reds[j] if last[j] is not None else 0 for j in last}
-    total = sum(contrib.values())
-    sel = []
-    for j in sorted(last, key=lambda j: (reds[j], j)):
-        total += w + 1 - reds[j] - contrib[j]
-        sel.append(j)
-        if total >= upper:
-            break
-    return sorted(sel)
-
-
 def _first_witness(field, mats, rows, k):
     """The starting witness: r = len(``rows``) rows of the systematic
     ``mats[0]``, of weight at most n - k + r."""
@@ -433,22 +411,22 @@ def _run(field, mats, reds, ghs, rows, r, lower, opts) -> RunReport:
     ``lower``."""
     k = mats[0].shape[0]
     report = RunReport(r=r)
-    # Matrix j is credited w + 1 - R_j only after covering every round r..w.
-    # One with R_j > r would skip round r, so it takes no part in this run.
-    last_round = {j: None for j in range(len(mats)) if reds[j] <= r}
+    # Matrices with R_j <= r take part, each credited r - R_j at the start:
+    # G_j is the identity on I_j, so every r-dimensional subspace meets I_j
+    # in at least r coordinates.  A scanned round adds one per matrix; only
+    # a final round scans a proper prefix of ``parts``, so one counter holds.
+    parts = sorted((j for j in range(len(mats)) if reds[j] <= r), key=lambda j: (reds[j], j))
+    covered = sum(r - reds[j] for j in parts)
+    lower = max(lower, covered)
     witness = _first_witness(field, mats, rows[:r], k)
     w, upper = r, witness.weight
 
     while w <= k and lower < upper:
         t0 = time.perf_counter()
-        sel = list(last_round)
-        if sum(w + 1 - reds[j] for j in sel) >= upper:
-            sel = _select_final_matrices(reds, last_round, w, upper)
+        sel = sorted(parts[: upper - covered])
         upper, witness, nsub = _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, lower)
         report.subspaces_enumerated += nsub
-        for j in sel:
-            last_round[j] = w
-        covered = sum(last + 1 - reds[j] for j, last in last_round.items() if last is not None)
+        covered += len(sel)
         lower = max(lower, covered)
         ev = RoundEvent(
             r=r,
@@ -529,7 +507,7 @@ def _search(c1, c2, ranks, opts: ComputeOptions) -> list[int]:
     values: list[int] = []
     for r in ranks:
         floor_r = 0 if floor is None else floor + r - 1
-        lower = max(r, floor_r, values[-1] + 1 if values else 0)
+        lower = max(floor_r, values[-1] + 1 if values else 0)
         values.append(_run(field, mats, dec.reds, ghs, rows, r, lower, opts).value)
     return values
 

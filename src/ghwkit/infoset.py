@@ -1,9 +1,8 @@
 """Information sets, systematic generator matrices and redundancies.
 
-The decomposition drives the lower bound of the search: after processing all
-subspaces of support size w, every generator matrix G_j contributes
-max(0, w + 1 - R_j) to the bound, where R_j is the overlap of its information
-set with all earlier ones.
+The decomposition drives the lower bound of the search for d_r: each G_j
+with R_j <= r, where R_j is the overlap of its information set with all
+earlier ones, counts r - R_j, and w + 1 - R_j once rounds r..w have run on it.
 """
 
 from __future__ import annotations

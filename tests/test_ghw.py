@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ghwkit.code import bch_bound, code_from_rows, dual, is_cyclic, make_rs, new_code, support_weight
 from ghwkit.enumeration import gaussian_binomial
@@ -256,6 +256,12 @@ def test_options_take_no_lower_bound_or_decomposition():
             ComputeOptions(**{name: value})
 
 
+def test_options_print_nothing_themselves():
+    # round lines are the CLI's progress callback; the library only forwards
+    with pytest.raises(TypeError):
+        ComputeOptions(verbose=True)
+
+
 CYCLIC_CASES = (
     (F2, 7, [1]),
     (F2, 15, [1, 3]),
@@ -438,6 +444,37 @@ def test_matrix_sitting_out_early_rounds_earns_no_credit():
     assert h.values == tuple(naive_ghw(C, r) for r in range(1, 8))
     for run in report.runs:
         verify_run(C, dec, run)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([F2, F3, F4]), st.data())
+def test_round_lower_bounds_follow_from_the_redundancies(F, data):
+    # on a non-cyclic code a single run's lower bound is the start credit
+    # sum_{R_j <= r} (r - R_j) plus one per matrix each round scanned, so
+    # the decomposition's redundancies and the events certify it
+    k = data.draw(st.integers(1, 4), label="k")
+    n = data.draw(st.integers(k, 9), label="n")
+    r = data.draw(st.integers(1, k), label="r")
+    C = random_code(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")), F, n, k)
+    assume(not is_cyclic(C))
+    report = Report()
+    assert ghw(C, r, ComputeOptions(report=report)) == naive_ghw(C, r)
+    covered = sum(r - red for red in information(C).reds if red <= r)
+    for ev in report.runs[0].rounds:
+        covered += ev.active_mats
+        assert ev.lower == min(ev.upper, covered), (ev, covered)
+
+
+def test_start_credit_closes_a_run_before_any_round():
+    # six disjoint information sets, all with R = 0: the start credit
+    # 6 * (1 - 0) meets the starting witness's weight 6
+    C = code_from_rows(F3, [[1, 1, 1, 1, 1, 2]])
+    assert information(C).reds == (0,) * 6
+    report = Report()
+    assert ghw(C, 1, ComputeOptions(report=report)) == 6
+    run = report.runs[0]
+    assert run.rounds == [] and run.subspaces_enumerated == 0
+    assert run.witness.synthesized
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
