@@ -54,11 +54,13 @@ def code_from_rows(field: FiniteField, rows) -> LinearCode:
 
 
 def dual(code: LinearCode) -> LinearCode:
-    """The orthogonal code, generated by a right-kernel basis of G."""
+    """The orthogonal code, generated by a right-kernel basis of G.  The
+    basis is the identity on the free columns of G's RREF, so it has full
+    rank and needs no second elimination."""
     if code.k == code.n:
         raise ZeroDual("the full space has a zero dual with no generator matrix")
     H = code.G.right_kernel_basis()
-    return new_code(code.field, H)
+    return LinearCode(field=code.field, G=H, n=code.n, k=H.rows)
 
 
 def encode_subspace(Gj: MatrixGF, RE: MatrixGF) -> MatrixGF:

@@ -12,7 +12,9 @@ The stream yields each matrix as its r row codes: row x of length w has code
 sum_t x_t q^t (x_t at 0-based column t), exact for every q^w.  Per pivot
 shape, the codes of the longest suffix of free columns that fits in a block
 are tabulated once; a block decodes only its rows' prefix columns and adds
-them to that table by broadcasting; blocks are read-only.  This module is
+them to that table by broadcasting.  Tables, prefixes and blocks are built
+row-major, (r, count), so those adds run along the long axis; each block is
+yielded as its read-only (count, r) transpose, whose columns are contiguous.  This module is
 the only one that encodes or decodes that format; ``row_digits`` turns codes
 back into rows, and ``subspace_blocks`` is the decoded stream.
 
@@ -124,7 +126,8 @@ def subspace_codes(
     ints in object arrays.  A shape's longest suffix of free columns with at
     most ``block_size`` choices is tabulated once, pivots included (P codes);
     a block decodes its rows' prefixes by ``np.unravel_index`` and adds each to
-    the table, so it may be a slice of an array shared with its shape."""
+    the table.  All three are (r, count) arrays, and a block is the transpose
+    of a slice of one, so each column ``codes[:, t]`` is contiguous."""
     if not 1 <= r <= w:
         raise BadArgs(f"need 1 <= r <= w, got r={r}, w={w}")
     if block_size < 1:
@@ -139,23 +142,23 @@ def subspace_codes(
             # and must be nonzero somewhere: q^z - 1 choices.
             for col in range(pivot, nxt - 1):
                 vals = _nonzero(z, field, dtype)
-                add = np.zeros((vals.shape[0], r), dtype=dtype)
-                add[:, :z] = vals * qpow[col]
+                add = np.zeros((r, vals.shape[0]), dtype=dtype)
+                add[:z] = vals.T * qpow[col]
                 adds.append(add)
-        sizes = [a.shape[0] for a in adds]
+        sizes = [a.shape[1] for a in adds]
         total = prod(sizes)
-        suffix, cut = qpow[[i - 1 for i in shape]][None], len(adds)
-        while cut and len(suffix) * sizes[cut - 1] <= block_size:
+        suffix, cut = qpow[[i - 1 for i in shape]][:, None], len(adds)
+        while cut and suffix.shape[1] * sizes[cut - 1] <= block_size:
             cut -= 1
-            suffix = (adds[cut][:, None] + suffix[None]).reshape(-1, r)
-        P = len(suffix)
+            suffix = (adds[cut][:, :, None] + suffix[:, None]).reshape(r, -1)
+        P = suffix.shape[1]
         for lo in range(0, total, block_size):
             hi = min(lo + block_size, total)
             idx = np.arange(lo // P, -(-hi // P))
-            prefix = np.zeros((idx.size, r), dtype=dtype)
+            prefix = np.zeros((r, idx.size), dtype=dtype)
             for add, sel in zip(adds[:cut], np.unravel_index(idx, sizes[:cut] or [1])):
-                prefix += add[sel]
-            codes = (prefix[:, None] + suffix[None]).reshape(-1, r)[lo - idx[0] * P : hi - idx[0] * P]
+                prefix += add[:, sel]
+            codes = (prefix[:, :, None] + suffix[:, None]).reshape(r, -1)[:, lo - idx[0] * P : hi - idx[0] * P].T
             codes.flags.writeable = False
             yield codes
 

@@ -15,7 +15,8 @@ subspaces.  Per round, every w-subset S of the message coordinates and every
 matrix G_j gets a table of the supports of x·G_j[S] for all q^w messages x,
 packed into uint64 words; a subspace's support is the OR of its r basis
 rows' masks, looked up by the row codes that the subspace stream yields.
-Relative weights also tabulate the syndromes x·(G_j·H2ᵀ)[S].  Over GF(2^s)
+Relative weights also tabulate the syndromes x·(G_j·H2ᵀ)[S], on only the
+k1 - k2 checks of C2 that C1 needs (the pivot columns of G1·H2ᵀ).  Over GF(2^s)
 the tables of all messages are built additively, with no field product: a
 message's entry is a shorter message's entry XOR one precomputed multiple of
 a matrix row, kept as packed bit-planes.  A round whose tables, with the
@@ -25,7 +26,9 @@ sets at a time, through one product per chunk and the same weighing; both
 modes give the same bounds, witnesses and counts.
 
 Relative weights M_r(C1, C2) run the same search on C1 and keep only the
-subspaces that meet C2 in 0.  The spectra weigh every subspace through one
+subspaces that meet C2 in 0.  A hierarchy seeds each run after the first
+with the averaging bound ceil((q^r - 1)·d_{r-1} / (q^r - q)), proven in
+_search, which holds for relative weights too.  The spectra weigh every subspace through one
 generator matrix with the search's kernel and C2 rejection and no bound;
 they go by w, then r, so each w's tables are built once.  The naive oracles
 enumerate the full Grassmannian through a single generator matrix with no
@@ -49,7 +52,7 @@ from .code import LinearCode, bch_bound, dual
 from .enumeration import gaussian_binomial, row_digits, subspace_blocks, subspace_codes
 from .errors import BadHierarchy, BadRank, GHWError, NotNested, WorkLimitExceeded
 from .infoset import information
-from .matrix import MatrixGF, rank_array, rref_array
+from .matrix import MatrixGF, rref_array
 
 
 @dataclass(frozen=True)
@@ -240,7 +243,7 @@ def _tables(field, X: np.ndarray, B: np.ndarray, cols: np.ndarray, n: int):
     """The tables of the messages X on the support sets ``cols``, an (nS, w)
     array, through each stacked [G_j | G_j·H2ᵀ] of B, with one field.matmul:
     the masks, an (nS, |sel|, len(X), words) uint64 array, and the
-    syndromes, (nS, |sel|, len(X), n - k2), or None without C2."""
+    syndromes, (nS, |sel|, len(X), k1 - k2), or None without C2."""
     nj, (ns, w), width = len(B), cols.shape, B.shape[-1]
     prod = field.matmul(X, B[:, cols].transpose(2, 1, 0, 3).reshape(w, -1))
     prod = prod.reshape(-1, ns, nj, width).transpose(1, 2, 0, 3)
@@ -330,8 +333,8 @@ def _block_tables(field, tabs, codes: np.ndarray, n: int):
     supports, B, full = tabs
     m, r = codes.shape
     if full is None:
-        used, codes = np.unique(codes.ravel(), return_inverse=True)
-        X, codes = row_digits(used, field.q, supports.shape[1]), codes.reshape(m, r)
+        used, codes = np.unique(codes.T, return_inverse=True)
+        X, codes = row_digits(used, field.q, supports.shape[1]), codes.reshape(r, m).T
         step = max(1, _GATHER_ELEMS // (len(B) * len(X) * B.shape[-1]))
     else:
         width = full[0].shape[-1] + r * (B.shape[-1] - n)
@@ -396,19 +399,12 @@ def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, stop):
     return upper, witness, count
 
 
-def _first_witness(field, mats, rows, k):
-    """The starting witness: r = len(``rows``) rows of the systematic
-    ``mats[0]``, of weight at most n - k + r."""
-    r = len(rows)
-    weight = int((mats[0][rows] != 0).any(axis=0).sum())
-    return _make_witness(field, np.eye(r, dtype=np.int64), np.array(rows), 0, weight, k, synthesized=True)
-
-
-def _run(field, mats, reds, ghs, rows, r, lower, opts) -> RunReport:
+def _run(field, mats, reds, ghs, rows, start, r, lower, opts) -> RunReport:
     """Bounded search for d_r (M_r when ``ghs`` is given) through the
-    systematic ``mats`` with redundancies ``reds``, their syndrome matrices
-    ``ghs`` and starting-witness rows ``rows``, from the lower bound
-    ``lower``."""
+    systematic ``mats`` with redundancies ``reds`` and their syndrome
+    matrices ``ghs``, from the lower bound ``lower``.  The starting witness
+    is ``rows[:r]`` of ``mats[0]``, of weight ``start``; it is built only if
+    the search finds nothing lighter."""
     k = mats[0].shape[0]
     report = RunReport(r=r)
     # Matrices with R_j <= r take part, each credited r - R_j at the start:
@@ -418,8 +414,7 @@ def _run(field, mats, reds, ghs, rows, r, lower, opts) -> RunReport:
     parts = sorted((j for j in range(len(mats)) if reds[j] <= r), key=lambda j: (reds[j], j))
     covered = sum(r - reds[j] for j in parts)
     lower = max(lower, covered)
-    witness = _first_witness(field, mats, rows[:r], k)
-    w, upper = r, witness.weight
+    witness, w, upper = None, r, start
 
     while w <= k and lower < upper:
         t0 = time.perf_counter()
@@ -442,7 +437,9 @@ def _run(field, mats, reds, ghs, rows, r, lower, opts) -> RunReport:
         w += 1
 
     report.value = upper
-    report.witness = witness
+    report.witness = witness or _make_witness(
+        field, np.eye(r, dtype=np.int64), np.array(rows[:r]), 0, upper, k, synthesized=True
+    )
     if opts.report is not None:
         opts.report.runs.append(report)
     return report
@@ -468,18 +465,23 @@ def _cyclic_floor(code: LinearCode, M: np.ndarray, iset) -> int | None:
 
 
 def _nested_pair(c1: LinearCode, c2: LinearCode | None):
-    """C2's parity-check matrix transposed (None without C2) and the largest
-    valid r, after checking that C2 is a proper subcode of C1."""
+    """The k1 - k2 checks of C2 that decide membership for words of C1, as
+    an (n, k1 - k2) matrix Hᵀ (None without C2), and the largest valid r,
+    after checking that C2 is a proper subcode of C1.  Every column of
+    G1·H2ᵀ is a combination of its pivot columns, so x ∈ C1 lies in C2 iff
+    its syndrome is zero on those.  The kernel of G1·H2ᵀ, {m : m·G1 ∈ C2},
+    has dimension dim(C1 ∩ C2), so C2 ⊆ C1 iff its rank is k1 - k2."""
     if c2 is None:
         return None, c1.k
     if c1.field != c2.field or c1.n != c2.n:
         raise NotNested("codes must share the same field and length")
     if c2.k >= c1.k:
         raise NotNested(f"need dim C2 < dim C1, got {c2.k} >= {c1.k}")
-    stacked = np.vstack([c1.G.array, c2.G.array])
-    if rank_array(c1.field, stacked) != c1.k:
+    h2t = dual(c2).G.array.T
+    piv = rref_array(c1.field, c1.field.matmul(c1.G.array, h2t))[1]
+    if len(piv) != c1.k - c2.k:
         raise NotNested("C2 is not a subcode of C1")
-    return dual(c2).G.array.T.copy(), c1.k - c2.k
+    return h2t[:, piv], c1.k - c2.k
 
 
 def _check_rank(r: int, rmax: int, c2) -> None:
@@ -490,8 +492,14 @@ def _check_rank(r: int, rmax: int, c2) -> None:
 
 def _search(c1, c2, ranks, opts: ComputeOptions) -> list[int]:
     """d_r of C1, or M_r(C1, C2) when ``c2`` is given, for each r of
-    ``ranks`` (None: every valid r).  Each run after the first chains the
-    previous value + 1 as its lower bound."""
+    ``ranks`` (None: every valid r, else one r).  Each run after the first
+    is seeded with the averaging bound of the previous run's value d:
+    d_r >= ceil((q^r - 1)·d / (q^r - q)), which exceeds d.  Proof: let D be
+    an r-dimensional subcode of weight d_r (meeting C2 in 0).  Each of its
+    N = (q^r - 1)/(q - 1) hyperplanes H is (r-1)-dimensional (and meets C2
+    in 0), so |supp H| >= d_{r-1}.  A coordinate in supp D vanishes on
+    exactly one hyperplane of D, so it lies in supp H for N - 1 of them:
+    (N - 1)·d_r = sum_H |supp H| >= N·d_{r-1}, and N/(N - 1) = (q^r - 1)/(q^r - q)."""
     h2t, rmax = _nested_pair(c1, c2)
     ranks = range(1, rmax + 1) if ranks is None else ranks
     for r in ranks:
@@ -504,11 +512,15 @@ def _search(c1, c2, ranks, opts: ComputeOptions) -> list[int]:
     # the rows whose syndromes extend the span of those before them (the k1
     # syndromes span dimension k1 - k2 >= r)
     rows = list(range(c1.k)) if ghs is None else rref_array(field, ghs[0].T)[1]
+    # the starting witness of run r spans rows[:r]: one cumulative OR weighs all
+    starts = np.logical_or.accumulate(mats[0][rows] != 0, axis=0).sum(axis=1).tolist()
     values: list[int] = []
+    q = field.q
     for r in ranks:
-        floor_r = 0 if floor is None else floor + r - 1
-        lower = max(floor_r, values[-1] + 1 if values else 0)
-        values.append(_run(field, mats, dec.reds, ghs, rows, r, lower, opts).value)
+        lower = 0 if floor is None else floor + r - 1
+        if values:
+            lower = max(lower, -(-(q**r - 1) * values[-1] // (q**r - q)))
+        values.append(_run(field, mats, dec.reds, ghs, rows, starts[r - 1], r, lower, opts).value)
     return values
 
 
@@ -518,8 +530,8 @@ def ghw(code: LinearCode, r: int, opts: ComputeOptions | None = None) -> int:
 
 
 def hierarchy(code: LinearCode, opts: ComputeOptions | None = None) -> Hierarchy:
-    """The full weight hierarchy [d_1..d_k], chaining d_{r-1}+1 as the lower
-    bound of each inner run."""
+    """The full weight hierarchy [d_1..d_k], seeding each inner run with the
+    averaging bound of d_{r-1}."""
     return Hierarchy(tuple(_search(code, None, None, opts or ComputeOptions())))
 
 
@@ -530,7 +542,8 @@ def rghw(c1: LinearCode, c2: LinearCode, r: int, opts: ComputeOptions | None = N
 
 
 def rhierarchy(c1: LinearCode, c2: LinearCode, opts: ComputeOptions | None = None) -> Hierarchy:
-    """The relative weight hierarchy [M_1..M_{k1-k2}] with chained bounds."""
+    """The relative weight hierarchy [M_1..M_{k1-k2}], each inner run seeded
+    with the averaging bound of M_{r-1}."""
     return Hierarchy(tuple(_search(c1, c2, None, opts or ComputeOptions())))
 
 
@@ -558,9 +571,11 @@ def hierarchy_auto(code: LinearCode, opts: ComputeOptions | None = None) -> Hier
 
 def _naive(c1: LinearCode, c2: LinearCode | None, r: int) -> int:
     """Minimum encoded support over the whole Grassmannian through C1's
-    generator matrix, keeping only subspaces that meet C2 in 0."""
-    h2t, rmax = _nested_pair(c1, c2)
+    generator matrix, keeping only subspaces that meet C2 in 0, tested on
+    all n - k2 checks of C2."""
+    _, rmax = _nested_pair(c1, c2)
     _check_rank(r, rmax, c2)
+    h2t = None if c2 is None else dual(c2).G.array.T
     best = c1.n + 1
     for w in range(r, c1.k + 1):
         best, _, _ = _scan_round(c1.field, [c1.G.array], [0], r, w, c1.k, best, None, h2t, None)

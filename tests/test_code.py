@@ -73,13 +73,18 @@ def test_dual_examples():
 
 
 def test_dual_is_involutive():
+    # dual builds its code without a second elimination: its generator
+    # must still have full rank n - k and be orthogonal to C
     rng = np.random.default_rng(23)
-    for F in (F2, F3, F5):
+    for F in (F2, F3, build_field(2, 2), F5, build_field(2, 3)):
         for _ in range(10):
             n = int(rng.integers(2, 8))
             k = int(rng.integers(1, n))
             C = random_code(rng, F, n, k)
-            DD = dual(dual(C))
+            D = dual(C)
+            assert D.k == D.G.rank() == n - k and D.n == n
+            assert not F.matmul(C.G.array, D.G.array.T).any()
+            DD = dual(D)
             assert DD.G.rref()[0] == C.G.rref()[0]
 
 

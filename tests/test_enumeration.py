@@ -273,6 +273,17 @@ def test_subspace_code_blocks_are_read_only():
     for codes in blocks:
         with pytest.raises(ValueError):
             codes[0, 0] = 0
+    # every block, int64 or object, is read-only, and each column the kernel
+    # gathers by is contiguous
+    F16 = build_field(2, 16)
+    streams = [(F, r, w, bs) for F in (F2, F3, F4) for r, w in ((1, 3), (2, 4), (3, 5)) for bs in (1, 7, DEFAULT_BLOCK)]
+    streams += [(F16, 1, 3, 100), (F16, 4, 4, DEFAULT_BLOCK), (F16, 1, 4, 100)]
+    for F, r, w, bs in streams:
+        for i, codes in enumerate(subspace_codes(r, w, F, bs)):
+            assert not codes.flags.writeable
+            assert all(codes[:, t].flags.c_contiguous for t in range(r))
+            if i == 3:
+                break
 
 
 def test_free_columns_are_built_once_per_process(monkeypatch):

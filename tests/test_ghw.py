@@ -1,6 +1,7 @@
 import sys
 from contextlib import ExitStack
 from functools import partial
+from math import comb
 from unittest import mock
 
 import numpy as np
@@ -42,7 +43,10 @@ from support import (
 F2 = build_field(2)
 F3 = build_field(3)
 F4 = build_field(2, 2)
+F5 = build_field(5)
+F8 = build_field(2, 3)
 F13 = build_field(13)
+GHW = sys.modules["ghwkit.ghw"]
 
 
 def hamming():
@@ -516,3 +520,84 @@ def test_c2_mask_against_rank(F, r, c, seed):
             blk[i] = F.add_arrays(F.mul_arrays(blk[j], a), F.mul_arrays(blk[l], b))
     got = _meets_c2_in_zero(F, S, np.eye(c, dtype=np.int64), r)
     assert got.tolist() == [rank_array(F, blk) == r for blk in S]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([F2, F3, F4, F5]), st.data())
+def test_averaging_bound_against_the_oracles(F, data):
+    # the oracles' hierarchies obey d_r >= ceil((q^r - 1) d_{r-1} / (q^r - q)),
+    # absolute and relative, and the searches, each run r >= 2 seeded with
+    # that bound of the run before, equal them
+    k = data.draw(st.integers(2, 5 if F.q == 2 else 3), label="k")
+    n = data.draw(st.integers(k, 8), label="n")
+    k2 = data.draw(st.integers(0, k - 2), label="k2")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if k2:
+        c1, c2 = random_nested_pair(rng, F, n, k, k2)
+        run, oracle = partial(rhierarchy, c1, c2), partial(naive_rghw, c1, c2)
+    else:
+        c1, c2 = random_code(rng, F, n, k), None
+        run, oracle = partial(hierarchy, c1), partial(naive_ghw, c1)
+    report = Report()
+    with mock.patch.object(GHW, "_run", wraps=GHW._run) as runs:
+        got = run(ComputeOptions(report=report)).values
+    assert got == tuple(oracle(r) for r in range(1, k - k2 + 1))
+    dec = information(c1)
+    for r, (prev, value) in enumerate(zip(got, got[1:]), start=2):
+        seed = -(-(F.q**r - 1) * prev // (F.q**r - F.q))
+        assert value >= seed > prev
+        r_arg, lower = runs.call_args_list[r - 1].args[-3:-1]
+        assert r_arg == r and lower >= seed
+    for one in report.runs:
+        verify_run(c1, dec, one, c2=c2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([F2, F3, F4, F8]), st.data())
+def test_relative_weights_with_spare_checks(F, data):
+    # n - k2 >= k1 - k2 + 2, so C2 has checks that C1 does not need; the
+    # brute force enumerates C(q^k1 - 1, r) tuples, kept to a few thousand
+    k1 = data.draw(st.integers(2, {2: 5, 3: 4, 4: 4, 8: 3}[F.q]), label="k1")
+    lo = min(k2 for k2 in range(1, k1) if comb(F.q**k1 - 1, k1 - k2) <= 4000)
+    k2 = data.draw(st.integers(lo, k1 - 1), label="k2")
+    n = data.draw(st.integers(k1 + 2, 9), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    c1, c2 = random_nested_pair(np.random.default_rng(seed), F, n, k1, k2)
+    report = Report()
+    got = rhierarchy(c1, c2, ComputeOptions(report=report)).values
+    spectrum = rhigher_spectrum(c1, c2)
+    dec = information(c1)
+    for r in range(1, k1 - k2 + 1):
+        ref = brute_rspectrum(c1, c2, r)
+        assert spectrum.counts[r] == ref, r
+        assert got[r - 1] == naive_rghw(c1, c2, r) == min(ref), r
+        verify_run(c1, dec, report.runs[r - 1], c2=c2)
+
+
+def test_the_search_keeps_k1_minus_k2_checks_and_the_oracle_all():
+    c1, c2 = random_nested_pair(np.random.default_rng(5), F3, 12, 4, 2)
+    h2t, rmax = GHW._nested_pair(c1, c2)
+    assert h2t.shape == (12, 2) and rmax == 2
+    with mock.patch.object(GHW, "_scan_kernel", wraps=GHW._scan_kernel) as kernel, \
+            mock.patch.object(GHW, "_scan_round", wraps=GHW._scan_round) as plain:
+        assert rghw(c1, c2, 2) == naive_rghw(c1, c2, 2)
+    assert {g.shape for call in kernel.call_args_list for g in call.args[2]} == {(4, 2)}
+    assert {call.args[8].shape for call in plain.call_args_list} == {(12, 10)}
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4], ids=["GF2", "GF3", "GF4"])
+def test_a_c2_partly_inside_or_outside_c1_is_not_nested(F):
+    rng = np.random.default_rng(17)
+    c1 = random_code(rng, F, 8, 4)
+    while True:
+        extra = random_code(rng, F, 8, 3).G.array
+        if rank_array(F, np.vstack([c1.G.array, extra])) == 7:
+            break
+    partly = code_from_rows(F, np.vstack([c1.G.array[:1], extra[:1]]))
+    outside = code_from_rows(F, extra[:2])
+    for c2, meet in ((partly, 1), (outside, 0)):
+        assert rank_array(F, np.vstack([c1.G.array, c2.G.array])) == 4 + 2 - meet
+        for fn in (partial(rghw, c1, c2, 1), partial(naive_rghw, c1, c2, 1),
+                   partial(rhierarchy, c1, c2), partial(rhigher_spectrum, c1, c2)):
+            with pytest.raises(NotNested):
+                fn()
