@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BadArgs
+from .errors import BadArgs, WorkLimitExceeded
 from .gf import FiniteField
 from .matrix import MatrixGF
 
@@ -127,7 +127,10 @@ def subspace_codes(
     most ``block_size`` choices is tabulated once, pivots included (P codes);
     a block decodes its rows' prefixes by ``np.unravel_index`` and adds each to
     the table.  All three are (r, count) arrays, and a block is the transpose
-    of a slice of one, so each column ``codes[:, t]`` is contiguous."""
+    of a slice of one, so each column ``codes[:, t]`` is contiguous.  A shape
+    whose prefix choices overflow intp raises WorkLimitExceeded; the first
+    shape has the most choices in every free column, so that happens before
+    any block is built."""
     if not 1 <= r <= w:
         raise BadArgs(f"need 1 <= r <= w, got r={r}, w={w}")
     if block_size < 1:
@@ -152,6 +155,9 @@ def subspace_codes(
             cut -= 1
             suffix = (adds[cut][:, :, None] + suffix[:, None]).reshape(r, -1)
         P = suffix.shape[1]
+        choices = prod(sizes[:cut])
+        if choices > np.iinfo(np.intp).max:
+            raise WorkLimitExceeded(f"{choices} prefix choices of pivot shape {shape} overflow intp")
         for lo in range(0, total, block_size):
             hi = min(lo + block_size, total)
             idx = np.arange(lo // P, -(-hi // P))

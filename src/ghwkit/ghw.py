@@ -13,10 +13,12 @@ Subspaces are weighed by a support-mask kernel, the Brouwer–Zimmermann
 trick of encoding every message on a window once, extended from codewords to
 subspaces.  Per round, every w-subset S of the message coordinates and every
 matrix G_j gets a table of the supports of x·G_j[S] for all q^w messages x,
-packed into uint64 words; a subspace's support is the OR of its r basis
-rows' masks, looked up by the row codes that the subspace stream yields.
-Relative weights also tabulate the syndromes x·(G_j·H2ᵀ)[S], on only the
-k1 - k2 checks of C2 that C1 needs (the pivot columns of G1·H2ᵀ).  Over GF(2^s)
+packed into uint64 words.  The tables are message-major, (q^w, nS, |sel|,
+words): message x owns one contiguous row of masks for every (S, G_j), and a
+subspace's supports are the OR of the r rows that its basis rows' codes,
+yielded by the subspace stream, select.  Relative weights also tabulate the
+syndromes x·(G_j·H2ᵀ)[S] in the same order, on only the k1 - k2 checks of C2
+that C1 needs (the pivot columns of G1·H2ᵀ).  Over GF(2^s)
 the tables of all messages are built additively, with no field product: a
 message's entry is a shorter message's entry XOR one precomputed multiple of
 a matrix row, kept as packed bit-planes.  A round whose tables, with the
@@ -227,10 +229,13 @@ def _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop):
 # The support-mask kernel.  For every w-subset S of the message coordinates
 # and every selected matrix G_j, the mask table of a list X of messages on w
 # coordinates holds the support of X·G_j[S] as packed uint64 words, and with
-# C2 the syndrome table holds X·(G_j·H2ᵀ)[S].  A subspace placed on S is then
-# weighed as the popcount of the OR of its r basis rows' masks, looked up by
-# their row codes (subspace_codes).  X lists all q^w messages in code order,
-# once per round, when those tables and the XOR entries they are built from
+# C2 the syndrome table holds X·(G_j·H2ᵀ)[S].  Both are message-major,
+# (len(X), nS, |sel|, words) and (len(X), nS, |sel|, k1 - k2), so one
+# message's entries for every (S, G_j) are one contiguous row.  A block of
+# subspaces is then weighed on a chunk of S at once as the popcount of the OR
+# of the rows that its r basis rows' codes select (subspace_codes), each
+# lookup a copy of whole rows.  X lists all q^w messages in code order, once
+# per round, when those tables and the XOR entries they are built from
 # fit _TABLE_BYTES; otherwise X lists the distinct rows of one stream block,
 # looked up by position.  Tables of X go through one field.matmul per chunk
 # (_tables), except those of all messages over GF(2^s), which are built by
@@ -241,12 +246,12 @@ _TABLE_BYTES = 1 << 25  # largest tables of all q^w messages, with their entries
 
 def _tables(field, X: np.ndarray, B: np.ndarray, cols: np.ndarray, n: int):
     """The tables of the messages X on the support sets ``cols``, an (nS, w)
-    array, through each stacked [G_j | G_j·H2ᵀ] of B, with one field.matmul:
-    the masks, an (nS, |sel|, len(X), words) uint64 array, and the
-    syndromes, (nS, |sel|, len(X), k1 - k2), or None without C2."""
+    array, through each stacked [G_j | G_j·H2ᵀ] of B, with one field.matmul
+    whose product is already message-major: the masks, a (len(X), nS, |sel|,
+    words) uint64 array, and the syndromes, (len(X), nS, |sel|, k1 - k2), or
+    None without C2."""
     nj, (ns, w), width = len(B), cols.shape, B.shape[-1]
-    prod = field.matmul(X, B[:, cols].transpose(2, 1, 0, 3).reshape(w, -1))
-    prod = prod.reshape(-1, ns, nj, width).transpose(1, 2, 0, 3)
+    prod = field.matmul(X, B[:, cols].transpose(2, 1, 0, 3).reshape(w, -1)).reshape(-1, ns, nj, width)
     masks = np.zeros(prod.shape[:3] + (-(-n // 64) * 8,), dtype=np.uint8)
     packed = np.packbits(prod[..., :n] != 0, axis=-1, bitorder="little")
     masks[..., : packed.shape[-1]] = packed
@@ -279,15 +284,15 @@ def _xor_tables(entries: np.ndarray, cols: np.ndarray, s: int, n: int):
     """_tables of all q^w messages over GF(2^s) on the support sets ``cols``,
     doubled from the round's ``entries`` with no field product.  Rows c < q
     of a table are the entries of c·B[j, S_0]; for x < q^t, row c·q^t + x is
-    row x XOR the entry of c·B[j, S_t]; and a mask is the OR of its row's
-    planes."""
+    row x XOR the entry of c·B[j, S_t], so each (t, c) fills one contiguous
+    slab of q^t message rows; and a mask is the OR of its row's planes."""
     (nj, _, q, width), (ns, w), words = entries.shape, cols.shape, -(-n // 64)
-    tab = np.empty((ns, nj, q**w, width), dtype="<u8")
-    tab[:, :, :q] = entries[:, cols[:, 0]].transpose(1, 0, 2, 3)
+    tab = np.empty((q**w, ns, nj, width), dtype="<u8")
+    tab[:q] = entries[:, cols[:, 0]].transpose(2, 1, 0, 3)
     for t in range(1, w):
         for c in range(1, q):
-            add = entries[:, cols[:, t], c].transpose(1, 0, 2)[:, :, None]
-            np.bitwise_xor(tab[:, :, : q**t], add, out=tab[:, :, c * q**t : (c + 1) * q**t])
+            add = entries[:, cols[:, t], c].transpose(1, 0, 2)
+            np.bitwise_xor(tab[: q**t], add, out=tab[c * q**t : (c + 1) * q**t])
     masks = np.bitwise_or.reduce(tab[..., : s * words].reshape(tab.shape[:3] + (s, words)), axis=3)
     return masks, tab[..., s * words :].view(np.int64) if width > s * words else None
 
@@ -296,8 +301,9 @@ def _round_tables(field, mats, ghs, sel, k: int, w: int):
     """The nS = C(k, w) support sets of round w as an (nS, w) array, the
     stacked [G_j | G_j·H2ᵀ] of the selected matrices (G_j alone without C2),
     and the tables of all q^w messages on every support set when they fit
-    _TABLE_BYTES together with the XOR entries they are built from, else
-    None: then each block tabulates its own rows."""
+    _TABLE_BYTES together with the XOR entries they are built from, as
+    message-major (q^w, nS, |sel|, ·) arrays filled a chunk of support sets
+    at a time, else None: then each block tabulates its own rows."""
     ns, nq, n, nj = comb(k, w), field.q**w, mats[0].shape[1], len(sel)
     # one product gives each message's codeword and, with C2, its syndrome
     B = np.stack([mats[j] if ghs is None else np.hstack([mats[j], ghs[j]]) for j in sel])
@@ -312,13 +318,13 @@ def _round_tables(field, mats, ghs, sel, k: int, w: int):
         build = partial(_xor_tables, _xor_entries(field, B, n), s=field.s, n=n)
     else:
         build = partial(_tables, field, row_digits(np.arange(nq), field.q, w), B, n=n)
-    masks = np.empty((ns, nj, nq, words), dtype="<u8")
-    syn = None if ghs is None else np.empty((ns, nj, nq, c), dtype=np.int64)
+    masks = np.empty((nq, ns, nj, words), dtype="<u8")
+    syn = None if ghs is None else np.empty((nq, ns, nj, c), dtype=np.int64)
     step = max(1, _GATHER_ELEMS // (nj * nq * width))
     for lo in range(0, ns, step):
-        masks[lo : lo + step], part = build(supports[lo : lo + step])
+        masks[:, lo : lo + step], part = build(supports[lo : lo + step])
         if syn is not None:
-            syn[lo : lo + step] = part
+            syn[:, lo : lo + step] = part
     return supports, B, (masks, syn)
 
 
@@ -326,8 +332,9 @@ def _block_tables(field, tabs, codes: np.ndarray, n: int):
     """For the (m, r) row ``codes`` of a stream block and the round's
     ``tabs``, per chunk of support sets in order: the chunk's support sets,
     the (m, r) positions of the block's rows in the chunk's tables, and the
-    chunk's mask and syndrome tables.  A chunk is a slice of the round's
-    tables of all messages, where a row's position is its code, or else the
+    chunk's mask and syndrome tables, message-major like the round's.  A
+    chunk is a slice of the round's tables of all messages along their
+    support-set axis, where a row's position is its code, or else the
     block's distinct rows tabulated on it; either way it gathers or builds
     at most _GATHER_ELEMS elements."""
     supports, B, full = tabs
@@ -344,23 +351,24 @@ def _block_tables(field, tabs, codes: np.ndarray, n: int):
         if full is None:
             yield supports[sl], codes, *_tables(field, X, B, supports[sl], n)
         else:
-            yield supports[sl], codes, full[0][sl], None if full[1] is None else full[1][sl]
+            yield supports[sl], codes, full[0][:, sl], None if full[1] is None else full[1][:, sl]
 
 
 def _weigh(field, masks, syn, codes: np.ndarray, r: int, upper: int, n: int) -> np.ndarray:
     """Support sizes of the subspaces whose basis rows have the (m, r) row
-    ``codes``, weighed through each of a chunk's tables: the popcount of the
-    OR of their rows' masks, an (nS, |sel|, m) array.  With C2, every one
-    below ``upper`` that meets C2 outside 0 weighs n + 1."""
-    acc = masks[..., codes[:, 0], :]
+    ``codes``, weighed through each of a chunk's message-major tables: the
+    popcount of the OR of the whole (nS, |sel|, words) rows that the codes
+    select, an (m, nS, |sel|) array.  With C2, every one below ``upper``
+    that meets C2 outside 0 weighs n + 1."""
+    acc = masks[codes[:, 0]]
     for t in range(1, r):
-        acc |= masks[..., codes[:, t], :]
+        acc |= masks[codes[:, t]]
     wts = np.bitwise_count(acc).sum(axis=-1, dtype=np.int64)
     if syn is not None:
-        s, j, i = np.nonzero(wts < upper)
-        if s.size:
-            bad = ~_independent(field, syn[s[:, None], j[:, None], codes[i]], r)
-            wts[s[bad], j[bad], i[bad]] = n + 1
+        i, s, j = np.nonzero(wts < upper)
+        if i.size:
+            bad = ~_independent(field, syn[codes[i], s[:, None], j[:, None]], r)
+            wts[i[bad], s[bad], j[bad]] = n + 1
     return wts
 
 
@@ -380,9 +388,9 @@ def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, stop):
         m = codes.shape[0]
         for cols, rows, masks, syn in _block_tables(field, tabs, codes, n):
             wts = _weigh(field, masks, syn, rows, r, upper, n)
-            mins = wts.min(axis=2).ravel()
+            mins = wts.min(axis=0).ravel()
             run = np.minimum(np.minimum.accumulate(mins), upper)
-            visited, stopped = wts.shape[0], False
+            visited, stopped = wts.shape[1], False
             if stop is not None:
                 hit = np.flatnonzero(run[nj - 1 :: nj] <= stop)
                 if hit.size:
@@ -391,7 +399,7 @@ def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, stop):
             best = int(run[visited * nj - 1])
             if best < upper:
                 s, jj = divmod(int(np.argmax(mins == best)), nj)
-                c = int(wts[s, jj].argmin())
+                c = int(wts[:, s, jj].argmin())
                 upper = best
                 witness = _make_witness(field, row_digits(codes[c], field.q, w), cols[s], sel[jj], upper, k)
             if stopped:

@@ -21,7 +21,7 @@ from ghwkit.enumeration import (
     subspaces,
     support_choices,
 )
-from ghwkit.errors import BadArgs
+from ghwkit.errors import BadArgs, WorkLimitExceeded
 from ghwkit.gf import build_field
 from ghwkit.ghw import higher_spectrum
 from ghwkit.matrix import MatrixGF
@@ -265,6 +265,15 @@ def test_large_q_stream_stays_blockwise():
     assert first.dtype == np.int64
     assert np.array_equal(first[:, 0], 1 + 65536 + v * 65536**2)
     assert peak < 16 * 2**20
+
+
+def test_a_stream_whose_prefix_choices_overflow_intp_is_refused():
+    # GF(2^16), r = 1, w = 5: four free columns of 65535 choices each, none
+    # of which fits in a block, so the prefix odometer has 65535^4 > 2^63
+    # states; the first next() refuses the stream before building a block
+    stream = subspace_codes(1, 5, build_field(2, 16))
+    with pytest.raises(WorkLimitExceeded, match="overflow intp"):
+        next(stream)
 
 
 def test_subspace_code_blocks_are_read_only():

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghwkit.code import code_from_rows
-from ghwkit.enumeration import gaussian_binomial, subspace_blocks
+from ghwkit.enumeration import gaussian_binomial, row_digits, subspace_blocks, subspace_codes
 from ghwkit.gf import FiniteField, build_field
 from ghwkit.ghw import (
     ComputeOptions,
@@ -125,6 +125,63 @@ def test_kernel_on_the_scan_mixed_pair_shape(gather):
                     for upper, stop in ((13, None), (12 - r, r + 2), (7, None)):
                         _check_round(c1, c2, r, w, sel, upper, stop)
             _check_spectrum(c1, c2)
+
+
+def _own_tables(field, codes, G, gh, n, w):
+    """The masks and syndromes of the messages with row ``codes`` on the w
+    rows G of a matrix (gh of its syndrome matrix, or None), from their
+    definitions: the support of row_digits(x)·G packed little-endian into
+    ceil(n/64) uint64 words, and row_digits(x)·gh."""
+    X = row_digits(np.asarray(codes), field.q, w)
+    packed = np.zeros((len(X), -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(field.matmul(X, G) != 0, axis=1, bitorder="little")
+    return packed.view("<u8"), None if gh is None else field.matmul(X, gh)
+
+
+@pytest.mark.parametrize(
+    "F, n, k1, k2",
+    [(F2, 12, 5, 0), (F2, 12, 5, 2), (F3, 9, 4, 0), (F3, 9, 4, 1), (F4, 8, 4, 0), (F4, 8, 4, 2),
+     (F8, 7, 3, 0), (F8, 7, 3, 1), (F2, 70, 5, 2)],
+    ids=["GF2", "GF2-C2", "GF3", "GF3-C2", "GF4", "GF4-C2", "GF8", "GF8-C2", "GF2-C2-n70"],
+)
+def test_tables_are_message_major(F, n, k1, k2):
+    # a round's tables of all messages hold message x on support set s
+    # through selected matrix j at masks[x, s, j] and syn[x, s, j]; per
+    # block, chunk tables hold stream row codes[i, t] at rows[i, t]
+    rng = np.random.default_rng(n + 10 * k1 + k2)
+    c1, c2 = random_nested_pair(rng, F, n, k1, k2) if k2 else (random_code(rng, F, n, k1), None)
+    mats = [M.array for M in information(c1).mats]
+    h2t = None if c2 is None else GHW._nested_pair(c1, c2)[0]
+    ghs = None if h2t is None else [F.matmul(M, h2t) for M in mats]
+    sel, words = list(range(len(mats))), -(-n // 64)
+
+    def own(codes, j, S, w):
+        return _own_tables(F, codes, mats[j][S], None if ghs is None else ghs[j][S], n, w)
+
+    for w in range(1, k1 + 1):
+        supports, _, (masks, syn) = GHW._round_tables(F, mats, ghs, sel, k1, w)
+        assert supports.tolist() == [list(S) for S in combinations(range(k1), w)]
+        assert masks.shape == (F.q**w, comb(k1, w), len(sel), words)
+        assert syn is None if c2 is None else syn.shape == masks.shape[:3] + (k1 - k2,)
+        for s, S in enumerate(supports):
+            for jj, j in enumerate(sel):
+                want_masks, want_syn = own(np.arange(F.q**w), j, S, w)
+                assert np.array_equal(masks[:, s, jj], want_masks)
+                assert syn is None or np.array_equal(syn[:, s, jj], want_syn)
+        for table in (None, 0):
+            with budgets(table=table):
+                tabs = GHW._round_tables(F, mats, ghs, sel, k1, w)
+            assert (tabs[2] is None) == (table == 0)
+            for r in range(1, w + 1):
+                for codes in subspace_codes(r, w, F, block_size=500):
+                    for cols, rows, bmasks, bsyn in GHW._block_tables(F, tabs, codes, n):
+                        assert rows.shape == codes.shape
+                        assert bmasks.shape[1:] == (len(cols), len(sel), words)
+                        for s, S in enumerate(cols):
+                            for jj, j in enumerate(sel):
+                                want_masks, want_syn = own(codes.ravel(), j, S, w)
+                                assert np.array_equal(bmasks[rows.ravel(), s, jj], want_masks)
+                                assert bsyn is None or np.array_equal(bsyn[rows.ravel(), s, jj], want_syn)
 
 
 def _spectrum_matches_brute(code, spectrum, ranks):
