@@ -25,7 +25,11 @@ a matrix row, kept as packed bit-planes.  A round whose tables, with the
 entries they are built from, would exceed a fixed byte budget tabulates
 instead the distinct rows of each block of the subspace stream, a few support
 sets at a time, through one product per chunk and the same weighing; both
-modes give the same bounds, witnesses and counts.
+modes give the same bounds, witnesses and counts.  Round w = r, where every
+run starts and most end, builds neither: its one subspace on S, the span of
+e_S, encodes through G_j to the r rows S of G_j, so it is weighed from the
+selected matrices' packed row supports (and rows of syndromes), with no
+stream and no product.
 
 Relative weights M_r(C1, C2) run the same search on C1 and keep only the
 subspaces that meet C2 in 0.  A hierarchy seeds each run after the first
@@ -44,7 +48,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Callable
 
@@ -239,9 +243,17 @@ def _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop):
 # fit _TABLE_BYTES; otherwise X lists the distinct rows of one stream block,
 # looked up by position.  Tables of X go through one field.matmul per chunk
 # (_tables), except those of all messages over GF(2^s), which are built by
-# XOR doubling of packed bit-planes (_xor_tables), the same bytes.
+# XOR doubling of packed bit-planes (_xor_tables), the same bytes.  Round
+# w = r takes neither: X is e_0..e_{r-1}, whose entries on S are the rows S
+# of G_j, gathered from the matrices' packed row supports (_unit_tables).
 _GATHER_ELEMS = 1 << 16  # elements per table-build or gather chunk
 _TABLE_BYTES = 1 << 25  # largest tables of all q^w messages, with their entries, in one round
+
+
+def _supports(k: int, w: int) -> np.ndarray:
+    """The w-subsets of range(k) in lexicographic order, as a (C(k, w), w)
+    array."""
+    return np.fromiter(chain.from_iterable(combinations(range(k), w)), dtype=np.intp).reshape(-1, w)
 
 
 def _tables(field, X: np.ndarray, B: np.ndarray, cols: np.ndarray, n: int):
@@ -307,7 +319,7 @@ def _round_tables(field, mats, ghs, sel, k: int, w: int):
     ns, nq, n, nj = comb(k, w), field.q**w, mats[0].shape[1], len(sel)
     # one product gives each message's codeword and, with C2, its syndrome
     B = np.stack([mats[j] if ghs is None else np.hstack([mats[j], ghs[j]]) for j in sel])
-    supports = np.array(list(combinations(range(k), w)), dtype=np.intp).reshape(ns, w)
+    supports = _supports(k, w)
     words, c = -(-n // 64), B.shape[-1] - n
     # over GF(2^s) the tables are doubled from k·q entries, which count too
     width = field.s * words + c if field.p == 2 else n + c
@@ -354,6 +366,27 @@ def _block_tables(field, tabs, codes: np.ndarray, n: int):
             yield supports[sl], codes, full[0][:, sl], None if full[1] is None else full[1][:, sl]
 
 
+def _unit_tables(mats, ghs, sel, r: int, k: int, n: int):
+    """Round w = r's chunks, as _block_tables yields them, built from the
+    selected matrices' rows with no message tables: the round's one subspace
+    on a support set S, the span of e_S, has as its basis rows the unit
+    messages e_0..e_{r-1}, positions [[0, .., r-1]] of tables whose entries
+    on S through G_j are the rows S of G_j, their packed supports and, with
+    C2, their syndromes.  Each chunk of support sets gathers at most
+    _GATHER_ELEMS elements."""
+    supports, words = _supports(k, r), -(-n // 64)
+    packed = np.zeros((k, len(sel), words * 8), dtype=np.uint8)
+    bits = np.packbits(np.array([mats[j] for j in sel]) != 0, axis=-1, bitorder="little")
+    packed[..., : bits.shape[-1]] = bits.transpose(1, 0, 2)
+    masks = packed.view("<u8")
+    syn = None if ghs is None else np.array([ghs[j] for j in sel]).transpose(1, 0, 2)
+    rows = np.arange(r)[None]
+    step = max(1, _GATHER_ELEMS // (len(sel) * r * (words + (0 if syn is None else syn.shape[-1]))))
+    for lo in range(0, len(supports), step):
+        cols = supports[lo : lo + step]
+        yield cols, rows, masks[cols.T], None if syn is None else syn[cols.T]
+
+
 def _weigh(field, masks, syn, codes: np.ndarray, r: int, upper: int, n: int) -> np.ndarray:
     """Support sizes of the subspaces whose basis rows have the (m, r) row
     ``codes``, weighed through each of a chunk's message-major tables: the
@@ -380,13 +413,19 @@ def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, stop):
     of the per-(S, j) minima is the upper bound after each (S, j), and the
     witness is the first subspace at its final value.  With C2, only
     subspaces below the chunk's starting bound can be picked, so only they
-    are tested."""
-    tabs = _round_tables(field, mats, ghs, sel, k, w)
+    are tested.  Round w = r has one subspace per support set S, e_S, and
+    is weighed from the rows S of the matrices (_unit_tables), with no
+    stream and no tables of messages."""
     n, nj = mats[0].shape[1], len(sel)
+    if w == r:
+        blocks = [(np.arange(r)[None], _unit_tables(mats, ghs, sel, r, k, n))]
+    else:
+        tabs = _round_tables(field, mats, ghs, sel, k, w)
+        blocks = ((codes, _block_tables(field, tabs, codes, n)) for codes in subspace_codes(r, w, field))
     count = 0
-    for codes in subspace_codes(r, w, field):
+    for codes, chunks in blocks:
         m = codes.shape[0]
-        for cols, rows, masks, syn in _block_tables(field, tabs, codes, n):
+        for cols, rows, masks, syn in chunks:
             wts = _weigh(field, masks, syn, rows, r, upper, n)
             mins = wts.min(axis=0).ravel()
             run = np.minimum(np.minimum.accumulate(mins), upper)
@@ -401,7 +440,10 @@ def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, stop):
                 s, jj = divmod(int(np.argmax(mins == best)), nj)
                 c = int(wts[:, s, jj].argmin())
                 upper = best
-                witness = _make_witness(field, row_digits(codes[c], field.q, w), cols[s], sel[jj], upper, k)
+                # round w = r's rows are the positions of e_0..e_{r-1}, not
+                # row codes, and its subspace is e_S
+                base = np.eye(r, dtype=np.int64) if w == r else row_digits(codes[c], field.q, w)
+                witness = _make_witness(field, base, cols[s], sel[jj], upper, k)
             if stopped:
                 return upper, witness, count
     return upper, witness, count

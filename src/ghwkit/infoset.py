@@ -45,9 +45,10 @@ def information(code) -> InfoSetDecomposition:
     """
     field = code.field
     G = code.G.array
-    k, n = G.shape
-    nonzero_cols = [c for c in range(n) if G[:, c].any()]
-    zero_cols = [c for c in range(n) if not G[:, c].any()]
+    k = G.shape[0]
+    nonzero = G.any(axis=0)
+    nonzero_cols = np.flatnonzero(nonzero).tolist()
+    zero_cols = np.flatnonzero(~nonzero).tolist()
     used: set[int] = set()
     sets: list[tuple[int, ...]] = []
     mats: list[MatrixGF] = []

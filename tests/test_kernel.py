@@ -4,7 +4,8 @@ The kernel weighs subspaces by OR-ing packed row-support masks looked up in
 per-support-set tables, of all q^w messages when they fit the table cap and
 else of each block's distinct rows; the plain path, which only the naive
 oracles take, encodes every (block, support set, matrix) triple with one
-matmul.
+matmul.  Round w = r builds no tables of messages: it weighs each support
+set's one subspace from the rows of the matrices.
 Every round must agree exactly with the plain path in both table modes: the
 bound, the witness and the subspace count.  Every spectrum must agree in
 both modes.  Over GF(2^s) the tables of all messages are built by XOR
@@ -59,14 +60,20 @@ def _witness_key(wit):
     return wit.subspace.array.tolist(), wit.mat_index, wit.weight
 
 
+def _round_inputs(c1, c2):
+    """The systematic matrices of C1, the checks of C2 (None without C2)
+    and the matrices' syndrome matrices, as a round takes them."""
+    mats = [M.array for M in information(c1).mats]
+    h2t, _ = GHW._nested_pair(c1, c2)
+    return mats, h2t, None if h2t is None else [c1.field.matmul(M, h2t) for M in mats]
+
+
 def _check_round(c1, c2, r, w, sel, upper, stop):
     """One round through the plain path and through the kernel, at the
     default table cap and with a cap of 0, which tabulates every block's
     distinct rows; returns the plain path's (upper, witness, subspaces)."""
     field, k = c1.field, c1.k
-    mats = [M.array for M in information(c1).mats]
-    h2t, _ = GHW._nested_pair(c1, c2)
-    ghs = None if h2t is None else [field.matmul(M, h2t) for M in mats]
+    mats, h2t, ghs = _round_inputs(c1, c2)
     want = GHW._scan_round(field, mats, sel, r, w, k, upper, None, h2t, stop)
     for table in (None, 0):
         with budgets(table=table):
@@ -138,21 +145,28 @@ def _own_tables(field, codes, G, gh, n, w):
     return packed.view("<u8"), None if gh is None else field.matmul(X, gh)
 
 
-@pytest.mark.parametrize(
+# codes and nested pairs of every table mode: GF(2) and GF(2^s) tables are
+# XOR-doubled, GF(3) ones take a product, and n = 70 needs two mask words
+small_pairs = pytest.mark.parametrize(
     "F, n, k1, k2",
     [(F2, 12, 5, 0), (F2, 12, 5, 2), (F3, 9, 4, 0), (F3, 9, 4, 1), (F4, 8, 4, 0), (F4, 8, 4, 2),
      (F8, 7, 3, 0), (F8, 7, 3, 1), (F2, 70, 5, 2)],
     ids=["GF2", "GF2-C2", "GF3", "GF3-C2", "GF4", "GF4-C2", "GF8", "GF8-C2", "GF2-C2-n70"],
 )
+
+
+def _small_pair(F, n, k1, k2):
+    rng = np.random.default_rng(n + 10 * k1 + k2)
+    return random_nested_pair(rng, F, n, k1, k2) if k2 else (random_code(rng, F, n, k1), None)
+
+
+@small_pairs
 def test_tables_are_message_major(F, n, k1, k2):
     # a round's tables of all messages hold message x on support set s
     # through selected matrix j at masks[x, s, j] and syn[x, s, j]; per
     # block, chunk tables hold stream row codes[i, t] at rows[i, t]
-    rng = np.random.default_rng(n + 10 * k1 + k2)
-    c1, c2 = random_nested_pair(rng, F, n, k1, k2) if k2 else (random_code(rng, F, n, k1), None)
-    mats = [M.array for M in information(c1).mats]
-    h2t = None if c2 is None else GHW._nested_pair(c1, c2)[0]
-    ghs = None if h2t is None else [F.matmul(M, h2t) for M in mats]
+    c1, c2 = _small_pair(F, n, k1, k2)
+    mats, _, ghs = _round_inputs(c1, c2)
     sel, words = list(range(len(mats))), -(-n // 64)
 
     def own(codes, j, S, w):
@@ -182,6 +196,53 @@ def test_tables_are_message_major(F, n, k1, k2):
                                 want_masks, want_syn = own(codes.ravel(), j, S, w)
                                 assert np.array_equal(bmasks[rows.ravel(), s, jj], want_masks)
                                 assert bsyn is None or np.array_equal(bsyn[rows.ravel(), s, jj], want_syn)
+
+
+@pytest.mark.parametrize("gather", [1, None], ids=["chunk1", "default"])
+@small_pairs
+def test_first_round_matches_plain_path(gather, F, n, k1, k2):
+    # round w = r weighs each support set's one subspace, the span of e_S,
+    # from the rows S of the selected matrices; with a gather budget of 1
+    # every support set is a chunk of its own
+    c1, c2 = _small_pair(F, n, k1, k2)
+    nmats = len(information(c1).mats)
+    with budgets(gather=gather):
+        for r in range(1, k1 - k2 + 1):
+            for sel in (list(range(nmats)), [nmats - 1]):
+                for upper, stop in ((n + 1, None), (n + 1, n - k1 + r), (n - r, None), (1, 0)):
+                    _check_round(c1, c2, r, r, sel, upper, stop)
+
+
+def test_first_round_past_int64_row_codes():
+    # over GF(2^16), q^r >= 2^64 from r = 4, past the int64 range of row
+    # codes: the w = r round forms none, and its witness is e_S
+    code = random_code(np.random.default_rng(1), F65536, 7, 5)
+    sel = list(range(len(information(code).mats)))
+    for r in (4, 5):
+        assert F65536.q**r >= 2**64
+        for stop in (None, 7):
+            assert _check_round(code, None, r, r, sel, 8, stop)[1] is not None
+
+
+def test_first_round_builds_no_message_tables():
+    # a w = r round reads the rows S of each G_j: it builds no tables of
+    # messages, starts no subspace stream and takes no field product
+    code = random_code(np.random.default_rng(31), F3, 9, 4)
+    pair = random_nested_pair(np.random.default_rng(32), F3, 9, 4, 1)
+    cases = []
+    for c1, c2 in ((code, None), pair):
+        mats, h2t, ghs = _round_inputs(c1, c2)
+        sel = list(range(len(mats)))
+        for r in range(1, c1.k - (0 if c2 is None else c2.k) + 1):
+            want = GHW._scan_round(c1.field, mats, sel, r, r, c1.k, c1.n + 1, None, h2t, None)
+            cases.append(((c1.field, mats, ghs, sel, r, r, c1.k, c1.n + 1, None, None), want))
+    banned = mock.Mock(side_effect=AssertionError("a w = r round tabulated messages"))
+    with mock.patch.object(GHW, "_round_tables", banned), mock.patch.object(GHW, "subspace_codes", banned), \
+            mock.patch.object(GHW, "_tables", banned), mock.patch.object(FiniteField, "matmul", banned):
+        for args, want in cases:
+            got = GHW._scan_kernel(*args)
+            assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
+    assert not banned.called
 
 
 def _spectrum_matches_brute(code, spectrum, ranks):
@@ -331,7 +392,8 @@ def test_char2_round_tables_take_no_field_product():
     binary = random_code(np.random.default_rng(21), F2, 12, 5)
     c1, c2 = random_nested_pair(np.random.default_rng(22), F4, 8, 4, 1)
     octal = random_code(np.random.default_rng(23), F8, 8, 3)
-    ternary = random_code(np.random.default_rng(24), F3, 8, 4)
+    # its d_1 run scans round w = 2, the one that builds tables
+    ternary = random_code(np.random.default_rng(29), F3, 7, 4)
     round_tables, matmul = GHW._round_tables, FiniteField.matmul
     inside, products = [False], []
 
