@@ -6,6 +6,12 @@ element, so index 0 is the additive identity and index 1 the multiplicative
 identity.  For prime fields (s = 1) the encoding coincides with integers
 mod p.
 
+The row operations of an elimination, X − f·Y and f·Y on index arrays
+(:meth:`FiniteField.axpy_arrays`, :meth:`FiniteField.scale_arrays`), are
+one gather from a per-field table ``axpy_table[f, x, y] = x − f·y`` of q³
+entries, built with the field when q <= AXPY_MAX_Q = 32 (256 KiB); larger
+fields keep the log/exp arithmetic.
+
 A :class:`FiniteField` is immutable after construction; all operations are
 pure and the object can be shared freely between threads.
 """
@@ -19,6 +25,7 @@ import numpy as np
 from .errors import BadArgs, DivisionByZero, NonPrime, ReducibleModulus, WrongDegree
 
 MAX_Q = 1 << 16
+AXPY_MAX_Q = 32  # largest q with a row-operation table: q^3 int64 entries, 256 KiB
 
 
 def is_prime(n: int) -> bool:
@@ -154,6 +161,8 @@ class FiniteField:
         inv[1:] = self.exp_table[(q - 1 - self.log_table[1:]) % (q - 1)]
         self.inv_table = inv
 
+        self.axpy_table = self._axpy_table() if q <= AXPY_MAX_Q else None
+
     # -- construction helpers -------------------------------------------
 
     def _mul_poly(self, a: int, b: int) -> int:
@@ -199,6 +208,12 @@ class FiniteField:
         self._zlog = log.copy()
         self._zlog[0] = 2 * order
         self._exp2 = np.concatenate([exp, exp, np.zeros(2 * order + 1, dtype=np.int64)])
+
+    def _axpy_table(self) -> np.ndarray:
+        """x − f·y for every (f, x, y), a (q, q, q) array indexed [f, x, y],
+        from the log/exp arithmetic."""
+        e = np.arange(self.q, dtype=np.int64)
+        return self.add_arrays(e[None, :, None], self.mul_arrays(self.neg_table[:, None, None], e))
 
     def _times_constant(self, X: np.ndarray, c: int) -> np.ndarray:
         """The elements X times the constant c, table-free: multiplying by c
@@ -273,6 +288,21 @@ class FiniteField:
         if self.s == 1:
             return X * Y % self.p
         return self._exp2[self._zlog[X] + self._zlog[Y]]
+
+    def axpy_arrays(self, F: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """X − F·Y, broadcast: the row operation of an elimination.  One
+        gather from ``axpy_table`` when the field has one, else X plus the
+        product of −F and Y."""
+        if self.axpy_table is not None:
+            return self.axpy_table[F, X, Y]
+        return self.add_arrays(X, self.mul_arrays(self.neg_arrays(F), Y))
+
+    def scale_arrays(self, f: int, Y: np.ndarray) -> np.ndarray:
+        """f·Y for one element f: 0 − (−f)·Y, one gather from ``axpy_table``
+        when the field has one."""
+        if self.axpy_table is not None:
+            return self.axpy_table[self.neg_table[f], 0, Y]
+        return self.mul_arrays(np.int64(f), Y)
 
     @staticmethod
     def _int_matmul(A: np.ndarray, B: np.ndarray, bound: int) -> np.ndarray:

@@ -166,7 +166,7 @@ def _make_witness(field, base: np.ndarray, s_cols: np.ndarray, j: int, weight: i
                   synthesized: bool = False):
     expanded = np.zeros((base.shape[0], k), dtype=np.int64)
     expanded[:, s_cols] = base
-    return Witness(MatrixGF(field, expanded), j, weight, synthesized)
+    return Witness(MatrixGF.unchecked(field, expanded), j, weight, synthesized)
 
 
 def _independent(field, syn: np.ndarray, r: int) -> np.ndarray:
@@ -244,8 +244,11 @@ def _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop):
 # looked up by position.  Tables of X go through one field.matmul per chunk
 # (_tables), except those of all messages over GF(2^s), which are built by
 # XOR doubling of packed bit-planes (_xor_tables), the same bytes.  Round
-# w = r takes neither: X is e_0..e_{r-1}, whose entries on S are the rows S
-# of G_j, gathered from the matrices' packed row supports (_unit_tables).
+# w = r takes neither and forms no row codes: its one subspace on S, the span
+# of e_S, has through G_j the support of the OR of the rows S of G_j, so each
+# chunk of support sets is one gather of their r packed row supports, one
+# np.bitwise_or.reduce over the r and one popcount (_unit_tables); with C2,
+# the rows S of G_j·H2ᵀ of those below the bound go through one elimination.
 _GATHER_ELEMS = 1 << 16  # elements per table-build or gather chunk
 _TABLE_BYTES = 1 << 25  # largest tables of all q^w messages, with their entries, in one round
 
@@ -366,25 +369,39 @@ def _block_tables(field, tabs, codes: np.ndarray, n: int):
             yield supports[sl], codes, full[0][:, sl], None if full[1] is None else full[1][:, sl]
 
 
-def _unit_tables(mats, ghs, sel, r: int, k: int, n: int):
-    """Round w = r's chunks, as _block_tables yields them, built from the
-    selected matrices' rows with no message tables: the round's one subspace
-    on a support set S, the span of e_S, has as its basis rows the unit
-    messages e_0..e_{r-1}, positions [[0, .., r-1]] of tables whose entries
-    on S through G_j are the rows S of G_j, their packed supports and, with
-    C2, their syndromes.  Each chunk of support sets gathers at most
-    _GATHER_ELEMS elements."""
+def _unit_tables(field, mats, ghs, sel, r: int, k: int, n: int):
+    """Round w = r's chunks of support sets, each as (cols, weigh), with no
+    message tables and no row codes: the round's one subspace on a support
+    set S, the span of e_S, encodes through G_j to the rows S of G_j, so its
+    support is the OR of those rows' packed supports.  A chunk is one
+    gather of the r packed rows of each of its support sets, one
+    np.bitwise_or.reduce and one popcount, within _GATHER_ELEMS elements;
+    ``weigh(upper)`` applies C2 (_weigh_units) and returns the (1, nS,
+    |sel|) weights."""
     supports, words = _supports(k, r), -(-n // 64)
     packed = np.zeros((k, len(sel), words * 8), dtype=np.uint8)
     bits = np.packbits(np.array([mats[j] for j in sel]) != 0, axis=-1, bitorder="little")
     packed[..., : bits.shape[-1]] = bits.transpose(1, 0, 2)
     masks = packed.view("<u8")
     syn = None if ghs is None else np.array([ghs[j] for j in sel]).transpose(1, 0, 2)
-    rows = np.arange(r)[None]
-    step = max(1, _GATHER_ELEMS // (len(sel) * r * (words + (0 if syn is None else syn.shape[-1]))))
+    step = max(1, _GATHER_ELEMS // (len(sel) * r * words))
     for lo in range(0, len(supports), step):
         cols = supports[lo : lo + step]
-        yield cols, rows, masks[cols.T], None if syn is None else syn[cols.T]
+        wts = np.bitwise_count(np.bitwise_or.reduce(masks[cols], axis=1)).sum(axis=-1, dtype=np.int64)
+        yield cols, partial(_weigh_units, field, wts, syn, cols, n=n)
+
+
+def _weigh_units(field, wts: np.ndarray, syn, cols: np.ndarray, upper: int, n: int) -> np.ndarray:
+    """_weigh for a chunk of round w = r, given its (nS, |sel|) support
+    sizes: with C2, every subspace below ``upper`` whose r syndromes, the
+    rows ``cols[s]`` of the (k, |sel|, k1 - k2) syndrome matrices, are
+    dependent weighs n + 1.  Returns the weights as (1, nS, |sel|)."""
+    if syn is not None:
+        s, j = np.nonzero(wts < upper)
+        if s.size:
+            bad = ~_independent(field, syn[cols[s], j[:, None]], cols.shape[1])
+            wts[s[bad], j[bad]] = n + 1
+    return wts[None]
 
 
 def _weigh(field, masks, syn, codes: np.ndarray, r: int, upper: int, n: int) -> np.ndarray:
@@ -414,19 +431,22 @@ def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, stop):
     witness is the first subspace at its final value.  With C2, only
     subspaces below the chunk's starting bound can be picked, so only they
     are tested.  Round w = r has one subspace per support set S, e_S, and
-    is weighed from the rows S of the matrices (_unit_tables), with no
+    is weighed from the ORed rows S of the matrices (_unit_tables), with no
     stream and no tables of messages."""
     n, nj = mats[0].shape[1], len(sel)
     if w == r:
-        blocks = [(np.arange(r)[None], _unit_tables(mats, ghs, sel, r, k, n))]
+        blocks = [(None, _unit_tables(field, mats, ghs, sel, r, k, n))]
     else:
         tabs = _round_tables(field, mats, ghs, sel, k, w)
-        blocks = ((codes, _block_tables(field, tabs, codes, n)) for codes in subspace_codes(r, w, field))
+        blocks = (
+            (codes, ((cols, partial(_weigh, field, masks, syn, rows, r, n=n))
+                     for cols, rows, masks, syn in _block_tables(field, tabs, codes, n)))
+            for codes in subspace_codes(r, w, field)
+        )
     count = 0
     for codes, chunks in blocks:
-        m = codes.shape[0]
-        for cols, rows, masks, syn in chunks:
-            wts = _weigh(field, masks, syn, rows, r, upper, n)
+        for cols, weigh in chunks:
+            wts = weigh(upper)
             mins = wts.min(axis=0).ravel()
             run = np.minimum(np.minimum.accumulate(mins), upper)
             visited, stopped = wts.shape[1], False
@@ -434,15 +454,14 @@ def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, stop):
                 hit = np.flatnonzero(run[nj - 1 :: nj] <= stop)
                 if hit.size:
                     visited, stopped = int(hit[0]) + 1, True
-            count += m * visited
+            count += wts.shape[0] * visited
             best = int(run[visited * nj - 1])
             if best < upper:
                 s, jj = divmod(int(np.argmax(mins == best)), nj)
                 c = int(wts[:, s, jj].argmin())
                 upper = best
-                # round w = r's rows are the positions of e_0..e_{r-1}, not
-                # row codes, and its subspace is e_S
-                base = np.eye(r, dtype=np.int64) if w == r else row_digits(codes[c], field.q, w)
+                # round w = r's subspace on S is e_S
+                base = np.eye(r, dtype=np.int64) if codes is None else row_digits(codes[c], field.q, w)
                 witness = _make_witness(field, base, cols[s], sel[jj], upper, k)
             if stopped:
                 return upper, witness, count
@@ -499,7 +518,7 @@ def _is_cyclic(field, M: np.ndarray, iset) -> bool:
     """Whether the code that M generates is cyclic, for M the identity on
     the (1-based) information set ``iset``: whether the right shift S of
     each row stays in the code, that is, S = S[:, I]·M."""
-    S = np.roll(M, 1, axis=1)
+    S = np.concatenate((M[:, -1:], M[:, :-1]), axis=1)
     return np.array_equal(field.matmul(S[:, np.array(iset) - 1], M), S)
 
 

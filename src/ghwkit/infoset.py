@@ -35,13 +35,18 @@ def information(code) -> InfoSetDecomposition:
     Each set takes the lowest-index columns not used by earlier sets that
     extend the rank and, when those reach only rank rho < k, the
     lowest-index previously used columns that extend it further.  One RREF
-    per set finds both: over the columns in the order fresh, then used
+    per set finds both: visiting the columns in the order fresh, then used
     (ascending), then the rest, RREF pivots on exactly the columns that
     extend the rank of those before them, so its pivots are the greedy
     fresh columns followed by the greedy reused ones.  Its rows, sorted by
-    set order and with the columns put back in place, form the unique
-    generator matrix that is the identity on the set.  Stops once every
-    nonzero column of the generator matrix is covered.
+    set order, form the unique generator matrix that is the identity on the
+    set; ``rref_array`` keeps the columns in place, so nothing is gathered
+    or scattered.  Each of its row operations is one
+    ``FiniteField.axpy_arrays`` call, a single gather from the field's q³
+    table when q <= 32 (``AXPY_MAX_Q``) and log/exp arithmetic above.  The
+    matrices come from eliminating the code's validated generator matrix,
+    so they are wrapped unchecked.  Stops once every nonzero column of the
+    generator matrix is covered.
     """
     field = code.field
     G = code.G.array
@@ -58,19 +63,15 @@ def information(code) -> InfoSetDecomposition:
         fresh = [c for c in nonzero_cols if c not in used]
         if not fresh:
             break
-        order = np.array(fresh + sorted(used) + zero_cols)
-        R, piv = rref_array(field, G[:, order])
+        R, piv = rref_array(field, G, fresh + sorted(used) + zero_cols)
         if len(piv) < k:
             raise BadArgs("generator matrix rows are linearly dependent")
-        chosen = order[piv]
-        out = np.empty_like(G)
-        out[:, order] = R
-        iset = sorted(chosen.tolist())
+        iset = sorted(piv)
         sets.append(tuple(c + 1 for c in iset))
-        mats.append(MatrixGF(field, out[np.argsort(chosen)]))
+        mats.append(MatrixGF.unchecked(field, R[np.argsort(piv)]))
         # fresh columns are disjoint from every earlier set, so the overlap
-        # with their union is exactly the pivots past the fresh block
-        reds.append(sum(p >= len(fresh) for p in piv))
+        # with their union is exactly the pivots among the used columns
+        reds.append(len(used.intersection(piv)))
         used.update(iset)
 
     return InfoSetDecomposition(tuple(sets), tuple(mats), tuple(reds))

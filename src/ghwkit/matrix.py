@@ -3,6 +3,11 @@
 Matrices are immutable values wrapping an index-encoded numpy array.  Column
 indices in all public interfaces are 1-based, matching the usual {1,...,n}
 coordinate convention for codes.
+
+Elimination (:func:`rref_array`) finds each pivot with one ``argmax`` and
+clears its column with one row operation X − f·Y of the field
+(``FiniteField.axpy_arrays``): a single gather from the field's q³
+``axpy_table`` for q <= 32, log/exp arithmetic above that cap.
 """
 
 from __future__ import annotations
@@ -33,6 +38,14 @@ class MatrixGF:
             raise BadArgs(f"entries out of range for GF({field.q})")
         self.field = field
         self.array = arr
+
+    @classmethod
+    def unchecked(cls, field: FiniteField, array: np.ndarray) -> "MatrixGF":
+        """Wrap a 2-D int64 array of valid entries as is, without checks:
+        for arrays made by field arithmetic on already validated ones."""
+        M = cls.__new__(cls)
+        M.field, M.array = field, array
+        return M
 
     @property
     def rows(self) -> int:
@@ -66,20 +79,16 @@ class MatrixGF:
         """Basis of {v : M v^T = 0} as a (cols - rank) x cols matrix.
 
         One basis row per free column of the RREF, in ascending free-column
-        order.
+        order: the identity on the free columns and minus that column of the
+        RREF on the pivot columns.
         """
         f = self.field
         R, pivots = rref_array(f, self.array)
-        rank = len(pivots)
-        n = self.cols
-        pivot_set = set(pivots)
-        free = [c for c in range(n) if c not in pivot_set]
-        B = np.zeros((len(free), n), dtype=np.int64)
-        for i, fc in enumerate(free):
-            B[i, fc] = 1
-            if rank:
-                B[i, pivots] = f.neg_arrays(R[:rank, fc])
-        return MatrixGF(f, B)
+        free = np.delete(np.arange(self.cols), pivots)
+        B = np.zeros((len(free), self.cols), dtype=np.int64)
+        B[np.arange(len(free)), free] = 1
+        B[:, pivots] = f.neg_arrays(R[: len(pivots), free]).T
+        return MatrixGF.unchecked(f, B)
 
     def matmul(self, other: "MatrixGF") -> "MatrixGF":
         if self.field != other.field:
@@ -123,28 +132,35 @@ class MatrixGF:
         return f"MatrixGF({self.field!r}, {self.array.tolist()!r})"
 
 
-def rref_array(field: FiniteField, arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """RREF of an index-encoded array; returns (R, 0-based pivot columns)."""
+def rref_array(field: FiniteField, arr: np.ndarray, order=None) -> tuple[np.ndarray, list[int]]:
+    """RREF of an index-encoded array, visiting its columns in ``order``, a
+    permutation of them (default ascending); returns (R, 0-based pivot
+    columns in visit order).  R keeps the columns in place: it is the RREF
+    of ``arr[:, order]`` with its columns put back, with no gather or
+    scatter.
+
+    Each pivot step is one ``argmax`` down the column, which finds a nonzero
+    entry if there is one (the RREF is unique, so any nonzero pivot row gives
+    the same R), the pivot row scaled to a leading 1, and one row operation
+    A − A[:, col]·Y on the whole matrix, which clears the column everywhere,
+    the pivot's own row included; Y is then written to the pivot position
+    and the row it displaces to the pivot's old row."""
     A = np.array(arr, dtype=np.int64, copy=True)
     m, n = A.shape
     pivots: list[int] = []
     row = 0
-    for col in range(n):
+    for col in range(n) if order is None else order:
         if row == m:
             break
-        nz = np.flatnonzero(A[row:, col])
-        if nz.size == 0:
+        piv = row + int(A[row:, col].argmax())
+        pv = int(A[piv, col])
+        if pv == 0:
             continue
-        piv = row + int(nz[0])
+        Y = A[piv] if pv == 1 else field.scale_arrays(field.inv(pv), A[piv])
+        A = field.axpy_arrays(A[:, col, None], A, Y)
         if piv != row:
-            A[[row, piv]] = A[[piv, row]]
-        pv = int(A[row, col])
-        if pv != 1:
-            A[row] = field.mul_arrays(np.int64(field.inv(pv)), A[row])
-        factors = field.neg_arrays(A[:, col])
-        factors[row] = 0
-        upd = field.mul_arrays(factors[:, None], A[row][None, :])
-        A = field.add_arrays(A, upd)
+            A[piv] = A[row]
+        A[row] = Y
         pivots.append(col)
         row += 1
     return A, pivots

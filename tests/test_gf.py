@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ghwkit.errors import BadArgs, DivisionByZero, NonPrime, ReducibleModulus, WrongDegree
-from ghwkit.gf import build_field, default_modulus, is_prime
+from ghwkit.gf import AXPY_MAX_Q, FiniteField, build_field, default_modulus, is_prime
+from ghwkit.matrix import rref_array
 
 from support import poly_add, poly_mul_mod
 
@@ -276,6 +277,52 @@ def test_exp_table_steps_by_the_generator(p, s):
         assert exp[i + 1] == F._mul_poly(exp[i], F.generator), i
     assert F._mul_poly(exp[-1], F.generator) == 1
     assert F.log_table[exp].tolist() == list(range(F.q - 1))
+
+
+@pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (3, 3), (2, 5), (31, 1)])
+def test_axpy_table_is_x_minus_f_times_y(p, s):
+    F = build_field(p, s)
+    q, T = F.q, F.axpy_table
+    assert q <= AXPY_MAX_Q and T.dtype == np.int64 and T.shape == (q, q, q)
+    want = [[[F.add(x, F.neg(F.mul(f, y))) for y in range(q)] for x in range(q)] for f in range(q)]
+    assert T.tolist() == want
+
+
+def test_row_operations_match_scalar_arithmetic():
+    rng = np.random.default_rng(29)
+    for p, s in ((3, 1), (2, 3), (3, 2), (2, 8), (3, 5), (37, 1)):
+        F = build_field(p, s)
+        f, X, Y = rng.integers(0, F.q, (4, 1)), rng.integers(0, F.q, (4, 9)), rng.integers(0, F.q, 9)
+        got = F.axpy_arrays(f, X, Y)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[F.sub(x, F.mul(int(f[i, 0]), y)) for x, y in zip(X[i].tolist(), Y.tolist())]
+                                for i in range(4)]
+        for c in range(F.q) if F.q < 50 else (0, 1, F.q - 1):
+            assert F.scale_arrays(c, Y).tolist() == [F.mul(c, y) for y in Y.tolist()]
+
+
+def test_axpy_table_is_built_once_per_field(monkeypatch):
+    builds = []
+    real = FiniteField._axpy_table
+
+    def counted(self):
+        builds.append(self.q)
+        return real(self)
+
+    monkeypatch.setattr(FiniteField, "_axpy_table", counted)
+    rng = np.random.default_rng(30)
+    # fresh objects, not build_field's cached ones; past the cap there is no
+    # table, and row operations take the log/exp arithmetic
+    fields = [FiniteField(3, 1, None), FiniteField(2, 8, build_field(2, 8).modulus),
+              FiniteField(2, 16, build_field(2, 16).modulus)]
+    assert builds == [3]
+    for F in fields:
+        for _ in range(3):
+            rref_array(F, rng.integers(0, F.q, (4, 6)))
+            F.axpy_arrays(np.int64(2), rng.integers(0, F.q, 5), rng.integers(0, F.q, 5))
+            F.scale_arrays(2, rng.integers(0, F.q, 5))
+    assert builds == [3]
+    assert fields[1].axpy_table is None and fields[2].axpy_table is None
 
 
 def test_is_prime():

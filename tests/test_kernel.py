@@ -245,6 +245,34 @@ def test_first_round_builds_no_message_tables():
     assert not banned.called
 
 
+@pytest.mark.parametrize("r, rows", [
+    (1, [[1, 0, 0, 1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 1, 1, 1, 1, 0], [0, 0, 1, 0, 1, 1, 1, 0, 1]]),
+    (2, [[1, 0, 0, 1, 0, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 1, 1, 1, 1, 1]]),
+])
+def test_first_round_rejects_its_only_light_subspace(r, rows):
+    # C2 is spanned by the first row, and below upper = r + 2 the round has
+    # one subspace, e_S for S = {0..r-1}, which contains it: the elimination
+    # runs once, on that subspace's r syndromes, and its weight n + 1 must
+    # reach the replay, so the round finds nothing
+    c1 = code_from_rows(F2, rows)
+    c2 = code_from_rows(F2, rows[:1])
+    mats, h2t, ghs = _round_inputs(c1, c2)
+    assert np.array_equal(mats[0], c1.G.array)
+    calls = []
+    real = GHW._independent
+
+    def independent(field, syn, r):
+        calls.append(syn.shape)
+        return real(field, syn, r)
+
+    with mock.patch.object(GHW, "_independent", independent):
+        got = GHW._scan_kernel(F2, mats, ghs, [0], r, r, 3, r + 2, None, None)
+    assert got == (r + 2, None, comb(3, r))
+    assert calls == [(1, r, 2)]
+    assert _check_round(c1, c2, r, r, [0], r + 2, None) == (r + 2, None, comb(3, r))
+    assert rhierarchy(c1, c2).values == tuple(naive_rghw(c1, c2, t) for t in (1, 2))
+
+
 def _spectrum_matches_brute(code, spectrum, ranks):
     for r in ranks:
         assert spectrum.counts[r] == brute_spectrum(code, r), r

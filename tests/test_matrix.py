@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghwkit.code import code_from_rows
 from ghwkit.errors import BadArgs, DimensionMismatch
-from ghwkit.gf import build_field
-from ghwkit.matrix import MatrixGF
+from ghwkit.gf import AXPY_MAX_Q, build_field
+from ghwkit.matrix import MatrixGF, rref_array
 
 from support import span_fingerprint, tiny_rref
 
@@ -166,3 +167,84 @@ def test_equal_row_space_iff_equal_rref_exhaustive(q):
                 assert tuple(map(tuple, M.rref()[0].array.tolist())) == tiny_rref(
                     mats[i].tolist(), q
                 )
+
+
+def scalar_rref(F, rows, order):
+    """RREF by scalar field arithmetic only (``F.add``, ``F.mul``,
+    ``F.inv``), pivoting on the columns of ``order`` in that order; returns
+    (rows, pivots).  Independent of the package's array arithmetic."""
+    A = [list(r) for r in rows]
+    minus_one = next(a for a in range(F.q) if F.add(1, a) == 0)
+    pivots, row = [], 0
+    for col in order:
+        if row == len(A):
+            break
+        piv = next((i for i in range(row, len(A)) if A[i][col]), None)
+        if piv is None:
+            continue
+        A[row], A[piv] = A[piv], A[row]
+        inv = F.inv(A[row][col])
+        A[row] = [F.mul(inv, x) for x in A[row]]
+        for i in range(len(A)):
+            if i != row and A[i][col]:
+                f = F.mul(minus_one, A[i][col])
+                A[i] = [F.add(x, F.mul(f, y)) for x, y in zip(A[i], A[row])]
+        pivots.append(col)
+        row += 1
+    return A, pivots
+
+
+# below the row-operation table's cap, then past it
+RREF_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (2, 5), (2, 6), (2, 8), (3, 5)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(RREF_FIELDS), st.data())
+def test_rref_matches_scalar_elimination(ps, data):
+    F = build_field(*ps)
+    m = data.draw(st.integers(0, 5), label="rows")
+    n = data.draw(st.integers(0, 7), label="cols")
+    rows = [data.draw(st.lists(st.integers(0, F.q - 1), min_size=n, max_size=n)) for _ in range(m)]
+    # rank-deficient: some rows become combinations of the ones above
+    for i in range(1, m):
+        if data.draw(st.booleans(), label=f"row {i} dependent"):
+            coef = data.draw(st.lists(st.integers(0, F.q - 1), min_size=i, max_size=i))
+            rows[i] = [0] * n
+            for c, above in zip(coef, rows[:i]):
+                rows[i] = [F.add(x, F.mul(c, y)) for x, y in zip(rows[i], above)]
+    order = data.draw(st.none() | st.permutations(range(n)), label="column order")
+    arr = np.array(rows, dtype=np.int64).reshape(m, n)
+    R, piv = rref_array(F, arr, order)
+    want, want_piv = scalar_rref(F, rows, range(n) if order is None else order)
+    assert R.dtype == np.int64 and R.shape == (m, n)
+    assert R.tolist() == want and piv == want_piv
+    assert (F.axpy_table is None) == (F.q > AXPY_MAX_Q)
+
+
+@pytest.mark.parametrize("ps", [(3, 1), (2, 8)], ids=["table", "log-exp"])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0)])
+def test_rref_of_empty_matrices(ps, shape):
+    F = build_field(*ps)
+    for order in (None, list(range(shape[1]))[::-1]):
+        R, piv = rref_array(F, np.zeros(shape, dtype=np.int64), order)
+        assert R.shape == shape and R.dtype == np.int64 and piv == []
+
+
+def test_kernel_basis_rows_are_identity_on_free_columns():
+    rng = np.random.default_rng(23)
+    for F in (F2, F3, F4, F5, build_field(2, 8)):
+        for _ in range(20):
+            M = MatrixGF(F, rng.integers(0, F.q, (int(rng.integers(1, 5)), 7)))
+            R, rank, piv = M.rref()
+            free = [c for c in range(7) if c + 1 not in piv]
+            K = M.right_kernel_basis().array
+            assert K.dtype == np.int64 and K.shape == (len(free), 7)
+            assert np.array_equal(K[:, free], np.eye(len(free), dtype=np.int64))
+            pcols = [c - 1 for c in piv]
+            assert K[:, pcols].tolist() == [[F.neg(int(R.array[t, fc])) for t in range(rank)] for fc in free]
+
+
+def test_unchecked_wraps_the_array_as_is():
+    arr = np.array([[1, 2], [0, 1]], dtype=np.int64)
+    M = MatrixGF.unchecked(F3, arr)
+    assert M.array is arr and M.field is F3 and M == MatrixGF(F3, arr)
