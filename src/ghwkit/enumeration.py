@@ -16,7 +16,10 @@ them to that table by broadcasting.  Tables, prefixes and blocks are built
 row-major, (r, count), so those adds run along the long axis; each block is
 yielded as its read-only (count, r) transpose, whose columns are contiguous.  This module is
 the only one that encodes or decodes that format; ``row_digits`` turns codes
-back into rows, and ``subspace_blocks`` is the decoded stream.
+back into rows, and ``subspace_blocks`` is the decoded stream.  For a row
+tree, which fixes a matrix's rows one at a time, ``shape_rows`` gives each
+pivot shape's candidate rows as codes and maps any choice of them back to
+its place in the stream, or to none if a free column is left zero.
 
 All counting functions use exact arbitrary-precision integers.
 """
@@ -26,7 +29,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 from math import comb, prod
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -115,6 +118,12 @@ def columns_up_to_weight(r: int, z: int, field: FiniteField) -> np.ndarray:
 _nonzero = cache(lambda z, field, dtype: columns_up_to_weight(z, z, field).astype(dtype))  # F^z - 0
 
 
+def code_dtype(q: int, w: int):
+    """The dtype of row codes of length w over GF(q): int64 while q^w <=
+    2^63, else object, holding exact Python ints."""
+    return np.int64 if q**w <= 2**63 else object
+
+
 def subspace_codes(
     r: int, w: int, field: FiniteField, block_size: int = DEFAULT_BLOCK
 ) -> Iterator[np.ndarray]:
@@ -135,7 +144,7 @@ def subspace_codes(
         raise BadArgs(f"need 1 <= r <= w, got r={r}, w={w}")
     if block_size < 1:
         raise BadArgs(f"block_size must be >= 1, got {block_size}")
-    dtype = np.int64 if field.q**w <= 2**63 else object
+    dtype = code_dtype(field.q, w)
     qpow = np.array([field.q**t for t in range(w)], dtype=dtype)
     for shape in pivot_shapes(r, w):
         adds = []
@@ -167,6 +176,112 @@ def subspace_codes(
             codes = (prefix[:, :, None] + suffix[:, None]).reshape(r, -1)[:, lo - idx[0] * P : hi - idx[0] * P].T
             codes.flags.writeable = False
             yield codes
+
+
+class ShapeRows(NamedTuple):
+    """One pivot shape of the stream of round (r, w), as the rows that a row
+    tree ranges over.  Its full-support matrices are numbered in stream
+    order, their position being the mixed-radix index of their free columns'
+    vectors, each by its place in _nonzero(z), the last column fastest.  The
+    free columns before ``cut`` form the prefix; the rest, the suffix, have
+    ``P`` choices in all, at most DEFAULT_BLOCK, so prefix i holds positions
+    i·P .. i·P + P - 1.  Row t ranges over ``rows[t]``: the codes of a 1 at
+    its pivot and every value at the suffix columns right of it, nonzero at
+    those that only row 0 reaches; ``prefix_codes`` adds a prefix's entries.
+    ``cont[t]`` holds each such code's entries on the suffix times q^t, so
+    the rows' sum gives each suffix column's vector as a code of F^z, and
+    ``ranks[code + off]`` its place in _nonzero(z), -1 for 0."""
+
+    pivots: tuple[int, ...]  # 0-based
+    free: tuple[int, ...]  # the free columns, ascending
+    z: tuple[int, ...]  # per free column, the pivots left of it
+    sizes: tuple[int, ...]  # per free column, q^z - 1 choices
+    cut: int
+    P: int
+    rows: tuple[np.ndarray, ...]
+    cont: tuple[np.ndarray, ...]
+    ranks: np.ndarray
+    off: np.ndarray
+    strides: np.ndarray  # of the suffix positions
+
+    @property
+    def total(self) -> int:
+        return prod(self.sizes)
+
+    def place(self, path):
+        """For matrices given by each row t's index ``path[t]`` into
+        ``rows[t]``, which have every suffix column nonzero, and the suffix
+        positions of those."""
+        idx = self.ranks[sum(c[i] for c, i in zip(self.cont, path)) + self.off]
+        ok = (idx >= 0).all(axis=1)
+        return ok, idx[ok] @ self.strides
+
+    def prefix_codes(self, field: FiniteField, a: int, b: int) -> np.ndarray:
+        """Each row's code on the prefix columns of prefixes a..b-1, an (r,
+        b - a) array of the rows' dtype."""
+        dtype = code_dtype(field.q, len(self.pivots) + len(self.free))
+        pre = np.zeros((len(self.pivots), b - a), dtype=dtype)
+        if self.cut:
+            digits = np.unravel_index(np.arange(a, b), self.sizes[: self.cut])
+            for col, x, d in zip(self.free, self.z, digits):
+                pre[:x] += _nonzero(x, field, dtype)[d].T * field.q**col
+        return pre
+
+    def matrix(self, field: FiniteField, pos: int) -> np.ndarray:
+        """The r x w RREF matrix at stream position ``pos``."""
+        r, w = len(self.pivots), len(self.pivots) + len(self.free)
+        out = np.zeros((r, w), dtype=np.int64)
+        out[np.arange(r), self.pivots] = 1
+        pos = int(pos)
+        for col, x, size in reversed(list(zip(self.free, self.z, self.sizes))):
+            pos, d = divmod(pos, size)
+            out[:x, col] = _nonzero(x, field, code_dtype(field.q, w))[d]
+        return out
+
+
+@cache
+def shape_rows(r: int, w: int, field: FiniteField) -> tuple[ShapeRows, ...]:
+    """The pivot shapes of the full-support r x w RREF matrices in stream
+    order, each as its ShapeRows; built once per process.  A shape whose
+    prefix choices overflow intp raises WorkLimitExceeded, as in
+    subspace_codes."""
+    q, dtype = field.q, code_dtype(field.q, w)
+    out = []
+    for shape in pivot_shapes(r, w):
+        piv = tuple(i - 1 for i in shape)
+        free = tuple(c for c in range(w) if c not in piv)
+        z = tuple(sum(p < c for p in piv) for c in free)
+        sizes = tuple(q**x - 1 for x in z)
+        cut, P = len(free), 1
+        while cut and P * sizes[cut - 1] <= DEFAULT_BLOCK:
+            cut -= 1
+            P *= sizes[cut]
+        if prod(sizes[:cut]) > np.iinfo(np.intp).max:
+            raise WorkLimitExceeded(f"{prod(sizes[:cut])} prefix choices of pivot shape {shape} overflow intp")
+        suf, zs = free[cut:], z[cut:]
+        rows, cont = [], []
+        for t in range(r):
+            own = [i for i, x in enumerate(zs) if x > t]
+            low = [int(t == 0 and zs[i] == 1) for i in own]
+            digits = np.zeros((0, 1), dtype=np.int64)
+            if own:
+                digits = np.indices([q - x for x in low]).reshape(len(own), -1) + np.array(low)[:, None]
+            codes = np.full(digits.shape[1], q ** piv[t], dtype=dtype)
+            for i, d in zip(own, digits):
+                codes = codes + d.astype(dtype) * q ** suf[i]
+            rows.append(codes)
+            cont.append(np.zeros((digits.shape[1], len(suf)), dtype=np.int64))
+            cont[t][:, own] = digits.T * q**t
+        used = sorted(set(zs))
+        starts = np.cumsum([0] + [q**x for x in used])
+        ranks = np.full(starts[-1], -1, dtype=np.int64)
+        for x, lo in zip(used, starts):
+            vals = _nonzero(x, field, np.int64)
+            ranks[lo + vals @ q ** np.arange(x)] = np.arange(len(vals))
+        off = np.array([starts[used.index(x)] for x in zs], dtype=np.int64)
+        strides = np.array([prod(sizes[cut + i + 1 :]) for i in range(len(suf))], dtype=np.int64)
+        out.append(ShapeRows(piv, free, z, sizes, cut, P, tuple(rows), tuple(cont), ranks, off, strides))
+    return tuple(out)
 
 
 def row_digits(codes: np.ndarray, q: int, w: int) -> np.ndarray:

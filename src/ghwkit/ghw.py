@@ -15,28 +15,40 @@ subspaces.  Per round, every w-subset S of the message coordinates and every
 matrix G_j gets a table of the supports of x·G_j[S] for all q^w messages x,
 packed into uint64 words.  The tables are message-major, (q^w, nS, |sel|,
 words): message x owns one contiguous row of masks for every (S, G_j), and a
-subspace's supports are the OR of the r rows that its basis rows' codes,
-yielded by the subspace stream, select.  Relative weights also tabulate the
+subspace's supports are the OR of the r rows that its basis rows' codes
+select.  Relative weights also tabulate the
 syndromes x·(G_j·H2ᵀ)[S] in the same order, on only the k1 - k2 checks of C2
 that C1 needs (the pivot columns of G1·H2ᵀ).  Over GF(2^s)
 the tables of all messages are built additively, with no field product: a
 message's entry is a shorter message's entry XOR one precomputed multiple of
 a matrix row, kept as packed bit-planes.  A round whose tables, with the
 entries they are built from, would exceed a fixed byte budget tabulates
-instead the distinct rows of each block of the subspace stream, a few support
-sets at a time, through one product per chunk and the same weighing; both
-modes give the same bounds, witnesses and counts.  Round w = r, where every
-run starts and most end, builds neither: its one subspace on S, the span of
-e_S, encodes through G_j to the r rows S of G_j, so it is weighed from the
-selected matrices' packed row supports (and rows of syndromes), with no
-stream and no product.
+instead only the row codes that a batch of subspaces uses, a few support
+sets at a time, through one product per chunk; both modes give the same
+bounds, witnesses and counts.
+
+The search walks each round w > r as a row tree, per pivot shape of the
+RREF bases.  Adding a row to a subspace can only grow its support, so the
+rows are fixed from the bottom one up, each level ORs one row's masks into
+its parent's, and every node that already reaches the round's bound is
+dropped with all its completions: Brouwer–Zimmermann cannot prune codeword
+combinations this way.  A dropped subspace weighs at least the bound and
+could never become it, so the survivors alone decide the round.  Each
+carries its place in the subspace stream, and they are replayed in the
+stream's order (block, support set, matrix, place): the bound, the witness,
+the early exit and the count of visited subspaces are exactly those of the
+plain path.  Round w = r, where every run starts and most end, has one
+subspace on S, the span of e_S, which encodes through G_j to the r rows S of
+G_j: it is weighed from the matrices' packed row supports (and rows of
+syndromes), built once per search, with no tables and no product.
 
 Relative weights M_r(C1, C2) run the same search on C1 and keep only the
 subspaces that meet C2 in 0.  A hierarchy seeds each run after the first
 with the averaging bound ceil((q^r - 1)·d_{r-1} / (q^r - q)), proven in
-_search, which holds for relative weights too.  The spectra weigh every subspace through one
-generator matrix with the search's kernel and C2 rejection and no bound;
-they go by w, then r, so each w's tables are built once.  The naive oracles
+_search, which holds for relative weights too.  The spectra weigh every
+subspace of the stream, in blocks, through one generator matrix with the
+same tables and C2 rejection and no bound, since a count cannot prune; they
+go by w, then r, so each w's tables are built once.  The naive oracles
 enumerate the full Grassmannian through a single generator matrix with no
 bounds on the plain path, one matmul per (block, support set), which only
 they use, and serve as an independent cross-check of the search and of its
@@ -47,15 +59,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import cache, partial
 from itertools import chain, combinations
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .code import LinearCode, bch_bound, dual
-from .enumeration import gaussian_binomial, row_digits, subspace_blocks, subspace_codes
+from .enumeration import (
+    DEFAULT_BLOCK,
+    ShapeRows,
+    gaussian_binomial,
+    row_digits,
+    shape_rows,
+    subspace_blocks,
+    subspace_codes,
+)
 from .errors import BadHierarchy, BadRank, GHWError, NotNested, WorkLimitExceeded
 from .infoset import information
 from .matrix import MatrixGF, rref_array
@@ -235,28 +255,43 @@ def _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop):
 # coordinates holds the support of X·G_j[S] as packed uint64 words, and with
 # C2 the syndrome table holds X·(G_j·H2ᵀ)[S].  Both are message-major,
 # (len(X), nS, |sel|, words) and (len(X), nS, |sel|, k1 - k2), so one
-# message's entries for every (S, G_j) are one contiguous row.  A block of
-# subspaces is then weighed on a chunk of S at once as the popcount of the OR
-# of the rows that its r basis rows' codes select (subspace_codes), each
-# lookup a copy of whole rows.  X lists all q^w messages in code order, once
-# per round, when those tables and the XOR entries they are built from
-# fit _TABLE_BYTES; otherwise X lists the distinct rows of one stream block,
-# looked up by position.  Tables of X go through one field.matmul per chunk
-# (_tables), except those of all messages over GF(2^s), which are built by
-# XOR doubling of packed bit-planes (_xor_tables), the same bytes.  Round
-# w = r takes neither and forms no row codes: its one subspace on S, the span
-# of e_S, has through G_j the support of the OR of the rows S of G_j, so each
-# chunk of support sets is one gather of their r packed row supports, one
-# np.bitwise_or.reduce over the r and one popcount (_unit_tables); with C2,
-# the rows S of G_j·H2ᵀ of those below the bound go through one elimination.
-_GATHER_ELEMS = 1 << 16  # elements per table-build or gather chunk
+# message's entries for every (S, G_j) are one contiguous row.  X lists all
+# q^w messages in code order, once per round, when those tables and the XOR
+# entries they are built from fit _TABLE_BYTES; otherwise X lists the
+# distinct row codes of one stream block (spectra) or of one batch of a row
+# tree's prefixes (search), looked up by position.  Tables of X go through
+# one field.matmul per chunk (_tables), except those of all messages over
+# GF(2^s), which are built by XOR doubling of packed bit-planes
+# (_xor_tables), the same bytes.
+#
+# The spectra weigh a stream block on a chunk of S at once as the popcount
+# of the OR of the rows that its r basis rows' codes select (_weigh), each
+# lookup a copy of whole rows.  The search's rounds w > r walk a row tree
+# per pivot shape (_tree_weigh): its first min(r, 2) levels are dense,
+# weighed the same way on every combination of the two bottom rows (for
+# r <= 2, on the shape's full-support matrices), a chunk of S at a time, so
+# a dense level holds at most _GATHER_ELEMS elements; past them, each node
+# that is still below the bound the round had when the shape started gets
+# one mask word row per child, gathered within the same budget.  Only
+# survivors below that bound reach the leaves, where the full-support rule
+# and C2 are checked; the least of each (block, S, G_j) is replayed in stream
+# order (_replay).  Round w = r takes no tables and forms no row codes: its
+# one subspace on S, the span of e_S, has through G_j the support of the OR
+# of the rows S of G_j, so each chunk of support sets is one gather of their
+# r packed row supports, one np.bitwise_or.reduce over the r and one
+# popcount (_weigh_units); with C2, the rows S of G_j·H2ᵀ of those below the
+# bound go through one elimination.
+_GATHER_ELEMS = 1 << 16  # elements per table-build, gather or tree-level chunk
 _TABLE_BYTES = 1 << 25  # largest tables of all q^w messages, with their entries, in one round
 
 
+@cache
 def _supports(k: int, w: int) -> np.ndarray:
-    """The w-subsets of range(k) in lexicographic order, as a (C(k, w), w)
-    array."""
-    return np.fromiter(chain.from_iterable(combinations(range(k), w)), dtype=np.intp).reshape(-1, w)
+    """The w-subsets of range(k) in lexicographic order, as a read-only
+    (C(k, w), w) array, built once per process."""
+    out = np.fromiter(chain.from_iterable(combinations(range(k), w)), dtype=np.intp).reshape(-1, w)
+    out.flags.writeable = False
+    return out
 
 
 def _tables(field, X: np.ndarray, B: np.ndarray, cols: np.ndarray, n: int):
@@ -318,7 +353,8 @@ def _round_tables(field, mats, ghs, sel, k: int, w: int):
     and the tables of all q^w messages on every support set when they fit
     _TABLE_BYTES together with the XOR entries they are built from, as
     message-major (q^w, nS, |sel|, ·) arrays filled a chunk of support sets
-    at a time, else None: then each block tabulates its own rows."""
+    at a time, else None: then each stream block of a spectrum, or each
+    batch of a row tree, tabulates its own rows."""
     ns, nq, n, nj = comb(k, w), field.q**w, mats[0].shape[1], len(sel)
     # one product gives each message's codeword and, with C2, its syndrome
     B = np.stack([mats[j] if ghs is None else np.hstack([mats[j], ghs[j]]) for j in sel])
@@ -343,65 +379,76 @@ def _round_tables(field, mats, ghs, sel, k: int, w: int):
     return supports, B, (masks, syn)
 
 
-def _block_tables(field, tabs, codes: np.ndarray, n: int):
-    """For the (m, r) row ``codes`` of a stream block and the round's
-    ``tabs``, per chunk of support sets in order: the chunk's support sets,
-    the (m, r) positions of the block's rows in the chunk's tables, and the
-    chunk's mask and syndrome tables, message-major like the round's.  A
-    chunk is a slice of the round's tables of all messages along their
-    support-set axis, where a row's position is its code, or else the
-    block's distinct rows tabulated on it; either way it gathers or builds
-    at most _GATHER_ELEMS elements."""
+def _block_tables(field, tabs, codes: list, n: int, step: int):
+    """The positions of a list of arrays of row ``codes`` in the tables of
+    round ``tabs``, as a list of arrays of the same shapes, and per chunk of
+    at most ``step`` support sets in order (lo, ns, off, masks, syn):
+    support sets lo..lo+ns-1 sit at off..off+ns-1 of the message-major mask
+    and syndrome tables.  Those are the round's tables of all messages,
+    where a row's position is its code and off = lo, or else tables of the
+    distinct codes alone, built per chunk with off = 0 and at most
+    _GATHER_ELEMS elements, however large ``step`` is."""
     supports, B, full = tabs
-    m, r = codes.shape
     if full is None:
-        used, codes = np.unique(codes.T, return_inverse=True)
-        X, codes = row_digits(used, field.q, supports.shape[1]), codes.reshape(r, m).T
-        step = max(1, _GATHER_ELEMS // (len(B) * len(X) * B.shape[-1]))
-    else:
-        width = full[0].shape[-1] + r * (B.shape[-1] - n)
-        step = max(1, _GATHER_ELEMS // (len(B) * m * width))
-    for lo in range(0, len(supports), step):
-        sl = slice(lo, lo + step)
-        if full is None:
-            yield supports[sl], codes, *_tables(field, X, B, supports[sl], n)
-        else:
-            yield supports[sl], codes, full[0][:, sl], None if full[1] is None else full[1][:, sl]
+        used, inv = np.unique(np.concatenate([c.ravel() for c in codes]), return_inverse=True)
+        X = row_digits(used, field.q, supports.shape[1])
+        codes = [x.reshape(c.shape) for x, c in zip(np.split(inv, np.cumsum([c.size for c in codes])[:-1]), codes)]
+        step = min(step, max(1, _GATHER_ELEMS // (len(B) * len(X) * B.shape[-1])))
+
+    def chunks():
+        for lo in range(0, len(supports), step):
+            cols = supports[lo : lo + step]
+            yield (lo, len(cols), 0, *_tables(field, X, B, cols, n)) if full is None else (lo, len(cols), lo, *full)
+
+    return codes, chunks()
 
 
-def _unit_tables(field, mats, ghs, sel, r: int, k: int, n: int):
-    """Round w = r's chunks of support sets, each as (cols, weigh), with no
-    message tables and no row codes: the round's one subspace on a support
-    set S, the span of e_S, encodes through G_j to the rows S of G_j, so its
-    support is the OR of those rows' packed supports.  A chunk is one
-    gather of the r packed rows of each of its support sets, one
-    np.bitwise_or.reduce and one popcount, within _GATHER_ELEMS elements;
-    ``weigh(upper)`` applies C2 (_weigh_units) and returns the (1, nS,
-    |sel|) weights."""
-    supports, words = _supports(k, r), -(-n // 64)
-    packed = np.zeros((k, len(sel), words * 8), dtype=np.uint8)
-    bits = np.packbits(np.array([mats[j] for j in sel]) != 0, axis=-1, bitorder="little")
+class _Matrices(NamedTuple):
+    """A search's systematic matrices as its rounds read them: ``mats``,
+    their syndrome matrices ``ghs`` (None without C2), and, for round w = r,
+    the packed row supports of all of them, a (k, m, words) uint64 array,
+    with their rows of syndromes, (k, m, k1 - k2) (None without C2).  Both
+    are built once per search; a round slices its selection from them."""
+
+    mats: list
+    ghs: list | None
+    masks: np.ndarray
+    syn: np.ndarray | None
+
+
+def _matrices(mats, ghs) -> _Matrices:
+    k, n = mats[0].shape
+    packed = np.zeros((k, len(mats), -(-n // 64) * 8), dtype=np.uint8)
+    bits = np.packbits(np.array(mats) != 0, axis=-1, bitorder="little")
     packed[..., : bits.shape[-1]] = bits.transpose(1, 0, 2)
-    masks = packed.view("<u8")
-    syn = None if ghs is None else np.array([ghs[j] for j in sel]).transpose(1, 0, 2)
-    step = max(1, _GATHER_ELEMS // (len(sel) * r * words))
+    return _Matrices(mats, ghs, packed.view("<u8"), None if ghs is None else np.stack(ghs, axis=1))
+
+
+def _unit_segments(field, ms: _Matrices, sel, r: int, k: int):
+    """Round w = r as segments (see _scan_kernel), one per chunk of support
+    sets, with no message tables and no row codes: the round's one subspace
+    on a support set S, the span of e_S, encodes through G_j to the rows S
+    of G_j, so its support is the OR of those rows' packed supports."""
+    supports, sel = _supports(k, r), np.asarray(sel)
+    step = max(1, _GATHER_ELEMS // (len(sel) * r * ms.masks.shape[-1]))
+    eye = np.eye(r, dtype=np.int64)
     for lo in range(0, len(supports), step):
         cols = supports[lo : lo + step]
-        wts = np.bitwise_count(np.bitwise_or.reduce(masks[cols], axis=1)).sum(axis=-1, dtype=np.int64)
-        yield cols, partial(_weigh_units, field, wts, syn, cols, n=n)
+        yield cols, 1, partial(_weigh_units, field, ms, sel, cols), lambda pos: eye
 
 
-def _weigh_units(field, wts: np.ndarray, syn, cols: np.ndarray, upper: int, n: int) -> np.ndarray:
-    """_weigh for a chunk of round w = r, given its (nS, |sel|) support
-    sizes: with C2, every subspace below ``upper`` whose r syndromes, the
-    rows ``cols[s]`` of the (k, |sel|, k1 - k2) syndrome matrices, are
-    dependent weighs n + 1.  Returns the weights as (1, nS, |sel|)."""
-    if syn is not None:
-        s, j = np.nonzero(wts < upper)
-        if s.size:
-            bad = ~_independent(field, syn[cols[s], j[:, None]], cols.shape[1])
-            wts[s[bad], j[bad]] = n + 1
-    return wts[None]
+def _weigh_units(field, ms: _Matrices, sel: np.ndarray, cols: np.ndarray, upper: int, stop):
+    """The candidates of a chunk of round w = r: one gather of the r packed
+    rows of each support set through each selected matrix, one
+    np.bitwise_or.reduce and one popcount, within _GATHER_ELEMS elements;
+    with C2, the rows ``cols[s]`` of the syndrome matrices of those below
+    ``upper`` go through one elimination."""
+    wts = _popcount(np.bitwise_or.reduce(ms.masks[cols[:, :, None], sel], axis=1))
+    s, j = np.nonzero(wts < upper)
+    if ms.syn is not None and s.size:
+        ok = _independent(field, ms.syn[cols[s], sel[j][:, None]], cols.shape[1])
+        s, j = s[ok], j[ok]
+    return s, j, wts[s, j], np.zeros_like(s)
 
 
 def _weigh(field, masks, syn, codes: np.ndarray, r: int, upper: int, n: int) -> np.ndarray:
@@ -409,7 +456,7 @@ def _weigh(field, masks, syn, codes: np.ndarray, r: int, upper: int, n: int) -> 
     ``codes``, weighed through each of a chunk's message-major tables: the
     popcount of the OR of the whole (nS, |sel|, words) rows that the codes
     select, an (m, nS, |sel|) array.  With C2, every one below ``upper``
-    that meets C2 outside 0 weighs n + 1."""
+    that meets C2 outside 0 weighs n + 1.  The spectra's kernel."""
     acc = masks[codes[:, 0]]
     for t in range(1, r):
         acc |= masks[codes[:, t]]
@@ -422,65 +469,235 @@ def _weigh(field, masks, syn, codes: np.ndarray, r: int, upper: int, n: int) -> 
     return wts
 
 
-def _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, stop):
-    """_scan_round through the support-mask tables, with C2 given by the
-    syndrome matrices ``ghs``, and with the same visit order (block, support
-    set, matrix), selection rule, early exit and count.  Each chunk of
-    support sets is weighed at once and then replayed: the running minimum
-    of the per-(S, j) minima is the upper bound after each (S, j), and the
-    witness is the first subspace at its final value.  With C2, only
-    subspaces below the chunk's starting bound can be picked, so only they
-    are tested.  Round w = r has one subspace per support set S, e_S, and
-    is weighed from the ORed rows S of the matrices (_unit_tables), with no
-    stream and no tables of messages."""
-    n, nj = mats[0].shape[1], len(sel)
-    if w == r:
-        blocks = [(None, _unit_tables(field, mats, ghs, sel, r, k, n))]
-    else:
-        tabs = _round_tables(field, mats, ghs, sel, k, w)
-        blocks = (
-            (codes, ((cols, partial(_weigh, field, masks, syn, rows, r, n=n))
-                     for cols, rows, masks, syn in _block_tables(field, tabs, codes, n)))
-            for codes in subspace_codes(r, w, field)
-        )
+@cache
+def _row_trees(r: int, w: int, field) -> tuple:
+    """Each pivot shape of round (r, w), as enumeration.shape_rows gives it,
+    with the combinations that its row tree's first D = min(r, 2) levels
+    weigh densely, a (K, D) array of indices into rows r-1, .., r-D: all
+    those of the D bottom rows, or, where D = r, the shape's full-support
+    matrices.  Built once per process."""
+    trees = []
+    for sh in shape_rows(r, w, field):
+        D = min(r, 2)
+        dense = np.indices([len(sh.rows[r - 1 - i]) for i in range(D)]).reshape(D, -1).T
+        if D == r:
+            dense = dense[sh.place(dense[:, ::-1].T)[0]]
+        trees.append((sh, dense))
+    return tuple(trees)
+
+
+def _tree_segments(field, ms: _Matrices, sel, r: int, w: int, k: int, n: int):
+    """Round w > r as segments (see _scan_kernel), one per pivot shape,
+    each weighed by the row tree (_tree_weigh)."""
+    tabs = _round_tables(field, ms.mats, ms.ghs, sel, k, w)
+    for sh, dense in _row_trees(r, w, field):
+        weigh = partial(_tree_weigh, field, sh, dense, tabs, len(sel), n)
+        yield tabs[0], sh.total, weigh, partial(sh.matrix, field)
+
+
+def _tree_weigh(field, sh: ShapeRows, dense, tabs, nj: int, n: int, upper: int, stop):
+    """The candidates of one pivot shape below ``upper``, by the row tree:
+    the first least-weight matrix of each (stream block, support set, G_j)
+    with a subspace below ``upper``, as (visit, j, weight, position) arrays
+    in visit order, a visit being (block, support set) and a position the
+    matrix's place in the shape's stream; both are exact Python ints where
+    they could pass int64.  The prefixes go a block's worth at a time, each
+    prefix one tree (_tree_leaves), a chunk of support sets at a time
+    (_block_tables), so that the dense levels hold at most _GATHER_ELEMS
+    elements; a batch ends by the end of the block where it starts.  The
+    replay stops at the first visit with a candidate at most ``stop`` (the
+    first visit if ``upper`` already is), so once one is found, no chunk or
+    batch whose visits all come after it is weighed."""
+    r, nS, prefixes = len(sh.pivots), len(tabs[0]), sh.total // sh.P
+    nb, words = max(1, DEFAULT_BLOCK // sh.P), -(-n // 64)
+    big = sh.total * nS >= 2**63
+    # the first visit with a candidate at most ``stop``, else one past them all
+    found, first = [], 0 if stop is not None and upper <= stop else sh.total * nS
+    a = 0
+    while a < prefixes:
+        # the batch's visits are (block, support set) from (head, 0) on; it
+        # ends by the prefix that holds block head's end, so that a stop in
+        # that block waits on few positions of the next
+        head = a * sh.P // DEFAULT_BLOCK
+        if first < head * nS:
+            break
+        b = min(a + nb, prefixes, -(-(head + 1) * DEFAULT_BLOCK // sh.P))
+        pre = sh.prefix_codes(field, a, b)
+        codes = [pre[t][:, None] + sh.rows[t] for t in range(r)]
+        step = max(1, _GATHER_ELEMS // ((b - a) * len(dense) * nj * words))
+        codes, chunks = _block_tables(field, tabs, codes, n, step)
+        for lo, ns, off, masks, syn in chunks:
+            for p, s, j, wt, spos in _tree_leaves(field, sh, dense, codes, masks, syn, off, ns, upper):
+                if p.size:
+                    at = (a + p.astype(object if big else np.int64)) * sh.P + spos
+                    v = at // DEFAULT_BLOCK * nS + lo + s
+                    found.append((v, j, wt, at))
+                    if stop is not None:
+                        first = min(first, v[wt <= stop].min(initial=first))
+            if first < head * nS + lo + ns:
+                break
+        if len(found) > 1 and sum(len(x[0]) for x in found) > _GATHER_ELEMS:
+            found = [_first_minima(found)]
+        a = b
+    return _first_minima(found)
+
+
+def _tree_leaves(field, sh: ShapeRows, dense, codes, masks, syn, s_off: int, ns: int, upper: int):
+    """The row trees of a batch of prefixes on support sets s_off..s_off+ns-1
+    of message-major tables, whose rows ``codes[t]``, a (prefixes,
+    len(sh.rows[t])) array, select.  Rows are fixed from the bottom one,
+    which has the fewest free entries, up.  The first D = min(r, 2) levels
+    are dense: each combination of ``dense`` (see _row_trees) is weighed
+    like a stream block, as the OR of its rows' whole mask rows.  Below
+    that, a node is (prefix, support set, matrix, rows fixed so far, the OR
+    of their masks): each level ORs one mask word row per child into its
+    parent's and keeps only the children below ``upper``, since adding a row
+    can only grow a support; a level's gather holds at most _GATHER_ELEMS
+    elements.  At the leaves (straight after the dense levels if D = r),
+    the survivors with every free column nonzero, and with C2 those whose r
+    syndromes are independent, are yielded a batch at a time as (prefix,
+    support set - s_off, j, weight, suffix position)."""
+    r, (_, nst, nj, words) = len(codes), masks.shape
+    K, D = dense.shape
+    dc = [codes[r - 1 - i][:, dense[:, i]].ravel() for i in range(D)]
+    acc = masks[dc[0], s_off : s_off + ns]
+    for x in dc[1:]:
+        acc |= masks[x, s_off : s_off + ns]
+    wts = _popcount(acc)
+    kk, sj = np.divmod(np.flatnonzero(wts < upper), ns * nj)
+    if not kk.size:
+        return
+    (s, j), (p, combo) = np.divmod(sj, nj), np.divmod(kk, K)
+    flat, stride = masks.reshape(-1, words), nst * nj
+    lin = [c * stride for c in codes]
+    synf = None if syn is None else syn.reshape(-1, syn.shape[-1])
+
+    def leaves(p, sj, wts, path):
+        ok, spos = sh.place(path)
+        p, sj, wts, path = p[ok], sj[ok], wts[ok], [x[ok] for x in path]
+        if synf is not None and p.size:
+            ok = _independent(field, np.stack([synf[lin[t][p, path[t]] + sj] for t in range(r)], axis=1), r)
+            p, sj, wts, spos = p[ok], sj[ok], wts[ok], spos[ok]
+        return p, sj // nj - s_off, sj % nj, wts, spos
+
+    tree = (flat, lin, upper, leaves)
+    path = [dense[combo, i] for i in range(D)]
+    yield from _descend(tree, r - 1 - D, p, (s_off + s) * nj + j, acc[kk, s, j], wts[kk, s, j], path)
+
+
+def _descend(tree, t: int, p, sj, acc, wts, path):
+    """The sparse levels of _tree_leaves, rows t down to 0, on nodes (prefix
+    ``p``, table offset ``sj`` of the support set and matrix, OR ``acc`` of
+    the fixed rows' masks and its weight ``wts``, their indices ``path``
+    from the bottom row on); with t = -1 the nodes are leaves."""
+    flat, lin, upper, leaves = tree
+    if t < 0:
+        yield leaves(p, sj, wts, path[::-1])
+        return
+    step = max(1, _GATHER_ELEMS // (lin[t].shape[1] * flat.shape[1]))
+    for lo in range(0, len(p), step):
+        pe, se = p[lo : lo + step], sj[lo : lo + step]
+        g = flat[lin[t][pe] + se[:, None]]
+        g |= acc[lo : lo + step, None]
+        wts = _popcount(g)
+        e, c = np.divmod(np.flatnonzero(wts < upper), g.shape[1])
+        if not e.size:
+            continue
+        kids = [x[lo : lo + step][e] for x in path] + [c]
+        yield from _descend(tree, t - 1, pe[e], se[e], g[e, c], wts[e, c], kids)
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """The support sizes of packed masks, along their last axis of words;
+    uint8 for one word."""
+    if masks.shape[-1] == 1:
+        return np.bitwise_count(masks[..., 0])
+    return np.bitwise_count(masks).sum(axis=-1, dtype=np.int64)
+
+
+def _first_minima(found):
+    """Of lists of candidates (visit, j, weight, position), the first
+    least-weight one of each (visit, j), in visit order."""
+    if not found:
+        return (np.zeros(0, dtype=np.int64),) * 4
+    v, j, wt, pos = map(np.concatenate, zip(*found))
+    o = np.lexsort((pos, wt, j, v))
+    v, j, wt, pos = v[o], j[o], wt[o], pos[o]
+    first = np.ones(len(v), dtype=bool)
+    first[1:] = (v[1:] != v[:-1]) | (j[1:] != j[:-1])
+    return v[first], j[first], wt[first], pos[first]
+
+
+def _replay(v: np.ndarray, wt: np.ndarray, upper: int, stop):
+    """The plain path's replay of a segment's candidates, given in visit
+    order with weights below ``upper``: the running minimum is the upper
+    bound after each candidate, and with ``stop`` the segment ends after the
+    first visit where it is at most ``stop`` (the first visit if ``upper``
+    already is).  Returns (index of the first candidate at the final bound,
+    or None if nothing is lighter than ``upper``; the final bound; the
+    stopping visit or None)."""
+    run = np.minimum.accumulate(wt)
+    end, stop_v = len(wt), None
+    if stop is not None:
+        hit = np.flatnonzero(run <= stop)
+        if upper <= stop or hit.size:
+            stop_v = 0 if upper <= stop else int(v[hit[0]])
+            end = int(np.searchsorted(v, stop_v, side="right"))
+    if not end:
+        return None, upper, stop_v
+    best = int(run[end - 1])
+    return int(np.argmax(wt[:end] == best)), best, stop_v
+
+
+def _visited(stop_v, nS: int, total: int) -> int:
+    """The subspaces a segment visits, all or through visit ``stop_v``: its
+    nS support sets each pair with every matrix of a stream block of at most
+    DEFAULT_BLOCK of its ``total`` matrices before the next block."""
+    if stop_v is None:
+        return total * nS
+    blk, s = divmod(stop_v, nS)
+    return blk * DEFAULT_BLOCK * nS + min(DEFAULT_BLOCK, total - blk * DEFAULT_BLOCK) * (s + 1)
+
+
+def _scan_kernel(field, ms: _Matrices, sel, r, w, k, upper, witness, stop):
+    """_scan_round through the support-mask kernel, with C2 given by the
+    syndrome matrices of ``ms``, and with the same visit order (block,
+    support set, matrix), selection rule, early exit and count.  A round is
+    a list of segments, each (support sets, matrices per set, weigh, base):
+    ``weigh(upper, stop)`` gives the segment's candidates below ``upper`` in
+    visit order, at least through the visit where the replay (_replay) would
+    stop, and ``base(position)`` the witness's r x w matrix.  Round w = r has one segment per chunk of support sets and
+    one subspace per set, e_S (_unit_segments); a round w > r has one per
+    pivot shape, weighed by the row tree (_tree_segments).  A subspace the
+    tree prunes weighs at least the bound and could never become it, so the
+    bound, witness and count are the plain path's."""
+    n = ms.mats[0].shape[1]
+    segments = _unit_segments(field, ms, sel, r, k) if w == r else _tree_segments(field, ms, sel, r, w, k, n)
     count = 0
-    for codes, chunks in blocks:
-        for cols, weigh in chunks:
-            wts = weigh(upper)
-            mins = wts.min(axis=0).ravel()
-            run = np.minimum(np.minimum.accumulate(mins), upper)
-            visited, stopped = wts.shape[1], False
-            if stop is not None:
-                hit = np.flatnonzero(run[nj - 1 :: nj] <= stop)
-                if hit.size:
-                    visited, stopped = int(hit[0]) + 1, True
-            count += wts.shape[0] * visited
-            best = int(run[visited * nj - 1])
-            if best < upper:
-                s, jj = divmod(int(np.argmax(mins == best)), nj)
-                c = int(wts[:, s, jj].argmin())
-                upper = best
-                # round w = r's subspace on S is e_S
-                base = np.eye(r, dtype=np.int64) if codes is None else row_digits(codes[c], field.q, w)
-                witness = _make_witness(field, base, cols[s], sel[jj], upper, k)
-            if stopped:
-                return upper, witness, count
+    for cols, total, weigh, base in segments:
+        v, jj, wt, pos = weigh(upper, stop)
+        i, upper, stop_v = _replay(v, wt, upper, stop)
+        count += _visited(stop_v, len(cols), total)
+        if i is not None:
+            witness = _make_witness(field, base(pos[i]), cols[v[i] % len(cols)], sel[jj[i]], upper, k)
+        if stop_v is not None:
+            break
     return upper, witness, count
 
 
-def _run(field, mats, reds, ghs, rows, start, r, lower, opts) -> RunReport:
-    """Bounded search for d_r (M_r when ``ghs`` is given) through the
-    systematic ``mats`` with redundancies ``reds`` and their syndrome
-    matrices ``ghs``, from the lower bound ``lower``.  The starting witness
-    is ``rows[:r]`` of ``mats[0]``, of weight ``start``; it is built only if
-    the search finds nothing lighter."""
-    k = mats[0].shape[0]
+def _run(field, ms: _Matrices, reds, rows, start, r, lower, opts) -> RunReport:
+    """Bounded search for d_r (M_r when ``ms`` has syndrome matrices)
+    through the systematic matrices of ``ms`` with redundancies ``reds``,
+    from the lower bound ``lower``.  The starting witness is ``rows[:r]`` of
+    the first matrix, of weight ``start``; it is built only if the search
+    finds nothing lighter."""
+    k = ms.mats[0].shape[0]
     report = RunReport(r=r)
     # Matrices with R_j <= r take part, each credited r - R_j at the start:
     # G_j is the identity on I_j, so every r-dimensional subspace meets I_j
     # in at least r coordinates.  A scanned round adds one per matrix; only
     # a final round scans a proper prefix of ``parts``, so one counter holds.
-    parts = sorted((j for j in range(len(mats)) if reds[j] <= r), key=lambda j: (reds[j], j))
+    parts = sorted((j for j in range(len(ms.mats)) if reds[j] <= r), key=lambda j: (reds[j], j))
     covered = sum(r - reds[j] for j in parts)
     lower = max(lower, covered)
     witness, w, upper = None, r, start
@@ -488,7 +705,7 @@ def _run(field, mats, reds, ghs, rows, start, r, lower, opts) -> RunReport:
     while w <= k and lower < upper:
         t0 = time.perf_counter()
         sel = sorted(parts[: upper - covered])
-        upper, witness, nsub = _scan_kernel(field, mats, ghs, sel, r, w, k, upper, witness, lower)
+        upper, witness, nsub = _scan_kernel(field, ms, sel, r, w, k, upper, witness, lower)
         report.subspaces_enumerated += nsub
         covered += len(sel)
         lower = max(lower, covered)
@@ -583,13 +800,14 @@ def _search(c1, c2, ranks, opts: ComputeOptions) -> list[int]:
     rows = list(range(c1.k)) if ghs is None else rref_array(field, ghs[0].T)[1]
     # the starting witness of run r spans rows[:r]: one cumulative OR weighs all
     starts = np.logical_or.accumulate(mats[0][rows] != 0, axis=0).sum(axis=1).tolist()
+    ms = _matrices(mats, ghs)
     values: list[int] = []
     q = field.q
     for r in ranks:
         lower = 0 if floor is None else floor + r - 1
         if values:
             lower = max(lower, -(-(q**r - 1) * values[-1] // (q**r - q)))
-        values.append(_run(field, mats, dec.reds, ghs, rows, starts[r - 1], r, lower, opts).value)
+        values.append(_run(field, ms, dec.reds, rows, starts[r - 1], r, lower, opts).value)
     return values
 
 
@@ -677,6 +895,7 @@ def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Sp
                 f"Grassmannian of dimension {r} exceeds the work limit {opts.work_limit}"
             )
     hist = np.zeros((rmax + 1, n + 2), dtype=np.int64)
+    words, c = -(-n // 64), 0 if h2t is None else h2t.shape[1]
     for w in range(1, k + 1):
         t0 = time.perf_counter()
         tabs = _round_tables(field, [G], ghs, [0], k, w)
@@ -684,8 +903,12 @@ def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Sp
             nsub = 0
             for codes in subspace_codes(r, w, field):
                 nsub += codes.shape[0] * comb(k, w)
-                for _, rows, masks, syn in _block_tables(field, tabs, codes, n):
-                    wts = _weigh(field, masks, syn, rows, r, n + 1, n)
+                # a chunk gathers one mask row and r syndrome rows per subspace
+                step = max(1, _GATHER_ELEMS // (codes.shape[0] * (words + r * c)))
+                (rows,), chunks = _block_tables(field, tabs, [codes], n, step)
+                for _, ns, off, masks, syn in chunks:
+                    sl = slice(off, off + ns)
+                    wts = _weigh(field, masks[:, sl], None if syn is None else syn[:, sl], rows, r, n + 1, n)
                     hist[r] += np.bincount(wts.ravel(), minlength=n + 2)
             _emit(
                 opts,

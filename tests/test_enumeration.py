@@ -16,6 +16,7 @@ from ghwkit.enumeration import (
     gaussian_binomial,
     pivot_shapes,
     row_digits,
+    shape_rows,
     subspace_blocks,
     subspace_codes,
     subspaces,
@@ -35,6 +36,7 @@ F3 = build_field(3)
 F4 = build_field(2, 2)
 F5 = build_field(5)
 F8 = build_field(2, 3)
+GF16 = build_field(2, 4)
 
 
 def test_gaussian_binomial_examples():
@@ -357,3 +359,32 @@ def test_grassmannian_coverage_against_brute_force(k):
         brute = brute_subspaces(F2, k, r)
         assert len(mine) == len(brute) == gaussian_binomial(k, r, 2)
         assert mine == set(brute.keys())
+
+
+@pytest.mark.parametrize(
+    "F, r, w", [(F2, 3, 6), (F2, 1, 4), (F3, 2, 4), (F4, 3, 5), (F8, 3, 4), (GF16, 2, 3), (GF16, 1, 5)]
+)
+def test_shape_rows_follow_the_stream(F, r, w):
+    # every choice of a pivot shape's rows on a prefix that leaves no free
+    # column zero is one matrix of the stream, at its place in stream order;
+    # GF(16) (1, 5) has 15^4 matrices, so its shape has a prefix column
+    for sh, want in zip(shape_rows(r, w, F), _stream_by_shape(F, r, w)):
+        grid = np.indices([len(x) for x in sh.rows]).reshape(r, -1)
+        ok, pos = sh.place(list(grid))
+        assert len(want) == sh.total and sorted(pos.tolist()) == list(range(sh.P))
+        for i in {0, sh.total // sh.P - 1}:
+            pre = sh.prefix_codes(F, i, i + 1)[:, 0]
+            codes = np.stack([c + x[g] for c, x, g in zip(pre, sh.rows, grid[:, ok])], axis=1)
+            assert np.array_equal(row_digits(codes, F.q, w)[np.argsort(pos)], want[i * sh.P : (i + 1) * sh.P])
+        for p in (0, sh.total - 1):
+            assert np.array_equal(sh.matrix(F, p), want[p])
+    assert any(sh.cut for sh in shape_rows(r, w, F)) == ((F.q, w) == (16, 5))
+
+
+def _stream_by_shape(F, r, w):
+    """The stream's matrices of round (r, w), one (count, r, w) array per
+    pivot shape, split where the pivot columns change."""
+    blocks = np.concatenate(list(subspace_blocks(r, w, F)))
+    pivots = (blocks != 0).argmax(axis=2)
+    cuts = np.flatnonzero((pivots[1:] != pivots[:-1]).any(axis=1)) + 1
+    return np.split(blocks, cuts)

@@ -23,7 +23,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghwkit.code import code_from_rows
-from ghwkit.enumeration import gaussian_binomial, row_digits, subspace_blocks, subspace_codes
+from ghwkit.enumeration import (
+    DEFAULT_BLOCK,
+    ShapeRows,
+    count_full_support,
+    gaussian_binomial,
+    row_digits,
+    shape_rows,
+    subspace_blocks,
+    subspace_codes,
+)
+from ghwkit.errors import WorkLimitExceeded
 from ghwkit.gf import FiniteField, build_field
 from ghwkit.ghw import (
     ComputeOptions,
@@ -77,7 +87,7 @@ def _check_round(c1, c2, r, w, sel, upper, stop):
     want = GHW._scan_round(field, mats, sel, r, w, k, upper, None, h2t, stop)
     for table in (None, 0):
         with budgets(table=table):
-            got = GHW._scan_kernel(field, mats, ghs, sel, r, w, k, upper, None, stop)
+            got = GHW._scan_kernel(field, GHW._matrices(mats, ghs), sel, r, w, k, upper, None, stop)
         assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
     return want
 
@@ -188,14 +198,18 @@ def test_tables_are_message_major(F, n, k1, k2):
             assert (tabs[2] is None) == (table == 0)
             for r in range(1, w + 1):
                 for codes in subspace_codes(r, w, F, block_size=500):
-                    for cols, rows, bmasks, bsyn in GHW._block_tables(F, tabs, codes, n):
-                        assert rows.shape == codes.shape
-                        assert bmasks.shape[1:] == (len(cols), len(sel), words)
-                        for s, S in enumerate(cols):
+                    (rows,), chunks = GHW._block_tables(F, tabs, [codes], n, 2)
+                    assert rows.shape == codes.shape
+                    seen = []
+                    for lo, ns, off, bmasks, bsyn in chunks:
+                        assert bmasks.shape[2:] == (len(sel), words) and ns <= 2
+                        seen += range(lo, lo + ns)
+                        for s, S in enumerate(supports[lo : lo + ns], off):
                             for jj, j in enumerate(sel):
                                 want_masks, want_syn = own(codes.ravel(), j, S, w)
                                 assert np.array_equal(bmasks[rows.ravel(), s, jj], want_masks)
                                 assert bsyn is None or np.array_equal(bsyn[rows.ravel(), s, jj], want_syn)
+                    assert seen == list(range(len(supports)))
 
 
 @pytest.mark.parametrize("gather", [1, None], ids=["chunk1", "default"])
@@ -224,6 +238,74 @@ def test_first_round_past_int64_row_codes():
             assert _check_round(code, None, r, r, sel, 8, stop)[1] is not None
 
 
+def test_row_tree_past_int64_row_codes():
+    # round (1, 4) over GF(2^16) has 65,535^3 matrices, with row codes past
+    # int64: the tree builds its rows, prefixes and witness from exact
+    # Python ints, and at stop >= upper leaves after the first block
+    code = random_code(np.random.default_rng(1), F65536, 7, 5)
+    sel = list(range(len(information(code).mats)))
+    assert F65536.q**4 > 2**63
+    for stop in (8, 7):
+        assert _check_round(code, None, 1, 4, sel, 8, stop)[2] == DEFAULT_BLOCK
+
+
+def test_a_stopped_row_tree_weighs_no_later_support_set():
+    # round (1, 4) of the code above stops at its first visit, (block 0,
+    # S_0); its first batch of prefixes is block 0 whole, so with one
+    # support set a chunk the tree tabulates the batch's rows on S_0 alone,
+    # one GF(2^16) product, and none on the other C(5, 4) - 1 support sets
+    code = random_code(np.random.default_rng(1), F65536, 7, 5)
+    mats, _, _ = _round_inputs(code, None)
+    sel = list(range(len(mats)))
+    for stop in (8, 7):
+        want = GHW._scan_round(F65536, mats, sel, 1, 4, 5, 8, None, None, stop)
+        with budgets(gather=1, table=0), mock.patch.object(GHW, "_tables", wraps=GHW._tables) as tables:
+            got = GHW._scan_kernel(F65536, GHW._matrices(mats, None), sel, 1, 4, 5, 8, None, stop)
+        assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), DEFAULT_BLOCK)
+        assert tables.call_count == 1
+
+
+def test_row_tree_stops_inside_a_batch_across_blocks():
+    # round (1, 5) over GF(16) has one pivot shape of 15^4 = 50,625
+    # matrices in blocks of 16,384, weighed at most 4 prefixes of 15^3 at a
+    # time: each block is a batch of 13,500 positions and part of a batch of
+    # one prefix that ends in the next block.  These stops land in blocks 0,
+    # 1 and 2, where a block's first batch must not end the round, even with
+    # a candidate at most ``stop`` (the [14,6] codes: a lighter or earlier
+    # one lies in the block's part of the next batch), but the next batch,
+    # part way through the support sets, must; with one support set a chunk
+    # and with several.  All run per batch: the tables of all 16^5 messages
+    # exceed the cap
+    blocks = set()
+    cases = ((12, 0, 1, 6), (12, 1, 2, 6), (16, 1, 1, 9), (14, 2, 1, 9), (14, 4, 1, 8), (14, 5, 3, 8))
+    for n, seed, nsel, stop in cases:
+        code = random_code(np.random.default_rng(seed), F16, n, 6)
+        mats, _, _ = _round_inputs(code, None)
+        sel = list(range(len(mats)))[:nsel]
+        want = GHW._scan_round(F16, mats, sel, 1, 5, 6, n + 1, None, None, stop)
+        for gather in (1, None):
+            with budgets(gather=gather):
+                got = GHW._scan_kernel(F16, GHW._matrices(mats, None), sel, 1, 5, 6, n + 1, None, stop)
+            assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
+        blocks.add(want[2] // (DEFAULT_BLOCK * comb(6, 5)))
+    assert blocks == {0, 1, 2}
+
+
+def test_row_tree_past_int64_positions():
+    # round (1, 9) over GF(256) has 255^8 > 2^63 matrices in one pivot
+    # shape, but 255^7 prefix choices of 255 positions each, within intp:
+    # the tree numbers its positions and visits with exact Python ints and
+    # stops in the first block.  Round (1, 10), with 255^8 prefix choices,
+    # is refused before any block, like the stream
+    assert 255**8 > 2**63 > 255**7
+    code = random_code(np.random.default_rng(2), F256, 12, 9)
+    sel = list(range(len(information(code).mats)))
+    assert _check_round(code, None, 1, 9, sel, 13, 12)[2] == DEFAULT_BLOCK
+    for stream in (lambda: shape_rows(1, 10, F256), lambda: next(subspace_codes(1, 10, F256))):
+        with pytest.raises(WorkLimitExceeded):
+            stream()
+
+
 def test_first_round_builds_no_message_tables():
     # a w = r round reads the rows S of each G_j: it builds no tables of
     # messages, starts no subspace stream and takes no field product
@@ -235,7 +317,7 @@ def test_first_round_builds_no_message_tables():
         sel = list(range(len(mats)))
         for r in range(1, c1.k - (0 if c2 is None else c2.k) + 1):
             want = GHW._scan_round(c1.field, mats, sel, r, r, c1.k, c1.n + 1, None, h2t, None)
-            cases.append(((c1.field, mats, ghs, sel, r, r, c1.k, c1.n + 1, None, None), want))
+            cases.append(((c1.field, GHW._matrices(mats, ghs), sel, r, r, c1.k, c1.n + 1, None, None), want))
     banned = mock.Mock(side_effect=AssertionError("a w = r round tabulated messages"))
     with mock.patch.object(GHW, "_round_tables", banned), mock.patch.object(GHW, "subspace_codes", banned), \
             mock.patch.object(GHW, "_tables", banned), mock.patch.object(FiniteField, "matmul", banned):
@@ -266,7 +348,7 @@ def test_first_round_rejects_its_only_light_subspace(r, rows):
         return real(field, syn, r)
 
     with mock.patch.object(GHW, "_independent", independent):
-        got = GHW._scan_kernel(F2, mats, ghs, [0], r, r, 3, r + 2, None, None)
+        got = GHW._scan_kernel(F2, GHW._matrices(mats, ghs), [0], r, r, 3, r + 2, None, None)
     assert got == (r + 2, None, comb(3, r))
     assert calls == [(1, r, 2)]
     assert _check_round(c1, c2, r, r, [0], r + 2, None) == (r + 2, None, comb(3, r))
@@ -322,12 +404,23 @@ def test_rounds_over_the_default_cap():
     # round w = 5 of a GF(16) [12,6] code would need about 100 MB of tables
     # for all 16^5 messages through its two matrices, so it runs per block
     # with no patching; round (4, 5) is stopped after its first block's first
-    # support set
+    # support set, and its first pivot shape, of four blocks, is weighed one
+    # batch of prefixes (one block) at a time, so the row tree weighs only the
+    # first batch, once per table mode
     code = random_code(np.random.default_rng(16), F16, 12, 6)
     sel = list(range(len(information(code).mats)))
     assert comb(6, 5) * F16.q**5 * 8 * len(sel) > GHW._TABLE_BYTES
     assert _check_round(code, None, 5, 5, sel, 13, None)[2] == comb(6, 5)
-    assert _check_round(code, None, 4, 5, sel, 13, 12)[2] == len(next(subspace_blocks(4, 5, F16)))
+    assert GHW._row_trees(4, 5, F16)[0][0].total > 3 * DEFAULT_BLOCK
+    batches, prefix_codes = [], ShapeRows.prefix_codes
+
+    def counted(self, field, a, b):
+        batches.append((a, b))
+        return prefix_codes(self, field, a, b)
+
+    with mock.patch.object(ShapeRows, "prefix_codes", counted):
+        assert _check_round(code, None, 4, 5, sel, 13, 12)[2] == len(next(subspace_blocks(4, 5, F16)))
+    assert batches == [(0, DEFAULT_BLOCK)] * 2
 
 
 def test_xor_entries_count_against_the_table_cap():
@@ -453,3 +546,71 @@ def test_char2_round_tables_take_no_field_product():
     value, tabulated, products = run(lambda: hierarchy(ternary).values)
     assert value == tuple(naive_ghw(ternary, r) for r in range(1, 5))
     assert tabulated > 0 and products == tabulated
+
+
+@pytest.mark.parametrize("gather", [1, None], ids=["chunk1", "default"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([F2, F3, F4, F8, F16]), st.data())
+def test_row_tree_matches_plain_path(gather, F, data):
+    # rounds w > r with r >= 3, which take the row tree's sparse levels past
+    # its two dense ones, in both table modes, with and without stop and C2
+    k1 = data.draw(st.integers(4, {2: 7, 3: 5, 4: 5, 8: 4, 16: 4}[F.q]), label="k1")
+    k2 = data.draw(st.integers(0, min(1, k1 - 3)), label="k2")
+    n = data.draw(st.integers(k1, 12), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if k2:
+        c1, c2 = random_nested_pair(rng, F, n, k1, k2)
+    else:
+        c1, c2 = random_code(rng, F, n, k1), None
+    r = data.draw(st.integers(3, min(k1 - k2, k1 - 1)), label="r")
+    w = data.draw(st.integers(r + 1, k1), label="w")
+    nmats = len(information(c1).mats)
+    sel = data.draw(st.lists(st.integers(0, nmats - 1), min_size=1, unique=True), label="sel")
+    upper = data.draw(st.integers(1, n + 1), label="upper")
+    stop = data.draw(st.none() | st.integers(0, n), label="stop")
+    with budgets(gather=gather):
+        _check_round(c1, c2, r, w, sorted(sel), upper, stop)
+
+
+def test_row_tree_prunes_every_two_row_prefix_at_d2():
+    # two independent rows span a 2-dimensional subcode, of weight at least
+    # d_2, so at upper = d_2 no node survives the dense levels: the sparse
+    # levels weigh no third row, and the count is still every subspace's
+    code = random_code(np.random.default_rng(41), F2, 12, 6)
+    d2 = naive_ghw(code, 2)
+    assert any(dense.shape[1] == 2 for _, dense in GHW._row_trees(3, 6, F2))
+    every = comb(6, 6) * count_full_support(6, 3, 2)
+    for upper, weighed in ((d2, False), (13, True)):
+        with mock.patch.object(GHW, "_descend", wraps=GHW._descend) as third:
+            assert _check_round(code, None, 3, 6, [0], upper, None)[2] == every
+        assert third.called == weighed
+    assert _check_round(code, None, 3, 6, [0], d2, None) == (d2, None, every)
+
+
+def test_row_tree_rejects_a_light_leaf_without_full_support():
+    # rows 0-2 of G are e_0, e_1, e_2: their span weighs 3, and every other
+    # leaf of round (3, 5) reaches column 3 or 4, with 6 more coordinates
+    # each.  That span is a leaf of the tree, below upper = 10, but has
+    # columns 3 and 4 zero: it belongs to round (3, 3), so round (3, 5)
+    # must neither pick it nor count it
+    G = np.zeros((5, 17), dtype=np.int64)
+    G[np.arange(5), np.arange(5)] = 1
+    G[3, 5:11] = G[4, 11:17] = 1
+    code = code_from_rows(F2, G)
+    mats, _, ghs = _round_inputs(code, None)
+    assert np.array_equal(mats[0], G)
+    assert GHW._row_trees(3, 5, F2)[0][1].shape[1] == 2
+    rejected = []
+    place = ShapeRows.place
+
+    def spy(self, path):
+        ok, pos = place(self, path)
+        rejected.extend(np.stack(path, axis=1)[~ok].tolist())
+        return ok, pos
+
+    with mock.patch.object(ShapeRows, "place", spy):
+        got = GHW._scan_kernel(F2, GHW._matrices(mats, ghs), [0], 3, 5, 5, 10, None, None)
+    assert got == (10, None, count_full_support(5, 3, 2))
+    assert [0, 0, 0] in rejected
+    assert _check_round(code, None, 3, 5, [0], 10, None) == got
+    assert hierarchy(code).values[:3] == (1, 2, 3)
