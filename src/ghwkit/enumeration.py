@@ -9,17 +9,18 @@ deterministic: pivot shapes in lexicographic order, free-column choices in
 odometer order with the rightmost free column varying fastest.
 
 The stream yields each matrix as its r row codes: row x of length w has code
-sum_t x_t q^t (x_t at 0-based column t), exact for every q^w.  Per pivot
-shape, the codes of the longest suffix of free columns that fits in a block
-are tabulated once; a block decodes only its rows' prefix columns and adds
-them to that table by broadcasting.  Tables, prefixes and blocks are built
-row-major, (r, count), so those adds run along the long axis; each block is
-yielded as its read-only (count, r) transpose, whose columns are contiguous.  This module is
-the only one that encodes or decodes that format; ``row_digits`` turns codes
-back into rows, and ``subspace_blocks`` is the decoded stream.  For a row
-tree, which fixes a matrix's rows one at a time, ``shape_rows`` gives each
-pivot shape's candidate rows as codes and maps any choice of them back to
-its place in the stream, or to none if a free column is left zero.
+sum_t x_t q^t (x_t at 0-based column t), exact for every q^w.  The stream
+and the row tree, which fixes a matrix's rows one at a time, share one
+layout, ``shape_rows``: per pivot shape, the longest suffix of free columns
+with at most a block's choices and the prefix before it.  The stream
+tabulates a shape's suffix codes once and builds each block as its
+prefixes' codes plus that table (``ShapeRows.codes``, the one decoder of
+stream positions), row-major, (r, count), yielded as its read-only (count,
+r) transpose, whose columns are contiguous.  The tree ranges over each
+row's candidate codes and maps any choice of them back to its position, or
+to none if a free column is left zero.  This module is the only one that
+encodes or decodes that format; ``row_digits`` turns codes back into rows,
+and ``subspace_blocks`` is the decoded stream.
 
 All counting functions use exact arbitrary-precision integers.
 """
@@ -132,48 +133,15 @@ def subspace_codes(
     ``block_size`` matrices a block and never spanning two pivot shapes.  Row
     z's code is q^(i_z - 1) plus, for each free column, its entry in row z
     times q^(column - 1); codes are int64 when q^w <= 2^63, else exact Python
-    ints in object arrays.  A shape's longest suffix of free columns with at
-    most ``block_size`` choices is tabulated once, pivots included (P codes);
-    a block decodes its rows' prefixes by ``np.unravel_index`` and adds each to
-    the table.  All three are (r, count) arrays, and a block is the transpose
-    of a slice of one, so each column ``codes[:, t]`` is contiguous.  A shape
-    whose prefix choices overflow intp raises WorkLimitExceeded; the first
-    shape has the most choices in every free column, so that happens before
-    any block is built."""
-    if not 1 <= r <= w:
-        raise BadArgs(f"need 1 <= r <= w, got r={r}, w={w}")
-    if block_size < 1:
-        raise BadArgs(f"block_size must be >= 1, got {block_size}")
-    dtype = code_dtype(field.q, w)
-    qpow = np.array([field.q**t for t in range(w)], dtype=dtype)
-    for shape in pivot_shapes(r, w):
-        adds = []
-        for z, (pivot, nxt) in enumerate(zip(shape, shape[1:] + (w + 1,)), 1):
-            # A free column between pivots i_z and i_{z+1} may be nonzero only
-            # in its first z coordinates (rows below still await their pivot),
-            # and must be nonzero somewhere: q^z - 1 choices.
-            for col in range(pivot, nxt - 1):
-                vals = _nonzero(z, field, dtype)
-                add = np.zeros((r, vals.shape[0]), dtype=dtype)
-                add[:z] = vals.T * qpow[col]
-                adds.append(add)
-        sizes = [a.shape[1] for a in adds]
-        total = prod(sizes)
-        suffix, cut = qpow[[i - 1 for i in shape]][:, None], len(adds)
-        while cut and suffix.shape[1] * sizes[cut - 1] <= block_size:
-            cut -= 1
-            suffix = (adds[cut][:, :, None] + suffix[:, None]).reshape(r, -1)
-        P = suffix.shape[1]
-        choices = prod(sizes[:cut])
-        if choices > np.iinfo(np.intp).max:
-            raise WorkLimitExceeded(f"{choices} prefix choices of pivot shape {shape} overflow intp")
-        for lo in range(0, total, block_size):
-            hi = min(lo + block_size, total)
-            idx = np.arange(lo // P, -(-hi // P))
-            prefix = np.zeros((r, idx.size), dtype=dtype)
-            for add, sel in zip(adds[:cut], np.unravel_index(idx, sizes[:cut] or [1])):
-                prefix += add[:, sel]
-            codes = (prefix[:, :, None] + suffix[:, None]).reshape(r, -1)[:, lo - idx[0] * P : hi - idx[0] * P].T
+    ints in object arrays.  The shapes are those of shape_rows at
+    ``block_size``: each one's suffix table is built once, and each block is
+    ShapeRows.codes over it, yielded as the transpose of that (r, count)
+    array, so each column ``codes[:, t]`` is contiguous.  A round whose
+    prefix choices overflow intp is refused before any block is built."""
+    for sh in shape_rows(r, w, field, block_size):
+        suffix = sh.suffix(field)
+        for lo in range(0, sh.total, block_size):
+            codes = sh.codes(field, lo, min(lo + block_size, sh.total), suffix).T
             codes.flags.writeable = False
             yield codes
 
@@ -184,13 +152,14 @@ class ShapeRows(NamedTuple):
     order, their position being the mixed-radix index of their free columns'
     vectors, each by its place in _nonzero(z), the last column fastest.  The
     free columns before ``cut`` form the prefix; the rest, the suffix, have
-    ``P`` choices in all, at most DEFAULT_BLOCK, so prefix i holds positions
-    i·P .. i·P + P - 1.  Row t ranges over ``rows[t]``: the codes of a 1 at
-    its pivot and every value at the suffix columns right of it, nonzero at
-    those that only row 0 reaches; ``prefix_codes`` adds a prefix's entries.
-    ``cont[t]`` holds each such code's entries on the suffix times q^t, so
-    the rows' sum gives each suffix column's vector as a code of F^z, and
-    ``ranks[code + off]`` its place in _nonzero(z), -1 for 0."""
+    ``P`` choices in all, at most the block size, so prefix i holds
+    positions i·P .. i·P + P - 1.  Row t ranges over ``rows[t]``: the codes
+    of a 1 at its pivot and every value at the suffix columns right of it,
+    nonzero at those that only row 0 reaches; ``prefix_codes`` adds a
+    prefix's entries.  ``cont[t]`` holds each such code's entries on the
+    suffix times q^t, so the rows' sum gives each suffix column's vector as
+    a code of F^z, and ``ranks[code + off]`` its place in _nonzero(z), -1
+    for 0."""
 
     pivots: tuple[int, ...]  # 0-based
     free: tuple[int, ...]  # the free columns, ascending
@@ -227,33 +196,51 @@ class ShapeRows(NamedTuple):
                 pre[:x] += _nonzero(x, field, dtype)[d].T * field.q**col
         return pre
 
-    def matrix(self, field: FiniteField, pos: int) -> np.ndarray:
-        """The r x w RREF matrix at stream position ``pos``."""
-        r, w = len(self.pivots), len(self.pivots) + len(self.free)
-        out = np.zeros((r, w), dtype=np.int64)
-        out[np.arange(r), self.pivots] = 1
-        pos = int(pos)
-        for col, x, size in reversed(list(zip(self.free, self.z, self.sizes))):
-            pos, d = divmod(pos, size)
-            out[:x, col] = _nonzero(x, field, code_dtype(field.q, w))[d]
+    def suffix(self, field: FiniteField) -> np.ndarray:
+        """Each row's code on its pivot and the suffix columns, for the P
+        suffix choices in stream order, an (r, P) array."""
+        r, q = len(self.pivots), field.q
+        dtype = code_dtype(q, r + len(self.free))
+        out = np.array([q**p for p in self.pivots], dtype=dtype)[:, None]
+        for col, x in zip(self.free[self.cut :], self.z[self.cut :]):
+            add = np.zeros((r, q**x - 1), dtype=dtype)
+            add[:x] = _nonzero(x, field, dtype).T * q**col
+            out = (out[:, :, None] + add[:, None]).reshape(r, -1)
         return out
+
+    def codes(self, field: FiniteField, lo: int, hi: int, suffix=None) -> np.ndarray:
+        """The row codes of the matrices at positions lo..hi-1, an (r, hi -
+        lo) array: their prefixes' codes plus the ``suffix`` table, which is
+        built here when not given."""
+        if suffix is None:
+            suffix = self.suffix(field)
+        a = lo // self.P
+        pre = self.prefix_codes(field, a, -(-hi // self.P))
+        return (pre[:, :, None] + suffix[:, None]).reshape(len(pre), -1)[:, lo - a * self.P : hi - a * self.P]
 
 
 @cache
-def shape_rows(r: int, w: int, field: FiniteField) -> tuple[ShapeRows, ...]:
+def shape_rows(
+    r: int, w: int, field: FiniteField, block_size: int = DEFAULT_BLOCK
+) -> tuple[ShapeRows, ...]:
     """The pivot shapes of the full-support r x w RREF matrices in stream
-    order, each as its ShapeRows; built once per process.  A shape whose
-    prefix choices overflow intp raises WorkLimitExceeded, as in
-    subspace_codes."""
+    order, each as its ShapeRows, its suffix the longest run of last free
+    columns with at most ``block_size`` choices; built once per process and
+    block size.  A shape whose prefix choices overflow intp raises
+    WorkLimitExceeded."""
+    if block_size < 1:
+        raise BadArgs(f"block_size must be >= 1, got {block_size}")
     q, dtype = field.q, code_dtype(field.q, w)
     out = []
     for shape in pivot_shapes(r, w):
         piv = tuple(i - 1 for i in shape)
         free = tuple(c for c in range(w) if c not in piv)
+        # a free column right of z pivots may be nonzero only in its first z
+        # rows (rows below still await their pivot), and must be nonzero
         z = tuple(sum(p < c for p in piv) for c in free)
         sizes = tuple(q**x - 1 for x in z)
         cut, P = len(free), 1
-        while cut and P * sizes[cut - 1] <= DEFAULT_BLOCK:
+        while cut and P * sizes[cut - 1] <= block_size:
             cut -= 1
             P *= sizes[cut]
         if prod(sizes[:cut]) > np.iinfo(np.intp).max:
@@ -271,7 +258,8 @@ def shape_rows(r: int, w: int, field: FiniteField) -> tuple[ShapeRows, ...]:
                 codes = codes + d.astype(dtype) * q ** suf[i]
             rows.append(codes)
             cont.append(np.zeros((digits.shape[1], len(suf)), dtype=np.int64))
-            cont[t][:, own] = digits.T * q**t
+            if own:  # q^t < q^z <= block_size + 1, where q^t alone may pass int64
+                cont[t][:, own] = digits.T * q**t
         used = sorted(set(zs))
         starts = np.cumsum([0] + [q**x for x in used])
         ranks = np.full(starts[-1], -1, dtype=np.int64)

@@ -460,7 +460,7 @@ def _weigh(field, masks, syn, codes: np.ndarray, r: int, upper: int, n: int) -> 
     acc = masks[codes[:, 0]]
     for t in range(1, r):
         acc |= masks[codes[:, t]]
-    wts = np.bitwise_count(acc).sum(axis=-1, dtype=np.int64)
+    wts = _popcount(acc)
     if syn is not None:
         i, s, j = np.nonzero(wts < upper)
         if i.size:
@@ -477,7 +477,7 @@ def _row_trees(r: int, w: int, field) -> tuple:
     those of the D bottom rows, or, where D = r, the shape's full-support
     matrices.  Built once per process."""
     trees = []
-    for sh in shape_rows(r, w, field):
+    for sh in shape_rows(r, w, field, DEFAULT_BLOCK):
         D = min(r, 2)
         dense = np.indices([len(sh.rows[r - 1 - i]) for i in range(D)]).reshape(D, -1).T
         if D == r:
@@ -488,11 +488,12 @@ def _row_trees(r: int, w: int, field) -> tuple:
 
 def _tree_segments(field, ms: _Matrices, sel, r: int, w: int, k: int, n: int):
     """Round w > r as segments (see _scan_kernel), one per pivot shape,
-    each weighed by the row tree (_tree_weigh)."""
+    each weighed by the row tree (_tree_weigh); a witness's matrix is the
+    decode of its codes."""
     tabs = _round_tables(field, ms.mats, ms.ghs, sel, k, w)
     for sh, dense in _row_trees(r, w, field):
         weigh = partial(_tree_weigh, field, sh, dense, tabs, len(sel), n)
-        yield tabs[0], sh.total, weigh, partial(sh.matrix, field)
+        yield tabs[0], sh.total, weigh, lambda pos, sh=sh: row_digits(sh.codes(field, pos, pos + 1)[:, 0], field.q, w)
 
 
 def _tree_weigh(field, sh: ShapeRows, dense, tabs, nj: int, n: int, upper: int, stop):

@@ -366,9 +366,12 @@ def test_grassmannian_coverage_against_brute_force(k):
 )
 def test_shape_rows_follow_the_stream(F, r, w):
     # every choice of a pivot shape's rows on a prefix that leaves no free
-    # column zero is one matrix of the stream, at its place in stream order;
-    # GF(16) (1, 5) has 15^4 matrices, so its shape has a prefix column
-    for sh, want in zip(shape_rows(r, w, F), _stream_by_shape(F, r, w)):
+    # column zero is one matrix of the stream, at its place in stream order,
+    # and ShapeRows.codes gives the matrix at a place; GF(16) (1, 5) has 15^4
+    # matrices, so its shape has a prefix column.  The expected matrices are
+    # the independent odometer's, in blocks that hold a whole shape each
+    blocks = reference_code_blocks(r, w, F, count_full_support(w, r, F.q))
+    for sh, want in zip(shape_rows(r, w, F), [row_digits(np.array(b), F.q, w) for b in blocks], strict=True):
         grid = np.indices([len(x) for x in sh.rows]).reshape(r, -1)
         ok, pos = sh.place(list(grid))
         assert len(want) == sh.total and sorted(pos.tolist()) == list(range(sh.P))
@@ -377,14 +380,13 @@ def test_shape_rows_follow_the_stream(F, r, w):
             codes = np.stack([c + x[g] for c, x, g in zip(pre, sh.rows, grid[:, ok])], axis=1)
             assert np.array_equal(row_digits(codes, F.q, w)[np.argsort(pos)], want[i * sh.P : (i + 1) * sh.P])
         for p in (0, sh.total - 1):
-            assert np.array_equal(sh.matrix(F, p), want[p])
+            assert np.array_equal(row_digits(sh.codes(F, p, p + 1)[:, 0], F.q, w), want[p])
     assert any(sh.cut for sh in shape_rows(r, w, F)) == ((F.q, w) == (16, 5))
 
 
-def _stream_by_shape(F, r, w):
-    """The stream's matrices of round (r, w), one (count, r, w) array per
-    pivot shape, split where the pivot columns change."""
-    blocks = np.concatenate(list(subspace_blocks(r, w, F)))
-    pivots = (blocks != 0).argmax(axis=2)
-    cuts = np.flatnonzero((pivots[1:] != pivots[:-1]).any(axis=1)) + 1
-    return np.split(blocks, cuts)
+@pytest.mark.parametrize("F, r", [(build_field(2, 16), 5), (build_field(2, 8), 9)], ids=["GF65536", "GF256"])
+def test_shape_rows_of_a_round_past_int64(F, r):
+    # q^r >= 2^64: the one r x r matrix is the identity, whose row codes
+    # q^t pass int64 while its rows own no suffix column
+    (sh,) = shape_rows(r, r, F)
+    assert np.array_equal(row_digits(sh.codes(F, 0, 1)[:, 0], F.q, r), np.eye(r, dtype=np.int64))

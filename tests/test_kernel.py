@@ -406,7 +406,8 @@ def test_rounds_over_the_default_cap():
     # with no patching; round (4, 5) is stopped after its first block's first
     # support set, and its first pivot shape, of four blocks, is weighed one
     # batch of prefixes (one block) at a time, so the row tree weighs only the
-    # first batch, once per table mode
+    # first batch, once per table mode.  The plain path and the witness also
+    # decode prefixes; only the batches that _tree_weigh weighs are recorded
     code = random_code(np.random.default_rng(16), F16, 12, 6)
     sel = list(range(len(information(code).mats)))
     assert comb(6, 5) * F16.q**5 * 8 * len(sel) > GHW._TABLE_BYTES
@@ -415,12 +416,34 @@ def test_rounds_over_the_default_cap():
     batches, prefix_codes = [], ShapeRows.prefix_codes
 
     def counted(self, field, a, b):
-        batches.append((a, b))
+        if sys._getframe(1).f_code is GHW._tree_weigh.__code__:
+            batches.append((a, b))
         return prefix_codes(self, field, a, b)
 
     with mock.patch.object(ShapeRows, "prefix_codes", counted):
         assert _check_round(code, None, 4, 5, sel, 13, 12)[2] == len(next(subspace_blocks(4, 5, F16)))
     assert batches == [(0, DEFAULT_BLOCK)] * 2
+
+
+def test_one_shape_walk_per_round(monkeypatch):
+    # the stream, however often it is drained, and the row tree of round
+    # (r, w) share one shape_rows entry: its pivot shapes are walked once
+    ENUM, walks = sys.modules["ghwkit.enumeration"], []
+    pivot_shapes = ENUM.pivot_shapes
+
+    def counted(r, w):
+        walks.append((r, w))
+        return pivot_shapes(r, w)
+
+    monkeypatch.setattr(ENUM, "pivot_shapes", counted)
+    ENUM.shape_rows.cache_clear()
+    GHW._row_trees.cache_clear()
+    code = random_code(np.random.default_rng(41), F3, 8, 5)
+    mats, _, _ = _round_inputs(code, None)
+    for _ in range(2):
+        assert sum(len(c) for c in subspace_codes(3, 5, F3)) == count_full_support(5, 3, 3)
+    GHW._scan_kernel(F3, GHW._matrices(mats, None), [0], 3, 5, 5, 9, None, None)
+    assert walks == [(3, 5)]
 
 
 def test_xor_entries_count_against_the_table_cap():
