@@ -121,10 +121,12 @@ def _poly_gcd(field, a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _poly_eval(field, c: list[int], x: int) -> int:
+def _poly_eval(field, c, x) -> np.ndarray:
+    """The polynomial with ascending coefficients c at x, by Horner's rule on
+    arrays: x and each coefficient may be arrays, taken elementwise."""
     acc = 0
     for ci in reversed(c):
-        acc = field.add(field.mul(acc, x), ci)
+        acc = field.add_arrays(field.mul_arrays(acc, x), ci)
     return acc
 
 
@@ -146,25 +148,13 @@ def generator_polynomial(code: LinearCode) -> list[int]:
 
 
 def _embedding(small: FiniteField, big: FiniteField):
-    """Map indices of GF(p^s) into GF(p^(s*t)) via a root of the small
-    modulus; the identity map for prime subfields."""
+    """Map arrays of indices of GF(p^s) into GF(p^(s*t)) via the least root
+    of the small modulus; the identity for prime subfields."""
     if small.s == 1:
-        return lambda a: a
-    root = None
-    mod = [int(c) for c in small.modulus]
-    for cand in range(big.q):
-        if _poly_eval(big, mod, cand) == 0:
-            root = cand
-            break
-    assert root is not None, "modulus must split in the extension"
-
-    def embed(a: int) -> int:
-        acc = 0
-        for d in reversed(small.digits[a]):
-            acc = big.add(big.mul(acc, root), int(d))
-        return acc
-
-    return embed
+        return np.asarray
+    roots = np.flatnonzero(_poly_eval(big, [int(c) for c in small.modulus], np.arange(big.q)) == 0)
+    assert roots.size, "modulus must split in the extension"
+    return lambda a: _poly_eval(big, small.digits[np.asarray(a)].T, int(roots[0]))
 
 
 def bch_bound(code: LinearCode) -> int:
@@ -177,30 +167,33 @@ def bch_bound(code: LinearCode) -> int:
     field, n = code.field, code.n
     if gcd(n, field.p) != 1:
         raise CharacteristicDividesLength(f"gcd({n}, {field.p}) != 1")
-    g = generator_polynomial(code)
-    if len(g) <= 1:
-        return 1
+    return _bch_from_generator(field, n, generator_polynomial(code))
+
+
+def _bch_from_generator(field: FiniteField, n: int, g) -> int:
+    """bch_bound of the cyclic code of length n, prime to the
+    characteristic, with generator polynomial g (ascending coefficients),
+    evaluated at all n powers of alpha at once."""
     t = 1
     while (field.q**t - 1) % n != 0:
         t += 1
     big = build_field(field.p, field.s * t) if t > 1 or field.s > 1 else field
-    embed = _embedding(field, big)
-    g_big = [embed(c) for c in g]
-    alpha = big.pow(big.generator, (big.q - 1) // n)
-    defining = [i for i in range(n) if _poly_eval(big, g_big, big.pow(alpha, i)) == 0]
-    if not defining:
-        return 1
-    present = [False] * n
-    for i in defining:
-        present[i] = True
-    best = run = 0
-    for i in range(2 * n):
-        if present[i % n]:
-            run += 1
-            best = max(best, min(run, n))
-        else:
-            run = 0
-    return best + 1
+    powers = big.exp_table[np.arange(n) * ((big.q - 1) // n) % (big.q - 1)]
+    # the exponents that are not roots, at least one since deg g < n, split
+    # the circle of exponents into runs of roots
+    off = np.flatnonzero(_poly_eval(big, _embedding(field, big)(g), powers))
+    return int(np.diff(off, append=off[0] + n).max())
+
+
+def _systematic_generator(field: FiniteField, M: np.ndarray) -> np.ndarray:
+    """The monic generator polynomial of a cyclic code from its generator
+    matrix M that is the identity on columns 1..k (ascending coefficients).
+    The code holds x^(k-1)·g(x)/g_0, which is zero on columns 1..k-1 and 1
+    on column k, so it is M's last row, the unique such word: g is that
+    row's columns k..n, scaled monic."""
+    k = M.shape[0]
+    g = M[k - 1, k - 1 :]
+    return field.scale_arrays(field.inv(int(g[-1])), g)
 
 
 def make_rs(field: FiniteField, k: int) -> LinearCode:

@@ -17,8 +17,9 @@ tabulates a shape's suffix codes once and builds each block as its
 prefixes' codes plus that table (``ShapeRows.codes``, the one decoder of
 stream positions), row-major, (r, count), yielded as its read-only (count,
 r) transpose, whose columns are contiguous.  The tree ranges over each
-row's candidate codes and maps any choice of them back to its position, or
-to none if a free column is left zero.  This module is the only one that
+row's candidate codes (``ShapeRows.tree``, built only for the rounds a tree
+walks) and maps any choice of them back to its position, or to none if a
+free column is left zero.  This module is the only one that
 encodes or decodes that format; ``row_digits`` turns codes back into rows,
 and ``subspace_blocks`` is the decoded stream.
 
@@ -147,19 +148,13 @@ def subspace_codes(
 
 
 class ShapeRows(NamedTuple):
-    """One pivot shape of the stream of round (r, w), as the rows that a row
-    tree ranges over.  Its full-support matrices are numbered in stream
-    order, their position being the mixed-radix index of their free columns'
-    vectors, each by its place in _nonzero(z), the last column fastest.  The
-    free columns before ``cut`` form the prefix; the rest, the suffix, have
-    ``P`` choices in all, at most the block size, so prefix i holds
-    positions i·P .. i·P + P - 1.  Row t ranges over ``rows[t]``: the codes
-    of a 1 at its pivot and every value at the suffix columns right of it,
-    nonzero at those that only row 0 reaches; ``prefix_codes`` adds a
-    prefix's entries.  ``cont[t]`` holds each such code's entries on the
-    suffix times q^t, so the rows' sum gives each suffix column's vector as
-    a code of F^z, and ``ranks[code + off]`` its place in _nonzero(z), -1
-    for 0."""
+    """One pivot shape of the stream of round (r, w), its layout.  Its
+    full-support matrices are numbered in stream order, their position being
+    the mixed-radix index of their free columns' vectors, each by its place
+    in _nonzero(z), the last column fastest.  The free columns before
+    ``cut`` form the prefix; the rest, the suffix, have ``P`` choices in
+    all, at most the block size, so prefix i holds positions i·P .. i·P +
+    P - 1.  ``tree`` gives the rows that a row tree ranges over."""
 
     pivots: tuple[int, ...]  # 0-based
     free: tuple[int, ...]  # the free columns, ascending
@@ -167,23 +162,10 @@ class ShapeRows(NamedTuple):
     sizes: tuple[int, ...]  # per free column, q^z - 1 choices
     cut: int
     P: int
-    rows: tuple[np.ndarray, ...]
-    cont: tuple[np.ndarray, ...]
-    ranks: np.ndarray
-    off: np.ndarray
-    strides: np.ndarray  # of the suffix positions
 
     @property
     def total(self) -> int:
         return prod(self.sizes)
-
-    def place(self, path):
-        """For matrices given by each row t's index ``path[t]`` into
-        ``rows[t]``, which have every suffix column nonzero, and the suffix
-        positions of those."""
-        idx = self.ranks[sum(c[i] for c, i in zip(self.cont, path)) + self.off]
-        ok = (idx >= 0).all(axis=1)
-        return ok, idx[ok] @ self.strides
 
     def prefix_codes(self, field: FiniteField, a: int, b: int) -> np.ndarray:
         """Each row's code on the prefix columns of prefixes a..b-1, an (r,
@@ -218,34 +200,12 @@ class ShapeRows(NamedTuple):
         pre = self.prefix_codes(field, a, -(-hi // self.P))
         return (pre[:, :, None] + suffix[:, None]).reshape(len(pre), -1)[:, lo - a * self.P : hi - a * self.P]
 
-
-@cache
-def shape_rows(
-    r: int, w: int, field: FiniteField, block_size: int = DEFAULT_BLOCK
-) -> tuple[ShapeRows, ...]:
-    """The pivot shapes of the full-support r x w RREF matrices in stream
-    order, each as its ShapeRows, its suffix the longest run of last free
-    columns with at most ``block_size`` choices; built once per process and
-    block size.  A shape whose prefix choices overflow intp raises
-    WorkLimitExceeded."""
-    if block_size < 1:
-        raise BadArgs(f"block_size must be >= 1, got {block_size}")
-    q, dtype = field.q, code_dtype(field.q, w)
-    out = []
-    for shape in pivot_shapes(r, w):
-        piv = tuple(i - 1 for i in shape)
-        free = tuple(c for c in range(w) if c not in piv)
-        # a free column right of z pivots may be nonzero only in its first z
-        # rows (rows below still await their pivot), and must be nonzero
-        z = tuple(sum(p < c for p in piv) for c in free)
-        sizes = tuple(q**x - 1 for x in z)
-        cut, P = len(free), 1
-        while cut and P * sizes[cut - 1] <= block_size:
-            cut -= 1
-            P *= sizes[cut]
-        if prod(sizes[:cut]) > np.iinfo(np.intp).max:
-            raise WorkLimitExceeded(f"{prod(sizes[:cut])} prefix choices of pivot shape {shape} overflow intp")
-        suf, zs = free[cut:], z[cut:]
+    def tree(self, field: FiniteField) -> RowTree:
+        """The rows of this shape's row tree on the suffix columns (see
+        RowTree)."""
+        r, q = len(self.pivots), field.q
+        dtype = code_dtype(q, r + len(self.free))
+        suf, zs = self.free[self.cut :], self.z[self.cut :]
         rows, cont = [], []
         for t in range(r):
             own = [i for i, x in enumerate(zs) if x > t]
@@ -253,7 +213,7 @@ def shape_rows(
             digits = np.zeros((0, 1), dtype=np.int64)
             if own:
                 digits = np.indices([q - x for x in low]).reshape(len(own), -1) + np.array(low)[:, None]
-            codes = np.full(digits.shape[1], q ** piv[t], dtype=dtype)
+            codes = np.full(digits.shape[1], q ** self.pivots[t], dtype=dtype)
             for i, d in zip(own, digits):
                 codes = codes + d.astype(dtype) * q ** suf[i]
             rows.append(codes)
@@ -267,8 +227,61 @@ def shape_rows(
             vals = _nonzero(x, field, np.int64)
             ranks[lo + vals @ q ** np.arange(x)] = np.arange(len(vals))
         off = np.array([starts[used.index(x)] for x in zs], dtype=np.int64)
-        strides = np.array([prod(sizes[cut + i + 1 :]) for i in range(len(suf))], dtype=np.int64)
-        out.append(ShapeRows(piv, free, z, sizes, cut, P, tuple(rows), tuple(cont), ranks, off, strides))
+        strides = np.array([prod(self.sizes[self.cut + i + 1 :]) for i in range(len(suf))], dtype=np.int64)
+        return RowTree(tuple(rows), tuple(cont), ranks, off, strides)
+
+
+class RowTree(NamedTuple):
+    """The rows that a row tree of one pivot shape ranges over, built only
+    for the rounds a search walks as trees.  Row t ranges over ``rows[t]``:
+    the codes of a 1 at its pivot and every value at the suffix columns
+    right of it, nonzero at those that only row 0 reaches;
+    ShapeRows.prefix_codes adds a prefix's entries.  ``cont[t]`` holds each
+    such code's entries on the suffix times q^t, so the rows' sum gives each
+    suffix column's vector as a code of F^z, and ``ranks[code + off]`` its
+    place in _nonzero(z), -1 for 0."""
+
+    rows: tuple[np.ndarray, ...]
+    cont: tuple[np.ndarray, ...]
+    ranks: np.ndarray
+    off: np.ndarray
+    strides: np.ndarray  # of the suffix positions
+
+    def place(self, path):
+        """For matrices given by each row t's index ``path[t]`` into
+        ``rows[t]``, which have every suffix column nonzero, and the suffix
+        positions of those."""
+        idx = self.ranks[sum(c[i] for c, i in zip(self.cont, path)) + self.off]
+        ok = (idx >= 0).all(axis=1)
+        return ok, idx[ok] @ self.strides
+
+
+@cache
+def shape_rows(
+    r: int, w: int, field: FiniteField, block_size: int = DEFAULT_BLOCK
+) -> tuple[ShapeRows, ...]:
+    """The pivot shapes of the full-support r x w RREF matrices in stream
+    order, each as its ShapeRows, its suffix the longest run of last free
+    columns with at most ``block_size`` choices; built once per process and
+    block size.  A shape whose prefix choices overflow intp raises
+    WorkLimitExceeded."""
+    if block_size < 1:
+        raise BadArgs(f"block_size must be >= 1, got {block_size}")
+    q, out = field.q, []
+    for shape in pivot_shapes(r, w):
+        piv = tuple(i - 1 for i in shape)
+        free = tuple(c for c in range(w) if c not in piv)
+        # a free column right of z pivots may be nonzero only in its first z
+        # rows (rows below still await their pivot), and must be nonzero
+        z = tuple(sum(p < c for p in piv) for c in free)
+        sizes = tuple(q**x - 1 for x in z)
+        cut, P = len(free), 1
+        while cut and P * sizes[cut - 1] <= block_size:
+            cut -= 1
+            P *= sizes[cut]
+        if prod(sizes[:cut]) > np.iinfo(np.intp).max:
+            raise WorkLimitExceeded(f"{prod(sizes[:cut])} prefix choices of pivot shape {shape} overflow intp")
+        out.append(ShapeRows(piv, free, z, sizes, cut, P))
     return tuple(out)
 
 

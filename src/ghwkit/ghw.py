@@ -39,8 +39,9 @@ stream's order (block, support set, matrix, place): the bound, the witness,
 the early exit and the count of visited subspaces are exactly those of the
 plain path.  Round w = r, where every run starts and most end, has one
 subspace on S, the span of e_S, which encodes through G_j to the r rows S of
-G_j: it is weighed from the matrices' packed row supports (and rows of
-syndromes), built once per search, with no tables and no product.
+G_j: it is one direct pass over the matrices' packed row supports (and rows
+of syndromes), built once per search, with no tables and no product, that
+weighs, filters and replays a chunk of support sets at a time.
 
 Relative weights M_r(C1, C2) run the same search on C1 and keep only the
 subspaces that meet C2 in 0.  A hierarchy seeds each run after the first
@@ -58,17 +59,19 @@ kernel.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import cache, partial
 from itertools import chain, combinations
-from math import comb
+from math import comb, gcd
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .code import LinearCode, bch_bound, dual
+from .code import LinearCode, _bch_from_generator, _systematic_generator, dual
 from .enumeration import (
     DEFAULT_BLOCK,
+    RowTree,
     ShapeRows,
     gaussian_binomial,
     row_digits,
@@ -76,7 +79,7 @@ from .enumeration import (
     subspace_blocks,
     subspace_codes,
 )
-from .errors import BadHierarchy, BadRank, GHWError, NotNested, WorkLimitExceeded
+from .errors import BadHierarchy, BadRank, NotNested, WorkLimitExceeded
 from .infoset import information
 from .matrix import MatrixGF, rref_array
 
@@ -182,11 +185,10 @@ def _emit(opts: ComputeOptions, ev: RoundEvent) -> None:
         opts.progress(ev)
 
 
-def _make_witness(field, base: np.ndarray, s_cols: np.ndarray, j: int, weight: int, k: int,
-                  synthesized: bool = False):
+def _make_witness(field, base: np.ndarray, s_cols: np.ndarray, j: int, weight: int, k: int):
     expanded = np.zeros((base.shape[0], k), dtype=np.int64)
     expanded[:, s_cols] = base
-    return Witness(MatrixGF.unchecked(field, expanded), j, weight, synthesized)
+    return Witness(MatrixGF.unchecked(field, expanded), j, weight, False)
 
 
 def _independent(field, syn: np.ndarray, r: int) -> np.ndarray:
@@ -279,8 +281,9 @@ def _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop):
 # one subspace on S, the span of e_S, has through G_j the support of the OR
 # of the rows S of G_j, so each chunk of support sets is one gather of their
 # r packed row supports, one np.bitwise_or.reduce over the r and one
-# popcount (_weigh_units); with C2, the rows S of G_j·H2ᵀ of those below the
-# bound go through one elimination.
+# popcount, an (nS, |sel|) array of weights in visit order, on which the
+# round is replayed in place (_unit_round); with C2, the rows S of G_j·H2ᵀ
+# of those below the bound go through one elimination.
 _GATHER_ELEMS = 1 << 16  # elements per table-build, gather or tree-level chunk
 _TABLE_BYTES = 1 << 25  # largest tables of all q^w messages, with their entries, in one round
 
@@ -407,13 +410,15 @@ class _Matrices(NamedTuple):
     """A search's systematic matrices as its rounds read them: ``mats``,
     their syndrome matrices ``ghs`` (None without C2), and, for round w = r,
     the packed row supports of all of them, a (k, m, words) uint64 array,
-    with their rows of syndromes, (k, m, k1 - k2) (None without C2).  Both
-    are built once per search; a round slices its selection from them."""
+    with their rows of syndromes, (k, m, k1 - k2) (None without C2), and the
+    identity of order k, whose rows S span e_S.  All are built once per
+    search; a round slices its selection from them."""
 
     mats: list
     ghs: list | None
     masks: np.ndarray
     syn: np.ndarray | None
+    eye: np.ndarray
 
 
 def _matrices(mats, ghs) -> _Matrices:
@@ -421,34 +426,8 @@ def _matrices(mats, ghs) -> _Matrices:
     packed = np.zeros((k, len(mats), -(-n // 64) * 8), dtype=np.uint8)
     bits = np.packbits(np.array(mats) != 0, axis=-1, bitorder="little")
     packed[..., : bits.shape[-1]] = bits.transpose(1, 0, 2)
-    return _Matrices(mats, ghs, packed.view("<u8"), None if ghs is None else np.stack(ghs, axis=1))
-
-
-def _unit_segments(field, ms: _Matrices, sel, r: int, k: int):
-    """Round w = r as segments (see _scan_kernel), one per chunk of support
-    sets, with no message tables and no row codes: the round's one subspace
-    on a support set S, the span of e_S, encodes through G_j to the rows S
-    of G_j, so its support is the OR of those rows' packed supports."""
-    supports, sel = _supports(k, r), np.asarray(sel)
-    step = max(1, _GATHER_ELEMS // (len(sel) * r * ms.masks.shape[-1]))
-    eye = np.eye(r, dtype=np.int64)
-    for lo in range(0, len(supports), step):
-        cols = supports[lo : lo + step]
-        yield cols, 1, partial(_weigh_units, field, ms, sel, cols), lambda pos: eye
-
-
-def _weigh_units(field, ms: _Matrices, sel: np.ndarray, cols: np.ndarray, upper: int, stop):
-    """The candidates of a chunk of round w = r: one gather of the r packed
-    rows of each support set through each selected matrix, one
-    np.bitwise_or.reduce and one popcount, within _GATHER_ELEMS elements;
-    with C2, the rows ``cols[s]`` of the syndrome matrices of those below
-    ``upper`` go through one elimination."""
-    wts = _popcount(np.bitwise_or.reduce(ms.masks[cols[:, :, None], sel], axis=1))
-    s, j = np.nonzero(wts < upper)
-    if ms.syn is not None and s.size:
-        ok = _independent(field, ms.syn[cols[s], sel[j][:, None]], cols.shape[1])
-        s, j = s[ok], j[ok]
-    return s, j, wts[s, j], np.zeros_like(s)
+    syn = None if ghs is None else np.stack(ghs, axis=1)
+    return _Matrices(mats, ghs, packed.view("<u8"), syn, np.eye(k, dtype=np.int64))
 
 
 def _weigh(field, masks, syn, codes: np.ndarray, r: int, upper: int, n: int) -> np.ndarray:
@@ -475,28 +454,18 @@ def _row_trees(r: int, w: int, field) -> tuple:
     with the combinations that its row tree's first D = min(r, 2) levels
     weigh densely, a (K, D) array of indices into rows r-1, .., r-D: all
     those of the D bottom rows, or, where D = r, the shape's full-support
-    matrices.  Built once per process."""
+    matrices; and its RowTree.  Built once per process."""
     trees = []
     for sh in shape_rows(r, w, field, DEFAULT_BLOCK):
-        D = min(r, 2)
-        dense = np.indices([len(sh.rows[r - 1 - i]) for i in range(D)]).reshape(D, -1).T
+        D, tree = min(r, 2), sh.tree(field)
+        dense = np.indices([len(tree.rows[r - 1 - i]) for i in range(D)]).reshape(D, -1).T
         if D == r:
-            dense = dense[sh.place(dense[:, ::-1].T)[0]]
-        trees.append((sh, dense))
+            dense = dense[tree.place(dense[:, ::-1].T)[0]]
+        trees.append((sh, dense, tree))
     return tuple(trees)
 
 
-def _tree_segments(field, ms: _Matrices, sel, r: int, w: int, k: int, n: int):
-    """Round w > r as segments (see _scan_kernel), one per pivot shape,
-    each weighed by the row tree (_tree_weigh); a witness's matrix is the
-    decode of its codes."""
-    tabs = _round_tables(field, ms.mats, ms.ghs, sel, k, w)
-    for sh, dense in _row_trees(r, w, field):
-        weigh = partial(_tree_weigh, field, sh, dense, tabs, len(sel), n)
-        yield tabs[0], sh.total, weigh, lambda pos, sh=sh: row_digits(sh.codes(field, pos, pos + 1)[:, 0], field.q, w)
-
-
-def _tree_weigh(field, sh: ShapeRows, dense, tabs, nj: int, n: int, upper: int, stop):
+def _tree_weigh(field, sh: ShapeRows, dense, tree: RowTree, tabs, nj: int, n: int, upper: int, stop):
     """The candidates of one pivot shape below ``upper``, by the row tree:
     the first least-weight matrix of each (stream block, support set, G_j)
     with a subspace below ``upper``, as (visit, j, weight, position) arrays
@@ -524,11 +493,11 @@ def _tree_weigh(field, sh: ShapeRows, dense, tabs, nj: int, n: int, upper: int, 
             break
         b = min(a + nb, prefixes, -(-(head + 1) * DEFAULT_BLOCK // sh.P))
         pre = sh.prefix_codes(field, a, b)
-        codes = [pre[t][:, None] + sh.rows[t] for t in range(r)]
+        codes = [pre[t][:, None] + tree.rows[t] for t in range(r)]
         step = max(1, _GATHER_ELEMS // ((b - a) * len(dense) * nj * words))
         codes, chunks = _block_tables(field, tabs, codes, n, step)
         for lo, ns, off, masks, syn in chunks:
-            for p, s, j, wt, spos in _tree_leaves(field, sh, dense, codes, masks, syn, off, ns, upper):
+            for p, s, j, wt, spos in _tree_leaves(field, tree, dense, codes, masks, syn, off, ns, upper):
                 if p.size:
                     at = (a + p.astype(object if big else np.int64)) * sh.P + spos
                     v = at // DEFAULT_BLOCK * nS + lo + s
@@ -543,10 +512,10 @@ def _tree_weigh(field, sh: ShapeRows, dense, tabs, nj: int, n: int, upper: int, 
     return _first_minima(found)
 
 
-def _tree_leaves(field, sh: ShapeRows, dense, codes, masks, syn, s_off: int, ns: int, upper: int):
+def _tree_leaves(field, tree: RowTree, dense, codes, masks, syn, s_off: int, ns: int, upper: int):
     """The row trees of a batch of prefixes on support sets s_off..s_off+ns-1
     of message-major tables, whose rows ``codes[t]``, a (prefixes,
-    len(sh.rows[t])) array, select.  Rows are fixed from the bottom one,
+    len(tree.rows[t])) array, select.  Rows are fixed from the bottom one,
     which has the fewest free entries, up.  The first D = min(r, 2) levels
     are dense: each combination of ``dense`` (see _row_trees) is weighed
     like a stream block, as the OR of its rows' whole mask rows.  Below
@@ -574,16 +543,15 @@ def _tree_leaves(field, sh: ShapeRows, dense, codes, masks, syn, s_off: int, ns:
     synf = None if syn is None else syn.reshape(-1, syn.shape[-1])
 
     def leaves(p, sj, wts, path):
-        ok, spos = sh.place(path)
+        ok, spos = tree.place(path)
         p, sj, wts, path = p[ok], sj[ok], wts[ok], [x[ok] for x in path]
         if synf is not None and p.size:
             ok = _independent(field, np.stack([synf[lin[t][p, path[t]] + sj] for t in range(r)], axis=1), r)
             p, sj, wts, spos = p[ok], sj[ok], wts[ok], spos[ok]
         return p, sj // nj - s_off, sj % nj, wts, spos
 
-    tree = (flat, lin, upper, leaves)
-    path = [dense[combo, i] for i in range(D)]
-    yield from _descend(tree, r - 1 - D, p, (s_off + s) * nj + j, acc[kk, s, j], wts[kk, s, j], path)
+    walk, path = (flat, lin, upper, leaves), [dense[combo, i] for i in range(D)]
+    yield from _descend(walk, r - 1 - D, p, (s_off + s) * nj + j, acc[kk, s, j], wts[kk, s, j], path)
 
 
 def _descend(tree, t: int, p, sj, acc, wts, path):
@@ -660,46 +628,83 @@ def _visited(stop_v, nS: int, total: int) -> int:
     return blk * DEFAULT_BLOCK * nS + min(DEFAULT_BLOCK, total - blk * DEFAULT_BLOCK) * (s + 1)
 
 
+def _unit_round(field, ms: _Matrices, sel, r: int, k: int, upper: int, witness, stop):
+    """Round w = r of _scan_kernel in one direct pass, a chunk of support
+    sets at a time (see _GATHER_ELEMS), replayed on each chunk's weights:
+    the round ends after the first support set that holds a candidate at
+    most ``stop`` (the first set if ``upper`` already is), the bound is the
+    least weight visited, the witness the first subspace at it, by support
+    set, then matrix, and each set visited counts one subspace."""
+    supports, masks, syn = _supports(k, r), ms.masks, ms.syn
+    if len(sel) < masks.shape[1]:
+        masks, syn = masks[:, sel], None if syn is None else syn[:, sel]
+    step = max(1, _GATHER_ELEMS // (len(sel) * r * masks.shape[-1]))
+    count, best = 0, None
+    for lo in range(0, len(supports), step):
+        cols = supports[lo : lo + step]
+        wts = _popcount(np.bitwise_or.reduce(masks[cols], axis=1))
+        if syn is not None:
+            s, j = np.nonzero(wts < upper)
+            bad = ~_independent(field, syn[cols[s], j[:, None]], r)
+            wts[s[bad], j[bad]] = upper
+        least, end = wts.min(axis=1), len(cols)
+        if stop is not None:
+            hits = np.flatnonzero(least <= stop)
+            if upper <= stop or hits.size:
+                end = 1 if upper <= stop else int(hits[0]) + 1
+        s = int(least[:end].argmin())
+        if least[s] < upper:
+            upper, best = int(least[s]), (cols[s], sel[int(wts[s].argmin())])
+        count += end
+        if stop is not None and upper <= stop:
+            break
+    if best is not None:
+        witness = Witness(MatrixGF.unchecked(field, ms.eye[best[0]]), best[1], upper, False)
+    return upper, witness, count
+
+
 def _scan_kernel(field, ms: _Matrices, sel, r, w, k, upper, witness, stop):
     """_scan_round through the support-mask kernel, with C2 given by the
     syndrome matrices of ``ms``, and with the same visit order (block,
-    support set, matrix), selection rule, early exit and count.  A round is
-    a list of segments, each (support sets, matrices per set, weigh, base):
-    ``weigh(upper, stop)`` gives the segment's candidates below ``upper`` in
-    visit order, at least through the visit where the replay (_replay) would
-    stop, and ``base(position)`` the witness's r x w matrix.  Round w = r has one segment per chunk of support sets and
-    one subspace per set, e_S (_unit_segments); a round w > r has one per
-    pivot shape, weighed by the row tree (_tree_segments).  A subspace the
-    tree prunes weighs at least the bound and could never become it, so the
-    bound, witness and count are the plain path's."""
-    n = ms.mats[0].shape[1]
-    segments = _unit_segments(field, ms, sel, r, k) if w == r else _tree_segments(field, ms, sel, r, w, k, n)
-    count = 0
-    for cols, total, weigh, base in segments:
-        v, jj, wt, pos = weigh(upper, stop)
+    support set, matrix), selection rule, early exit and count.  Round
+    w = r is one direct pass (_unit_round).  A round w > r is a segment per
+    pivot shape, weighed by the row tree (_tree_weigh) into its candidates
+    below ``upper`` in visit order, at least through the visit where the
+    replay (_replay) would stop; a witness's matrix is the decode of its
+    position.  A subspace the tree prunes weighs at least the bound and
+    could never become it, so the bound, witness and count are the plain
+    path's."""
+    if w == r:
+        return _unit_round(field, ms, sel, r, k, upper, witness, stop)
+    tabs = _round_tables(field, ms.mats, ms.ghs, sel, k, w)
+    supports, count = tabs[0], 0
+    for sh, dense, tree in _row_trees(r, w, field):
+        v, jj, wt, pos = _tree_weigh(field, sh, dense, tree, tabs, len(sel), ms.mats[0].shape[1], upper, stop)
         i, upper, stop_v = _replay(v, wt, upper, stop)
-        count += _visited(stop_v, len(cols), total)
+        count += _visited(stop_v, len(supports), sh.total)
         if i is not None:
-            witness = _make_witness(field, base(pos[i]), cols[v[i] % len(cols)], sel[jj[i]], upper, k)
+            base = row_digits(sh.codes(field, pos[i], pos[i] + 1)[:, 0], field.q, w)
+            witness = _make_witness(field, base, supports[v[i] % len(supports)], sel[jj[i]], upper, k)
         if stop_v is not None:
             break
     return upper, witness, count
 
 
-def _run(field, ms: _Matrices, reds, rows, start, r, lower, opts) -> RunReport:
+def _run(field, ms: _Matrices, order, reds, rows, start, r, lower, opts) -> RunReport:
     """Bounded search for d_r (M_r when ``ms`` has syndrome matrices)
-    through the systematic matrices of ``ms`` with redundancies ``reds``,
-    from the lower bound ``lower``.  The starting witness is ``rows[:r]`` of
-    the first matrix, of weight ``start``; it is built only if the search
-    finds nothing lighter."""
+    through the systematic matrices of ``ms``, ``order`` their indices by
+    redundancy, then index, and ``reds`` those redundancies, ascending, from
+    the lower bound ``lower``.  The starting witness is ``rows[:r]`` of the
+    first matrix, of weight ``start``; it is built only if the search finds
+    nothing lighter."""
     k = ms.mats[0].shape[0]
     report = RunReport(r=r)
     # Matrices with R_j <= r take part, each credited r - R_j at the start:
     # G_j is the identity on I_j, so every r-dimensional subspace meets I_j
     # in at least r coordinates.  A scanned round adds one per matrix; only
     # a final round scans a proper prefix of ``parts``, so one counter holds.
-    parts = sorted((j for j in range(len(ms.mats)) if reds[j] <= r), key=lambda j: (reds[j], j))
-    covered = sum(r - reds[j] for j in parts)
+    m = bisect_right(reds, r)
+    parts, covered = order[:m], r * m - sum(reds[:m])
     lower = max(lower, covered)
     witness, w, upper = None, r, start
 
@@ -710,23 +715,14 @@ def _run(field, ms: _Matrices, reds, rows, start, r, lower, opts) -> RunReport:
         report.subspaces_enumerated += nsub
         covered += len(sel)
         lower = max(lower, covered)
-        ev = RoundEvent(
-            r=r,
-            w=w,
-            lower=min(upper, lower),
-            upper=upper,
-            active_mats=len(sel),
-            subspaces=nsub,
-            elapsed_s=time.perf_counter() - t0,
-        )
+        ev = RoundEvent(r=r, w=w, lower=min(upper, lower), upper=upper, active_mats=len(sel), subspaces=nsub,
+                        elapsed_s=time.perf_counter() - t0)
         report.rounds.append(ev)
         _emit(opts, ev)
         w += 1
 
     report.value = upper
-    report.witness = witness or _make_witness(
-        field, np.eye(r, dtype=np.int64), np.array(rows[:r]), 0, upper, k, synthesized=True
-    )
+    report.witness = witness or Witness(MatrixGF.unchecked(field, ms.eye[rows[:r]]), 0, upper, True)
     if opts.report is not None:
         opts.report.runs.append(report)
     return report
@@ -742,12 +738,17 @@ def _is_cyclic(field, M: np.ndarray, iset) -> bool:
 
 def _cyclic_floor(code: LinearCode, M: np.ndarray, iset) -> int | None:
     """BCH bound of the code if it is cyclic and the bound is available,
-    else None; M and ``iset`` as for _is_cyclic."""
-    if not _is_cyclic(code.field, M, iset):
+    else None; M and ``iset`` as for _is_cyclic.  A cyclic code is spanned
+    by x^i·g(x), i < k, whose first k columns are triangular with g_0 ≠ 0
+    on the diagonal, so its first information set is {1..k}: any other set,
+    or a length the characteristic divides (no BCH bound), rejects the code
+    before the product."""
+    field, n, k = code.field, code.n, len(iset)
+    if iset[-1] != k or gcd(n, field.p) != 1 or not _is_cyclic(field, M, iset):
         return None
     try:
-        return bch_bound(code)
-    except (GHWError, ValueError):
+        return _bch_from_generator(field, n, _systematic_generator(field, M))
+    except ValueError:  # GF(q^t) is larger than the largest field
         return None
 
 
@@ -798,17 +799,18 @@ def _search(c1, c2, ranks, opts: ComputeOptions) -> list[int]:
     # each run's starting witness takes the first r of these rows: with C2,
     # the rows whose syndromes extend the span of those before them (the k1
     # syndromes span dimension k1 - k2 >= r)
-    rows = list(range(c1.k)) if ghs is None else rref_array(field, ghs[0].T)[1]
+    rows = np.arange(c1.k) if ghs is None else np.array(rref_array(field, ghs[0].T)[1])
     # the starting witness of run r spans rows[:r]: one cumulative OR weighs all
     starts = np.logical_or.accumulate(mats[0][rows] != 0, axis=0).sum(axis=1).tolist()
     ms = _matrices(mats, ghs)
+    order = sorted(range(len(mats)), key=lambda j: (dec.reds[j], j))
+    reds = [dec.reds[j] for j in order]
     values: list[int] = []
-    q = field.q
     for r in ranks:
         lower = 0 if floor is None else floor + r - 1
         if values:
-            lower = max(lower, -(-(q**r - 1) * values[-1] // (q**r - q)))
-        values.append(_run(field, ms, dec.reds, rows, starts[r - 1], r, lower, opts).value)
+            lower = max(lower, -(-(field.q**r - 1) * values[-1] // (field.q**r - field.q)))
+        values.append(_run(field, ms, order, reds, rows, starts[r - 1], r, lower, opts).value)
     return values
 
 
@@ -911,13 +913,9 @@ def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Sp
                     sl = slice(off, off + ns)
                     wts = _weigh(field, masks[:, sl], None if syn is None else syn[:, sl], rows, r, n + 1, n)
                     hist[r] += np.bincount(wts.ravel(), minlength=n + 2)
-            _emit(
-                opts,
-                RoundEvent(
-                    r=r, w=w, lower=0, upper=0, active_mats=1, subspaces=nsub,
-                    elapsed_s=time.perf_counter() - t0,
-                ),
-            )
+            ev = RoundEvent(r=r, w=w, lower=0, upper=0, active_mats=1, subspaces=nsub,
+                            elapsed_s=time.perf_counter() - t0)
+            _emit(opts, ev)
             t0 = time.perf_counter()
     counts = {r: {w: int(c) for w, c in enumerate(hist[r, : n + 1]) if c} for r in range(1, rmax + 1)}
     return Spectrum({0: {0: 1}, **counts})

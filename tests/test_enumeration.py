@@ -365,19 +365,20 @@ def test_grassmannian_coverage_against_brute_force(k):
     "F, r, w", [(F2, 3, 6), (F2, 1, 4), (F3, 2, 4), (F4, 3, 5), (F8, 3, 4), (GF16, 2, 3), (GF16, 1, 5)]
 )
 def test_shape_rows_follow_the_stream(F, r, w):
-    # every choice of a pivot shape's rows on a prefix that leaves no free
+    # every choice of a pivot shape's tree rows on a prefix that leaves no free
     # column zero is one matrix of the stream, at its place in stream order,
     # and ShapeRows.codes gives the matrix at a place; GF(16) (1, 5) has 15^4
     # matrices, so its shape has a prefix column.  The expected matrices are
     # the independent odometer's, in blocks that hold a whole shape each
     blocks = reference_code_blocks(r, w, F, count_full_support(w, r, F.q))
     for sh, want in zip(shape_rows(r, w, F), [row_digits(np.array(b), F.q, w) for b in blocks], strict=True):
-        grid = np.indices([len(x) for x in sh.rows]).reshape(r, -1)
-        ok, pos = sh.place(list(grid))
+        tree = sh.tree(F)
+        grid = np.indices([len(x) for x in tree.rows]).reshape(r, -1)
+        ok, pos = tree.place(list(grid))
         assert len(want) == sh.total and sorted(pos.tolist()) == list(range(sh.P))
         for i in {0, sh.total // sh.P - 1}:
             pre = sh.prefix_codes(F, i, i + 1)[:, 0]
-            codes = np.stack([c + x[g] for c, x, g in zip(pre, sh.rows, grid[:, ok])], axis=1)
+            codes = np.stack([c + x[g] for c, x, g in zip(pre, tree.rows, grid[:, ok])], axis=1)
             assert np.array_equal(row_digits(codes, F.q, w)[np.argsort(pos)], want[i * sh.P : (i + 1) * sh.P])
         for p in (0, sh.total - 1):
             assert np.array_equal(row_digits(sh.codes(F, p, p + 1)[:, 0], F.q, w), want[p])

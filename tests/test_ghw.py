@@ -8,7 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ghwkit.code import bch_bound, code_from_rows, dual, is_cyclic, make_rs, new_code, support_weight
+from ghwkit.code import (
+    _bch_from_generator,
+    _systematic_generator,
+    bch_bound,
+    code_from_rows,
+    dual,
+    generator_polynomial,
+    is_cyclic,
+    make_rs,
+    new_code,
+    support_weight,
+)
 from ghwkit.enumeration import gaussian_binomial
 from ghwkit.errors import BadHierarchy, BadRank, NotNested
 from ghwkit.gf import build_field
@@ -310,6 +321,42 @@ def test_cyclicity_through_the_systematic_matrix():
     assert seen == {(False, False), (False, True), (True, False)}
 
 
+def test_generator_polynomial_from_the_systematic_matrix():
+    # a cyclic code's first information set is {1..k}, and the last row of
+    # its systematic matrix there is x^(k-1)·g(x)/g_0, so g is read off it;
+    # the BCH floor taken from that g is bch_bound's.  Over GF(3), x - 1 of
+    # length 4 and the code of length 8 have g_0 = 2, so that row is not monic
+    for F, n, reps in CYCLIC_CASES + ((F3, 4, [0]), (F3, 8, [1])):
+        C = cyclic_code_from_cosets(F, n, reps)
+        dec = information(C)
+        assert dec.sets[0] == tuple(range(1, C.k + 1))
+        g = _systematic_generator(F, dec.mats[0].array)
+        assert g.tolist() == generator_polynomial(C), (F.q, n, reps)
+        assert _bch_from_generator(F, n, g) == bch_bound(C)
+
+
+def test_only_a_leading_information_set_reaches_the_cyclicity_product():
+    # _cyclic_floor rejects a code whose first information set is not
+    # {1..k}, or whose length the characteristic divides, before the
+    # product of _is_cyclic; every other code reaches it, and the floor is
+    # bch_bound exactly when the code is cyclic
+    GHW = sys.modules["ghwkit.ghw"]
+    rng = np.random.default_rng(71)
+    seen = set()
+    for _ in range(300):
+        F = (F2, F3)[int(rng.integers(2))]
+        n = int(rng.integers(2, 8))
+        C = random_code(rng, F, n, int(rng.integers(1, n + 1)))
+        dec = information(C)
+        leading = dec.sets[0] == tuple(range(1, C.k + 1)) and n % F.p != 0
+        with mock.patch.object(GHW, "_is_cyclic", wraps=GHW._is_cyclic) as product:
+            floor = GHW._cyclic_floor(C, dec.mats[0].array, dec.sets[0])
+        assert product.called == leading, C.G.array.tolist()
+        assert floor == (bch_bound(C) if leading and is_cyclic(C) else None), C.G.array.tolist()
+        seen.add((leading, is_cyclic(C)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def _rref_calls(fn) -> int:
     """How many times fn() calls rref_array, from any ghwkit module."""
     counting = mock.Mock(wraps=rref_array)
@@ -428,18 +475,22 @@ def test_matrix_skipping_and_final_round_dropping():
     assert rounds[-1].lower == rounds[-1].upper == 10
 
 
+# a [12, 7] binary code with redundancies (0, 3, 6)
+REDS_0_3_6 = [
+    [1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0],
+    [1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1],
+    [0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 1],
+    [1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1],
+    [1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 0, 1],
+    [0, 1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0],
+    [1, 1, 1, 1, 0, 1, 0, 1, 0, 0, 1, 1],
+]
+
+
 def test_matrix_sitting_out_early_rounds_earns_no_credit():
     # [12, 7] binary code with redundancies (0, 3, 6): for r <= 2 the last two
     # matrices skip round r, so they must not lift the lower bound later on.
-    C = code_from_rows(F2, [
-        [1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0],
-        [1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1],
-        [0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 1],
-        [1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1],
-        [1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 0, 1],
-        [0, 1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0],
-        [1, 1, 1, 1, 0, 1, 0, 1, 0, 0, 1, 1],
-    ])
+    C = code_from_rows(F2, REDS_0_3_6)
     dec = information(C)
     assert dec.reds == (0, 3, 6)
     report = Report()
@@ -448,6 +499,15 @@ def test_matrix_sitting_out_early_rounds_earns_no_credit():
     assert h.values == tuple(naive_ghw(C, r) for r in range(1, 8))
     for run in report.runs:
         verify_run(C, dec, run)
+
+
+def test_a_matrix_whose_redundancy_is_r_takes_part_in_run_r():
+    # the code above: run r = 3 starts from the credit 3 - 0 of G_0, and
+    # G_1, credited 3 - 3 = 0, still takes part, so round (3, 3) scans both
+    # matrices and raises the lower bound from 3 to 5
+    report = Report()
+    assert ghw(code_from_rows(F2, REDS_0_3_6), 3, ComputeOptions(report=report)) == 6
+    assert [(ev.w, ev.lower, ev.active_mats) for ev in report.runs[0].rounds] == [(3, 5, 2), (4, 6, 1)]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

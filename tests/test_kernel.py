@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from ghwkit.code import code_from_rows
 from ghwkit.enumeration import (
     DEFAULT_BLOCK,
+    RowTree,
     ShapeRows,
     count_full_support,
     gaussian_binomial,
@@ -327,6 +328,59 @@ def test_first_round_builds_no_message_tables():
     assert not banned.called
 
 
+def _check_unit_round(mats, sel, r, k, upper, stop, h2t=None):
+    """Round w = r of hand-made matrices through the plain path and through
+    the kernel; returns the plain path's (upper, witness key, subspaces)."""
+    field = F2
+    ghs = None if h2t is None else [field.matmul(M, h2t) for M in mats]
+    want = GHW._scan_round(field, mats, sel, r, r, k, upper, None, h2t, stop)
+    got = GHW._scan_kernel(field, GHW._matrices(mats, ghs), sel, r, r, k, upper, None, stop)
+    assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
+    return want[0], _witness_key(want[1]), want[2]
+
+
+def test_first_round_at_a_stop_already_reached():
+    # upper <= stop on entry: the round visits its first support set alone,
+    # and that set is still weighed, so e_0 of weight 1 lowers the bound;
+    # a heavier e_0 leaves it, and the lighter e_1 is never visited
+    G = np.eye(2, dtype=np.int64)
+    assert _check_unit_round([G], [0], 1, 2, 2, 2) == (1, ([[1, 0]], 0, 1), 1)
+    assert _check_unit_round([G], [0], 1, 2, 1, 2) == (1, None, 1)
+    G = np.array([[1, 1, 1, 1], [0, 0, 0, 1]])
+    assert _check_unit_round([G], [0], 1, 2, 2, 3) == (2, None, 1)
+
+
+@pytest.mark.parametrize("gather", [1, 3], ids=["chunk1", "chunk3"])
+@pytest.mark.parametrize("hit", [1, 2, 3, 4])
+def test_first_round_stops_in_a_later_chunk(gather, hit):
+    # round (1, 1) through one [6,6] matrix whose row s weighs 5, but row
+    # ``hit`` weighs 2 = stop and row 5 weighs 1: the round ends after set
+    # ``hit``, in its own chunk of one or of three support sets (hits 2 and
+    # 3 end and start a chunk of three), and never sees row 5.  Row 0 weighs
+    # 4, so the first chunk lowers the bound without stopping
+    G = np.zeros((6, 6), dtype=np.int64)
+    for s, wt in enumerate([4, 5, 5, 5, 5, 1]):
+        G[s, :wt] = 1
+    G[hit] = 0
+    G[hit, :2] = 1
+    with budgets(gather=gather):
+        got = _check_unit_round([G], [0], 1, 6, 7, 2)
+    e = [[int(c == hit) for c in range(6)]]
+    assert got == (2, (e, 0, 2), hit + 1)
+
+
+def test_first_round_keeps_a_heavier_subspace_that_passes_c2():
+    # C2 = {0, 1100}; on S = {0}, e_S encodes through G_0 to 1100, of weight
+    # 2 but inside C2, and through G_1 to 1110, of weight 3, which meets C2
+    # in 0: the set's least candidate is dropped and the heavier one, not a
+    # later set's, is the bound and the witness
+    h2t = np.array([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]).T
+    G0 = np.array([[1, 1, 0, 0], [0, 1, 1, 1]])
+    G1 = np.array([[1, 1, 1, 0], [1, 0, 1, 1]])
+    assert _check_unit_round([G0, G1], [0, 1], 1, 2, 5, None, h2t) == (3, ([[1, 0]], 1, 3), 2)
+    assert _check_unit_round([G0, G1], [0, 1], 1, 2, 5, 3, h2t) == (3, ([[1, 0]], 1, 3), 1)
+
+
 @pytest.mark.parametrize("r, rows", [
     (1, [[1, 0, 0, 1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 1, 1, 1, 1, 0], [0, 0, 1, 0, 1, 1, 1, 0, 1]]),
     (2, [[1, 0, 0, 1, 0, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 1, 1, 1, 1, 1]]),
@@ -444,6 +498,28 @@ def test_one_shape_walk_per_round(monkeypatch):
         assert sum(len(c) for c in subspace_codes(3, 5, F3)) == count_full_support(5, 3, 3)
     GHW._scan_kernel(F3, GHW._matrices(mats, None), [0], 3, 5, 5, 9, None, None)
     assert walks == [(3, 5)]
+
+
+def test_spectra_build_no_row_trees():
+    # a spectrum's streams read only the layout of shape_rows; the rows a
+    # row tree ranges over are built for the rounds that a search walks as
+    # trees, once per process and pivot shape
+    built, tree = [], ShapeRows.tree
+
+    def counted(self, field):
+        built.append(self.pivots)
+        return tree(self, field)
+
+    sys.modules["ghwkit.enumeration"].shape_rows.cache_clear()
+    GHW._row_trees.cache_clear()
+    code = random_code(np.random.default_rng(42), F3, 7, 5)
+    mats, _, _ = _round_inputs(code, None)
+    with mock.patch.object(ShapeRows, "tree", counted):
+        higher_spectrum(code)
+        assert built == []
+        for _ in range(2):
+            GHW._scan_kernel(F3, GHW._matrices(mats, None), [0], 3, 5, 5, 8, None, None)
+    assert built == [sh.pivots for sh in shape_rows(3, 5, F3)] and len(built) == comb(4, 2)
 
 
 def test_xor_entries_count_against_the_table_cap():
@@ -601,7 +677,7 @@ def test_row_tree_prunes_every_two_row_prefix_at_d2():
     # levels weigh no third row, and the count is still every subspace's
     code = random_code(np.random.default_rng(41), F2, 12, 6)
     d2 = naive_ghw(code, 2)
-    assert any(dense.shape[1] == 2 for _, dense in GHW._row_trees(3, 6, F2))
+    assert any(dense.shape[1] == 2 for _, dense, _ in GHW._row_trees(3, 6, F2))
     every = comb(6, 6) * count_full_support(6, 3, 2)
     for upper, weighed in ((d2, False), (13, True)):
         with mock.patch.object(GHW, "_descend", wraps=GHW._descend) as third:
@@ -624,14 +700,14 @@ def test_row_tree_rejects_a_light_leaf_without_full_support():
     assert np.array_equal(mats[0], G)
     assert GHW._row_trees(3, 5, F2)[0][1].shape[1] == 2
     rejected = []
-    place = ShapeRows.place
+    place = RowTree.place
 
     def spy(self, path):
         ok, pos = place(self, path)
         rejected.extend(np.stack(path, axis=1)[~ok].tolist())
         return ok, pos
 
-    with mock.patch.object(ShapeRows, "place", spy):
+    with mock.patch.object(RowTree, "place", spy):
         got = GHW._scan_kernel(F2, GHW._matrices(mats, ghs), [0], 3, 5, 5, 10, None, None)
     assert got == (10, None, count_full_support(5, 3, 2))
     assert [0, 0, 0] in rejected
