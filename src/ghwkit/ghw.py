@@ -34,14 +34,18 @@ its parent's, and every node that already reaches the round's bound is
 dropped with all its completions: Brouwer–Zimmermann cannot prune codeword
 combinations this way.  A dropped subspace weighs at least the bound and
 could never become it, so the survivors alone decide the round.  Each
-carries its place in the subspace stream, and they are replayed in the
-stream's order (block, support set, matrix, place): the bound, the witness,
-the early exit and the count of visited subspaces are exactly those of the
-plain path.  Round w = r, where every run starts and most end, has one
-subspace on S, the span of e_S, which encodes through G_j to the r rows S of
-G_j: it is one direct pass over the matrices' packed row supports (and rows
-of syndromes), built once per search, with no tables and no product, that
-weighs, filters and replays a chunk of support sets at a time.
+carries its visit (stream block, support set), matrix and place in the
+stream, and a shape keeps two running minima of them: the first, by visit,
+at most the stop (the run's lower bound), whose visit ends the round, and
+the lightest.  Every candidate visited before that first one weighs more
+than the stop, so it is the bound where the round ends; with none, the
+lightest is.  Either way the bound, the witness, the early exit and the
+count of visited subspaces are exactly those of the plain path.  Round
+w = r, where every run starts and most end, has one subspace on S, the span
+of e_S, which encodes through G_j to the r rows S of G_j: it is one direct
+pass over the matrices' packed row supports (and rows of syndromes), built
+once per search, with no tables and no product, that weighs, filters and
+replays a chunk of support sets at a time.
 
 Relative weights M_r(C1, C2) run the same search on C1 and keep only the
 subspaces that meet C2 in 0.  A hierarchy seeds each run after the first
@@ -202,12 +206,10 @@ def _independent(field, syn: np.ndarray, r: int) -> np.ndarray:
         nz = syn[:, i, :] != 0
         ok &= nz.any(axis=1)
         piv = nz.argmax(axis=1)
-        # factors -t_j / p clear the pivot column of the rows below; a zero
-        # row has p = 0, inverse 0 in the table, and clears nothing
-        scale = field.inv_table[syn[rows, i, piv]]
-        factors = field.neg_arrays(field.mul_arrays(syn[rows, i + 1 :, piv], scale[:, None]))
-        upd = field.mul_arrays(factors[:, :, None], syn[:, i : i + 1, :])
-        syn[:, i + 1 :, :] = field.add_arrays(syn[:, i + 1 :, :], upd)
+        # the rows below less t_j / p times row i clear its pivot column; a
+        # zero row has p = 0, inverse 0 in the table, and clears nothing
+        factors = field.mul_arrays(syn[rows, i + 1 :, piv], field.inv_table[syn[rows, i, piv]][:, None])
+        syn[:, i + 1 :, :] = field.axpy_arrays(factors[:, :, None], syn[:, i + 1 :, :], syn[:, i : i + 1, :])
     return ok & (syn[:, r - 1, :] != 0).any(axis=1)
 
 
@@ -276,8 +278,9 @@ def _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop):
 # that is still below the bound the round had when the shape started gets
 # one mask word row per child, gathered within the same budget.  Only
 # survivors below that bound reach the leaves, where the full-support rule
-# and C2 are checked; the least of each (block, S, G_j) is replayed in stream
-# order (_replay).  Round w = r takes no tables and forms no row codes: its
+# and C2 are checked, and each batch of leaves updates the shape's two
+# running minima: the first candidate at most the stop and the lightest
+# candidate.  Round w = r takes no tables and forms no row codes: its
 # one subspace on S, the span of e_S, has through G_j the support of the OR
 # of the rows S of G_j, so each chunk of support sets is one gather of their
 # r packed row supports, one np.bitwise_or.reduce over the r and one
@@ -466,23 +469,27 @@ def _row_trees(r: int, w: int, field) -> tuple:
 
 
 def _tree_weigh(field, sh: ShapeRows, dense, tree: RowTree, tabs, nj: int, n: int, upper: int, stop):
-    """The candidates of one pivot shape below ``upper``, by the row tree:
-    the first least-weight matrix of each (stream block, support set, G_j)
-    with a subspace below ``upper``, as (visit, j, weight, position) arrays
-    in visit order, a visit being (block, support set) and a position the
-    matrix's place in the shape's stream; both are exact Python ints where
-    they could pass int64.  The prefixes go a block's worth at a time, each
-    prefix one tree (_tree_leaves), a chunk of support sets at a time
-    (_block_tables), so that the dense levels hold at most _GATHER_ELEMS
-    elements; a batch ends by the end of the block where it starts.  The
-    replay stops at the first visit with a candidate at most ``stop`` (the
-    first visit if ``upper`` already is), so once one is found, no chunk or
-    batch whose visits all come after it is weighed."""
+    """One pivot shape of a round w > r by the row tree, as the plain path
+    ends it: (the visit it stops after, or None; its lightest candidate as
+    (weight, visit, j, position), or None), a visit being (block, support
+    set) and a position the matrix's place in the shape's stream, all exact
+    Python ints.  The leaves below ``upper`` keep two running minima: ``hit``,
+    the least (visit, weight, j, position) at most ``stop``, whose visit is
+    the stop; and ``low``, the least (weight, visit, j, position) of all.
+    Every candidate before the stop weighs more than ``stop``, so the bound
+    there is the least weight of the stop's visit and its first subspace is
+    ``hit``; with no hit, ``low`` is both.  If ``upper`` already is at most
+    ``stop``, the stop is visit 0 and only a hit there counts.  The prefixes
+    go a block's worth at a time, each prefix one tree (_tree_leaves), a
+    chunk of support sets at a time (_block_tables), so that the dense
+    levels hold at most _GATHER_ELEMS elements; a batch ends by the end of
+    the block where it starts, and no chunk or batch whose visits all come
+    after the stop is weighed."""
     r, nS, prefixes = len(sh.pivots), len(tabs[0]), sh.total // sh.P
     nb, words = max(1, DEFAULT_BLOCK // sh.P), -(-n // 64)
-    big = sh.total * nS >= 2**63
-    # the first visit with a candidate at most ``stop``, else one past them all
-    found, first = [], 0 if stop is not None and upper <= stop else sh.total * nS
+    end = sh.total * nS
+    big, hit, low = end >= 2**63, None, None
+    first = 0 if stop is not None and upper <= stop else end
     a = 0
     while a < prefixes:
         # the batch's visits are (block, support set) from (head, 0) on; it
@@ -501,15 +508,21 @@ def _tree_weigh(field, sh: ShapeRows, dense, tree: RowTree, tabs, nj: int, n: in
                 if p.size:
                     at = (a + p.astype(object if big else np.int64)) * sh.P + spos
                     v = at // DEFAULT_BLOCK * nS + lo + s
-                    found.append((v, j, wt, at))
-                    if stop is not None:
-                        first = min(first, v[wt <= stop].min(initial=first))
+                    least = _least(wt, v, j, at)
+                    low = least if low is None else min(low, least)
+                    if stop is not None and wt.min() <= stop:
+                        h = wt <= stop
+                        least = _least(v[h], wt[h], j[h], at[h])
+                        hit = least if hit is None else min(hit, least)
+                        first = min(first, hit[0])
             if first < head * nS + lo + ns:
                 break
-        if len(found) > 1 and sum(len(x[0]) for x in found) > _GATHER_ELEMS:
-            found = [_first_minima(found)]
         a = b
-    return _first_minima(found)
+    if first == end:
+        return None, low
+    if hit is None or hit[0] > first:
+        return first, None
+    return first, (hit[1], first, *hit[2:])
 
 
 def _tree_leaves(field, tree: RowTree, dense, codes, masks, syn, s_off: int, ns: int, upper: int):
@@ -584,44 +597,18 @@ def _popcount(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks).sum(axis=-1, dtype=np.int64)
 
 
-def _first_minima(found):
-    """Of lists of candidates (visit, j, weight, position), the first
-    least-weight one of each (visit, j), in visit order."""
-    if not found:
-        return (np.zeros(0, dtype=np.int64),) * 4
-    v, j, wt, pos = map(np.concatenate, zip(*found))
-    o = np.lexsort((pos, wt, j, v))
-    v, j, wt, pos = v[o], j[o], wt[o], pos[o]
-    first = np.ones(len(v), dtype=bool)
-    first[1:] = (v[1:] != v[:-1]) | (j[1:] != j[:-1])
-    return v[first], j[first], wt[first], pos[first]
-
-
-def _replay(v: np.ndarray, wt: np.ndarray, upper: int, stop):
-    """The plain path's replay of a segment's candidates, given in visit
-    order with weights below ``upper``: the running minimum is the upper
-    bound after each candidate, and with ``stop`` the segment ends after the
-    first visit where it is at most ``stop`` (the first visit if ``upper``
-    already is).  Returns (index of the first candidate at the final bound,
-    or None if nothing is lighter than ``upper``; the final bound; the
-    stopping visit or None)."""
-    run = np.minimum.accumulate(wt)
-    end, stop_v = len(wt), None
-    if stop is not None:
-        hit = np.flatnonzero(run <= stop)
-        if upper <= stop or hit.size:
-            stop_v = 0 if upper <= stop else int(v[hit[0]])
-            end = int(np.searchsorted(v, stop_v, side="right"))
-    if not end:
-        return None, upper, stop_v
-    best = int(run[end - 1])
-    return int(np.argmax(wt[:end] == best)), best, stop_v
+def _least(*keys) -> tuple:
+    """The least of the tuples (keys[0][i], keys[1][i], ..) of equal-length
+    arrays, as Python ints."""
+    i = np.lexsort(keys[::-1])[0]
+    return tuple(int(x[i]) for x in keys)
 
 
 def _visited(stop_v, nS: int, total: int) -> int:
-    """The subspaces a segment visits, all or through visit ``stop_v``: its
-    nS support sets each pair with every matrix of a stream block of at most
-    DEFAULT_BLOCK of its ``total`` matrices before the next block."""
+    """The subspaces of one pivot shape that a round visits, all or through
+    visit ``stop_v``: its nS support sets each pair with every matrix of a
+    stream block of at most DEFAULT_BLOCK of its ``total`` matrices before
+    the next block."""
     if stop_v is None:
         return total * nS
     blk, s = divmod(stop_v, nS)
@@ -667,24 +654,23 @@ def _scan_kernel(field, ms: _Matrices, sel, r, w, k, upper, witness, stop):
     """_scan_round through the support-mask kernel, with C2 given by the
     syndrome matrices of ``ms``, and with the same visit order (block,
     support set, matrix), selection rule, early exit and count.  Round
-    w = r is one direct pass (_unit_round).  A round w > r is a segment per
-    pivot shape, weighed by the row tree (_tree_weigh) into its candidates
-    below ``upper`` in visit order, at least through the visit where the
-    replay (_replay) would stop; a witness's matrix is the decode of its
-    position.  A subspace the tree prunes weighs at least the bound and
-    could never become it, so the bound, witness and count are the plain
-    path's."""
+    w = r is one direct pass (_unit_round).  A round w > r goes pivot shape
+    by pivot shape through the row tree (_tree_weigh), which gives the
+    visit where the shape stops, if it does, and its lightest candidate
+    below ``upper``: the new bound, and, by the decode of its position, the
+    witness.  A subspace the tree prunes weighs at least the bound and could
+    never become it, so the bound, witness and count are the plain path's."""
     if w == r:
         return _unit_round(field, ms, sel, r, k, upper, witness, stop)
     tabs = _round_tables(field, ms.mats, ms.ghs, sel, k, w)
     supports, count = tabs[0], 0
     for sh, dense, tree in _row_trees(r, w, field):
-        v, jj, wt, pos = _tree_weigh(field, sh, dense, tree, tabs, len(sel), ms.mats[0].shape[1], upper, stop)
-        i, upper, stop_v = _replay(v, wt, upper, stop)
+        stop_v, best = _tree_weigh(field, sh, dense, tree, tabs, len(sel), ms.mats[0].shape[1], upper, stop)
         count += _visited(stop_v, len(supports), sh.total)
-        if i is not None:
-            base = row_digits(sh.codes(field, pos[i], pos[i] + 1)[:, 0], field.q, w)
-            witness = _make_witness(field, base, supports[v[i] % len(supports)], sel[jj[i]], upper, k)
+        if best is not None:
+            upper, v, j, pos = best
+            base = row_digits(sh.codes(field, pos, pos + 1)[:, 0], field.q, w)
+            witness = _make_witness(field, base, supports[v % len(supports)], sel[j], upper, k)
         if stop_v is not None:
             break
     return upper, witness, count

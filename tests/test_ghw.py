@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import sys
 from contextlib import ExitStack
 from functools import partial
@@ -429,6 +431,35 @@ def test_relative_witnesses():
         rhierarchy(a, b, ComputeOptions(report=report))
         for run in report.runs:
             verify_run(a, dec, run, c2=b)
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+def test_report_fields_are_plain_ints(relative):
+    # each hierarchy runs rounds w = r and row-tree rounds w > r, one of
+    # which stops part way (at visit 10 of the binary [14,6] code's round
+    # (3, 4), at visit 4 of the relative round (3, 4)): a numpy integer
+    # leaking from either path into a report would not survive json.dumps
+    rng = np.random.default_rng(17 if relative else 10)
+    events, report, stops, tree = [], Report(), [], GHW._tree_weigh
+
+    def spy(*args):
+        out = tree(*args)
+        stops.append(out[0])
+        return out
+
+    opts = ComputeOptions(progress=events.append, report=report)
+    with mock.patch.object(GHW, "_tree_weigh", spy):
+        if relative:
+            rhierarchy(*random_nested_pair(rng, F2, 12, 5, 2), opts)
+        else:
+            hierarchy(random_code(rng, F2, 14, 6), opts)
+    assert any(ev.w == ev.r for ev in events) and any(stops)
+    for ev in events:
+        assert all(type(x) is int for x in (ev.r, ev.w, ev.lower, ev.upper, ev.active_mats, ev.subspaces))
+        json.dumps(dataclasses.asdict(ev))
+    for run in report.runs:
+        assert all(type(x) is int for x in (run.value, run.subspaces_enumerated))
+        assert all(type(x) is int for x in (run.witness.mat_index, run.witness.weight))
 
 
 def test_progress_events():

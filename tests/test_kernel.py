@@ -290,6 +290,36 @@ def test_row_tree_stops_inside_a_batch_across_blocks():
             assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
         blocks.add(want[2] // (DEFAULT_BLOCK * comb(6, 5)))
     assert blocks == {0, 1, 2}
+    # with no stop, two of these rounds are weighed whole: the [14,6] codes
+    # of seeds 2 and 4 have 11 and 17 subspaces at the least weight, across
+    # many visits and batches, and the first of each lies in visit (0, S_0)
+    # at a position of the batch that straddles blocks 0 and 1
+    for n, seed, nsel, _ in cases[3:5]:
+        code = random_code(np.random.default_rng(seed), F16, n, 6)
+        mats, _, _ = _round_inputs(code, None)
+        sel = list(range(len(mats)))[:nsel]
+        want = GHW._scan_round(F16, mats, sel, 1, 5, 6, n + 1, None, None, None)
+        assert want[2] == 15**4 * comb(6, 5)
+        for gather in (1, None):
+            with budgets(gather=gather):
+                got = GHW._scan_kernel(F16, GHW._matrices(mats, None), sel, 1, 5, 6, n + 1, None, None)
+            assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
+
+
+@pytest.mark.parametrize("q, n, k, seed, r, w, upper, stop", [
+    (3, 9, 4, 2, 1, 2, 4, 4),
+    (2, 12, 7, 1, 1, 2, 4, 5),
+    (3, 9, 5, 0, 2, 3, 10, 8),
+    (2, 12, 6, 3, 2, 4, 11, 8),
+])
+def test_row_tree_stops_at_the_first_visit_with_a_hit(q, n, k, seed, r, w, upper, stop):
+    # the chunk that holds the stop also holds a lighter candidate at most
+    # ``stop`` at a later visit: the round still ends after the stop, with
+    # the bound it has there.  In the first two, ``upper`` is already at
+    # most ``stop``, so the stop is visit 0, which holds no candidate
+    code = random_code(np.random.default_rng(seed), build_field(q), n, k)
+    sel = list(range(len(information(code).mats)))
+    _check_round(code, None, r, w, sel, upper, stop)
 
 
 def test_row_tree_past_int64_positions():
