@@ -1,5 +1,10 @@
 """Generalized Hamming weights, weight hierarchies and higher weight spectra
-of linear codes over arbitrary finite fields GF(p^s)."""
+of linear codes over arbitrary finite fields GF(p^s).
+
+The package binds the function ``ghw`` over its submodule of the same name,
+so ``import ghwkit.ghw as G`` gives the function.  The module itself is
+``importlib.import_module("ghwkit.ghw")`` (or ``sys.modules["ghwkit.ghw"]``
+once ghwkit is imported)."""
 
 from .code import (
     LinearCode,

@@ -21,11 +21,14 @@ syndromes x·(G_j·H2ᵀ)[S] in the same order, on only the k1 - k2 checks of C2
 that C1 needs (the pivot columns of G1·H2ᵀ).  Over GF(2^s)
 the tables of all messages are built additively, with no field product: a
 message's entry is a shorter message's entry XOR one precomputed multiple of
-a matrix row, kept as packed bit-planes.  A round whose tables, with the
-entries they are built from, would exceed a fixed byte budget tabulates
-instead only the row codes that a batch of subspaces uses, a few support
-sets at a time, through one product per chunk; both modes give the same
-bounds, witnesses and counts.
+a matrix row.  Over GF(2) that multiple is the row's packed support (and its
+row of syndromes), and each step doubles every support set's table at once,
+straight into the round's arrays; over GF(2^s), s > 1, the entries are
+packed bit-planes, doubled a chunk of support sets at a time and OR-ed into
+masks.  A round whose tables, with the entries they are built from, would
+exceed a fixed byte budget tabulates instead only the row codes that a
+batch of subspaces uses, a few support sets at a time, through one product
+per chunk; both modes give the same bounds, witnesses and counts.
 
 The search walks each round w > r as a row tree, per pivot shape of the
 RREF bases.  Adding a row to a subspace can only grow its support, so the
@@ -264,9 +267,13 @@ def _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop):
 # entries they are built from fit _TABLE_BYTES; otherwise X lists the
 # distinct row codes of one stream block (spectra) or of one batch of a row
 # tree's prefixes (search), looked up by position.  Tables of X go through
-# one field.matmul per chunk (_tables), except those of all messages over
-# GF(2^s), which are built by XOR doubling of packed bit-planes
-# (_xor_tables), the same bytes.
+# one field.matmul per chunk of support sets (_tables), except those of all
+# messages over GF(2^s), built by XOR doubling (_double), the same bytes:
+# over GF(2) straight into the round's mask and syndrome arrays, one XOR per
+# coordinate over every support set, with no chunk and no temporary table;
+# over GF(2^s), s > 1, into a chunk's packed bit-planes, which are OR-ed into
+# masks (_xor_tables), since planes of the whole round would take s times
+# the bytes that _TABLE_BYTES counts.
 #
 # The spectra weigh a stream block on a chunk of S at once as the popcount
 # of the OR of the rows that its r basis rows' codes select (_weigh), each
@@ -300,6 +307,15 @@ def _supports(k: int, w: int) -> np.ndarray:
     return out
 
 
+def _pack(a: np.ndarray) -> np.ndarray:
+    """The supports of ``a`` along its last axis, n entries, packed into
+    ceil(n/64) little-endian uint64 words."""
+    out = np.zeros(a.shape[:-1] + (-(-a.shape[-1] // 64) * 8,), dtype=np.uint8)
+    bits = np.packbits(a != 0, axis=-1, bitorder="little")
+    out[..., : bits.shape[-1]] = bits
+    return out.view("<u8")
+
+
 def _tables(field, X: np.ndarray, B: np.ndarray, cols: np.ndarray, n: int):
     """The tables of the messages X on the support sets ``cols``, an (nS, w)
     array, through each stacked [G_j | G_j·H2ᵀ] of B, with one field.matmul
@@ -308,26 +324,24 @@ def _tables(field, X: np.ndarray, B: np.ndarray, cols: np.ndarray, n: int):
     None without C2."""
     nj, (ns, w), width = len(B), cols.shape, B.shape[-1]
     prod = field.matmul(X, B[:, cols].transpose(2, 1, 0, 3).reshape(w, -1)).reshape(-1, ns, nj, width)
-    masks = np.zeros(prod.shape[:3] + (-(-n // 64) * 8,), dtype=np.uint8)
-    packed = np.packbits(prod[..., :n] != 0, axis=-1, bitorder="little")
-    masks[..., : packed.shape[-1]] = packed
-    return masks.view("<u8"), prod[..., n:].copy() if width > n else None
+    return _pack(prod[..., :n]), prod[..., n:].copy() if width > n else None
 
 
 def _xor_entries(field, B: np.ndarray, n: int) -> np.ndarray:
     """The XOR-able entry of c·B[j, i] for every stacked matrix j, message
-    row i and c in GF(2^s), a (|sel|, k, q, s·words + n2) uint64 array: the
-    s bit-planes of its codeword part, each packed into words = ceil(n/64)
-    words, then its syndrome part.  Addition over GF(2^s) is XOR of the
-    integer encodings, so the entry of a sum is the XOR of the entries."""
+    row i and c = 1..q-1 of GF(2^s), a (|sel|, k, q - 1, s·words + n2)
+    uint64 array: the s bit-planes of its codeword part, each packed into
+    words = ceil(n/64) words, then its syndrome part.  Addition over GF(2^s)
+    is XOR of the integer encodings, so the entry of a sum is the XOR of the
+    entries."""
     q, s, words = field.q, field.s, -(-n // 64)
     nj, k, width = B.shape
-    entries = np.zeros((nj, k, q, s * words + width - n), dtype="<u8")
+    entries = np.zeros((nj, k, q - 1, s * words + width - n), dtype="<u8")
     # a few rows at a time, in the narrowest dtype, so temporaries stay small
     step = max(1, _GATHER_ELEMS // (nj * q * width))
     for lo in range(0, k, step):
         rows = slice(lo, lo + step)
-        scaled = field.mul_arrays(np.arange(q)[:, None], B[:, rows, None, :]).astype(np.min_scalar_type(q - 1))
+        scaled = field.mul_arrays(np.arange(1, q)[:, None], B[:, rows, None, :]).astype(np.min_scalar_type(q - 1))
         for u in range(s):
             plane = entries[:, rows, :, u * words : (u + 1) * words].view(np.uint8)
             bits = scaled[..., :n] >> u & 1
@@ -336,19 +350,29 @@ def _xor_entries(field, B: np.ndarray, n: int) -> np.ndarray:
     return entries
 
 
-def _xor_tables(entries: np.ndarray, cols: np.ndarray, s: int, n: int):
-    """_tables of all q^w messages over GF(2^s) on the support sets ``cols``,
-    doubled from the round's ``entries`` with no field product.  Rows c < q
-    of a table are the entries of c·B[j, S_0]; for x < q^t, row c·q^t + x is
-    row x XOR the entry of c·B[j, S_t], so each (t, c) fills one contiguous
-    slab of q^t message rows; and a mask is the OR of its row's planes."""
-    (nj, _, q, width), (ns, w), words = entries.shape, cols.shape, -(-n // 64)
-    tab = np.empty((q**w, ns, nj, width), dtype="<u8")
-    tab[:q] = entries[:, cols[:, 0]].transpose(2, 1, 0, 3)
-    for t in range(1, w):
+def _double(out: np.ndarray, entries: np.ndarray, cols: np.ndarray) -> None:
+    """Fill ``out``, the message-major (q^w, nS, |sel|, width) table of all
+    q^w messages on the support sets ``cols``, an (nS, w) array, by XOR
+    doubling from ``entries``, the (|sel|, k, q - 1, width) entries of
+    c·B[j, i] for c = 1..q-1, with no field product.  Row 0 is zero; for
+    x < q^t, row c·q^t + x is row x XOR the entry of c·B[j, S_t], so each
+    (t, c) fills one contiguous slab of q^t rows on every support set at
+    once."""
+    q = entries.shape[2] + 1
+    out[0] = 0
+    for t in range(cols.shape[1]):
         for c in range(1, q):
-            add = entries[:, cols[:, t], c].transpose(1, 0, 2)
-            np.bitwise_xor(tab[: q**t], add, out=tab[c * q**t : (c + 1) * q**t])
+            add = entries[:, cols[:, t], c - 1].transpose(1, 0, 2)
+            np.bitwise_xor(out[: q**t], add, out=out[c * q**t : (c + 1) * q**t])
+
+
+def _xor_tables(entries: np.ndarray, cols: np.ndarray, s: int, n: int):
+    """_tables of all q^w messages over GF(2^s), s > 1, on the support sets
+    ``cols``, doubled from the round's ``entries`` (_double) into their
+    bit-planes; a mask is the OR of its row's planes."""
+    (nj, _, q1, width), (ns, w), words = entries.shape, cols.shape, -(-n // 64)
+    tab = np.empty(((q1 + 1) ** w, ns, nj, width), dtype="<u8")
+    _double(tab, entries, cols)
     masks = np.bitwise_or.reduce(tab[..., : s * words].reshape(tab.shape[:3] + (s, words)), axis=3)
     return masks, tab[..., s * words :].view(np.int64) if width > s * words else None
 
@@ -358,9 +382,13 @@ def _round_tables(field, mats, ghs, sel, k: int, w: int):
     stacked [G_j | G_j·H2ᵀ] of the selected matrices (G_j alone without C2),
     and the tables of all q^w messages on every support set when they fit
     _TABLE_BYTES together with the XOR entries they are built from, as
-    message-major (q^w, nS, |sel|, ·) arrays filled a chunk of support sets
-    at a time, else None: then each stream block of a spectrum, or each
-    batch of a row tree, tabulates its own rows."""
+    message-major (q^w, nS, |sel|, ·) arrays, else None: then each stream
+    block of a spectrum, or each batch of a row tree, tabulates its own rows.
+    Over GF(2) the tables are doubled straight into those arrays from the
+    packed rows of G_j and the rows of G_j·H2ᵀ, each doubling step on every
+    support set at once.  Over GF(2^s), s > 1, whose bit-planes would take s
+    times the bytes of the masks, and over odd characteristic, through one
+    product, they are filled a chunk of support sets at a time."""
     ns, nq, n, nj = comb(k, w), field.q**w, mats[0].shape[1], len(sel)
     # one product gives each message's codeword and, with C2, its syndrome
     B = np.stack([mats[j] if ghs is None else np.hstack([mats[j], ghs[j]]) for j in sel])
@@ -371,12 +399,19 @@ def _round_tables(field, mats, ghs, sel, k: int, w: int):
     entries = k * field.q * width if field.p == 2 else 0
     if (ns * nq * (words + c) + entries) * 8 * nj > _TABLE_BYTES:
         return supports, B, None
+    masks = np.empty((nq, ns, nj, words), dtype="<u8")
+    syn = None if ghs is None else np.empty((nq, ns, nj, c), dtype=np.int64)
+    if field.q == 2:
+        # a row's one nonzero multiple is itself: its entry is its packed
+        # support, and its syndrome row
+        _double(masks, _pack(B[..., :n])[:, :, None], supports)
+        if syn is not None:
+            _double(syn, B[:, :, None, n:], supports)
+        return supports, B, (masks, syn)
     if field.p == 2:
         build = partial(_xor_tables, _xor_entries(field, B, n), s=field.s, n=n)
     else:
         build = partial(_tables, field, row_digits(np.arange(nq), field.q, w), B, n=n)
-    masks = np.empty((nq, ns, nj, words), dtype="<u8")
-    syn = None if ghs is None else np.empty((nq, ns, nj, c), dtype=np.int64)
     step = max(1, _GATHER_ELEMS // (nj * nq * width))
     for lo in range(0, ns, step):
         masks[:, lo : lo + step], part = build(supports[lo : lo + step])

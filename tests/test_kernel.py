@@ -13,6 +13,7 @@ doubling, with no product, and must equal the product's byte for byte.
 """
 
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations
 from math import comb
@@ -634,6 +635,55 @@ def test_char2_tables_match_the_product(gather, F, n, data):
         assert got[1].shape == want[1].shape and got[1].tobytes() == want[1].tobytes()
     else:
         assert got[1] is None and want[1] is None
+
+
+@pytest.mark.parametrize("k, w, n, c", [(12, 6, 48, 0), (12, 6, 48, 3), (12, 4, 70, 0), (11, 8, 64, 2),
+                                        (10, 3, 65, 1), (9, 4, 130, 4)])
+def test_gf2_whole_round_tables_match_the_product(k, w, n, c):
+    # GF(2) rounds of hundreds of support sets, each doubling step taken on
+    # all of them at once, against one field.matmul, some columns zero
+    rng = np.random.default_rng(k * 1000 + w * 100 + c)
+    nj = 3
+    B = rng.integers(0, 2, (nj, k, n + c))
+    B[:, :, rng.integers(0, n + c, 5)] = 0
+    cols = np.array(list(combinations(range(k), w)), dtype=np.intp)
+    assert len(cols) >= 120
+    want = GHW._tables(F2, row_digits(np.arange(2**w), 2, w), B, cols, n)
+    supports, _, got = GHW._round_tables(F2, list(B[..., :n]), list(B[..., n:]) if c else None, range(nj), k, w)
+    assert supports.tolist() == cols.tolist()
+    assert (got[1] is None) == (want[1] is None) == (c == 0)
+    for g, x, dtype in [(got[0], want[0], np.dtype("<u8"))] + [(got[1], want[1], np.dtype(np.int64))] * (c > 0):
+        assert g.dtype == x.dtype == dtype and g.shape == x.shape
+        assert g.flags.c_contiguous and x.flags.c_contiguous and g.tobytes() == x.tobytes()
+
+
+def _counted_bytes(F, k, w, n, c, nj):
+    """The bytes of a round's tables of all messages, with the XOR entries
+    they are built from, as _round_tables weighs them against the cap."""
+    words = -(-n // 64)
+    return (comb(k, w) * F.q**w * (words + c) + k * F.q * (F.s * words + c)) * 8 * nj
+
+
+@pytest.mark.parametrize("F, k, w, allowed", [
+    (F2, 12, 6, lambda counted: counted + GHW._GATHER_ELEMS * 8),
+    (F256, 4, 2, lambda counted: GHW._TABLE_BYTES),
+], ids=["GF2", "GF256"])
+def test_round_tables_stay_within_what_the_cap_counts(F, k, w, allowed):
+    # numpy reports its buffers to tracemalloc: a GF(2) round peaks at its
+    # tables and entries plus one gather, a GF(2^8) one within the cap
+    rng = np.random.default_rng(7)
+    mats, nj, n = [rng.integers(0, F.q, (k, 48)) for _ in range(3)], 3, 48
+    counted = _counted_bytes(F, k, w, n, 0, nj)
+    assert counted <= GHW._TABLE_BYTES
+    GHW._supports(k, w)
+    tracemalloc.start()
+    try:
+        tabs = GHW._round_tables(F, mats, None, range(nj), k, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tabs[2][0].nbytes == comb(k, w) * F.q**w * nj * 8
+    assert peak <= allowed(counted)
 
 
 def test_char2_round_tables_take_no_field_product():
