@@ -4,9 +4,11 @@ Every subspace is represented by its unique reduced-row-echelon-form basis
 matrix.  Subspaces with support exactly {1..w} are generated shape by shape:
 a pivot shape is the ascending tuple of pivot columns (i_1=1 < ... < i_r <= w),
 and each free column between pivots i_z and i_{z+1} ranges over the nonzero
-vectors of F^r supported on the first z coordinates.  Emission order is
-deterministic: pivot shapes in lexicographic order, free-column choices in
-odometer order with the rightmost free column varying fastest.
+vectors v of F^r supported on the first z coordinates, by ascending code
+sum_t v_t q^t, so that its choice d is the vector with code d + 1.
+Emission order is deterministic: pivot shapes in lexicographic order,
+free-column choices in odometer order with the rightmost free column
+varying fastest.
 
 The stream yields each matrix as its r row codes: row x of length w has code
 sum_t x_t q^t (x_t at 0-based column t), exact for every q^w.  The stream
@@ -97,7 +99,9 @@ def columns_up_to_weight(r: int, z: int, field: FiniteField) -> np.ndarray:
     """All vectors of F^r with weight between 1 and z, as a (count, r) array.
 
     Order: weight y ascending; support positions in lexicographic order; the
-    nonzero values in odometer order (last position fastest).
+    nonzero values in odometer order (last position fastest).  This is not
+    the order of a free column's choices in the subspace stream, which is by
+    code (see the module docstring).
     """
     if not 1 <= z <= r:
         raise BadArgs(f"need 1 <= z <= r, got z={z}, r={r}")
@@ -117,7 +121,8 @@ def columns_up_to_weight(r: int, z: int, field: FiniteField) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-_nonzero = cache(lambda z, field, dtype: columns_up_to_weight(z, z, field).astype(dtype))  # F^z - 0
+# a suffix column's q^z - 1 choices, F^z - 0 by code; at most a block's
+_nonzero = cache(lambda z, field, dtype: row_digits(np.arange(1, field.q**z), field.q, z).astype(dtype))
 
 
 def code_dtype(q: int, w: int):
@@ -133,8 +138,9 @@ def subspace_codes(
     arrays of row codes, in the documented deterministic order, at most
     ``block_size`` matrices a block and never spanning two pivot shapes.  Row
     z's code is q^(i_z - 1) plus, for each free column, its entry in row z
-    times q^(column - 1); codes are int64 when q^w <= 2^63, else exact Python
-    ints in object arrays.  The shapes are those of shape_rows at
+    times q^(column - 1), each free column running over its vectors by
+    ascending code; codes are int64 when q^w <= 2^63, else exact Python ints
+    in object arrays.  The shapes are those of shape_rows at
     ``block_size``: each one's suffix table is built once, and each block is
     ShapeRows.codes over it, yielded as the transpose of that (r, count)
     array, so each column ``codes[:, t]`` is contiguous.  A round whose
@@ -150,11 +156,12 @@ def subspace_codes(
 class ShapeRows(NamedTuple):
     """One pivot shape of the stream of round (r, w), its layout.  Its
     full-support matrices are numbered in stream order, their position being
-    the mixed-radix index of their free columns' vectors, each by its place
-    in _nonzero(z), the last column fastest.  The free columns before
-    ``cut`` form the prefix; the rest, the suffix, have ``P`` choices in
-    all, at most the block size, so prefix i holds positions i·P .. i·P +
-    P - 1.  ``tree`` gives the rows that a row tree ranges over."""
+    the mixed-radix index of their free columns' choices, the last column
+    fastest, a column's choice being its vector's code sum_t v_t q^t less
+    one.  The free columns before ``cut`` form the prefix; the rest, the
+    suffix, have ``P`` choices in all, at most the block size, so prefix i
+    holds positions i·P .. i·P + P - 1.  ``tree`` gives the rows that a row
+    tree ranges over."""
 
     pivots: tuple[int, ...]  # 0-based
     free: tuple[int, ...]  # the free columns, ascending
@@ -175,7 +182,7 @@ class ShapeRows(NamedTuple):
         if self.cut:
             digits = np.unravel_index(np.arange(a, b), self.sizes[: self.cut])
             for col, x, d in zip(self.free, self.z, digits):
-                pre[:x] += _nonzero(x, field, dtype)[d].T * field.q**col
+                pre[:x] += row_digits(d + 1, field.q, x).T.astype(dtype) * field.q**col
         return pre
 
     def suffix(self, field: FiniteField) -> np.ndarray:
@@ -220,15 +227,8 @@ class ShapeRows(NamedTuple):
             cont.append(np.zeros((digits.shape[1], len(suf)), dtype=np.int64))
             if own:  # q^t < q^z <= block_size + 1, where q^t alone may pass int64
                 cont[t][:, own] = digits.T * q**t
-        used = sorted(set(zs))
-        starts = np.cumsum([0] + [q**x for x in used])
-        ranks = np.full(starts[-1], -1, dtype=np.int64)
-        for x, lo in zip(used, starts):
-            vals = _nonzero(x, field, np.int64)
-            ranks[lo + vals @ q ** np.arange(x)] = np.arange(len(vals))
-        off = np.array([starts[used.index(x)] for x in zs], dtype=np.int64)
         strides = np.array([prod(self.sizes[self.cut + i + 1 :]) for i in range(len(suf))], dtype=np.int64)
-        return RowTree(tuple(rows), tuple(cont), ranks, off, strides)
+        return RowTree(tuple(rows), tuple(cont), strides)
 
 
 class RowTree(NamedTuple):
@@ -238,22 +238,20 @@ class RowTree(NamedTuple):
     right of it, nonzero at those that only row 0 reaches;
     ShapeRows.prefix_codes adds a prefix's entries.  ``cont[t]`` holds each
     such code's entries on the suffix times q^t, so the rows' sum gives each
-    suffix column's vector as a code of F^z, and ``ranks[code + off]`` its
-    place in _nonzero(z), -1 for 0."""
+    suffix column's vector as its code sum_t v_t q^t: its choice plus one,
+    0 for a zero column."""
 
     rows: tuple[np.ndarray, ...]
     cont: tuple[np.ndarray, ...]
-    ranks: np.ndarray
-    off: np.ndarray
     strides: np.ndarray  # of the suffix positions
 
     def place(self, path):
         """For matrices given by each row t's index ``path[t]`` into
         ``rows[t]``, which have every suffix column nonzero, and the suffix
         positions of those."""
-        idx = self.ranks[sum(c[i] for c, i in zip(self.cont, path)) + self.off]
-        ok = (idx >= 0).all(axis=1)
-        return ok, idx[ok] @ self.strides
+        code = sum(c[i] for c, i in zip(self.cont, path))
+        ok = (code > 0).all(axis=1)
+        return ok, (code[ok] - 1) @ self.strides
 
 
 @cache

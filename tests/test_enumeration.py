@@ -219,15 +219,16 @@ def test_row_codes_beyond_int64_are_exact():
 
 
 def reference_code_blocks(r, w, F, block_size):
-    """The stream's blocks built without subspace_codes: pivot shapes in
-    lexicographic order, each shape's free-column choices by
-    itertools.product (rightmost column fastest), cut into blocks of
-    block_size that restart at every shape."""
+    """The stream's blocks built without ghwkit: pivot shapes in
+    lexicographic order, each free column right of z pivots ranging over the
+    nonzero vectors of F^z by ascending code sum_t v_t q^t, the shape's
+    choices by itertools.product (rightmost column fastest), cut into blocks
+    of block_size that restart at every shape."""
     q, blocks = F.q, []
     for rest in combinations(range(2, w + 1), r - 1):
         shape = (1,) + rest
         free = [(c, sum(i < c for i in shape)) for c in range(1, w + 1) if c not in shape]
-        choices = [columns_up_to_weight(z, z, F).tolist() for _, z in free]
+        choices = [[[d // q**t % q for t in range(z)] for d in range(1, q**z)] for _, z in free]
         rows = []
         for pick in product(*choices):
             code = [q ** (i - 1) for i in shape]
@@ -269,6 +270,27 @@ def test_large_q_stream_stays_blockwise():
     assert peak < 16 * 2**20
 
 
+def test_a_prefix_column_of_f_squared_needs_no_table():
+    # GF(2^16), round (2, 3): F^2 has 2^32 - 1 nonzero vectors, so the
+    # (0, 1) shape's one free column is a prefix column, decoded from its
+    # choices' codes; the first block stays small
+    F = build_field(2, 16)
+    q = F.q
+    tracemalloc.start()
+    try:
+        next(subspace_codes(2, 3, F))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    sh = shape_rows(2, 3, F)[0]
+    assert (sh.pivots, sh.cut, sh.total) == ((0, 1), 1, q**2 - 1)
+    for p in (0, 1, DEFAULT_BLOCK - 1, DEFAULT_BLOCK, sh.total - 1):
+        v = [(p + 1) // q**t % q for t in range(2)]
+        want = [[1, 0, v[0]], [0, 1, v[1]]]
+        assert row_digits(sh.codes(F, p, p + 1)[:, 0], q, 3).tolist() == want
+
+
 def test_a_stream_whose_prefix_choices_overflow_intp_is_refused():
     # GF(2^16), r = 1, w = 5: four free columns of 65535 choices each, none
     # of which fits in a block, so the prefix odometer has 65535^4 > 2^63
@@ -297,21 +319,14 @@ def test_subspace_code_blocks_are_read_only():
                 break
 
 
-def test_free_columns_are_built_once_per_process(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return columns_up_to_weight(*args)
-
-    monkeypatch.setattr(ENUM, "columns_up_to_weight", counted)
+def test_free_columns_are_built_once_per_process():
     ENUM._nonzero.cache_clear()
     code = random_code(np.random.default_rng(5), F4, 8, 4)
     first = higher_spectrum(code)
-    built = len(calls)
+    built = ENUM._nonzero.cache_info().misses
     assert built > 0
     assert higher_spectrum(code) == first
-    assert len(calls) == built
+    assert ENUM._nonzero.cache_info().misses == built
 
 
 @pytest.mark.parametrize("block_size", [0, -5])

@@ -251,6 +251,17 @@ def test_row_tree_past_int64_row_codes():
         assert _check_round(code, None, 1, 4, sel, 8, stop)[2] == DEFAULT_BLOCK
 
 
+def test_row_tree_over_a_prefix_column_of_f_squared():
+    # round (2, 3) over GF(2^16): the free column of pivot shape (1, 2)
+    # ranges over the 2^32 - 1 nonzero vectors of F^2, a prefix column whose
+    # choices are decoded from their codes with no table of them (a table
+    # would take 64 GiB); at stop >= upper the round ends after visit (block
+    # 0, S_0)
+    code = random_code(np.random.default_rng(1), F65536, 7, 5)
+    want = _check_round(code, None, 2, 3, [0], 8, 8)
+    assert (want[0], want[2]) == (5, DEFAULT_BLOCK) and want[1] is not None
+
+
 def test_a_stopped_row_tree_weighs_no_later_support_set():
     # round (1, 4) of the code above stops at its first visit, (block 0,
     # S_0); its first batch of prefixes is block 0 whole, so with one
