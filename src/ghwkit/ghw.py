@@ -18,17 +18,18 @@ words): message x owns one contiguous row of masks for every (S, G_j), and a
 subspace's supports are the OR of the r rows that its basis rows' codes
 select.  Relative weights also tabulate the
 syndromes x·(G_j·H2ᵀ)[S] in the same order, on only the k1 - k2 checks of C2
-that C1 needs (the pivot columns of G1·H2ᵀ).  Over GF(2^s)
-the tables of all messages are built additively, with no field product: a
-message's entry is a shorter message's entry XOR one precomputed multiple of
-a matrix row.  Over GF(2) that multiple is the row's packed support (and its
-row of syndromes), and each step doubles every support set's table at once,
-straight into the round's arrays; over GF(2^s), s > 1, the entries are
-packed bit-planes, doubled a chunk of support sets at a time and OR-ed into
-masks.  A round whose tables, with the entries they are built from, would
-exceed a fixed byte budget tabulates instead only the row codes that a
-batch of subspaces uses, a few support sets at a time, through one product
-per chunk; both modes give the same bounds, witnesses and counts.
+that C1 needs (the pivot columns of G1·H2ᵀ).  Over GF(2^s), which
+is the vector space GF(2)^s, the tables of all messages are built by one
+binary doubling, with no field product: each bit of a message's code adds
+one of the s multiples a^u·B of a matrix row, u < s, as its s packed
+bit-planes (and its row of syndromes), and each step doubles every support
+set's table at once, straight into the round's arrays; over GF(2) the
+planes are the masks, else one OR makes them masks.  Over odd
+characteristic the tables go through one product per chunk of support
+sets.  A round whose tables, with those planes, would exceed a fixed byte
+budget tabulates instead only the row codes that a batch of subspaces uses,
+a few support sets at a time, through one product per chunk; both modes
+give the same bounds, witnesses and counts.
 
 The search walks each round w > r as a row tree, per pivot shape of the
 RREF bases.  Adding a row to a subspace can only grow its support, so the
@@ -68,7 +69,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from functools import cache, partial
+from functools import cache
 from itertools import chain, combinations
 from math import comb, gcd
 from typing import Callable, NamedTuple
@@ -263,17 +264,16 @@ def _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop):
 # C2 the syndrome table holds X·(G_j·H2ᵀ)[S].  Both are message-major,
 # (len(X), nS, |sel|, words) and (len(X), nS, |sel|, k1 - k2), so one
 # message's entries for every (S, G_j) are one contiguous row.  X lists all
-# q^w messages in code order, once per round, when those tables and the XOR
-# entries they are built from fit _TABLE_BYTES; otherwise X lists the
+# q^w messages in code order, once per round, when those tables, with their
+# bit-planes over GF(2^s), s > 1, fit _TABLE_BYTES; otherwise X lists the
 # distinct row codes of one stream block (spectra) or of one batch of a row
 # tree's prefixes (search), looked up by position.  Tables of X go through
 # one field.matmul per chunk of support sets (_tables), except those of all
 # messages over GF(2^s), built by XOR doubling (_double), the same bytes:
-# over GF(2) straight into the round's mask and syndrome arrays, one XOR per
-# coordinate over every support set, with no chunk and no temporary table;
-# over GF(2^s), s > 1, into a chunk's packed bit-planes, which are OR-ed into
-# masks (_xor_tables), since planes of the whole round would take s times
-# the bytes that _TABLE_BYTES counts.
+# one XOR per bit of a message code over every support set, with no chunk,
+# straight into the round's syndrome array and its (q^w, nS, |sel|,
+# s·words) bit-planes, which over GF(2) are its masks and else are OR-ed
+# into them once.
 #
 # The spectra weigh a stream block on a chunk of S at once as the popcount
 # of the OR of the rows that its r basis rows' codes select (_weigh), each
@@ -294,8 +294,8 @@ def _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop):
 # popcount, an (nS, |sel|) array of weights in visit order, on which the
 # round is replayed in place (_unit_round); with C2, the rows S of G_j·H2ᵀ
 # of those below the bound go through one elimination.
-_GATHER_ELEMS = 1 << 16  # elements per table-build, gather or tree-level chunk
-_TABLE_BYTES = 1 << 25  # largest tables of all q^w messages, with their entries, in one round
+_GATHER_ELEMS = 1 << 16  # elements per _tables product, gather or tree-level chunk
+_TABLE_BYTES = 1 << 25  # largest tables of all q^w messages, with their bit-planes, in one round
 
 
 @cache
@@ -327,94 +327,71 @@ def _tables(field, X: np.ndarray, B: np.ndarray, cols: np.ndarray, n: int):
     return _pack(prod[..., :n]), prod[..., n:].copy() if width > n else None
 
 
-def _xor_entries(field, B: np.ndarray, n: int) -> np.ndarray:
-    """The XOR-able entry of c·B[j, i] for every stacked matrix j, message
-    row i and c = 1..q-1 of GF(2^s), a (|sel|, k, q - 1, s·words + n2)
-    uint64 array: the s bit-planes of its codeword part, each packed into
-    words = ceil(n/64) words, then its syndrome part.  Addition over GF(2^s)
-    is XOR of the integer encodings, so the entry of a sum is the XOR of the
-    entries."""
-    q, s, words = field.q, field.s, -(-n // 64)
-    nj, k, width = B.shape
-    entries = np.zeros((nj, k, q - 1, s * words + width - n), dtype="<u8")
-    # a few rows at a time, in the narrowest dtype, so temporaries stay small
-    step = max(1, _GATHER_ELEMS // (nj * q * width))
-    for lo in range(0, k, step):
-        rows = slice(lo, lo + step)
-        scaled = field.mul_arrays(np.arange(1, q)[:, None], B[:, rows, None, :]).astype(np.min_scalar_type(q - 1))
-        for u in range(s):
-            plane = entries[:, rows, :, u * words : (u + 1) * words].view(np.uint8)
-            bits = scaled[..., :n] >> u & 1
-            plane[..., : -(-n // 8)] = np.packbits(bits, axis=-1, bitorder="little")
-        entries[:, rows, :, s * words :] = scaled[..., n:]
-    return entries
+def _bit_entries(field, B: np.ndarray, n: int):
+    """The XOR-able entries a^u·B[j, i] of GF(2^s), for every stacked matrix
+    j, message row i and u < s, a^u the element of index field.pow_p[u]: the
+    s packed bit-planes of each codeword part, a (|sel|, k, s, s·words)
+    uint64 array, plane v holding bit v of every coordinate, and the
+    syndrome parts, (|sel|, k, s, k1 - k2).  Addition over GF(2^s) is XOR of
+    the integer encodings, so the entry of a sum is the XOR of the entries.
+    Over GF(2) the one entry of a row is the row itself, with no product."""
+    s = field.s
+    scaled = B[:, :, None] if s == 1 else field.mul_arrays(field.pow_p[:, None], B[:, :, None])
+    planes = _pack(scaled[..., None, :n] >> np.arange(s)[:, None] & 1)
+    return planes.reshape(scaled.shape[:3] + (-1,)), scaled[..., n:]
 
 
 def _double(out: np.ndarray, entries: np.ndarray, cols: np.ndarray) -> None:
     """Fill ``out``, the message-major (q^w, nS, |sel|, width) table of all
-    q^w messages on the support sets ``cols``, an (nS, w) array, by XOR
-    doubling from ``entries``, the (|sel|, k, q - 1, width) entries of
-    c·B[j, i] for c = 1..q-1, with no field product.  Row 0 is zero; for
-    x < q^t, row c·q^t + x is row x XOR the entry of c·B[j, S_t], so each
-    (t, c) fills one contiguous slab of q^t rows on every support set at
-    once."""
-    q = entries.shape[2] + 1
+    q^w messages over GF(2^s) on the support sets ``cols``, an (nS, w)
+    array, by XOR doubling from ``entries``, the (|sel|, k, s, width)
+    entries of a^u·B[j, i] (_bit_entries), with no field product.  Row 0 is
+    zero; bit t·s + u of message code Σ x_t q^t is bit u of x_t, so step
+    m = t·s + u sets rows 2^m..2^(m+1)-1 to rows 0..2^m-1 XOR the entry of
+    a^u·B[j, S_t], on every support set at once."""
+    s = entries.shape[2]
     out[0] = 0
     for t in range(cols.shape[1]):
-        for c in range(1, q):
-            add = entries[:, cols[:, t], c - 1].transpose(1, 0, 2)
-            np.bitwise_xor(out[: q**t], add, out=out[c * q**t : (c + 1) * q**t])
-
-
-def _xor_tables(entries: np.ndarray, cols: np.ndarray, s: int, n: int):
-    """_tables of all q^w messages over GF(2^s), s > 1, on the support sets
-    ``cols``, doubled from the round's ``entries`` (_double) into their
-    bit-planes; a mask is the OR of its row's planes."""
-    (nj, _, q1, width), (ns, w), words = entries.shape, cols.shape, -(-n // 64)
-    tab = np.empty(((q1 + 1) ** w, ns, nj, width), dtype="<u8")
-    _double(tab, entries, cols)
-    masks = np.bitwise_or.reduce(tab[..., : s * words].reshape(tab.shape[:3] + (s, words)), axis=3)
-    return masks, tab[..., s * words :].view(np.int64) if width > s * words else None
+        for u in range(s):
+            m = 1 << (t * s + u)
+            np.bitwise_xor(out[:m], entries[:, cols[:, t], u].transpose(1, 0, 2), out=out[m : 2 * m])
 
 
 def _round_tables(field, mats, ghs, sel, k: int, w: int):
     """The nS = C(k, w) support sets of round w as an (nS, w) array, the
     stacked [G_j | G_j·H2ᵀ] of the selected matrices (G_j alone without C2),
     and the tables of all q^w messages on every support set when they fit
-    _TABLE_BYTES together with the XOR entries they are built from, as
-    message-major (q^w, nS, |sel|, ·) arrays, else None: then each stream
-    block of a spectrum, or each batch of a row tree, tabulates its own rows.
-    Over GF(2) the tables are doubled straight into those arrays from the
-    packed rows of G_j and the rows of G_j·H2ᵀ, each doubling step on every
-    support set at once.  Over GF(2^s), s > 1, whose bit-planes would take s
-    times the bytes of the masks, and over odd characteristic, through one
-    product, they are filled a chunk of support sets at a time."""
+    _TABLE_BYTES, as message-major (q^w, nS, |sel|, ·) arrays, else None:
+    then each stream block of a spectrum, or each batch of a row tree,
+    tabulates its own rows.  Over GF(2^s) they are doubled (_double)
+    straight into those arrays, each mask as s bit-planes that, for s > 1,
+    one OR reduces; over odd characteristic they go through one product per
+    chunk of support sets."""
     ns, nq, n, nj = comb(k, w), field.q**w, mats[0].shape[1], len(sel)
-    # one product gives each message's codeword and, with C2, its syndrome
+    # one product or doubling gives each message's codeword and, with C2, its syndrome
     B = np.stack([mats[j] if ghs is None else np.hstack([mats[j], ghs[j]]) for j in sel])
     supports = _supports(k, w)
     words, c = -(-n // 64), B.shape[-1] - n
-    # over GF(2^s) the tables are doubled from k·q entries, which count too
-    width = field.s * words + c if field.p == 2 else n + c
-    entries = k * field.q * width if field.p == 2 else 0
-    if (ns * nq * (words + c) + entries) * 8 * nj > _TABLE_BYTES:
+    # over GF(2^s), s > 1, the bit-planes the masks are OR-ed from count too
+    planes = field.s * words if field.p == 2 and field.s > 1 else 0
+    if ns * nq * (words + planes + c) * 8 * nj > _TABLE_BYTES:
         return supports, B, None
-    masks = np.empty((nq, ns, nj, words), dtype="<u8")
     syn = None if ghs is None else np.empty((nq, ns, nj, c), dtype=np.int64)
-    if field.q == 2:
-        # a row's one nonzero multiple is itself: its entry is its packed
-        # support, and its syndrome row
-        _double(masks, _pack(B[..., :n])[:, :, None], supports)
-        if syn is not None:
-            _double(syn, B[:, :, None, n:], supports)
-        return supports, B, (masks, syn)
     if field.p == 2:
-        build = partial(_xor_tables, _xor_entries(field, B, n), s=field.s, n=n)
-    else:
-        build = partial(_tables, field, row_digits(np.arange(nq), field.q, w), B, n=n)
-    step = max(1, _GATHER_ELEMS // (nj * nq * width))
+        bits, part = _bit_entries(field, B, n)
+        masks = np.empty((nq, ns, nj, field.s * words), dtype="<u8")
+        _double(masks, bits, supports)
+        if field.s > 1:
+            # a coordinate is nonzero iff one of its bit-planes is
+            masks = np.bitwise_or.reduce(masks.reshape(nq, ns, nj, field.s, words), axis=3)
+        if syn is not None:
+            _double(syn, part, supports)
+        return supports, B, (masks, syn)
+    masks = np.empty((nq, ns, nj, words), dtype="<u8")
+    X = row_digits(np.arange(nq), field.q, w)
+    step = max(1, _GATHER_ELEMS // (nj * nq * (n + c)))
     for lo in range(0, ns, step):
-        masks[:, lo : lo + step], part = build(supports[lo : lo + step])
+        masks[:, lo : lo + step], part = _tables(field, X, B, supports[lo : lo + step], n)
         if syn is not None:
             syn[:, lo : lo + step] = part
     return supports, B, (masks, syn)

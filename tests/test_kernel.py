@@ -8,8 +8,11 @@ matmul.  Round w = r builds no tables of messages: it weighs each support
 set's one subspace from the rows of the matrices.
 Every round must agree exactly with the plain path in both table modes: the
 bound, the witness and the subspace count.  Every spectrum must agree in
-both modes.  Over GF(2^s) the tables of all messages are built by XOR
-doubling, with no product, and must equal the product's byte for byte.
+both modes.  Over GF(2^s) the tables of all messages are built by one
+binary XOR doubling from the s bit-planes of the multiples a^u·G_j[i],
+u < s, with no product: they must equal the product's byte for byte, and
+the build must peak within what the table cap counts, planes included, plus
+one gather.
 """
 
 import sys
@@ -39,7 +42,6 @@ from ghwkit.errors import WorkLimitExceeded
 from ghwkit.gf import FiniteField, build_field
 from ghwkit.ghw import (
     ComputeOptions,
-    ghw,
     higher_spectrum,
     hierarchy,
     naive_ghw,
@@ -48,7 +50,6 @@ from ghwkit.ghw import (
     rhigher_spectrum,
 )
 from ghwkit.infoset import information
-from ghwkit.matrix import rank_array
 
 from support import brute_rspectrum, brute_spectrum, random_code, random_nested_pair
 
@@ -564,21 +565,22 @@ def test_spectra_build_no_row_trees():
     assert built == [sh.pivots for sh in shape_rows(3, 5, F3)] and len(built) == comb(4, 2)
 
 
-def test_xor_entries_count_against_the_table_cap():
-    # round w = 1 of d_1 of a GF(2^16) [8,4] code: its tables of all 2^16
-    # messages fit the cap, but the XOR entries they would be built from,
-    # 16 bit-planes for every multiple of every row, do not, so the round
-    # tabulates per block and builds no entries
-    code = random_code(np.random.default_rng(3), F65536, 8, 4)
-    nj, words = len(information(code).mats), 1
-    assert comb(4, 1) * F65536.q * words * 8 * nj <= GHW._TABLE_BYTES
-    assert nj * 4 * F65536.q * F65536.s * words * 8 > GHW._TABLE_BYTES
-    with mock.patch.object(GHW, "_xor_entries", wraps=GHW._xor_entries) as entries:
-        assert ghw(code, 1) == 5
-    assert not entries.called
-    # every 4 columns are independent, so the code is MDS and d_1 = n - k + 1
-    G = code.G.array
-    assert all(rank_array(F65536, G[:, cols]) == 4 for cols in combinations(range(8), 4))
+def test_bit_planes_count_against_the_table_cap():
+    # round w = 2 of GF(2^8), k = 4, n = 48: the masks of all 2^16 messages
+    # take 3 MiB a matrix and the 8 bit-planes they are OR-ed from 24 MiB
+    # more, so the tables of one matrix fit the cap (27 MiB counted) and
+    # equal the product's, and those of three (81 MiB) are not built
+    B = np.random.default_rng(8).integers(0, F256.q, (3, 4, 48))
+    assert _counted_bytes(F256, 4, 2, 48, 0, 1) == 27 << 20
+    assert _counted_bytes(F256, 4, 2, 48, 0, 1) <= GHW._TABLE_BYTES < _counted_bytes(F256, 4, 2, 48, 0, 3)
+    cols = np.array(list(combinations(range(4), 2)), dtype=np.intp)
+    # the product a thousand messages at a time, so its temporaries stay small
+    X = row_digits(np.arange(F256.q**2), F256.q, 2)
+    want = np.concatenate([GHW._tables(F256, X[lo : lo + 1024], B[:1], cols, 48)[0] for lo in range(0, len(X), 1024)])
+    supports, _, got = GHW._round_tables(F256, [B[0]], None, [0], 4, 2)
+    assert supports.tolist() == cols.tolist() and got[1] is None
+    assert got[0].shape == want.shape and got[0].tobytes() == want.tobytes()
+    assert GHW._round_tables(F256, list(B), None, range(3), 4, 2)[2] is None
 
 
 def test_search_and_spectra_never_take_the_plain_path():
@@ -632,12 +634,28 @@ def test_char2_tables_match_the_product(gather, F, n, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     B = rng.integers(0, F.q, (nj, k, n + c))
     B[:, :, data.draw(st.lists(st.integers(0, n + c - 1), max_size=n + c), label="zero")] = 0
+    with budgets(gather=gather):
+        _check_char2_tables(F, B, k, w, n, c)
+
+
+def test_char2_tables_match_the_product_over_gf65536():
+    # k = w = 1 over GF(2^16), 16 doubling steps, past the q^w <= 512 that
+    # the draw above keeps to; a small n keeps the product's temporaries
+    # small
+    B = np.random.default_rng(16).integers(0, F65536.q, (1, 1, 5))
+    B[0, 0, 1] = 0
+    _check_char2_tables(F65536, B, 1, 1, 4, 1)
+
+
+def _check_char2_tables(F, B, k, w, n, c):
+    """A round's XOR-doubled tables of all q^w messages through the stacked
+    [G_j | G_j·H2ᵀ] of B, n codeword and c syndrome columns, against one
+    field.matmul of those messages."""
     cols = np.array(list(combinations(range(k), w)), dtype=np.intp)
     X = np.arange(F.q**w)[:, None] // F.q ** np.arange(w) % F.q
     want = GHW._tables(F, X, B, cols, n)
     mats, ghs = list(B[..., :n]), list(B[..., n:]) if c else None
-    with budgets(gather=gather):
-        supports, _, got = GHW._round_tables(F, mats, ghs, range(nj), k, w)
+    supports, _, got = GHW._round_tables(F, mats, ghs, range(len(B)), k, w)
     assert supports.tolist() == cols.tolist()
     assert got[0].dtype == want[0].dtype == np.dtype("<u8")
     assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
@@ -669,21 +687,20 @@ def test_gf2_whole_round_tables_match_the_product(k, w, n, c):
 
 
 def _counted_bytes(F, k, w, n, c, nj):
-    """The bytes of a round's tables of all messages, with the XOR entries
-    they are built from, as _round_tables weighs them against the cap."""
+    """The bytes of a round's tables of all messages, with, over GF(2^s),
+    s > 1, the bit-planes their masks are OR-ed from, as _round_tables
+    weighs them against the cap."""
     words = -(-n // 64)
-    return (comb(k, w) * F.q**w * (words + c) + k * F.q * (F.s * words + c)) * 8 * nj
+    planes = F.s * words if F.p == 2 and F.s > 1 else 0
+    return comb(k, w) * F.q**w * (words + planes + c) * 8 * nj
 
 
-@pytest.mark.parametrize("F, k, w, allowed", [
-    (F2, 12, 6, lambda counted: counted + GHW._GATHER_ELEMS * 8),
-    (F256, 4, 2, lambda counted: GHW._TABLE_BYTES),
-], ids=["GF2", "GF256"])
-def test_round_tables_stay_within_what_the_cap_counts(F, k, w, allowed):
-    # numpy reports its buffers to tracemalloc: a GF(2) round peaks at its
-    # tables and entries plus one gather, a GF(2^8) one within the cap
+@pytest.mark.parametrize("F, k, w, nj", [(F2, 12, 6, 3), (F256, 4, 2, 1)], ids=["GF2", "GF256"])
+def test_round_tables_stay_within_what_the_cap_counts(F, k, w, nj):
+    # numpy reports its buffers to tracemalloc: a round peaks at what the
+    # cap counts plus one gather
     rng = np.random.default_rng(7)
-    mats, nj, n = [rng.integers(0, F.q, (k, 48)) for _ in range(3)], 3, 48
+    mats, n = [rng.integers(0, F.q, (k, 48)) for _ in range(nj)], 48
     counted = _counted_bytes(F, k, w, n, 0, nj)
     assert counted <= GHW._TABLE_BYTES
     GHW._supports(k, w)
@@ -694,7 +711,7 @@ def test_round_tables_stay_within_what_the_cap_counts(F, k, w, allowed):
     finally:
         tracemalloc.stop()
     assert tabs[2][0].nbytes == comb(k, w) * F.q**w * nj * 8
-    assert peak <= allowed(counted)
+    assert peak <= counted + GHW._GATHER_ELEMS * 8
 
 
 def test_char2_round_tables_take_no_field_product():
