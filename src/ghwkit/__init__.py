@@ -25,7 +25,6 @@ from .enumeration import (
     expand_to_support,
     expected_enumeration,
     gaussian_binomial,
-    columns_up_to_weight,
     pivot_shapes,
     subspace_blocks,
     subspaces,
@@ -87,7 +86,6 @@ __all__ = [
     "count_e",
     "expected_enumeration",
     "pivot_shapes",
-    "columns_up_to_weight",
     "subspaces",
     "subspace_blocks",
     "support_choices",

@@ -95,32 +95,6 @@ def pivot_shapes(r: int, w: int) -> Iterator[tuple[int, ...]]:
         yield (1,) + rest
 
 
-def columns_up_to_weight(r: int, z: int, field: FiniteField) -> np.ndarray:
-    """All vectors of F^r with weight between 1 and z, as a (count, r) array.
-
-    Order: weight y ascending; support positions in lexicographic order; the
-    nonzero values in odometer order (last position fastest).  This is not
-    the order of a free column's choices in the subspace stream, which is by
-    code (see the module docstring).
-    """
-    if not 1 <= z <= r:
-        raise BadArgs(f"need 1 <= z <= r, got z={z}, r={r}")
-    q = field.q
-    chunks = []
-    for y in range(1, z + 1):
-        nvals = (q - 1) ** y
-        vals = np.empty((nvals, y), dtype=np.int64)
-        idx = np.arange(nvals)
-        for t in range(y):
-            stride = (q - 1) ** (y - 1 - t)
-            vals[:, t] = idx // stride % (q - 1) + 1
-        for pos in combinations(range(r), y):
-            block = np.zeros((nvals, r), dtype=np.int64)
-            block[:, pos] = vals
-            chunks.append(block)
-    return np.concatenate(chunks, axis=0)
-
-
 # a suffix column's q^z - 1 choices, F^z - 0 by code; at most a block's
 _nonzero = cache(lambda z, field, dtype: row_digits(np.arange(1, field.q**z), field.q, z).astype(dtype))
 

@@ -199,12 +199,12 @@ def _make_witness(field, base: np.ndarray, s_cols: np.ndarray, j: int, weight: i
     return Witness(MatrixGF.unchecked(field, expanded), j, weight, False)
 
 
-def _independent(field, syn: np.ndarray, r: int) -> np.ndarray:
+def _independent(field, syn: np.ndarray) -> np.ndarray:
     """Which stacks of r syndromes, an (m, r, c) array, are linearly
     independent, by forward elimination on all of them at once (in place):
     row i survives iff it is nonzero after the pivots of rows 0..i-1 are
     cleared from it."""
-    rows = np.arange(syn.shape[0])
+    rows, r = np.arange(syn.shape[0]), syn.shape[1]
     ok = np.ones(syn.shape[0], dtype=bool)
     for i in range(r - 1):
         nz = syn[:, i, :] != 0
@@ -217,24 +217,26 @@ def _independent(field, syn: np.ndarray, r: int) -> np.ndarray:
     return ok & (syn[:, r - 1, :] != 0).any(axis=1)
 
 
-def _meets_c2_in_zero(field, enc: np.ndarray, h2t: np.ndarray, r: int) -> np.ndarray:
-    """Which subspaces meet C2 only in 0, given their encoded bases stacked r
-    rows at a time: exactly those whose r syndromes enc·H2ᵀ are independent."""
-    syn = field.matmul(enc.reshape(-1, h2t.shape[0]), h2t).reshape(-1, r, h2t.shape[1])
-    return _independent(field, syn, r)
+def _meets_c2_in_zero(field, enc: np.ndarray, h2t: np.ndarray) -> np.ndarray:
+    """Which subspaces meet C2 only in 0, given their encoded bases, an (m,
+    r, n) array: exactly those whose r syndromes enc·H2ᵀ are independent."""
+    syn = field.matmul(enc.reshape(-1, h2t.shape[0]), h2t).reshape(*enc.shape[:2], h2t.shape[1])
+    return _independent(field, syn)
 
 
-def _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop):
+def _scan_round(field, mats, sel, r, w, upper, h2t, stop):
     """Scan round w through the selected matrices for the least-weight
     subspace below ``upper`` (meeting C2 in 0 when ``h2t`` is given; the
-    first on ties), ending early once upper <= stop; returns (upper,
-    witness, subspaces).  The plain path of the naive oracles, and the
-    reference the kernel is tested against: each block of the subspace
-    stream is paired with every w-subset of the k message coordinates before
-    the next block is built, and each (block, support set, matrix) is
-    encoded with one matmul."""
+    first on ties), ending early once upper <= stop; returns (upper, the
+    witness of that subspace or None if none is below ``upper``,
+    subspaces).  The plain path of the naive oracles, and the reference the
+    kernel is tested against: each block of the subspace stream is paired
+    with every w-subset of the k message coordinates before the next block
+    is built, and each (block, support set, matrix) is encoded with one
+    matmul."""
+    k = mats[0].shape[0]
     supports = [np.array(c, dtype=np.intp) for c in combinations(range(k), w)]
-    count = 0
+    count, witness = 0, None
     for block in subspace_blocks(r, w, field):
         nsub = block.shape[0]
         for s_cols in supports:
@@ -247,7 +249,7 @@ def _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop):
                     continue
                 if h2t is not None:
                     cand = np.flatnonzero(weights < upper)
-                    cand = cand[_meets_c2_in_zero(field, prod.reshape(nsub, r, -1)[cand], h2t, r)]
+                    cand = cand[_meets_c2_in_zero(field, prod.reshape(nsub, r, -1)[cand], h2t)]
                     if not cand.size:
                         continue
                     c = int(cand[weights[cand].argmin()])
@@ -267,33 +269,34 @@ def _scan_round(field, mats, sel, r, w, k, upper, witness, h2t, stop):
 # q^w messages in code order, once per round, when those tables, with their
 # bit-planes over GF(2^s), s > 1, fit _TABLE_BYTES; otherwise X lists the
 # distinct row codes of one stream block (spectra) or of one batch of a row
-# tree's prefixes (search), looked up by position.  Tables of X go through
-# one field.matmul per chunk of support sets (_tables), except those of all
-# messages over GF(2^s), built by XOR doubling (_double), the same bytes:
-# one XOR per bit of a message code over every support set, with no chunk,
-# straight into the round's syndrome array and its (q^w, nS, |sel|,
-# s·words) bit-planes, which over GF(2) are its masks and else are OR-ed
-# into them once.
+# tree's prefixes, one batch per stream block (search), looked up by
+# position.  Tables of X go through one field.matmul per chunk of support
+# sets (_tables), except those of all messages over GF(2^s), built by XOR
+# doubling (_double), the same bytes: one XOR per bit of a message code over
+# every support set, with no chunk, straight into the round's syndrome array
+# and its (q^w, nS, |sel|, s·words) bit-planes, which over GF(2) are its
+# masks and else are OR-ed into them once.
 #
 # The spectra weigh a stream block on a chunk of S at once as the popcount
 # of the OR of the rows that its r basis rows' codes select (_weigh), each
-# lookup a copy of whole rows.  The search's rounds w > r walk a row tree
-# per pivot shape (_tree_weigh): its first min(r, 2) levels are dense,
-# weighed the same way on every combination of the two bottom rows (for
-# r <= 2, on the shape's full-support matrices), a chunk of S at a time, so
-# a dense level holds at most _GATHER_ELEMS elements; past them, each node
-# that is still below the bound the round had when the shape started gets
-# one mask word row per child, gathered within the same budget.  Only
-# survivors below that bound reach the leaves, where the full-support rule
-# and C2 are checked, and each batch of leaves updates the shape's two
-# running minima: the first candidate at most the stop and the lightest
-# candidate.  Round w = r takes no tables and forms no row codes: its
-# one subspace on S, the span of e_S, has through G_j the support of the OR
-# of the rows S of G_j, so each chunk of support sets is one gather of their
-# r packed row supports, one np.bitwise_or.reduce over the r and one
-# popcount, an (nS, |sel|) array of weights in visit order, on which the
-# round is replayed in place (_unit_round); with C2, the rows S of G_j·H2ᵀ
-# of those below the bound go through one elimination.
+# lookup a copy of whole rows; with C2, the r syndromes of every subspace go
+# through one elimination.  The search's rounds w > r walk a row tree per
+# pivot shape (_tree_weigh): its first min(r, 2) levels are dense, weighed
+# the same way on every combination of the two bottom rows (for r <= 2, on
+# the shape's full-support matrices), a chunk of S at a time, so a dense
+# level holds at most _GATHER_ELEMS elements; past them, each node that is
+# still below the bound the round had when the shape started gets one mask
+# word row per child, gathered within the same budget.  Only survivors below
+# that bound reach the leaves, where the full-support rule and C2 are
+# checked, and each batch of leaves updates the shape's two running minima:
+# the first candidate at most the stop and the lightest candidate.  Round
+# w = r takes no tables and forms no row codes: its one subspace on S, the
+# span of e_S, has through G_j the support of the OR of the rows S of G_j, so
+# each chunk of support sets is one gather of their r packed row supports,
+# one np.bitwise_or.reduce over the r and one popcount, an (nS, |sel|) array
+# of weights in visit order, on which the round is replayed in place
+# (_unit_round); with C2, the rows S of G_j·H2ᵀ of those below the bound go
+# through one elimination.
 _GATHER_ELEMS = 1 << 16  # elements per _tables product, gather or tree-level chunk
 _TABLE_BYTES = 1 << 25  # largest tables of all q^w messages, with their bit-planes, in one round
 
@@ -357,7 +360,7 @@ def _double(out: np.ndarray, entries: np.ndarray, cols: np.ndarray) -> None:
             np.bitwise_xor(out[:m], entries[:, cols[:, t], u].transpose(1, 0, 2), out=out[m : 2 * m])
 
 
-def _round_tables(field, mats, ghs, sel, k: int, w: int):
+def _round_tables(field, mats, ghs, sel, w: int):
     """The nS = C(k, w) support sets of round w as an (nS, w) array, the
     stacked [G_j | G_j·H2ᵀ] of the selected matrices (G_j alone without C2),
     and the tables of all q^w messages on every support set when they fit
@@ -367,7 +370,8 @@ def _round_tables(field, mats, ghs, sel, k: int, w: int):
     straight into those arrays, each mask as s bit-planes that, for s > 1,
     one OR reduces; over odd characteristic they go through one product per
     chunk of support sets."""
-    ns, nq, n, nj = comb(k, w), field.q**w, mats[0].shape[1], len(sel)
+    (k, n), nq, nj = mats[0].shape, field.q**w, len(sel)
+    ns = comb(k, w)
     # one product or doubling gives each message's codeword and, with C2, its syndrome
     B = np.stack([mats[j] if ghs is None else np.hstack([mats[j], ghs[j]]) for j in sel])
     supports = _supports(k, w)
@@ -445,21 +449,21 @@ def _matrices(mats, ghs) -> _Matrices:
     return _Matrices(mats, ghs, packed.view("<u8"), syn, np.eye(k, dtype=np.int64))
 
 
-def _weigh(field, masks, syn, codes: np.ndarray, r: int, upper: int, n: int) -> np.ndarray:
+def _weigh(field, masks, syn, codes: np.ndarray, n: int) -> np.ndarray:
     """Support sizes of the subspaces whose basis rows have the (m, r) row
     ``codes``, weighed through each of a chunk's message-major tables: the
     popcount of the OR of the whole (nS, |sel|, words) rows that the codes
-    select, an (m, nS, |sel|) array.  With C2, every one below ``upper``
-    that meets C2 outside 0 weighs n + 1.  The spectra's kernel."""
+    select, an (m, nS, |sel|) array.  With C2, every one that meets C2
+    outside 0 weighs n + 1.  The spectra's kernel."""
     acc = masks[codes[:, 0]]
-    for t in range(1, r):
+    for t in range(1, codes.shape[1]):
         acc |= masks[codes[:, t]]
     wts = _popcount(acc)
     if syn is not None:
-        i, s, j = np.nonzero(wts < upper)
-        if i.size:
-            bad = ~_independent(field, syn[codes[i], s[:, None], j[:, None]], r)
-            wts[i[bad], s[bad], j[bad]] = n + 1
+        _, ns, nj = wts.shape
+        stacks = syn[codes[:, None, None], np.arange(ns)[:, None, None], np.arange(nj)[:, None]]
+        ok = _independent(field, stacks.reshape(-1, *stacks.shape[3:]))
+        wts[~ok.reshape(wts.shape)] = n + 1
     return wts
 
 
@@ -480,7 +484,7 @@ def _row_trees(r: int, w: int, field) -> tuple:
     return tuple(trees)
 
 
-def _tree_weigh(field, sh: ShapeRows, dense, tree: RowTree, tabs, nj: int, n: int, upper: int, stop):
+def _tree_weigh(field, sh: ShapeRows, dense, tree: RowTree, tabs, n: int, upper: int, stop):
     """One pivot shape of a round w > r by the row tree, as the plain path
     ends it: (the visit it stops after, or None; its lightest candidate as
     (weight, visit, j, position), or None), a visit being (block, support
@@ -492,13 +496,14 @@ def _tree_weigh(field, sh: ShapeRows, dense, tree: RowTree, tabs, nj: int, n: in
     there is the least weight of the stop's visit and its first subspace is
     ``hit``; with no hit, ``low`` is both.  If ``upper`` already is at most
     ``stop``, the stop is visit 0 and only a hit there counts.  The prefixes
-    go a block's worth at a time, each prefix one tree (_tree_leaves), a
-    chunk of support sets at a time (_block_tables), so that the dense
-    levels hold at most _GATHER_ELEMS elements; a batch ends by the end of
-    the block where it starts, and no chunk or batch whose visits all come
+    go in batches, one per stream block: a batch runs from the first prefix
+    after the last batch to the one that holds the end of the block where
+    it starts.  Each prefix is one tree (_tree_leaves), weighed a chunk of
+    support sets at a time (_block_tables), so that the dense levels hold at
+    most _GATHER_ELEMS elements, and no chunk or batch whose visits all come
     after the stop is weighed."""
     r, nS, prefixes = len(sh.pivots), len(tabs[0]), sh.total // sh.P
-    nb, words = max(1, DEFAULT_BLOCK // sh.P), -(-n // 64)
+    nj, words = len(tabs[1]), -(-n // 64)
     end = sh.total * nS
     big, hit, low = end >= 2**63, None, None
     first = 0 if stop is not None and upper <= stop else end
@@ -510,7 +515,7 @@ def _tree_weigh(field, sh: ShapeRows, dense, tree: RowTree, tabs, nj: int, n: in
         head = a * sh.P // DEFAULT_BLOCK
         if first < head * nS:
             break
-        b = min(a + nb, prefixes, -(-(head + 1) * DEFAULT_BLOCK // sh.P))
+        b = min(prefixes, -(-(head + 1) * DEFAULT_BLOCK // sh.P))
         pre = sh.prefix_codes(field, a, b)
         codes = [pre[t][:, None] + tree.rows[t] for t in range(r)]
         step = max(1, _GATHER_ELEMS // ((b - a) * len(dense) * nj * words))
@@ -571,7 +576,7 @@ def _tree_leaves(field, tree: RowTree, dense, codes, masks, syn, s_off: int, ns:
         ok, spos = tree.place(path)
         p, sj, wts, path = p[ok], sj[ok], wts[ok], [x[ok] for x in path]
         if synf is not None and p.size:
-            ok = _independent(field, np.stack([synf[lin[t][p, path[t]] + sj] for t in range(r)], axis=1), r)
+            ok = _independent(field, np.stack([synf[lin[t][p, path[t]] + sj] for t in range(r)], axis=1))
             p, sj, wts, spos = p[ok], sj[ok], wts[ok], spos[ok]
         return p, sj // nj - s_off, sj % nj, wts, spos
 
@@ -627,14 +632,15 @@ def _visited(stop_v, nS: int, total: int) -> int:
     return blk * DEFAULT_BLOCK * nS + min(DEFAULT_BLOCK, total - blk * DEFAULT_BLOCK) * (s + 1)
 
 
-def _unit_round(field, ms: _Matrices, sel, r: int, k: int, upper: int, witness, stop):
+def _unit_round(field, ms: _Matrices, sel, r: int, upper: int, stop):
     """Round w = r of _scan_kernel in one direct pass, a chunk of support
     sets at a time (see _GATHER_ELEMS), replayed on each chunk's weights:
     the round ends after the first support set that holds a candidate at
     most ``stop`` (the first set if ``upper`` already is), the bound is the
     least weight visited, the witness the first subspace at it, by support
-    set, then matrix, and each set visited counts one subspace."""
-    supports, masks, syn = _supports(k, r), ms.masks, ms.syn
+    set, then matrix (None if none is below ``upper``), and each set visited
+    counts one subspace."""
+    supports, masks, syn = _supports(ms.masks.shape[0], r), ms.masks, ms.syn
     if len(sel) < masks.shape[1]:
         masks, syn = masks[:, sel], None if syn is None else syn[:, sel]
     step = max(1, _GATHER_ELEMS // (len(sel) * r * masks.shape[-1]))
@@ -644,7 +650,7 @@ def _unit_round(field, ms: _Matrices, sel, r: int, k: int, upper: int, witness, 
         wts = _popcount(np.bitwise_or.reduce(masks[cols], axis=1))
         if syn is not None:
             s, j = np.nonzero(wts < upper)
-            bad = ~_independent(field, syn[cols[s], j[:, None]], r)
+            bad = ~_independent(field, syn[cols[s], j[:, None]])
             wts[s[bad], j[bad]] = upper
         least, end = wts.min(axis=1), len(cols)
         if stop is not None:
@@ -657,12 +663,11 @@ def _unit_round(field, ms: _Matrices, sel, r: int, k: int, upper: int, witness, 
         count += end
         if stop is not None and upper <= stop:
             break
-    if best is not None:
-        witness = Witness(MatrixGF.unchecked(field, ms.eye[best[0]]), best[1], upper, False)
+    witness = None if best is None else Witness(MatrixGF.unchecked(field, ms.eye[best[0]]), best[1], upper, False)
     return upper, witness, count
 
 
-def _scan_kernel(field, ms: _Matrices, sel, r, w, k, upper, witness, stop):
+def _scan_kernel(field, ms: _Matrices, sel, r, w, upper, stop):
     """_scan_round through the support-mask kernel, with C2 given by the
     syndrome matrices of ``ms``, and with the same visit order (block,
     support set, matrix), selection rule, early exit and count.  Round
@@ -671,13 +676,15 @@ def _scan_kernel(field, ms: _Matrices, sel, r, w, k, upper, witness, stop):
     visit where the shape stops, if it does, and its lightest candidate
     below ``upper``: the new bound, and, by the decode of its position, the
     witness.  A subspace the tree prunes weighs at least the bound and could
-    never become it, so the bound, witness and count are the plain path's."""
+    never become it, so the bound, witness (None if none is below the
+    ``upper`` given) and count are the plain path's."""
     if w == r:
-        return _unit_round(field, ms, sel, r, k, upper, witness, stop)
-    tabs = _round_tables(field, ms.mats, ms.ghs, sel, k, w)
-    supports, count = tabs[0], 0
+        return _unit_round(field, ms, sel, r, upper, stop)
+    tabs = _round_tables(field, ms.mats, ms.ghs, sel, w)
+    (k, n), supports = ms.mats[0].shape, tabs[0]
+    count, witness = 0, None
     for sh, dense, tree in _row_trees(r, w, field):
-        stop_v, best = _tree_weigh(field, sh, dense, tree, tabs, len(sel), ms.mats[0].shape[1], upper, stop)
+        stop_v, best = _tree_weigh(field, sh, dense, tree, tabs, n, upper, stop)
         count += _visited(stop_v, len(supports), sh.total)
         if best is not None:
             upper, v, j, pos = best
@@ -709,7 +716,8 @@ def _run(field, ms: _Matrices, order, reds, rows, start, r, lower, opts) -> RunR
     while w <= k and lower < upper:
         t0 = time.perf_counter()
         sel = sorted(parts[: upper - covered])
-        upper, witness, nsub = _scan_kernel(field, ms, sel, r, w, k, upper, witness, lower)
+        upper, found, nsub = _scan_kernel(field, ms, sel, r, w, upper, lower)
+        witness = found or witness
         report.subspaces_enumerated += nsub
         covered += len(sel)
         lower = max(lower, covered)
@@ -866,7 +874,7 @@ def _naive(c1: LinearCode, c2: LinearCode | None, r: int) -> int:
     h2t = None if c2 is None else dual(c2).G.array.T
     best = c1.n + 1
     for w in range(r, c1.k + 1):
-        best, _, _ = _scan_round(c1.field, [c1.G.array], [0], r, w, c1.k, best, None, h2t, None)
+        best = _scan_round(c1.field, [c1.G.array], [0], r, w, best, h2t, None)[0]
     return best
 
 
@@ -899,7 +907,7 @@ def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Sp
     words, c = -(-n // 64), 0 if h2t is None else h2t.shape[1]
     for w in range(1, k + 1):
         t0 = time.perf_counter()
-        tabs = _round_tables(field, [G], ghs, [0], k, w)
+        tabs = _round_tables(field, [G], ghs, [0], w)
         for r in range(1, min(w, rmax) + 1):
             nsub = 0
             for codes in subspace_codes(r, w, field):
@@ -909,7 +917,7 @@ def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Sp
                 (rows,), chunks = _block_tables(field, tabs, [codes], n, step)
                 for _, ns, off, masks, syn in chunks:
                     sl = slice(off, off + ns)
-                    wts = _weigh(field, masks[:, sl], None if syn is None else syn[:, sl], rows, r, n + 1, n)
+                    wts = _weigh(field, masks[:, sl], None if syn is None else syn[:, sl], rows, n)
                     hist[r] += np.bincount(wts.ravel(), minlength=n + 2)
             ev = RoundEvent(r=r, w=w, lower=0, upper=0, active_mats=1, subspaces=nsub,
                             elapsed_s=time.perf_counter() - t0)

@@ -8,7 +8,6 @@ import pytest
 
 from ghwkit.enumeration import (
     DEFAULT_BLOCK,
-    columns_up_to_weight,
     count_e,
     count_full_support,
     expand_to_support,
@@ -113,24 +112,6 @@ def test_pivot_shapes():
     assert len(list(pivot_shapes(3, 6))) == comb(5, 2)
     with pytest.raises(BadArgs):
         list(pivot_shapes(4, 3))
-
-
-def test_columns_up_to_weight():
-    assert columns_up_to_weight(2, 1, F2).tolist() == [[1, 0], [0, 1]]
-    assert columns_up_to_weight(2, 2, F2).tolist() == [[1, 0], [0, 1], [1, 1]]
-    v = columns_up_to_weight(2, 2, F3)
-    assert v.shape == (8, 2)
-    assert {tuple(row) for row in v.tolist()} == {
-        (a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)
-    }
-    for r, z, F in ((3, 2, F3), (4, 3, F2), (3, 3, F4)):
-        v = columns_up_to_weight(r, z, F)
-        count = sum(comb(r, y) * (F.q - 1) ** y for y in range(1, z + 1))
-        assert v.shape == (count, r)
-        assert len({tuple(row) for row in v.tolist()}) == count
-        assert all(1 <= (np.array(row) != 0).sum() <= z for row in v.tolist())
-    with pytest.raises(BadArgs):
-        columns_up_to_weight(2, 3, F2)
 
 
 def test_subspaces_exact_sets():

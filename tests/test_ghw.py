@@ -609,7 +609,7 @@ def test_c2_mask_against_rank(F, r, c, seed):
         elif kind == 2:
             a, b = rng.integers(F.q, size=2)
             blk[i] = F.add_arrays(F.mul_arrays(blk[j], a), F.mul_arrays(blk[l], b))
-    got = _meets_c2_in_zero(F, S, np.eye(c, dtype=np.int64), r)
+    got = _meets_c2_in_zero(F, S, np.eye(c, dtype=np.int64))
     assert got.tolist() == [rank_array(F, blk) == r for blk in S]
 
 
@@ -673,7 +673,7 @@ def test_the_search_keeps_k1_minus_k2_checks_and_the_oracle_all():
             mock.patch.object(GHW, "_scan_round", wraps=GHW._scan_round) as plain:
         assert rghw(c1, c2, 2) == naive_rghw(c1, c2, 2)
     assert {g.shape for call in kernel.call_args_list for g in call.args[1].ghs} == {(4, 2)}
-    assert {call.args[8].shape for call in plain.call_args_list} == {(12, 10)}
+    assert {call.args[6].shape for call in plain.call_args_list} == {(12, 10)}
 
 
 @pytest.mark.parametrize("F", [F2, F3, F4], ids=["GF2", "GF3", "GF4"])

@@ -85,12 +85,12 @@ def _check_round(c1, c2, r, w, sel, upper, stop):
     """One round through the plain path and through the kernel, at the
     default table cap and with a cap of 0, which tabulates every block's
     distinct rows; returns the plain path's (upper, witness, subspaces)."""
-    field, k = c1.field, c1.k
+    field = c1.field
     mats, h2t, ghs = _round_inputs(c1, c2)
-    want = GHW._scan_round(field, mats, sel, r, w, k, upper, None, h2t, stop)
+    want = GHW._scan_round(field, mats, sel, r, w, upper, h2t, stop)
     for table in (None, 0):
         with budgets(table=table):
-            got = GHW._scan_kernel(field, GHW._matrices(mats, ghs), sel, r, w, k, upper, None, stop)
+            got = GHW._scan_kernel(field, GHW._matrices(mats, ghs), sel, r, w, upper, stop)
         assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
     return want
 
@@ -186,7 +186,7 @@ def test_tables_are_message_major(F, n, k1, k2):
         return _own_tables(F, codes, mats[j][S], None if ghs is None else ghs[j][S], n, w)
 
     for w in range(1, k1 + 1):
-        supports, _, (masks, syn) = GHW._round_tables(F, mats, ghs, sel, k1, w)
+        supports, _, (masks, syn) = GHW._round_tables(F, mats, ghs, sel, w)
         assert supports.tolist() == [list(S) for S in combinations(range(k1), w)]
         assert masks.shape == (F.q**w, comb(k1, w), len(sel), words)
         assert syn is None if c2 is None else syn.shape == masks.shape[:3] + (k1 - k2,)
@@ -197,7 +197,7 @@ def test_tables_are_message_major(F, n, k1, k2):
                 assert syn is None or np.array_equal(syn[:, s, jj], want_syn)
         for table in (None, 0):
             with budgets(table=table):
-                tabs = GHW._round_tables(F, mats, ghs, sel, k1, w)
+                tabs = GHW._round_tables(F, mats, ghs, sel, w)
             assert (tabs[2] is None) == (table == 0)
             for r in range(1, w + 1):
                 for codes in subspace_codes(r, w, F, block_size=500):
@@ -272,34 +272,32 @@ def test_a_stopped_row_tree_weighs_no_later_support_set():
     mats, _, _ = _round_inputs(code, None)
     sel = list(range(len(mats)))
     for stop in (8, 7):
-        want = GHW._scan_round(F65536, mats, sel, 1, 4, 5, 8, None, None, stop)
+        want = GHW._scan_round(F65536, mats, sel, 1, 4, 8, None, stop)
         with budgets(gather=1, table=0), mock.patch.object(GHW, "_tables", wraps=GHW._tables) as tables:
-            got = GHW._scan_kernel(F65536, GHW._matrices(mats, None), sel, 1, 4, 5, 8, None, stop)
+            got = GHW._scan_kernel(F65536, GHW._matrices(mats, None), sel, 1, 4, 8, stop)
         assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), DEFAULT_BLOCK)
         assert tables.call_count == 1
 
 
 def test_row_tree_stops_inside_a_batch_across_blocks():
     # round (1, 5) over GF(16) has one pivot shape of 15^4 = 50,625
-    # matrices in blocks of 16,384, weighed at most 4 prefixes of 15^3 at a
-    # time: each block is a batch of 13,500 positions and part of a batch of
-    # one prefix that ends in the next block.  These stops land in blocks 0,
-    # 1 and 2, where a block's first batch must not end the round, even with
-    # a candidate at most ``stop`` (the [14,6] codes: a lighter or earlier
-    # one lies in the block's part of the next batch), but the next batch,
-    # part way through the support sets, must; with one support set a chunk
-    # and with several.  All run per batch: the tables of all 16^5 messages
-    # exceed the cap
+    # matrices in blocks of 16,384, weighed 5 prefixes of 15^3 at a time,
+    # one batch per block: the batch that starts in block b ends part way
+    # into block b + 1.  These stops land in blocks 0, 1 and 2, each in the
+    # batch that starts in its block, part way through the support sets:
+    # the round must end there, though the batch runs on into the next
+    # block; with one support set a chunk and with several.  All run per
+    # batch: the tables of all 16^5 messages exceed the cap
     blocks = set()
     cases = ((12, 0, 1, 6), (12, 1, 2, 6), (16, 1, 1, 9), (14, 2, 1, 9), (14, 4, 1, 8), (14, 5, 3, 8))
     for n, seed, nsel, stop in cases:
         code = random_code(np.random.default_rng(seed), F16, n, 6)
         mats, _, _ = _round_inputs(code, None)
         sel = list(range(len(mats)))[:nsel]
-        want = GHW._scan_round(F16, mats, sel, 1, 5, 6, n + 1, None, None, stop)
+        want = GHW._scan_round(F16, mats, sel, 1, 5, n + 1, None, stop)
         for gather in (1, None):
             with budgets(gather=gather):
-                got = GHW._scan_kernel(F16, GHW._matrices(mats, None), sel, 1, 5, 6, n + 1, None, stop)
+                got = GHW._scan_kernel(F16, GHW._matrices(mats, None), sel, 1, 5, n + 1, stop)
             assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
         blocks.add(want[2] // (DEFAULT_BLOCK * comb(6, 5)))
     assert blocks == {0, 1, 2}
@@ -311,12 +309,39 @@ def test_row_tree_stops_inside_a_batch_across_blocks():
         code = random_code(np.random.default_rng(seed), F16, n, 6)
         mats, _, _ = _round_inputs(code, None)
         sel = list(range(len(mats)))[:nsel]
-        want = GHW._scan_round(F16, mats, sel, 1, 5, 6, n + 1, None, None, None)
+        want = GHW._scan_round(F16, mats, sel, 1, 5, n + 1, None, None)
         assert want[2] == 15**4 * comb(6, 5)
         for gather in (1, None):
             with budgets(gather=gather):
-                got = GHW._scan_kernel(F16, GHW._matrices(mats, None), sel, 1, 5, 6, n + 1, None, None)
+                got = GHW._scan_kernel(F16, GHW._matrices(mats, None), sel, 1, 5, n + 1, None)
             assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
+
+
+def test_row_tree_batches_are_one_per_stream_block():
+    # round (1, 5) over GF(16) through one matrix, whose tables of all 16^5
+    # messages exceed the cap: its one pivot shape has 15 prefixes of 15^3
+    # positions, in stream blocks of 16,384.  A batch runs to the prefix
+    # that holds the end of the block where it starts, so no two batches
+    # start in the same block, and the round is still the plain path's
+    code = random_code(np.random.default_rng(1), F16, 16, 6)
+    mats = _round_inputs(code, None)[0][:1]
+    sh = GHW._row_trees(1, 5, F16)[0][0]
+    assert (sh.P, sh.total // sh.P) == (15**3, 15)
+    assert comb(6, 5) * F16.q**5 * 8 > GHW._TABLE_BYTES
+    batches, prefix_codes = [], ShapeRows.prefix_codes
+
+    def counted(self, field, a, b):
+        if sys._getframe(1).f_code is GHW._tree_weigh.__code__:
+            batches.append((a, b))
+        return prefix_codes(self, field, a, b)
+
+    want = GHW._scan_round(F16, mats, [0], 1, 5, 17, None, None)
+    with mock.patch.object(ShapeRows, "prefix_codes", counted):
+        got = GHW._scan_kernel(F16, GHW._matrices(mats, None), [0], 1, 5, 17, None)
+    assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
+    assert [a for a, _ in batches] == [0] + [b for _, b in batches[:-1]] and batches[-1][1] == 15
+    starts = [a * sh.P // DEFAULT_BLOCK for a, _ in batches]
+    assert len(set(starts)) == len(starts)
 
 
 @pytest.mark.parametrize("q, n, k, seed, r, w, upper, stop", [
@@ -360,8 +385,8 @@ def test_first_round_builds_no_message_tables():
         mats, h2t, ghs = _round_inputs(c1, c2)
         sel = list(range(len(mats)))
         for r in range(1, c1.k - (0 if c2 is None else c2.k) + 1):
-            want = GHW._scan_round(c1.field, mats, sel, r, r, c1.k, c1.n + 1, None, h2t, None)
-            cases.append(((c1.field, GHW._matrices(mats, ghs), sel, r, r, c1.k, c1.n + 1, None, None), want))
+            want = GHW._scan_round(c1.field, mats, sel, r, r, c1.n + 1, h2t, None)
+            cases.append(((c1.field, GHW._matrices(mats, ghs), sel, r, r, c1.n + 1, None), want))
     banned = mock.Mock(side_effect=AssertionError("a w = r round tabulated messages"))
     with mock.patch.object(GHW, "_round_tables", banned), mock.patch.object(GHW, "subspace_codes", banned), \
             mock.patch.object(GHW, "_tables", banned), mock.patch.object(FiniteField, "matmul", banned):
@@ -371,13 +396,13 @@ def test_first_round_builds_no_message_tables():
     assert not banned.called
 
 
-def _check_unit_round(mats, sel, r, k, upper, stop, h2t=None):
+def _check_unit_round(mats, sel, r, upper, stop, h2t=None):
     """Round w = r of hand-made matrices through the plain path and through
     the kernel; returns the plain path's (upper, witness key, subspaces)."""
     field = F2
     ghs = None if h2t is None else [field.matmul(M, h2t) for M in mats]
-    want = GHW._scan_round(field, mats, sel, r, r, k, upper, None, h2t, stop)
-    got = GHW._scan_kernel(field, GHW._matrices(mats, ghs), sel, r, r, k, upper, None, stop)
+    want = GHW._scan_round(field, mats, sel, r, r, upper, h2t, stop)
+    got = GHW._scan_kernel(field, GHW._matrices(mats, ghs), sel, r, r, upper, stop)
     assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
     return want[0], _witness_key(want[1]), want[2]
 
@@ -387,10 +412,10 @@ def test_first_round_at_a_stop_already_reached():
     # and that set is still weighed, so e_0 of weight 1 lowers the bound;
     # a heavier e_0 leaves it, and the lighter e_1 is never visited
     G = np.eye(2, dtype=np.int64)
-    assert _check_unit_round([G], [0], 1, 2, 2, 2) == (1, ([[1, 0]], 0, 1), 1)
-    assert _check_unit_round([G], [0], 1, 2, 1, 2) == (1, None, 1)
+    assert _check_unit_round([G], [0], 1, 2, 2) == (1, ([[1, 0]], 0, 1), 1)
+    assert _check_unit_round([G], [0], 1, 1, 2) == (1, None, 1)
     G = np.array([[1, 1, 1, 1], [0, 0, 0, 1]])
-    assert _check_unit_round([G], [0], 1, 2, 2, 3) == (2, None, 1)
+    assert _check_unit_round([G], [0], 1, 2, 3) == (2, None, 1)
 
 
 @pytest.mark.parametrize("gather", [1, 3], ids=["chunk1", "chunk3"])
@@ -407,7 +432,7 @@ def test_first_round_stops_in_a_later_chunk(gather, hit):
     G[hit] = 0
     G[hit, :2] = 1
     with budgets(gather=gather):
-        got = _check_unit_round([G], [0], 1, 6, 7, 2)
+        got = _check_unit_round([G], [0], 1, 7, 2)
     e = [[int(c == hit) for c in range(6)]]
     assert got == (2, (e, 0, 2), hit + 1)
 
@@ -420,8 +445,8 @@ def test_first_round_keeps_a_heavier_subspace_that_passes_c2():
     h2t = np.array([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]).T
     G0 = np.array([[1, 1, 0, 0], [0, 1, 1, 1]])
     G1 = np.array([[1, 1, 1, 0], [1, 0, 1, 1]])
-    assert _check_unit_round([G0, G1], [0, 1], 1, 2, 5, None, h2t) == (3, ([[1, 0]], 1, 3), 2)
-    assert _check_unit_round([G0, G1], [0, 1], 1, 2, 5, 3, h2t) == (3, ([[1, 0]], 1, 3), 1)
+    assert _check_unit_round([G0, G1], [0, 1], 1, 5, None, h2t) == (3, ([[1, 0]], 1, 3), 2)
+    assert _check_unit_round([G0, G1], [0, 1], 1, 5, 3, h2t) == (3, ([[1, 0]], 1, 3), 1)
 
 
 @pytest.mark.parametrize("r, rows", [
@@ -440,12 +465,12 @@ def test_first_round_rejects_its_only_light_subspace(r, rows):
     calls = []
     real = GHW._independent
 
-    def independent(field, syn, r):
+    def independent(field, syn):
         calls.append(syn.shape)
-        return real(field, syn, r)
+        return real(field, syn)
 
     with mock.patch.object(GHW, "_independent", independent):
-        got = GHW._scan_kernel(F2, GHW._matrices(mats, ghs), [0], r, r, 3, r + 2, None, None)
+        got = GHW._scan_kernel(F2, GHW._matrices(mats, ghs), [0], r, r, r + 2, None)
     assert got == (r + 2, None, comb(3, r))
     assert calls == [(1, r, 2)]
     assert _check_round(c1, c2, r, r, [0], r + 2, None) == (r + 2, None, comb(3, r))
@@ -539,7 +564,7 @@ def test_one_shape_walk_per_round(monkeypatch):
     mats, _, _ = _round_inputs(code, None)
     for _ in range(2):
         assert sum(len(c) for c in subspace_codes(3, 5, F3)) == count_full_support(5, 3, 3)
-    GHW._scan_kernel(F3, GHW._matrices(mats, None), [0], 3, 5, 5, 9, None, None)
+    GHW._scan_kernel(F3, GHW._matrices(mats, None), [0], 3, 5, 9, None)
     assert walks == [(3, 5)]
 
 
@@ -561,7 +586,7 @@ def test_spectra_build_no_row_trees():
         higher_spectrum(code)
         assert built == []
         for _ in range(2):
-            GHW._scan_kernel(F3, GHW._matrices(mats, None), [0], 3, 5, 5, 8, None, None)
+            GHW._scan_kernel(F3, GHW._matrices(mats, None), [0], 3, 5, 8, None)
     assert built == [sh.pivots for sh in shape_rows(3, 5, F3)] and len(built) == comb(4, 2)
 
 
@@ -577,10 +602,10 @@ def test_bit_planes_count_against_the_table_cap():
     # the product a thousand messages at a time, so its temporaries stay small
     X = row_digits(np.arange(F256.q**2), F256.q, 2)
     want = np.concatenate([GHW._tables(F256, X[lo : lo + 1024], B[:1], cols, 48)[0] for lo in range(0, len(X), 1024)])
-    supports, _, got = GHW._round_tables(F256, [B[0]], None, [0], 4, 2)
+    supports, _, got = GHW._round_tables(F256, [B[0]], None, [0], 2)
     assert supports.tolist() == cols.tolist() and got[1] is None
     assert got[0].shape == want.shape and got[0].tobytes() == want.tobytes()
-    assert GHW._round_tables(F256, list(B), None, range(3), 4, 2)[2] is None
+    assert GHW._round_tables(F256, list(B), None, range(3), 2)[2] is None
 
 
 def test_search_and_spectra_never_take_the_plain_path():
@@ -655,7 +680,7 @@ def _check_char2_tables(F, B, k, w, n, c):
     X = np.arange(F.q**w)[:, None] // F.q ** np.arange(w) % F.q
     want = GHW._tables(F, X, B, cols, n)
     mats, ghs = list(B[..., :n]), list(B[..., n:]) if c else None
-    supports, _, got = GHW._round_tables(F, mats, ghs, range(len(B)), k, w)
+    supports, _, got = GHW._round_tables(F, mats, ghs, range(len(B)), w)
     assert supports.tolist() == cols.tolist()
     assert got[0].dtype == want[0].dtype == np.dtype("<u8")
     assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
@@ -678,7 +703,7 @@ def test_gf2_whole_round_tables_match_the_product(k, w, n, c):
     cols = np.array(list(combinations(range(k), w)), dtype=np.intp)
     assert len(cols) >= 120
     want = GHW._tables(F2, row_digits(np.arange(2**w), 2, w), B, cols, n)
-    supports, _, got = GHW._round_tables(F2, list(B[..., :n]), list(B[..., n:]) if c else None, range(nj), k, w)
+    supports, _, got = GHW._round_tables(F2, list(B[..., :n]), list(B[..., n:]) if c else None, range(nj), w)
     assert supports.tolist() == cols.tolist()
     assert (got[1] is None) == (want[1] is None) == (c == 0)
     for g, x, dtype in [(got[0], want[0], np.dtype("<u8"))] + [(got[1], want[1], np.dtype(np.int64))] * (c > 0):
@@ -706,7 +731,7 @@ def test_round_tables_stay_within_what_the_cap_counts(F, k, w, nj):
     GHW._supports(k, w)
     tracemalloc.start()
     try:
-        tabs = GHW._round_tables(F, mats, None, range(nj), k, w)
+        tabs = GHW._round_tables(F, mats, None, range(nj), w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -794,19 +819,25 @@ def test_row_tree_prunes_every_two_row_prefix_at_d2():
     assert _check_round(code, None, 3, 6, [0], d2, None) == (d2, None, every)
 
 
-def test_row_tree_rejects_a_light_leaf_without_full_support():
+@pytest.mark.parametrize("F", [F2, F3], ids=["GF2", "GF3"])
+def test_row_tree_rejects_a_light_leaf_without_full_support(F):
     # rows 0-2 of G are e_0, e_1, e_2: their span weighs 3, and every other
     # leaf of round (3, 5) reaches column 3 or 4, with 6 more coordinates
     # each.  That span is a leaf of the tree, below upper = 10, but has
     # columns 3 and 4 zero: it belongs to round (3, 3), so round (3, 5)
-    # must neither pick it nor count it
+    # must neither pick it nor count it.  Over GF(2) each of columns 5-16 is
+    # nonzero in row 3 or row 4 alone, a unit column; over GF(3) each is
+    # nonzero in both rows, so columns 0-4 are G's only unit columns
     G = np.zeros((5, 17), dtype=np.int64)
     G[np.arange(5), np.arange(5)] = 1
-    G[3, 5:11] = G[4, 11:17] = 1
-    code = code_from_rows(F2, G)
+    if F is F2:
+        G[3, 5:11] = G[4, 11:17] = 1
+    else:
+        G[3, 5:], G[4, 5:11], G[4, 11:] = 1, 1, 2
+    code = code_from_rows(F, G)
     mats, _, ghs = _round_inputs(code, None)
     assert np.array_equal(mats[0], G)
-    assert GHW._row_trees(3, 5, F2)[0][1].shape[1] == 2
+    assert GHW._row_trees(3, 5, F)[0][1].shape[1] == 2
     rejected = []
     place = RowTree.place
 
@@ -816,8 +847,8 @@ def test_row_tree_rejects_a_light_leaf_without_full_support():
         return ok, pos
 
     with mock.patch.object(RowTree, "place", spy):
-        got = GHW._scan_kernel(F2, GHW._matrices(mats, ghs), [0], 3, 5, 5, 10, None, None)
-    assert got == (10, None, count_full_support(5, 3, 2))
+        got = GHW._scan_kernel(F, GHW._matrices(mats, ghs), [0], 3, 5, 10, None)
+    assert got == (10, None, count_full_support(5, 3, F.q))
     assert [0, 0, 0] in rejected
     assert _check_round(code, None, 3, 5, [0], 10, None) == got
     assert hierarchy(code).values[:3] == (1, 2, 3)
