@@ -6,11 +6,17 @@ element, so index 0 is the additive identity and index 1 the multiplicative
 identity.  For prime fields (s = 1) the encoding coincides with integers
 mod p.
 
-The row operations of an elimination, X − f·Y and f·Y on index arrays
-(:meth:`FiniteField.axpy_arrays`, :meth:`FiniteField.scale_arrays`), are
-one gather from a per-field table ``axpy_table[f, x, y] = x − f·y`` of q³
-entries, built with the field when q <= AXPY_MAX_Q = 32 (256 KiB); larger
-fields keep the log/exp arithmetic.
+The row operation X − f·Y of an elimination comes from a per-field table
+``axpy_table[f, x, y] = x − f·y`` of q³ entries, built with the field when
+q <= AXPY_MAX_Q = 32 (256 KiB).  For q <= PACKED_MAX_Q = 16 its entries
+also fit a nibble, and ``axpy_bytes[f]`` is the same table as 256 bytes
+indexed by x<<4 | y: the one ``bytes.translate`` that runs X − f·Y on a
+row packed one byte per entry (``ghwkit.matrix``).  On index arrays
+(:meth:`FiniteField.axpy_arrays`, :meth:`FiniteField.scale_arrays`) the
+operation is one gather from ``axpy_table``, which serves the search's
+batched independence test (``ghwkit.ghw._independent``) and the
+eliminations over 16 < q <= 32; larger fields keep the log/exp
+arithmetic.
 
 A :class:`FiniteField` is immutable after construction; all operations are
 pure and the object can be shared freely between threads.
@@ -26,6 +32,7 @@ from .errors import BadArgs, DivisionByZero, NonPrime, ReducibleModulus, WrongDe
 
 MAX_Q = 1 << 16
 AXPY_MAX_Q = 32  # largest q with a row-operation table: q^3 int64 entries, 256 KiB
+PACKED_MAX_Q = 16  # largest q whose entries fit a nibble: byte tables for packed rows
 
 
 def is_prime(n: int) -> bool:
@@ -162,6 +169,7 @@ class FiniteField:
         self.inv_table = inv
 
         self.axpy_table = self._axpy_table() if q <= AXPY_MAX_Q else None
+        self.axpy_bytes = self._axpy_bytes() if q <= PACKED_MAX_Q else None
 
     # -- construction helpers -------------------------------------------
 
@@ -214,6 +222,13 @@ class FiniteField:
         from the log/exp arithmetic."""
         e = np.arange(self.q, dtype=np.int64)
         return self.add_arrays(e[None, :, None], self.mul_arrays(self.neg_table[:, None, None], e))
+
+    def _axpy_bytes(self) -> tuple[bytes, ...]:
+        """``axpy_table`` for nibbles: for each f, 256 bytes taking x<<4 | y
+        to x − f·y (0 where x or y is not an element)."""
+        T = np.zeros((self.q, 16, 16), dtype=np.uint8)
+        T[:, : self.q, : self.q] = self.axpy_table
+        return tuple(t.tobytes() for t in T)
 
     def _times_constant(self, X: np.ndarray, c: int) -> np.ndarray:
         """The elements X times the constant c, table-free: multiplying by c

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadArgs
-from .matrix import MatrixGF, rref_array
+from .matrix import MatrixGF, eliminate_rows, pack_rows, unpack_rows
 
 
 @dataclass(frozen=True)
@@ -34,44 +34,48 @@ def information(code) -> InfoSetDecomposition:
 
     Each set takes the lowest-index columns not used by earlier sets that
     extend the rank and, when those reach only rank rho < k, the
-    lowest-index previously used columns that extend it further.  One RREF
-    per set finds both: visiting the columns in the order fresh, then used
-    (ascending), then the rest, RREF pivots on exactly the columns that
-    extend the rank of those before them, so its pivots are the greedy
-    fresh columns followed by the greedy reused ones.  Its rows, sorted by
-    set order, form the unique generator matrix that is the identity on the
-    set; ``rref_array`` keeps the columns in place, so nothing is gathered
-    or scattered.  Each of its row operations is one
-    ``FiniteField.axpy_arrays`` call, a single gather from the field's q³
-    table when q <= 32 (``AXPY_MAX_Q``) and log/exp arithmetic above.  The
-    matrices come from eliminating the code's validated generator matrix,
-    so they are wrapped unchecked.  Stops once every nonzero column of the
-    generator matrix is covered.
+    lowest-index previously used columns that extend it further.  One
+    elimination per set finds both: visiting the columns in the order
+    fresh, then used (ascending), then the rest, RREF pivots on exactly the
+    columns that extend the rank of those before them, so its pivots are
+    the greedy fresh columns followed by the greedy reused ones.  Its rows,
+    sorted by set order, form the unique generator matrix that is the
+    identity on the set, with the columns in place.
+
+    The generator matrix is packed once into the elimination's row format
+    (``matrix.pack_rows``: one int per row, a byte per entry, for q <= 16),
+    each set is eliminated on those rows (``matrix.eliminate_rows``), and
+    the rows of all sets are unpacked at the end as one (m, k, n) int64
+    array whose slices are the matrices.  They come from eliminating the
+    code's validated generator matrix, so they are wrapped unchecked.
+    Stops once every nonzero column of the generator matrix is covered.
     """
     field = code.field
     G = code.G.array
-    k = G.shape[0]
-    nonzero = G.any(axis=0)
-    nonzero_cols = np.flatnonzero(nonzero).tolist()
-    zero_cols = np.flatnonzero(~nonzero).tolist()
+    k, n = G.shape
+    nonzero = G.any(axis=0).tolist()
+    nonzero_cols = [c for c in range(n) if nonzero[c]]
+    zero_cols = [c for c in range(n) if not nonzero[c]]
+    packed = pack_rows(field, G)
     used: set[int] = set()
     sets: list[tuple[int, ...]] = []
-    mats: list[MatrixGF] = []
     reds: list[int] = []
+    rows: list = []
 
     while True:
         fresh = [c for c in nonzero_cols if c not in used]
         if not fresh:
             break
-        R, piv = rref_array(field, G, fresh + sorted(used) + zero_cols)
+        R, piv = eliminate_rows(field, packed, n, fresh + sorted(used) + zero_cols)
         if len(piv) < k:
             raise BadArgs("generator matrix rows are linearly dependent")
-        iset = sorted(piv)
-        sets.append(tuple(c + 1 for c in iset))
-        mats.append(MatrixGF.unchecked(field, R[np.argsort(piv)]))
+        by_col = sorted(range(k), key=piv.__getitem__)
+        sets.append(tuple([piv[i] + 1 for i in by_col]))
+        rows += [R[i] for i in by_col]
         # fresh columns are disjoint from every earlier set, so the overlap
         # with their union is exactly the pivots among the used columns
         reds.append(len(used.intersection(piv)))
-        used.update(iset)
+        used.update(piv)
 
-    return InfoSetDecomposition(tuple(sets), tuple(mats), tuple(reds))
+    mats = unpack_rows(field, rows, n).reshape(len(sets), k, n)
+    return InfoSetDecomposition(tuple(sets), tuple([MatrixGF.unchecked(field, M) for M in mats]), tuple(reds))

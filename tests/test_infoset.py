@@ -88,7 +88,7 @@ def test_decomposition_is_deterministic():
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-# GF(8) and GF(16) eliminate through the row-operation table, GF(256) past its cap
+# GF(2) to GF(16) eliminate on packed rows, GF(256) on arrays by log/exp
 @given(st.sampled_from([F2, F3, build_field(2, 2), F5, build_field(3, 2), build_field(2, 3), build_field(2, 4),
                         build_field(2, 8)]), st.data())
 def test_information_matches_the_probe_loop(F, data):
@@ -104,7 +104,10 @@ def test_information_matches_the_probe_loop(F, data):
         c = cols[data.draw(st.integers(0, len(cols) - 1))]
         cols.append(F.mul_arrays(c, data.draw(st.integers(1, F.q - 1))))
     order = data.draw(st.permutations(range(len(cols))), label="order")
-    C = new_code(F, MatrixGF(F, np.stack([cols[i] for i in order], axis=1)))
+    _assert_matches_probe_loop(new_code(F, MatrixGF(F, np.stack([cols[i] for i in order], axis=1))))
+
+
+def _assert_matches_probe_loop(C):
     dec = information(C)
     sets, reds, mats = greedy_information(C)
     assert dec.sets == sets and dec.reds == reds and len(dec.mats) == len(mats)
@@ -112,27 +115,33 @@ def test_information_matches_the_probe_loop(F, data):
         assert got.array.dtype == want.dtype and got.array.tobytes() == want.tobytes()
 
 
-def test_one_elimination_per_information_set(monkeypatch):
-    calls = {"rref": 0, "rank": 0}
-    real_rref = infoset.rref_array
+def test_information_matches_the_probe_loop_on_wide_codes():
+    # packed rows of 48 and 20 bytes; the drawn codes above stop at n = 16
+    _assert_matches_probe_loop(random_code(np.random.default_rng(7), F2, 48, 12))
+    _assert_matches_probe_loop(random_code(np.random.default_rng(3), build_field(2, 4), 20, 6))
 
-    def rref(*args):
-        calls["rref"] += 1
-        return real_rref(*args)
+
+def test_one_elimination_per_information_set(monkeypatch):
+    calls = {"eliminate": 0, "rank": 0}
+    real_eliminate = infoset.eliminate_rows
+
+    def eliminate(*args):
+        calls["eliminate"] += 1
+        return real_eliminate(*args)
 
     def rank(*args):
         calls["rank"] += 1
         raise AssertionError("information() must not probe ranks")
 
-    monkeypatch.setattr(infoset, "rref_array", rref)
+    monkeypatch.setattr(infoset, "eliminate_rows", eliminate)
     # information() imports no rank_array; one put there must go uncalled
     monkeypatch.setattr(infoset, "rank_array", rank, raising=False)
     rng = np.random.default_rng(41)
     codes = [code_from_rows(F2, HAMMING_7_4)] + [random_code(rng, F3, 9, k) for k in (2, 4, 6, 9)]
     reused = False
     for C in codes:
-        calls["rref"] = 0
+        calls["eliminate"] = 0
         dec = information(C)
-        assert calls == {"rref": dec.m, "rank": 0}
+        assert calls == {"eliminate": dec.m, "rank": 0}
         reused |= any(dec.reds)
     assert reused

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ghwkit.code import code_from_rows
 from ghwkit.errors import BadArgs, DimensionMismatch
-from ghwkit.gf import AXPY_MAX_Q, build_field
+from ghwkit.gf import AXPY_MAX_Q, PACKED_MAX_Q, build_field
 from ghwkit.matrix import MatrixGF, rref_array
 
 from support import span_fingerprint, tiny_rref
@@ -194,7 +194,8 @@ def scalar_rref(F, rows, order):
     return A, pivots
 
 
-# below the row-operation table's cap, then past it
+# packed rows (q <= 16), the row-operation table's gather (q = 32), then
+# log/exp arithmetic past its cap
 RREF_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (2, 5), (2, 6), (2, 8), (3, 5)]
 
 
@@ -203,7 +204,8 @@ RREF_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (2, 5), (
 def test_rref_matches_scalar_elimination(ps, data):
     F = build_field(*ps)
     m = data.draw(st.integers(0, 5), label="rows")
-    n = data.draw(st.integers(0, 7), label="cols")
+    # up to 20 columns: a packed row of 20 bytes spans several int digits
+    n = data.draw(st.integers(0, 20), label="cols")
     rows = [data.draw(st.lists(st.integers(0, F.q - 1), min_size=n, max_size=n)) for _ in range(m)]
     # rank-deficient: some rows become combinations of the ones above
     for i in range(1, m):
@@ -212,16 +214,19 @@ def test_rref_matches_scalar_elimination(ps, data):
             rows[i] = [0] * n
             for c, above in zip(coef, rows[:i]):
                 rows[i] = [F.add(x, F.mul(c, y)) for x, y in zip(rows[i], above)]
-    order = data.draw(st.none() | st.permutations(range(n)), label="column order")
+    perms = st.permutations(range(n))
+    order = data.draw(st.none() | perms | perms.map(lambda o: np.array(o, dtype=np.int64)), label="column order")
     arr = np.array(rows, dtype=np.int64).reshape(m, n)
     R, piv = rref_array(F, arr, order)
     want, want_piv = scalar_rref(F, rows, range(n) if order is None else order)
     assert R.dtype == np.int64 and R.shape == (m, n)
     assert R.tolist() == want and piv == want_piv
+    assert all(type(c) is int for c in piv)
     assert (F.axpy_table is None) == (F.q > AXPY_MAX_Q)
+    assert (F.axpy_bytes is None) == (F.q > PACKED_MAX_Q)
 
 
-@pytest.mark.parametrize("ps", [(3, 1), (2, 8)], ids=["table", "log-exp"])
+@pytest.mark.parametrize("ps", [(3, 1), (2, 5), (2, 8)], ids=["packed", "gather", "log-exp"])
 @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0)])
 def test_rref_of_empty_matrices(ps, shape):
     F = build_field(*ps)
