@@ -63,7 +63,7 @@ class NotNested(GHWError):
 
 
 class WorkLimitExceeded(GHWError):
-    """Full subspace enumeration would exceed the configured work limit."""
+    """A spectrum's predicted work, or a subspace stream, would exceed what can be run."""
 
 
 class BadHierarchy(GHWError):

@@ -54,10 +54,16 @@ replays a chunk of support sets at a time.
 Relative weights M_r(C1, C2) run the same search on C1 and keep only the
 subspaces that meet C2 in 0.  A hierarchy seeds each run after the first
 with the averaging bound ceil((q^r - 1)·d_{r-1} / (q^r - q)), proven in
-_search, which holds for relative weights too.  The spectra weigh every
-subspace of the stream, in blocks, through one generator matrix with the
-same tables and C2 rejection and no bound, since a count cannot prune; they
-go by w, then r, so each w's tables are built once.  The naive oracles
+_search, which holds for relative weights too.  The spectra take one of
+two paths, whichever a cost model predicts faster.  Enumeration weighs
+every subspace of the stream, in blocks, through one generator matrix with
+the same tables and C2 rejection and no bound, since a count cannot prune;
+it goes by w, then r, so each w's tables are built once.  Subset sums
+enumerate no subspace: one zeta transform of the histogram of the q^k
+codeword supports gives dim C1(T) (and dim C2(T)) for every coordinate set
+T, and Möbius inversion turns those into every A_w^(r) (Greene; Kløve).
+That costs q^k + n·2^n, not the Grassmannian, and is open while the 2^n
+counts fit the byte budget.  The naive oracles
 enumerate the full Grassmannian through a single generator matrix with no
 bounds on the plain path, one matmul per (block, support set), which only
 they use, and serve as an independent cross-check of the search and of its
@@ -72,6 +78,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cache
 from itertools import chain, combinations
 from math import comb, gcd
+from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -178,9 +185,10 @@ class Report:
 class ComputeOptions:
     """Knobs shared by all weight computations.
 
-    Progress events go to ``progress`` if set; ``work_limit`` caps each
-    Grassmannian a spectrum enumerates; ``report`` collects one RunReport per
-    weight computation.
+    Progress events go to ``progress`` if set; ``work_limit`` caps the
+    predicted work of a spectrum on the path it takes (subspaces enumerated
+    or subset-sum elements); ``report`` collects one RunReport per weight
+    computation.
     """
 
     work_limit: int = 10**9
@@ -890,19 +898,35 @@ def naive_rghw(c1: LinearCode, c2: LinearCode, r: int) -> int:
     return _naive(c1, c2, r)
 
 
-def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Spectrum:
-    """Support-weight histograms of all r-dimensional subspaces through C1's
-    generator matrix, restricted to those meeting C2 in 0 when given.  The
-    rounds go by w, then r, so each w's tables serve every r; a subspace
-    that meets C2 outside 0 is counted at weight n + 1, which is dropped."""
-    h2t, rmax = _nested_pair(c1, c2)
+# Predicted time of a spectrum on each path, so that _spectrum takes the
+# faster one.  Enumeration costs a constant per subspace of the Grassmannians
+# it walks, one without C2 and a larger one with it, since each subspace then
+# also gets an elimination of its syndromes, and a constant per pivot shape of
+# its rounds, each at least one stream block of a few numpy calls; subset
+# sums cost a constant per element of the q^k1 (+ q^k2) codeword supports and
+# the n·2^n steps of the transform, plus a fixed floor.  Timed on a 2-vCPU
+# Xeon host (Python 3.11, numpy 2.4, one BLAS thread), each path forced, best
+# of 3-9 in one process (CHANGES.md has the grid): enumeration took 12-20 ns
+# a subspace without C2, 340-800 ns with it, and 49-54 µs a pivot shape on
+# codes of at most 66 subspaces; subset sums took 0.5-0.7 ns an element at
+# n = 18-20 and 0.2-0.25 ms on codes of n <= 10.  _SUBSET_S sits above the
+# n = 20 range, since GF(4) [20,6], a near tie (subset sums 14.8 ms,
+# enumeration 12.3 ms), is to stay on enumeration and GF(2) [20,8] (14.4
+# against 17.5 ms) is not.
+_ENUM_S = 20e-9  # a subspace enumerated without C2
+_ENUM_C2_S = 400e-9  # a subspace enumerated with C2
+_SHAPE_S = 50e-6  # a pivot shape of an enumeration round
+_SUBSET_S = 0.8e-9  # an element of subset sums
+_SUBSET_FLOOR_S = 0.2e-3  # subset sums' fixed cost
+
+
+def _enumerated_spectrum(c1: LinearCode, h2t, rmax: int, opts: ComputeOptions) -> dict:
+    """The spectra of C1 by enumerating every subspace through its generator
+    matrix, with C2 given by the checks ``h2t``.  The rounds go by w, then r,
+    so each w's tables serve every r; a subspace that meets C2 outside 0 is
+    counted at weight n + 1, which is dropped."""
     field, k, n, G = c1.field, c1.k, c1.n, c1.G.array
     ghs = None if h2t is None else [field.matmul(G, h2t)]
-    for r in range(rmax + 1):
-        if gaussian_binomial(k, r, field.q) > opts.work_limit:
-            raise WorkLimitExceeded(
-                f"Grassmannian of dimension {r} exceeds the work limit {opts.work_limit}"
-            )
     hist = np.zeros((rmax + 1, n + 2), dtype=np.int64)
     words, c = -(-n // 64), 0 if h2t is None else h2t.shape[1]
     for w in range(1, k + 1):
@@ -923,13 +947,196 @@ def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Sp
                             elapsed_s=time.perf_counter() - t0)
             _emit(opts, ev)
             t0 = time.perf_counter()
-    counts = {r: {w: int(c) for w, c in enumerate(hist[r, : n + 1]) if c} for r in range(1, rmax + 1)}
+    return {r: {w: int(c) for w, c in enumerate(hist[r, : n + 1]) if c} for r in range(1, rmax + 1)}
+
+
+def _codeword_supports(field, G: np.ndarray):
+    """The supports of all q^k codewords x·G, n <= 64, as n-bit masks in
+    int64, a chunk of messages at a time, in no set order: never all q^k
+    words at once.  Over GF(2^s) the bit-planes of the words on the low and
+    on the high digits of a message are each one XOR doubling (_double), and
+    a chunk of high parts XORs every low part, plane by plane, ORing the
+    planes into masks; over odd characteristic a chunk of messages is one
+    product.  A chunk holds about _TABLE_BYTES / 32 words, each a mask and
+    one temporary, and the low planes a quarter of _TABLE_BYTES."""
+    (k, n), q, s = G.shape, field.q, field.s
+    chunk = max(1, _TABLE_BYTES // 32)
+    if field.p != 2:
+        step = max(1, _TABLE_BYTES // (16 * s * (n + k)))
+        for lo in range(0, q**k, step):
+            X = row_digits(np.arange(lo, min(q**k, lo + step)), q, k)
+            yield _pack(field.matmul(X, G))[:, 0].view(np.int64)
+        return
+    entries = _bit_entries(field, G[None], n)[0]
+    low = 0
+    while low < k and q ** (low + 1) <= chunk // s:
+        low += 1
+    parts = []
+    for cols in (np.arange(low), np.arange(low, k)):
+        out = np.empty((q ** len(cols), 1, 1, s), dtype="<u8")
+        _double(out, entries, cols[None])
+        parts.append(out.reshape(-1, s).T.copy())
+    lows, highs = parts
+    step = max(1, chunk // lows.shape[1])
+    for h in range(0, highs.shape[1], step):
+        sup = lows[0] ^ highs[0, h : h + step, None]
+        for u in range(1, s):
+            sup |= lows[u] ^ highs[u, h : h + step, None]
+        yield sup.ravel().view(np.int64)
+
+
+def _subset_sums(f: np.ndarray, n: int) -> np.ndarray:
+    """The zeta transform g[T] = Σ_{S ⊆ T} f[S] of ``f``, indexed by the bit
+    mask of T ⊆ [n]: one step per coordinate adds each set's entry into the
+    same set with that coordinate.  The steps of the high n - n//2 bits run in
+    place on contiguous runs of at least 2^(n//2) entries; those of the low
+    bits on a transposed copy, on runs of at least 2^(n - n//2).  Returns
+    that copy, a (2^(n//2), 2^(n - n//2)) array: entry [x, y] belongs to
+    T = y·2^(n//2) + x."""
+    lo = n // 2
+    for i in range(lo, n):
+        v = f.reshape(-1, 2, 1 << i)
+        v[:, 1] += v[:, 0]
+    g = np.ascontiguousarray(f.reshape(1 << (n - lo), 1 << lo).T)
+    for i in range(n - lo, n):
+        v = g.reshape(-1, 2, 1 << i)
+        v[:, 1] += v[:, 0]
+    return g
+
+
+@cache
+def _exponent_table(p: int, bits: int) -> np.ndarray:
+    """e at index p^e, for every p^e < 2^bits, as a uint8 array of 2^bits."""
+    out = np.zeros(1 << bits, dtype=np.uint8)
+    e = np.arange((1 << bits).bit_length())
+    powers = p**e
+    out[powers[powers < 1 << bits]] = e[powers < 1 << bits]
+    out.flags.writeable = False
+    return out
+
+
+def _exponents(field, c: np.ndarray) -> np.ndarray:
+    """log_p c of counts that are powers of p: the popcount of c - 1 for
+    p = 2, else, for counts of at most 2 bytes, one lookup, and rounded
+    logarithms above."""
+    if field.p == 2:
+        return np.bitwise_count(c - 1)
+    if c.dtype.itemsize <= 2:
+        return np.take(_exponent_table(field.p, 8 * c.dtype.itemsize), c)
+    return np.rint(np.log(c, dtype=float) / np.log(field.p)).astype(np.int64)
+
+
+def _count_layout(field, n: int, k: int, k2: int | None):
+    """The 2^n subset counts of subset sums: (bits, dtype), or None when they
+    do not fit.  A count is q^dim C1(T), with C2 that plus q^dim C2(T) shifted
+    by ``bits``, in the narrowest unsigned dtype that holds q^k1 (and the
+    shifted q^k2).  They fit when, with their transposed copy and one int64
+    bincount of 2^n, they are at most _TABLE_BYTES."""
+    bits = (field.q**k).bit_length()
+    top = field.q**k if k2 is None else field.q**k | field.q**k2 << bits
+    if top >= 1 << 63:
+        return None
+    dtype = np.min_scalar_type(top)
+    if (1 << n) * (8 + 2 * dtype.itemsize) > _TABLE_BYTES:
+        return None
+    return bits, dtype
+
+
+def _subset_spectrum(c1: LinearCode, c2: LinearCode | None, rmax: int, layout, opts: ComputeOptions) -> dict:
+    """The spectra of C1 (restricted to subcodes meeting C2 in 0) by Möbius
+    inversion from the subcode dimensions a = dim C1(T), b = dim C2(T) of
+    every coordinate set T (Greene 1976; Kløve 1992), with no subspace
+    enumerated.  C1(T), the words supported in T, has q^a words, so one
+    histogram of the q^k1 codeword supports and one subset-sum transform
+    (_subset_sums) give q^a for every T at once, and, in the same counts
+    shifted by ``bits``, q^b.  The r-dimensional subcodes of C1(T) meeting C2
+    in 0 number N_r(T) = q^(r·b)·[a - b, r]_q, and a subcode of support
+    size w lies in C(n - w, u - w) sets of size u, so
+    A_w^(r) = Σ_u (−1)^(w−u)·C(n−u, w−u)·Σ_{|T|=u} N_r(T), in exact Python
+    ints from one histogram of (|T|, a, b).  One RoundEvent per r, with
+    w = n and no subspaces; the first also times the transform."""
+    t0 = time.perf_counter()
+    field, k, n = c1.field, c1.k, c1.n
+    q, s, (bits, dtype) = field.q, field.s, layout
+    f = np.zeros(1 << n, dtype=dtype)
+    for G, shift in [(c1.G.array, 0)] + ([] if c2 is None else [(c2.G.array, bits)]):
+        for sup in _codeword_supports(field, G):
+            found = np.bincount(sup, minlength=1 << n)
+            found <<= shift
+            np.add(f, found, out=f, casting="unsafe")
+    g = _subset_sums(f, n)
+    del f, found
+    # the histogram of (|T|, s·a, s·b), 4·_GATHER_ELEMS entries of g at a time
+    ka, kb = s * k + 1, 1 if c2 is None else s * c2.k + 1
+    hist = np.zeros((n + 1) * ka * kb, dtype=np.int64)
+    sizes = [np.bitwise_count(np.arange(1 << m)).astype(np.int64) for m in (n // 2, n - n // 2)]
+    step = max(1, _GATHER_ELEMS * 4 // g.shape[1])
+    for x in range(0, g.shape[0], step):
+        v = g[x : x + step]
+        key = (sizes[0][x : x + step, None] + sizes[1]) * ka
+        if c2 is None:
+            key += _exponents(field, v)
+        else:
+            key += _exponents(field, v & ((1 << bits) - 1))
+            key = key * kb + _exponents(field, v >> bits)
+        hist += np.bincount(key.ravel(), minlength=len(hist))
+    hist = hist.reshape(n + 1, ka, kb)
+    cells = {(ea // s, eb // s): hist[:, ea, eb].tolist()
+             for ea in range(0, ka, s) for eb in range(0, kb, s) if hist[:, ea, eb].any()}
+    inversion = [[(-1) ** (w - u) * comb(n - u, w - u) for u in range(w + 1)] for w in range(n + 1)]
+    counts = {}
+    for r in range(1, rmax + 1):
+        sums = [0] * (n + 1)
+        for (a, b), col in cells.items():
+            if a - b >= r:
+                subcodes = q ** (r * b) * gaussian_binomial(a - b, r, q)
+                sums = [x + subcodes * c for x, c in zip(sums, col)]
+        row = (sum(map(mul, inversion[w], sums)) for w in range(n + 1))
+        counts[r] = {w: c for w, c in enumerate(row) if c}
+        _emit(opts, RoundEvent(r=r, w=n, lower=0, upper=0, active_mats=1, subspaces=0,
+                               elapsed_s=time.perf_counter() - t0))
+        t0 = time.perf_counter()
+    return counts
+
+
+def _by_subset_sums(with_c2: bool, k: int, rmax: int, subspaces: int, elements: int) -> bool:
+    """Whether subset sums over ``elements`` are predicted faster than
+    enumerating ``subspaces`` in the rounds r <= w <= k, r <= rmax, whose
+    pivot shapes number C(w - 1, r - 1) (the first pivot sits in column 0)."""
+    shapes = sum(comb(w - 1, r - 1) for w in range(1, k + 1) for r in range(1, min(w, rmax) + 1))
+    enumeration = subspaces * (_ENUM_C2_S if with_c2 else _ENUM_S) + shapes * _SHAPE_S
+    return _SUBSET_FLOOR_S + elements * _SUBSET_S < enumeration
+
+
+def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Spectrum:
+    """Support-weight histograms of all r-dimensional subcodes of C1,
+    restricted to those meeting C2 in 0 when given, on the path predicted
+    faster: enumeration walks Σ_r [k1, r]_q subspaces (_enumerated_spectrum),
+    subset sums q^k1 (+ q^k2) codeword supports and n·2^n transform steps
+    (_subset_spectrum), and is open only when its 2^n counts fit
+    _TABLE_BYTES.  ``work_limit`` caps the chosen path's work: its subspaces
+    or its elements."""
+    h2t, rmax = _nested_pair(c1, c2)
+    field, k, n = c1.field, c1.k, c1.n
+    k2 = None if c2 is None else c2.k
+    subspaces = sum(gaussian_binomial(k, r, field.q) for r in range(1, rmax + 1))
+    elements = field.q**k + (0 if k2 is None else field.q**k2) + n * 2**n
+    layout = _count_layout(field, n, k, k2)
+    subset = layout is not None and _by_subset_sums(c2 is not None, k, rmax, subspaces, elements)
+    work = elements if subset else subspaces
+    if work > opts.work_limit:
+        path = "subset sums over" if subset else "enumeration of"
+        raise WorkLimitExceeded(f"the spectrum's {path} {work} exceeds the work limit {opts.work_limit}")
+    if subset:
+        counts = _subset_spectrum(c1, c2, rmax, layout, opts)
+    else:
+        counts = _enumerated_spectrum(c1, h2t, rmax, opts)
     return Spectrum({0: {0: 1}, **counts})
 
 
 def higher_spectrum(code: LinearCode, opts: ComputeOptions | None = None) -> Spectrum:
-    """Exact counts A_w^(r) for r = 0..k by full enumeration through one
-    fixed generator matrix."""
+    """Exact counts A_w^(r) for r = 0..k, by enumeration through one fixed
+    generator matrix or by subset sums, whichever is predicted faster."""
     return _spectrum(code, None, opts or ComputeOptions())
 
 

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import re
+import sys
+from unittest import mock
 
 import pytest
 
@@ -11,6 +13,8 @@ from ghwkit.errors import CodeFileFieldError, CodeFileSyntaxError
 from ghwkit.gf import build_field
 
 from support import HAMMING_7_4, PAIR_A_G1
+
+GHW = sys.modules["ghwkit.ghw"]
 
 HAM_TEXT = "field: p=2 s=1\n" + "\n".join(
     " ".join(str(x) for x in row) for row in HAMMING_7_4
@@ -175,7 +179,10 @@ def test_verbose_round_lines(ham_file):
 
 
 def test_spectrum_verbose_names_each_round_once(ham_file):
-    rc, out, err = invoke(["spectrum", ham_file, "--verbose"])
+    # the rounds of the enumeration path; subset sums, predicted faster on
+    # this code, print one line per r (test_spectrum_verbose_by_subset_sums)
+    with mock.patch.object(GHW, "_by_subset_sums", return_value=False):
+        rc, out, err = invoke(["spectrum", ham_file, "--verbose"])
     assert rc == 0
     rounds = []
     for line in err.splitlines():
@@ -185,6 +192,31 @@ def test_spectrum_verbose_names_each_round_once(ham_file):
     k = 4
     expected = [(r, w) for r in range(1, k + 1) for w in range(r, k + 1)]
     assert sorted(rounds) == expected
+
+
+def test_spectrum_verbose_by_subset_sums(ham_file, pair_files):
+    # subset sums enumerate no subspace and build no round tables: one event
+    # per r, in order, each with w = n, no subspaces and one matrix, which
+    # --verbose prints as a round line
+    for argv, n, rmax in ((["spectrum", ham_file], 7, 4), (["rspectrum", *pair_files], 10, 2)):
+        codes = [parse_code_file(open(path, encoding="utf-8").read()) for path in argv[1:]]
+        events = []
+        with mock.patch.object(GHW, "_by_subset_sums", return_value=True), \
+                mock.patch.object(GHW, "_round_tables", wraps=GHW._round_tables) as built:
+            (GHW.higher_spectrum if len(codes) == 1 else GHW.rhigher_spectrum)(
+                *codes, GHW.ComputeOptions(progress=events.append))
+            rc, out, err = invoke([*argv, "--verbose"])
+        assert not built.called
+        assert [(e.r, e.w, e.lower, e.upper, e.active_mats, e.subspaces) for e in events] == [
+            (r, n, 0, 0, 1, 0) for r in range(1, rmax + 1)
+        ]
+        assert rc == 0 and out.startswith("r=0: 0:1")
+        lines = err.splitlines()
+        assert len(lines) == rmax
+        for r, line in enumerate(lines, 1):
+            m = ROUND_LINE.match(line)
+            assert m and (int(m.group(1)), int(m.group(2))) == (r, n), line
+            assert " subspaces=0 " in line
 
 
 def test_benchmark(tmp_path, ham_file):

@@ -1,22 +1,25 @@
 import sys
+from math import comb, prod
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ghwkit.code import code_from_rows, make_rs, new_code
+from ghwkit.code import code_from_rows, dual, make_rs, new_code
 from ghwkit.enumeration import gaussian_binomial
 from ghwkit.errors import WorkLimitExceeded
 from ghwkit.gf import build_field
-from ghwkit.ghw import ComputeOptions, ghw, higher_spectrum, rhigher_spectrum
+from ghwkit.ghw import ComputeOptions, ghw, hierarchy, higher_spectrum, rhierarchy, rhigher_spectrum
 from ghwkit.matrix import MatrixGF
 
-from support import brute_spectrum, example_pairs, random_code, random_nested_pair
+from support import brute_rspectrum, brute_spectrum, example_pairs, random_code, random_nested_pair
 
 GHW = sys.modules["ghwkit.ghw"]
 
 F2 = build_field(2)
 F3 = build_field(3)
+F4, F5, F8, F16 = build_field(2, 2), build_field(5), build_field(2, 3), build_field(2, 4)
 
 
 def test_spectrum_examples():
@@ -75,12 +78,14 @@ def test_spectrum_rounds_and_table_builds(table):
     # r <= w, and each r's rounds together enumerate its whole Grassmannian.
     # With a cap of 0 no table of all q^w messages, whose row 0 is the zero
     # message, is built: every table holds a block's own (nonzero) rows.
+    # Subset sums are predicted faster on these codes, so the path is pinned.
     code = random_code(np.random.default_rng(79), F3, 8, 4)
     pair = random_nested_pair(np.random.default_rng(83), F3, 8, 5, 2)
     for c1, c2 in ((code, None), pair):
         events = []
         opts = ComputeOptions(progress=events.append)
-        with mock.patch.object(GHW, "_round_tables", wraps=GHW._round_tables) as built, \
+        with mock.patch.object(GHW, "_by_subset_sums", return_value=False), \
+                mock.patch.object(GHW, "_round_tables", wraps=GHW._round_tables) as built, \
                 mock.patch.object(GHW, "_tables", wraps=GHW._tables) as tabulated, \
                 mock.patch.object(GHW, "_TABLE_BYTES", GHW._TABLE_BYTES if table is None else table):
             sp = higher_spectrum(c1, opts) if c2 is None else rhigher_spectrum(c1, c2, opts)
@@ -114,3 +119,134 @@ def test_work_limit():
     full = new_code(F2, MatrixGF.identity(F2, 3))
     sp = higher_spectrum(full, ComputeOptions(work_limit=10**6))
     assert sp.total(1) == 7
+
+
+def _by_path(c1, c2=None):
+    """The spectra of C1 (meeting C2 in 0) by subset sums and by
+    enumeration, each forced."""
+    spectra = []
+    for subset in (True, False):
+        with mock.patch.object(GHW, "_by_subset_sums", return_value=subset):
+            spectra.append((higher_spectrum(c1) if c2 is None else rhigher_spectrum(c1, c2)).counts)
+    return spectra
+
+
+def _check_paths(c1, c2=None):
+    """Both paths give one spectrum, which brute force confirms where it is
+    small (at most 3,000 r-tuples of nonzero messages)."""
+    by_sums, by_enumeration = _by_path(c1, c2)
+    assert by_sums == by_enumeration
+    q, k1 = c1.field.q, c1.k
+    for r in range(1, k1 - (0 if c2 is None else c2.k) + 1):
+        if comb(q**k1 - 1, r) <= 3000:
+            assert by_sums[r] == (brute_spectrum(c1, r) if c2 is None else brute_rspectrum(c1, c2, r)), r
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([F2, F3, F4, F5, F8, F16]), st.data())
+def test_subset_sums_agree_with_enumeration(F, data):
+    k1 = data.draw(st.integers(1, {2: 6, 3: 4, 4: 3, 5: 3, 8: 2, 16: 2}[F.q]), label="k1")
+    n = data.draw(st.integers(k1, 11), label="n")
+    k2 = data.draw(st.integers(0, k1 - 1), label="k2")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if k2:
+        _check_paths(*random_nested_pair(rng, F, n, k1, k2))
+    else:
+        _check_paths(random_code(rng, F, n, k1))
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4, F5, F8, F16], ids=lambda F: f"GF{F.q}")
+def test_subset_sums_on_edge_cases(F):
+    rng = np.random.default_rng(F.q)
+    base = random_code(rng, F, 5, 2).G.array
+    zero_columns = code_from_rows(F, np.hstack([base[:, :2], np.zeros((2, 3), dtype=np.int64), base[:, 2:]]))
+    repeated_columns = code_from_rows(F, np.hstack([base, base[:, :2], base[:, :1]]))
+    whole_space = random_code(rng, F, 3, 3)
+    single = code_from_rows(F, [[1 + int(rng.integers(F.q - 1))]])
+    for code in (zero_columns, repeated_columns, whole_space, single):
+        _check_paths(code)
+    _check_paths(*random_nested_pair(rng, F, 6, 3, 2))
+    _check_paths(*random_nested_pair(rng, F, 2, 2, 1))
+
+
+def test_subset_sums_on_counts_of_four_bytes():
+    # 5^5 | 5^4 << 12 needs a uint32 count, whose exponents are rounded
+    # logarithms, not a table lookup
+    c1, c2 = random_nested_pair(np.random.default_rng(5), F5, 7, 5, 4)
+    assert GHW._count_layout(F5, 7, 5, 4)[1] == np.uint32
+    _check_paths(c1, c2)
+
+
+def _extension_weights(spectrum: dict, q: int, m: int) -> dict:
+    """Kløve's identity: the weight distribution of C ⊗ GF(q^m) from C's
+    spectra, W_m(w) = Σ_r A_w^(r)·Π_{i<r}(q^m − q^i)."""
+    weights = {}
+    for r, row in spectrum.items():
+        scale = prod(q**m - q**i for i in range(r))
+        for w, a in row.items():
+            weights[w] = weights.get(w, 0) + a * scale
+    return weights
+
+
+def _krawtchouk(n: int, Q: int, w: int, j: int) -> int:
+    return sum((-1) ** i * (Q - 1) ** (w - i) * comb(j, i) * comb(n - j, w - i) for i in range(w + 1))
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4], ids=["GF2", "GF3", "GF4"])
+def test_spectra_satisfy_macwilliams_over_every_extension(F):
+    # Kløve (1992): the spectra of C give the weight distribution of C over
+    # GF(q^m), whose dual is dual(C) over GF(q^m); so the two sums of
+    # spectra must satisfy the MacWilliams identity
+    # |C ⊗ GF(Q)|·W⊥(w) = Σ_j W(j)·K_w(j), Q = q^m, for every m, on each path
+    rng = np.random.default_rng(100 + F.q)
+    for _ in range(3):
+        n = int(rng.integers(3, 11))
+        k = int(rng.integers(1, min(n - 1, {2: 6, 3: 4, 4: 3}[F.q]) + 1))
+        code = random_code(rng, F, n, k)
+        for spectrum, dual_spectrum in zip(_by_path(code), _by_path(dual(code))):
+            for m in range(1, k + 1):
+                Q = F.q**m
+                W, W_dual = _extension_weights(spectrum, F.q, m), _extension_weights(dual_spectrum, F.q, m)
+                assert sum(W.values()) == Q**k and sum(W_dual.values()) == Q ** (n - k)
+                for w in range(n + 1):
+                    assert Q**k * W_dual.get(w, 0) == sum(W[j] * _krawtchouk(n, Q, w, j) for j in W), (n, k, m, w)
+
+
+def test_hierarchies_are_the_least_supports_of_the_spectra():
+    # d_r = min_support(r) for every r, through the search, where the naive
+    # oracle cannot reach every r, against both spectrum paths
+    cases = [(random_code(np.random.default_rng(3), F2, 16, 8), None),
+             (random_code(np.random.default_rng(3), F3, 12, 6), None),
+             random_nested_pair(np.random.default_rng(3), F3, 14, 6, 2)]
+    for c1, c2 in cases:
+        values = (hierarchy(c1) if c2 is None else rhierarchy(c1, c2)).values
+        for counts in _by_path(c1, c2):
+            assert tuple(min(counts[r]) for r in range(1, len(values) + 1)) == values
+
+
+def test_gf16_spectrum_of_a_20_6_code():
+    # 8.3·10^10 subspaces, above the default work limit; subset sums take
+    # 16^6 codeword supports and 20·2^20 transform steps.  The dual's
+    # weights over every GF(16^m), by MacWilliams from Kløve's identity,
+    # are whole and nonnegative, with one word of weight 0
+    code = random_code(np.random.default_rng(3), F16, 20, 6)
+    sp = higher_spectrum(code)
+    for r in range(7):
+        assert sp.total(r) == gaussian_binomial(6, r, 16)
+    assert tuple(sp.min_support(r) for r in range(1, 7)) == hierarchy(code).values
+    for m in range(1, 7):
+        Q, W = 16**m, _extension_weights(sp.counts, 16, m)
+        dual_weights = [sum(W[j] * _krawtchouk(20, Q, w, j) for j in W) for w in range(21)]
+        assert dual_weights[0] == Q**6
+        assert all(x >= 0 and x % Q**6 == 0 for x in dual_weights)
+
+
+def test_work_limit_counts_the_chosen_path():
+    # GF(2) [16,8]: subset sums take 2^8 + 16·2^16 = 1,048,832 elements,
+    # enumeration 417,198 subspaces; a limit of 10^6 refuses the first only
+    code = random_code(np.random.default_rng(3), F2, 16, 8)
+    with pytest.raises(WorkLimitExceeded, match="1048832"):
+        higher_spectrum(code, ComputeOptions(work_limit=10**6))
+    with mock.patch.object(GHW, "_by_subset_sums", return_value=False):
+        sp = higher_spectrum(code, ComputeOptions(work_limit=10**6))
+    assert sp == higher_spectrum(code, ComputeOptions(work_limit=1_048_832))
