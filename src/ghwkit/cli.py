@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         if naive is not None:
             p.add_argument("--algorithm", choices=["bz", "naive"], default="bz", help="bounded search (default) or the naive oracle")
         if name.endswith("spectrum"):
-            p.add_argument("--work-limit", type=int, default=ComputeOptions.work_limit, help="max predicted work of a spectrum: subspaces enumerated or subset-sum elements")
+            p.add_argument("--work-limit", type=int, default=ComputeOptions.work_limit, help="max work of a spectrum: subspaces of a Grassmannian it enumerates, or elements of its subset sums")
         p.set_defaults(func=_compute)
 
     p = subs.add_parser("duality", help="hierarchy of the dual from a hierarchy and n")

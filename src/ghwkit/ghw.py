@@ -55,15 +55,15 @@ Relative weights M_r(C1, C2) run the same search on C1 and keep only the
 subspaces that meet C2 in 0.  A hierarchy seeds each run after the first
 with the averaging bound ceil((q^r - 1)·d_{r-1} / (q^r - q)), proven in
 _search, which holds for relative weights too.  The spectra take one of
-two paths, whichever a cost model predicts faster.  Enumeration weighs
-every subspace of the stream, in blocks, through one generator matrix with
-the same tables and C2 rejection and no bound, since a count cannot prune;
-it goes by w, then r, so each w's tables are built once.  Subset sums
-enumerate no subspace: one zeta transform of the histogram of the q^k
-codeword supports gives dim C1(T) (and dim C2(T)) for every coordinate set
-T, and Möbius inversion turns those into every A_w^(r) (Greene; Kløve).
-That costs q^k + n·2^n, not the Grassmannian, and is open while the 2^n
-counts fit the byte budget.  The naive oracles
+two paths: of those the work limit allows, the one a cost model predicts
+faster.  Enumeration weighs every subspace of the stream, in blocks,
+through one generator matrix with the same tables and C2 rejection and no
+bound, since a count cannot prune; it goes by w, then r, so each w's tables
+are built once.  Subset sums enumerate no subspace: one zeta transform of
+the histogram of the q^k codeword supports gives dim C1(T) (and dim C2(T))
+for every coordinate set T, and Möbius inversion turns those into every
+A_w^(r) (Greene; Kløve).  That costs q^k + n·2^n, not the Grassmannian, and
+is open while the 2^n counts fit the byte budget.  The naive oracles
 enumerate the full Grassmannian through a single generator matrix with no
 bounds on the plain path, one matmul per (block, support set), which only
 they use, and serve as an independent cross-check of the search and of its
@@ -185,10 +185,10 @@ class Report:
 class ComputeOptions:
     """Knobs shared by all weight computations.
 
-    Progress events go to ``progress`` if set; ``work_limit`` caps the
-    predicted work of a spectrum on the path it takes (subspaces enumerated
-    or subset-sum elements); ``report`` collects one RunReport per weight
-    computation.
+    Progress events go to ``progress`` if set; ``work_limit`` caps the work
+    of a spectrum: it enumerates no Grassmannian larger than the limit and
+    takes subset sums of no more elements; ``report`` collects one RunReport
+    per weight computation.
     """
 
     work_limit: int = 10**9
@@ -908,15 +908,16 @@ def naive_rghw(c1: LinearCode, c2: LinearCode, r: int) -> int:
 # Xeon host (Python 3.11, numpy 2.4, one BLAS thread), each path forced, best
 # of 3-9 in one process (CHANGES.md has the grid): enumeration took 12-20 ns
 # a subspace without C2, 340-800 ns with it, and 49-54 µs a pivot shape on
-# codes of at most 66 subspaces; subset sums took 0.5-0.7 ns an element at
-# n = 18-20 and 0.2-0.25 ms on codes of n <= 10.  _SUBSET_S sits above the
-# n = 20 range, since GF(4) [20,6], a near tie (subset sums 14.8 ms,
-# enumeration 12.3 ms), is to stay on enumeration and GF(2) [20,8] (14.4
-# against 17.5 ms) is not.
+# codes of at most 66 subspaces; subset sums took 0.69-0.71 ns an element at
+# n = 20, down to 0.5 ns at n = 18 on one-byte counts, and 0.2-0.25 ms on
+# codes of n <= 10.  _SUBSET_S is the n = 20 figure, so shorter codes with
+# narrow counts are charged a little too much.  Its closest call on the grid is
+# GF(4) [20,6]: enumeration predicted 14.5 ms against 14.9 (measured 12.3
+# against 14.8).
 _ENUM_S = 20e-9  # a subspace enumerated without C2
 _ENUM_C2_S = 400e-9  # a subspace enumerated with C2
 _SHAPE_S = 50e-6  # a pivot shape of an enumeration round
-_SUBSET_S = 0.8e-9  # an element of subset sums
+_SUBSET_S = 0.7e-9  # an element of subset sums
 _SUBSET_FLOOR_S = 0.2e-3  # subset sums' fixed cost
 
 
@@ -1004,25 +1005,11 @@ def _subset_sums(f: np.ndarray, n: int) -> np.ndarray:
     return g
 
 
-@cache
-def _exponent_table(p: int, bits: int) -> np.ndarray:
-    """e at index p^e, for every p^e < 2^bits, as a uint8 array of 2^bits."""
-    out = np.zeros(1 << bits, dtype=np.uint8)
-    e = np.arange((1 << bits).bit_length())
-    powers = p**e
-    out[powers[powers < 1 << bits]] = e[powers < 1 << bits]
-    out.flags.writeable = False
-    return out
-
-
 def _exponents(field, c: np.ndarray) -> np.ndarray:
     """log_p c of counts that are powers of p: the popcount of c - 1 for
-    p = 2, else, for counts of at most 2 bytes, one lookup, and rounded
-    logarithms above."""
+    p = 2, else rounded logarithms."""
     if field.p == 2:
         return np.bitwise_count(c - 1)
-    if c.dtype.itemsize <= 2:
-        return np.take(_exponent_table(field.p, 8 * c.dtype.itemsize), c)
     return np.rint(np.log(c, dtype=float) / np.log(field.p)).astype(np.int64)
 
 
@@ -1031,7 +1018,10 @@ def _count_layout(field, n: int, k: int, k2: int | None):
     do not fit.  A count is q^dim C1(T), with C2 that plus q^dim C2(T) shifted
     by ``bits``, in the narrowest unsigned dtype that holds q^k1 (and the
     shifted q^k2).  They fit when, with their transposed copy and one int64
-    bincount of 2^n, they are at most _TABLE_BYTES."""
+    bincount of 2^n, they are at most _TABLE_BYTES.  While the counts are
+    built, a chunk of codeword supports of up to about _TABLE_BYTES / 2 sits
+    beside them and one bincount, so the path peaks at up to about
+    1.25·_TABLE_BYTES (40 MiB by tracemalloc on GF(2) [21,20])."""
     bits = (field.q**k).bit_length()
     top = field.q**k if k2 is None else field.q**k | field.q**k2 << bits
     if top >= 1 << 63:
@@ -1064,8 +1054,9 @@ def _subset_spectrum(c1: LinearCode, c2: LinearCode | None, rmax: int, layout, o
             found = np.bincount(sup, minlength=1 << n)
             found <<= shift
             np.add(f, found, out=f, casting="unsafe")
+            del found
     g = _subset_sums(f, n)
-    del f, found
+    del f
     # the histogram of (|T|, s·a, s·b), 4·_GATHER_ELEMS entries of g at a time
     ka, kb = s * k + 1, 1 if c2 is None else s * c2.k + 1
     hist = np.zeros((n + 1) * ka * kb, dtype=np.int64)
@@ -1110,23 +1101,29 @@ def _by_subset_sums(with_c2: bool, k: int, rmax: int, subspaces: int, elements: 
 
 def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Spectrum:
     """Support-weight histograms of all r-dimensional subcodes of C1,
-    restricted to those meeting C2 in 0 when given, on the path predicted
-    faster: enumeration walks Σ_r [k1, r]_q subspaces (_enumerated_spectrum),
-    subset sums q^k1 (+ q^k2) codeword supports and n·2^n transform steps
-    (_subset_spectrum), and is open only when its 2^n counts fit
-    _TABLE_BYTES.  ``work_limit`` caps the chosen path's work: its subspaces
-    or its elements."""
+    restricted to those meeting C2 in 0 when given, by enumeration, which
+    walks Σ_r [k1, r]_q subspaces (_enumerated_spectrum), or by subset sums,
+    which take q^k1 (+ q^k2) codeword supports and n·2^n transform steps
+    (_subset_spectrum).  ``work_limit`` opens enumeration when no
+    Grassmannian [k1, r]_q exceeds it, and subset sums when their elements
+    do not and their 2^n counts fit _TABLE_BYTES; of the open paths the one
+    predicted faster is taken, and with neither open the spectrum is
+    refused."""
     h2t, rmax = _nested_pair(c1, c2)
     field, k, n = c1.field, c1.k, c1.n
     k2 = None if c2 is None else c2.k
-    subspaces = sum(gaussian_binomial(k, r, field.q) for r in range(1, rmax + 1))
+    largest = max(gaussian_binomial(k, r, field.q) for r in range(rmax + 1))
     elements = field.q**k + (0 if k2 is None else field.q**k2) + n * 2**n
     layout = _count_layout(field, n, k, k2)
-    subset = layout is not None and _by_subset_sums(c2 is not None, k, rmax, subspaces, elements)
-    work = elements if subset else subspaces
-    if work > opts.work_limit:
-        path = "subset sums over" if subset else "enumeration of"
-        raise WorkLimitExceeded(f"the spectrum's {path} {work} exceeds the work limit {opts.work_limit}")
+    enumerable = largest <= opts.work_limit
+    summable = layout is not None and elements <= opts.work_limit
+    if not (enumerable or summable):
+        over = f"its largest Grassmannian has {largest} subspaces"
+        if layout is not None:
+            over += f" and its subset sums {elements} elements"
+        raise WorkLimitExceeded(f"the spectrum exceeds the work limit {opts.work_limit}: {over}")
+    subspaces = sum(gaussian_binomial(k, r, field.q) for r in range(1, rmax + 1))
+    subset = summable and (not enumerable or _by_subset_sums(c2 is not None, k, rmax, subspaces, elements))
     if subset:
         counts = _subset_spectrum(c1, c2, rmax, layout, opts)
     else:

@@ -241,12 +241,22 @@ def test_gf16_spectrum_of_a_20_6_code():
         assert all(x >= 0 and x % Q**6 == 0 for x in dual_weights)
 
 
-def test_work_limit_counts_the_chosen_path():
+def test_work_limit_takes_a_path_that_fits():
     # GF(2) [16,8]: subset sums take 2^8 + 16·2^16 = 1,048,832 elements,
-    # enumeration 417,198 subspaces; a limit of 10^6 refuses the first only
+    # enumeration's largest Grassmannian [8,4]_2 has 200,787 subspaces; a
+    # limit of 10^6 leaves enumeration, one below 200,787 neither
     code = random_code(np.random.default_rng(3), F2, 16, 8)
-    with pytest.raises(WorkLimitExceeded, match="1048832"):
-        higher_spectrum(code, ComputeOptions(work_limit=10**6))
+    events = []
+    sp = higher_spectrum(code, ComputeOptions(work_limit=10**6, progress=events.append))
+    assert sp == higher_spectrum(code) and sum(e.subspaces for e in events) == 417_198
+    with pytest.raises(WorkLimitExceeded, match="200787 subspaces and its subset sums 1048832"):
+        higher_spectrum(code, ComputeOptions(work_limit=200_786))
+    # GF(4) [10,6]: 4^6 + 10·2^10 = 14,336 elements against [6,3]_4 =
+    # 376,805 subspaces; a limit of 20,000 leaves subset sums only, which
+    # are taken even where enumeration is predicted faster
+    code = random_code(np.random.default_rng(3), F4, 10, 6)
+    events = []
     with mock.patch.object(GHW, "_by_subset_sums", return_value=False):
-        sp = higher_spectrum(code, ComputeOptions(work_limit=10**6))
-    assert sp == higher_spectrum(code, ComputeOptions(work_limit=1_048_832))
+        sp = higher_spectrum(code, ComputeOptions(work_limit=20_000, progress=events.append))
+        assert sp == higher_spectrum(code)
+    assert [e.subspaces for e in events] == [0] * 6
