@@ -7,13 +7,13 @@ support as an upper bound.  Any subspace not yet seen through G_j meets at
 least r - R_j fresh coordinates of its information set, and w + 1 - R_j
 once rounds r..w are scanned through G_j: the lower bound is one counter
 that each matrix a round scans raises by one.  The search stops once the
-bounds meet.
+bounds meet.  The R_j never decrease, so a round scans the first nsel G_j.
 
 Subspaces are weighed by a support-mask kernel, the Brouwer–Zimmermann
 trick of encoding every message on a window once, extended from codewords to
 subspaces.  Per round, every w-subset S of the message coordinates and every
 matrix G_j gets a table of the supports of x·G_j[S] for all q^w messages x,
-packed into uint64 words.  The tables are message-major, (q^w, nS, |sel|,
+packed into uint64 words.  The tables are message-major, (q^w, nS, nsel,
 words): message x owns one contiguous row of masks for every (S, G_j), and a
 subspace's supports are the OR of the r rows that its basis rows' codes
 select.  Relative weights also tabulate the
@@ -201,10 +201,10 @@ def _emit(opts: ComputeOptions, ev: RoundEvent) -> None:
         opts.progress(ev)
 
 
-def _make_witness(field, base: np.ndarray, s_cols: np.ndarray, j: int, weight: int, k: int):
+def _make_witness(field, base: np.ndarray, s_cols: np.ndarray, j: int, weight: int, k: int, synthesized=False):
     expanded = np.zeros((base.shape[0], k), dtype=np.int64)
     expanded[:, s_cols] = base
-    return Witness(MatrixGF.unchecked(field, expanded), j, weight, False)
+    return Witness(MatrixGF.unchecked(field, expanded), j, weight, synthesized)
 
 
 def _independent(field, syn: np.ndarray) -> np.ndarray:
@@ -232,8 +232,8 @@ def _meets_c2_in_zero(field, enc: np.ndarray, h2t: np.ndarray) -> np.ndarray:
     return _independent(field, syn)
 
 
-def _scan_round(field, mats, sel, r, w, upper, h2t, stop):
-    """Scan round w through the selected matrices for the least-weight
+def _scan_round(field, mats, nsel, r, w, upper, h2t, stop):
+    """Scan round w through the first ``nsel`` matrices for the least-weight
     subspace below ``upper`` (meeting C2 in 0 when ``h2t`` is given; the
     first on ties), ending early once upper <= stop; returns (upper, the
     witness of that subspace or None if none is below ``upper``,
@@ -249,7 +249,7 @@ def _scan_round(field, mats, sel, r, w, upper, h2t, stop):
         nsub = block.shape[0]
         for s_cols in supports:
             count += nsub
-            for j in sel:
+            for j in range(nsel):
                 prod = field.matmul(block.reshape(-1, w), mats[j][s_cols, :])
                 weights = (prod != 0).reshape(nsub, r, -1).any(axis=1).sum(axis=1)
                 c = int(weights.argmin())
@@ -269,21 +269,21 @@ def _scan_round(field, mats, sel, r, w, upper, h2t, stop):
 
 
 # The support-mask kernel.  For every w-subset S of the message coordinates
-# and every selected matrix G_j, the mask table of a list X of messages on w
-# coordinates holds the support of X·G_j[S] as packed uint64 words, and with
-# C2 the syndrome table holds X·(G_j·H2ᵀ)[S].  Both are message-major,
-# (len(X), nS, |sel|, words) and (len(X), nS, |sel|, k1 - k2), so one
-# message's entries for every (S, G_j) are one contiguous row.  X lists all
-# q^w messages in code order, once per round, when those tables, with their
-# bit-planes over GF(2^s), s > 1, fit _TABLE_BYTES; otherwise X lists the
-# distinct row codes of one stream block (spectra) or of one batch of a row
-# tree's prefixes, one batch per stream block (search), looked up by
-# position.  Tables of X go through one field.matmul per chunk of support
-# sets (_tables), except those of all messages over GF(2^s), built by XOR
-# doubling (_double), the same bytes: one XOR per bit of a message code over
-# every support set, with no chunk, straight into the round's syndrome array
-# and its (q^w, nS, |sel|, s·words) bit-planes, which over GF(2) are its
-# masks and else are OR-ed into them once.
+# and each of the first nsel matrices G_j, the mask table of a list X of
+# messages on w coordinates holds the support of X·G_j[S] as packed uint64
+# words, and with C2 the syndrome table holds X·(G_j·H2ᵀ)[S].  Both are
+# message-major, (len(X), nS, nsel, words) and (len(X), nS, nsel, k1 - k2), so
+# one message's entries for every (S, G_j) are one contiguous row.  X lists
+# all q^w messages in code order, once per round, when those tables, with
+# their bit-planes over GF(2^s), s > 1, fit _TABLE_BYTES; otherwise X lists
+# the distinct row codes of one stream block (spectra) or of one batch of a
+# row tree's prefixes, one batch per stream block (search), looked up by
+# position.  Tables of X go through one field.matmul per chunk of support sets
+# (_tables), except those of all messages over GF(2^s), built by XOR doubling
+# (_double), the same bytes: one XOR per bit of a message code over every
+# support set, with no chunk, straight into the round's syndrome array and its
+# (q^w, nS, nsel, s·words) bit-planes, which over GF(2) are its masks and else
+# are OR-ed into them once.
 #
 # The spectra weigh a stream block on a chunk of S at once as the popcount
 # of the OR of the rows that its r basis rows' codes select (_weigh), each
@@ -301,7 +301,7 @@ def _scan_round(field, mats, sel, r, w, upper, h2t, stop):
 # w = r takes no tables and forms no row codes: its one subspace on S, the
 # span of e_S, has through G_j the support of the OR of the rows S of G_j, so
 # each chunk of support sets is one gather of their r packed row supports,
-# one np.bitwise_or.reduce over the r and one popcount, an (nS, |sel|) array
+# one np.bitwise_or.reduce over the r and one popcount, an (nS, nsel) array
 # of weights in visit order, on which the round is replayed in place
 # (_unit_round); with C2, the rows S of G_j·H2ᵀ of those below the bound go
 # through one elimination.
@@ -327,11 +327,29 @@ def _pack(a: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
+class _Matrices(NamedTuple):
+    """A search's systematic matrices as its rounds read them, built once per
+    search: ``stack``, the (m, k, n + k1 - k2) array of [G_j | G_j·H2ᵀ] (G_j
+    alone without C2), and, for round w = r, the packed row supports of all
+    of them, a (k, m, words) uint64 array.  A round scans the first nsel."""
+
+    stack: np.ndarray
+    n: int
+    masks: np.ndarray
+
+
+def _matrices(mats: np.ndarray, syn: np.ndarray | None) -> _Matrices:
+    """The store of the (m, k, n) matrices ``mats`` and of their syndrome
+    matrices ``syn``, (m, k, k1 - k2) (None without C2)."""
+    stack = mats if syn is None else np.concatenate((mats, syn), axis=2)
+    return _Matrices(stack, mats.shape[2], np.ascontiguousarray(_pack(mats).transpose(1, 0, 2)))
+
+
 def _tables(field, X: np.ndarray, B: np.ndarray, cols: np.ndarray, n: int):
     """The tables of the messages X on the support sets ``cols``, an (nS, w)
     array, through each stacked [G_j | G_j·H2ᵀ] of B, with one field.matmul
-    whose product is already message-major: the masks, a (len(X), nS, |sel|,
-    words) uint64 array, and the syndromes, (len(X), nS, |sel|, k1 - k2), or
+    whose product is already message-major: the masks, a (len(X), nS, nsel,
+    words) uint64 array, and the syndromes, (len(X), nS, nsel, k1 - k2), or
     None without C2."""
     nj, (ns, w), width = len(B), cols.shape, B.shape[-1]
     prod = field.matmul(X, B[:, cols].transpose(2, 1, 0, 3).reshape(w, -1)).reshape(-1, ns, nj, width)
@@ -341,9 +359,9 @@ def _tables(field, X: np.ndarray, B: np.ndarray, cols: np.ndarray, n: int):
 def _bit_entries(field, B: np.ndarray, n: int):
     """The XOR-able entries a^u·B[j, i] of GF(2^s), for every stacked matrix
     j, message row i and u < s, a^u the element of index field.pow_p[u]: the
-    s packed bit-planes of each codeword part, a (|sel|, k, s, s·words)
+    s packed bit-planes of each codeword part, a (nsel, k, s, s·words)
     uint64 array, plane v holding bit v of every coordinate, and the
-    syndrome parts, (|sel|, k, s, k1 - k2).  Addition over GF(2^s) is XOR of
+    syndrome parts, (nsel, k, s, k1 - k2).  Addition over GF(2^s) is XOR of
     the integer encodings, so the entry of a sum is the XOR of the entries.
     Over GF(2) the one entry of a row is the row itself, with no product."""
     s = field.s
@@ -353,9 +371,9 @@ def _bit_entries(field, B: np.ndarray, n: int):
 
 
 def _double(out: np.ndarray, entries: np.ndarray, cols: np.ndarray) -> None:
-    """Fill ``out``, the message-major (q^w, nS, |sel|, width) table of all
+    """Fill ``out``, the message-major (q^w, nS, nsel, width) table of all
     q^w messages over GF(2^s) on the support sets ``cols``, an (nS, w)
-    array, by XOR doubling from ``entries``, the (|sel|, k, s, width)
+    array, by XOR doubling from ``entries``, the (nsel, k, s, width)
     entries of a^u·B[j, i] (_bit_entries), with no field product.  Row 0 is
     zero; bit t·s + u of message code Σ x_t q^t is bit u of x_t, so step
     m = t·s + u sets rows 2^m..2^(m+1)-1 to rows 0..2^m-1 XOR the entry of
@@ -368,40 +386,38 @@ def _double(out: np.ndarray, entries: np.ndarray, cols: np.ndarray) -> None:
             np.bitwise_xor(out[:m], entries[:, cols[:, t], u].transpose(1, 0, 2), out=out[m : 2 * m])
 
 
-def _round_tables(field, mats, ghs, sel, w: int):
+def _round_tables(field, ms: _Matrices, nsel: int, w: int):
     """The nS = C(k, w) support sets of round w as an (nS, w) array, the
-    stacked [G_j | G_j·H2ᵀ] of the selected matrices (G_j alone without C2),
-    and the tables of all q^w messages on every support set when they fit
-    _TABLE_BYTES, as message-major (q^w, nS, |sel|, ·) arrays, else None:
-    then each stream block of a spectrum, or each batch of a row tree,
-    tabulates its own rows.  Over GF(2^s) they are doubled (_double)
-    straight into those arrays, each mask as s bit-planes that, for s > 1,
-    one OR reduces; over odd characteristic they go through one product per
-    chunk of support sets."""
-    (k, n), nq, nj = mats[0].shape, field.q**w, len(sel)
-    ns = comb(k, w)
+    stacked [G_j | G_j·H2ᵀ] of the first ``nsel`` matrices of ``ms`` (G_j
+    alone without C2), and the tables of all q^w messages on every support
+    set when they fit _TABLE_BYTES, as message-major (q^w, nS, nsel, ·)
+    arrays, else None: then each stream block of a spectrum, or each batch
+    of a row tree, tabulates its own rows.  Over GF(2^s) they are doubled
+    (_double) straight into those arrays, each mask as s bit-planes that,
+    for s > 1, one OR reduces; over odd characteristic they go through one
+    product per chunk of support sets."""
     # one product or doubling gives each message's codeword and, with C2, its syndrome
-    B = np.stack([mats[j] if ghs is None else np.hstack([mats[j], ghs[j]]) for j in sel])
-    supports = _supports(k, w)
+    B, n, k, nq = ms.stack[:nsel], ms.n, ms.stack.shape[1], field.q**w
+    ns, supports = comb(k, w), _supports(k, w)
     words, c = -(-n // 64), B.shape[-1] - n
     # over GF(2^s), s > 1, the bit-planes the masks are OR-ed from count too
     planes = field.s * words if field.p == 2 and field.s > 1 else 0
-    if ns * nq * (words + planes + c) * 8 * nj > _TABLE_BYTES:
+    if ns * nq * (words + planes + c) * 8 * nsel > _TABLE_BYTES:
         return supports, B, None
-    syn = None if ghs is None else np.empty((nq, ns, nj, c), dtype=np.int64)
+    syn = np.empty((nq, ns, nsel, c), dtype=np.int64) if c else None
     if field.p == 2:
         bits, part = _bit_entries(field, B, n)
-        masks = np.empty((nq, ns, nj, field.s * words), dtype="<u8")
+        masks = np.empty((nq, ns, nsel, field.s * words), dtype="<u8")
         _double(masks, bits, supports)
         if field.s > 1:
             # a coordinate is nonzero iff one of its bit-planes is
-            masks = np.bitwise_or.reduce(masks.reshape(nq, ns, nj, field.s, words), axis=3)
+            masks = np.bitwise_or.reduce(masks.reshape(nq, ns, nsel, field.s, words), axis=3)
         if syn is not None:
             _double(syn, part, supports)
         return supports, B, (masks, syn)
-    masks = np.empty((nq, ns, nj, words), dtype="<u8")
+    masks = np.empty((nq, ns, nsel, words), dtype="<u8")
     X = row_digits(np.arange(nq), field.q, w)
-    step = max(1, _GATHER_ELEMS // (nj * nq * (n + c)))
+    step = max(1, _GATHER_ELEMS // (nsel * nq * (n + c)))
     for lo in range(0, ns, step):
         masks[:, lo : lo + step], part = _tables(field, X, B, supports[lo : lo + step], n)
         if syn is not None:
@@ -433,35 +449,11 @@ def _block_tables(field, tabs, codes: list, n: int, step: int):
     return codes, chunks()
 
 
-class _Matrices(NamedTuple):
-    """A search's systematic matrices as its rounds read them: ``mats``,
-    their syndrome matrices ``ghs`` (None without C2), and, for round w = r,
-    the packed row supports of all of them, a (k, m, words) uint64 array,
-    with their rows of syndromes, (k, m, k1 - k2) (None without C2), and the
-    identity of order k, whose rows S span e_S.  All are built once per
-    search; a round slices its selection from them."""
-
-    mats: list
-    ghs: list | None
-    masks: np.ndarray
-    syn: np.ndarray | None
-    eye: np.ndarray
-
-
-def _matrices(mats, ghs) -> _Matrices:
-    k, n = mats[0].shape
-    packed = np.zeros((k, len(mats), -(-n // 64) * 8), dtype=np.uint8)
-    bits = np.packbits(np.array(mats) != 0, axis=-1, bitorder="little")
-    packed[..., : bits.shape[-1]] = bits.transpose(1, 0, 2)
-    syn = None if ghs is None else np.stack(ghs, axis=1)
-    return _Matrices(mats, ghs, packed.view("<u8"), syn, np.eye(k, dtype=np.int64))
-
-
 def _weigh(field, masks, syn, codes: np.ndarray, n: int) -> np.ndarray:
     """Support sizes of the subspaces whose basis rows have the (m, r) row
     ``codes``, weighed through each of a chunk's message-major tables: the
-    popcount of the OR of the whole (nS, |sel|, words) rows that the codes
-    select, an (m, nS, |sel|) array.  With C2, every one that meets C2
+    popcount of the OR of the whole (nS, nsel, words) rows that the codes
+    select, an (m, nS, nsel) array.  With C2, every one that meets C2
     outside 0 weighs n + 1.  The spectra's kernel."""
     acc = masks[codes[:, 0]]
     for t in range(1, codes.shape[1]):
@@ -640,25 +632,25 @@ def _visited(stop_v, nS: int, total: int) -> int:
     return blk * DEFAULT_BLOCK * nS + min(DEFAULT_BLOCK, total - blk * DEFAULT_BLOCK) * (s + 1)
 
 
-def _unit_round(field, ms: _Matrices, sel, r: int, upper: int, stop):
-    """Round w = r of _scan_kernel in one direct pass, a chunk of support
-    sets at a time (see _GATHER_ELEMS), replayed on each chunk's weights:
-    the round ends after the first support set that holds a candidate at
-    most ``stop`` (the first set if ``upper`` already is), the bound is the
-    least weight visited, the witness the first subspace at it, by support
-    set, then matrix (None if none is below ``upper``), and each set visited
-    counts one subspace."""
-    supports, masks, syn = _supports(ms.masks.shape[0], r), ms.masks, ms.syn
-    if len(sel) < masks.shape[1]:
-        masks, syn = masks[:, sel], None if syn is None else syn[:, sel]
-    step = max(1, _GATHER_ELEMS // (len(sel) * r * masks.shape[-1]))
+def _unit_round(field, ms: _Matrices, nsel: int, r: int, upper: int, stop):
+    """Round w = r of _scan_kernel in one direct pass through the first
+    ``nsel`` matrices, a chunk of support sets at a time (see _GATHER_ELEMS),
+    replayed on each chunk's weights: the round ends after the first support
+    set that holds a candidate at most ``stop`` (the first set if ``upper``
+    already is), the bound is the least weight visited, the witness the
+    first subspace at it, by support set, then matrix (None if none is below
+    ``upper``), and each set visited counts one subspace."""
+    (k, _, words), n = ms.masks.shape, ms.n
+    supports, masks = _supports(k, r), ms.masks[:, :nsel]
+    syn = ms.stack[:nsel, :, n:] if ms.stack.shape[2] > n else None
+    step = max(1, _GATHER_ELEMS // (nsel * r * words))
     count, best = 0, None
     for lo in range(0, len(supports), step):
         cols = supports[lo : lo + step]
         wts = _popcount(np.bitwise_or.reduce(masks[cols], axis=1))
         if syn is not None:
             s, j = np.nonzero(wts < upper)
-            bad = ~_independent(field, syn[cols[s], j[:, None]])
+            bad = ~_independent(field, syn[j[:, None], cols[s]])
             wts[s[bad], j[bad]] = upper
         least, end = wts.min(axis=1), len(cols)
         if stop is not None:
@@ -667,29 +659,30 @@ def _unit_round(field, ms: _Matrices, sel, r: int, upper: int, stop):
                 end = 1 if upper <= stop else int(hits[0]) + 1
         s = int(least[:end].argmin())
         if least[s] < upper:
-            upper, best = int(least[s]), (cols[s], sel[int(wts[s].argmin())])
+            upper, best = int(least[s]), (cols[s], int(wts[s].argmin()))
         count += end
         if stop is not None and upper <= stop:
             break
-    witness = None if best is None else Witness(MatrixGF.unchecked(field, ms.eye[best[0]]), best[1], upper, False)
+    witness = None if best is None else _make_witness(field, np.eye(r, dtype=np.int64), *best, upper, k)
     return upper, witness, count
 
 
-def _scan_kernel(field, ms: _Matrices, sel, r, w, upper, stop):
-    """_scan_round through the support-mask kernel, with C2 given by the
-    syndrome matrices of ``ms``, and with the same visit order (block,
-    support set, matrix), selection rule, early exit and count.  Round
-    w = r is one direct pass (_unit_round).  A round w > r goes pivot shape
-    by pivot shape through the row tree (_tree_weigh), which gives the
-    visit where the shape stops, if it does, and its lightest candidate
-    below ``upper``: the new bound, and, by the decode of its position, the
-    witness.  A subspace the tree prunes weighs at least the bound and could
-    never become it, so the bound, witness (None if none is below the
-    ``upper`` given) and count are the plain path's."""
+def _scan_kernel(field, ms: _Matrices, nsel: int, r, w, upper, stop):
+    """_scan_round through the support-mask kernel, on the first ``nsel``
+    matrices of ``ms`` and with C2 given by their syndrome matrices, with the
+    same visit order (block, support set, matrix), selection rule, early
+    exit and count.  Round w = r is one direct pass (_unit_round).  A round
+    w > r goes pivot shape by pivot shape through the row tree
+    (_tree_weigh), which gives the visit where the shape stops, if it does,
+    and its lightest candidate below ``upper``: the new bound, and, by the
+    decode of its position, the witness.  A subspace the tree prunes weighs
+    at least the bound and could never become it, so the bound, witness
+    (None if none is below the ``upper`` given) and count are the plain
+    path's."""
     if w == r:
-        return _unit_round(field, ms, sel, r, upper, stop)
-    tabs = _round_tables(field, ms.mats, ms.ghs, sel, w)
-    (k, n), supports = ms.mats[0].shape, tabs[0]
+        return _unit_round(field, ms, nsel, r, upper, stop)
+    tabs = _round_tables(field, ms, nsel, w)
+    k, n, supports = ms.stack.shape[1], ms.n, tabs[0]
     count, witness = 0, None
     for sh, dense, tree in _row_trees(r, w, field):
         stop_v, best = _tree_weigh(field, sh, dense, tree, tabs, n, upper, stop)
@@ -697,46 +690,45 @@ def _scan_kernel(field, ms: _Matrices, sel, r, w, upper, stop):
         if best is not None:
             upper, v, j, pos = best
             base = row_digits(sh.codes(field, pos, pos + 1)[:, 0], field.q, w)
-            witness = _make_witness(field, base, supports[v % len(supports)], sel[j], upper, k)
+            witness = _make_witness(field, base, supports[v % len(supports)], j, upper, k)
         if stop_v is not None:
             break
     return upper, witness, count
 
 
-def _run(field, ms: _Matrices, order, reds, rows, start, r, lower, opts) -> RunReport:
+def _run(field, ms: _Matrices, reds, rows, start, r, lower, opts) -> RunReport:
     """Bounded search for d_r (M_r when ``ms`` has syndrome matrices)
-    through the systematic matrices of ``ms``, ``order`` their indices by
-    redundancy, then index, and ``reds`` those redundancies, ascending, from
-    the lower bound ``lower``.  The starting witness is ``rows[:r]`` of the
-    first matrix, of weight ``start``; it is built only if the search finds
-    nothing lighter."""
-    k = ms.mats[0].shape[0]
+    through the systematic matrices of ``ms``, whose redundancies ``reds``
+    never decrease, from the lower bound ``lower``.  The starting witness is
+    ``rows[:r]`` of the first matrix, of weight ``start``; it is built only
+    if the search finds nothing lighter."""
+    k = ms.stack.shape[1]
     report = RunReport(r=r)
-    # Matrices with R_j <= r take part, each credited r - R_j at the start:
-    # G_j is the identity on I_j, so every r-dimensional subspace meets I_j
-    # in at least r coordinates.  A scanned round adds one per matrix; only
-    # a final round scans a proper prefix of ``parts``, so one counter holds.
+    # The first m matrices, those with R_j <= r, take part, each credited
+    # r - R_j at the start: G_j is the identity on I_j, so every r-dimensional
+    # subspace meets I_j in at least r coordinates.  A scanned round adds one
+    # per matrix; only a final round scans fewer than m, so one counter holds.
     m = bisect_right(reds, r)
-    parts, covered = order[:m], r * m - sum(reds[:m])
+    covered = r * m - sum(reds[:m])
     lower = max(lower, covered)
     witness, w, upper = None, r, start
 
     while w <= k and lower < upper:
         t0 = time.perf_counter()
-        sel = sorted(parts[: upper - covered])
-        upper, found, nsub = _scan_kernel(field, ms, sel, r, w, upper, lower)
+        nsel = min(m, upper - covered)
+        upper, found, nsub = _scan_kernel(field, ms, nsel, r, w, upper, lower)
         witness = found or witness
         report.subspaces_enumerated += nsub
-        covered += len(sel)
+        covered += nsel
         lower = max(lower, covered)
-        ev = RoundEvent(r=r, w=w, lower=min(upper, lower), upper=upper, active_mats=len(sel), subspaces=nsub,
+        ev = RoundEvent(r=r, w=w, lower=min(upper, lower), upper=upper, active_mats=nsel, subspaces=nsub,
                         elapsed_s=time.perf_counter() - t0)
         report.rounds.append(ev)
         _emit(opts, ev)
         w += 1
 
     report.value = upper
-    report.witness = witness or Witness(MatrixGF.unchecked(field, ms.eye[rows[:r]]), 0, upper, True)
+    report.witness = witness or _make_witness(field, np.eye(r, dtype=np.int64), rows[:r], 0, upper, k, True)
     if opts.report is not None:
         opts.report.runs.append(report)
     return report
@@ -807,24 +799,22 @@ def _search(c1, c2, ranks, opts: ComputeOptions) -> list[int]:
     for r in ranks:
         _check_rank(r, rmax, c2)
     dec = information(c1)
-    field, mats = c1.field, [M.array for M in dec.mats]
+    field, mats = c1.field, np.array([M.array for M in dec.mats])
     floor = _cyclic_floor(c1, mats[0], dec.sets[0])
-    ghs = None if h2t is None else [field.matmul(M, h2t) for M in mats]
+    syn = None if h2t is None else field.matmul(mats.reshape(-1, c1.n), h2t).reshape(dec.m, c1.k, -1)
     # each run's starting witness takes the first r of these rows: with C2,
     # the rows whose syndromes extend the span of those before them (the k1
     # syndromes span dimension k1 - k2 >= r)
-    rows = np.arange(c1.k) if ghs is None else np.array(rref_array(field, ghs[0].T)[1])
+    rows = np.arange(c1.k) if syn is None else np.array(rref_array(field, syn[0].T)[1])
     # the starting witness of run r spans rows[:r]: one cumulative OR weighs all
     starts = np.logical_or.accumulate(mats[0][rows] != 0, axis=0).sum(axis=1).tolist()
-    ms = _matrices(mats, ghs)
-    order = sorted(range(len(mats)), key=lambda j: (dec.reds[j], j))
-    reds = [dec.reds[j] for j in order]
+    ms = _matrices(mats, syn)
     values: list[int] = []
     for r in ranks:
         lower = 0 if floor is None else floor + r - 1
         if values:
             lower = max(lower, -(-(field.q**r - 1) * values[-1] // (field.q**r - field.q)))
-        values.append(_run(field, ms, order, reds, rows, starts[r - 1], r, lower, opts).value)
+        values.append(_run(field, ms, dec.reds, rows, starts[r - 1], r, lower, opts).value)
     return values
 
 
@@ -882,7 +872,7 @@ def _naive(c1: LinearCode, c2: LinearCode | None, r: int) -> int:
     h2t = None if c2 is None else dual(c2).G.array.T
     best = c1.n + 1
     for w in range(r, c1.k + 1):
-        best = _scan_round(c1.field, [c1.G.array], [0], r, w, best, h2t, None)[0]
+        best = _scan_round(c1.field, [c1.G.array], 1, r, w, best, h2t, None)[0]
     return best
 
 
@@ -927,12 +917,12 @@ def _enumerated_spectrum(c1: LinearCode, h2t, rmax: int, opts: ComputeOptions) -
     so each w's tables serve every r; a subspace that meets C2 outside 0 is
     counted at weight n + 1, which is dropped."""
     field, k, n, G = c1.field, c1.k, c1.n, c1.G.array
-    ghs = None if h2t is None else [field.matmul(G, h2t)]
+    ms = _matrices(G[None], None if h2t is None else field.matmul(G, h2t)[None])
     hist = np.zeros((rmax + 1, n + 2), dtype=np.int64)
     words, c = -(-n // 64), 0 if h2t is None else h2t.shape[1]
     for w in range(1, k + 1):
         t0 = time.perf_counter()
-        tabs = _round_tables(field, [G], ghs, [0], w)
+        tabs = _round_tables(field, ms, 1, w)
         for r in range(1, min(w, rmax) + 1):
             nsub = 0
             for codes in subspace_codes(r, w, field):

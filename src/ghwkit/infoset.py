@@ -49,6 +49,9 @@ def information(code) -> InfoSetDecomposition:
     array whose slices are the matrices.  They come from eliminating the
     code's validated generator matrix, so they are wrapped unchecked.
     Stops once every nonzero column of the generator matrix is covered.
+
+    The redundancies never decrease: R_j = k - rank of set j's fresh
+    columns, a subset of set j - 1's, so their rank cannot grow.
     """
     field = code.field
     G = code.G.array

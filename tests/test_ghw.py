@@ -673,7 +673,7 @@ def test_the_search_keeps_k1_minus_k2_checks_and_the_oracle_all():
     with mock.patch.object(GHW, "_scan_kernel", wraps=GHW._scan_kernel) as kernel, \
             mock.patch.object(GHW, "_scan_round", wraps=GHW._scan_round) as plain:
         assert rghw(c1, c2, 2) == naive_rghw(c1, c2, 2)
-    assert {g.shape for call in kernel.call_args_list for g in call.args[1].ghs} == {(4, 2)}
+    assert {call.args[1].stack.shape[1:] for call in kernel.call_args_list} == {(4, 12 + 2)}
     assert {call.args[6].shape for call in plain.call_args_list} == {(12, 10)}
 
 

@@ -87,13 +87,10 @@ def test_decomposition_is_deterministic():
     assert all(x == y for x, y in zip(a.mats, b.mats))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-# GF(2) to GF(16) eliminate on packed rows, GF(256) on arrays by log/exp
-@given(st.sampled_from([F2, F3, build_field(2, 2), F5, build_field(3, 2), build_field(2, 3), build_field(2, 4),
-                        build_field(2, 8)]), st.data())
-def test_information_matches_the_probe_loop(F, data):
-    # a full-rank k x (b + k) matrix, then zero columns and repeated columns
-    # (scalar multiples of drawn ones), all in a drawn column order
+def _draw_code(F, data):
+    """A drawn code: a full-rank k x (b + k) matrix, then zero columns and
+    repeated columns (scalar multiples of drawn ones), all in a drawn column
+    order."""
     k = data.draw(st.integers(1, 5), label="k")
     b = data.draw(st.integers(0, 6), label="b")
     entries = data.draw(st.lists(st.integers(0, F.q - 1), min_size=k * b, max_size=k * b))
@@ -104,7 +101,28 @@ def test_information_matches_the_probe_loop(F, data):
         c = cols[data.draw(st.integers(0, len(cols) - 1))]
         cols.append(F.mul_arrays(c, data.draw(st.integers(1, F.q - 1))))
     order = data.draw(st.permutations(range(len(cols))), label="order")
-    _assert_matches_probe_loop(new_code(F, MatrixGF(F, np.stack([cols[i] for i in order], axis=1))))
+    return new_code(F, MatrixGF(F, np.stack([cols[i] for i in order], axis=1)))
+
+
+# GF(2) to GF(16) eliminate on packed rows, GF(25) on arrays through the
+# axpy table, GF(256) on arrays by log/exp
+FIELDS = [F2, F3, build_field(2, 2), F5, build_field(3, 2), build_field(2, 3), build_field(2, 4),
+          build_field(5, 2), build_field(2, 8)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(FIELDS), st.data())
+def test_information_matches_the_probe_loop(F, data):
+    _assert_matches_probe_loop(_draw_code(F, data))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(FIELDS), st.data())
+def test_redundancies_never_decrease(F, data):
+    # R_j = k - rank of set j's fresh columns, and each set's fresh columns
+    # are a subset of the previous set's, so the search scans a prefix
+    reds = information(_draw_code(F, data)).reds
+    assert list(reds) == sorted(reds)
 
 
 def _assert_matches_probe_loop(C):

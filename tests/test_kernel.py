@@ -81,16 +81,22 @@ def _round_inputs(c1, c2):
     return mats, h2t, None if h2t is None else [c1.field.matmul(M, h2t) for M in mats]
 
 
-def _check_round(c1, c2, r, w, sel, upper, stop):
+def _store(mats, ghs=None):
+    """The matrices and their syndrome matrices (None without C2) as a
+    search stacks them."""
+    return GHW._matrices(np.array(mats), None if ghs is None else np.array(ghs))
+
+
+def _check_round(c1, c2, r, w, nsel, upper, stop):
     """One round through the plain path and through the kernel, at the
     default table cap and with a cap of 0, which tabulates every block's
     distinct rows; returns the plain path's (upper, witness, subspaces)."""
     field = c1.field
     mats, h2t, ghs = _round_inputs(c1, c2)
-    want = GHW._scan_round(field, mats, sel, r, w, upper, h2t, stop)
+    want = GHW._scan_round(field, mats, nsel, r, w, upper, h2t, stop)
     for table in (None, 0):
         with budgets(table=table):
-            got = GHW._scan_kernel(field, GHW._matrices(mats, ghs), sel, r, w, upper, stop)
+            got = GHW._scan_kernel(field, _store(mats, ghs), nsel, r, w, upper, stop)
         assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
     return want
 
@@ -122,12 +128,11 @@ def test_kernel_matches_plain_path(gather, F, data):
         c1, c2 = random_code(rng, F, n, k1), None
     r = data.draw(st.integers(1, k1 - k2), label="r")
     w = data.draw(st.integers(r, k1), label="w")
-    nmats = len(information(c1).mats)
-    sel = data.draw(st.lists(st.integers(0, nmats - 1), min_size=1, unique=True), label="sel")
+    nsel = data.draw(st.integers(1, len(information(c1).mats)), label="nsel")
     upper = data.draw(st.integers(1, n + 1), label="upper")
     stop = data.draw(st.none() | st.integers(0, n), label="stop")
     with budgets(gather=gather):
-        _check_round(c1, c2, r, w, sorted(sel), upper, stop)
+        _check_round(c1, c2, r, w, nsel, upper, stop)
         _check_spectrum(c1, c2)
 
 
@@ -137,13 +142,13 @@ def test_kernel_on_the_scan_mixed_pair_shape(gather):
     # queries, through every matrix of its decomposition and every round
     for seed in range(3):
         c1, c2 = random_nested_pair(np.random.default_rng(seed), F2, 12, 5, 1)
-        sel = list(range(len(information(c1).mats)))
-        assert len(sel) > 1
+        nsel = len(information(c1).mats)
+        assert nsel > 1
         with budgets(gather=gather):
             for r in range(1, 5):
                 for w in range(r, 6):
                     for upper, stop in ((13, None), (12 - r, r + 2), (7, None)):
-                        _check_round(c1, c2, r, w, sel, upper, stop)
+                        _check_round(c1, c2, r, w, nsel, upper, stop)
             _check_spectrum(c1, c2)
 
 
@@ -176,28 +181,28 @@ def _small_pair(F, n, k1, k2):
 @small_pairs
 def test_tables_are_message_major(F, n, k1, k2):
     # a round's tables of all messages hold message x on support set s
-    # through selected matrix j at masks[x, s, j] and syn[x, s, j]; per
+    # through matrix j at masks[x, s, j] and syn[x, s, j]; per
     # block, chunk tables hold stream row codes[i, t] at rows[i, t]
     c1, c2 = _small_pair(F, n, k1, k2)
     mats, _, ghs = _round_inputs(c1, c2)
-    sel, words = list(range(len(mats))), -(-n // 64)
+    nsel, words = len(mats), -(-n // 64)
 
     def own(codes, j, S, w):
         return _own_tables(F, codes, mats[j][S], None if ghs is None else ghs[j][S], n, w)
 
     for w in range(1, k1 + 1):
-        supports, _, (masks, syn) = GHW._round_tables(F, mats, ghs, sel, w)
+        supports, _, (masks, syn) = GHW._round_tables(F, _store(mats, ghs), nsel, w)
         assert supports.tolist() == [list(S) for S in combinations(range(k1), w)]
-        assert masks.shape == (F.q**w, comb(k1, w), len(sel), words)
+        assert masks.shape == (F.q**w, comb(k1, w), nsel, words)
         assert syn is None if c2 is None else syn.shape == masks.shape[:3] + (k1 - k2,)
         for s, S in enumerate(supports):
-            for jj, j in enumerate(sel):
+            for j in range(nsel):
                 want_masks, want_syn = own(np.arange(F.q**w), j, S, w)
-                assert np.array_equal(masks[:, s, jj], want_masks)
-                assert syn is None or np.array_equal(syn[:, s, jj], want_syn)
+                assert np.array_equal(masks[:, s, j], want_masks)
+                assert syn is None or np.array_equal(syn[:, s, j], want_syn)
         for table in (None, 0):
             with budgets(table=table):
-                tabs = GHW._round_tables(F, mats, ghs, sel, w)
+                tabs = GHW._round_tables(F, _store(mats, ghs), nsel, w)
             assert (tabs[2] is None) == (table == 0)
             for r in range(1, w + 1):
                 for codes in subspace_codes(r, w, F, block_size=500):
@@ -205,13 +210,13 @@ def test_tables_are_message_major(F, n, k1, k2):
                     assert rows.shape == codes.shape
                     seen = []
                     for lo, ns, off, bmasks, bsyn in chunks:
-                        assert bmasks.shape[2:] == (len(sel), words) and ns <= 2
+                        assert bmasks.shape[2:] == (nsel, words) and ns <= 2
                         seen += range(lo, lo + ns)
                         for s, S in enumerate(supports[lo : lo + ns], off):
-                            for jj, j in enumerate(sel):
+                            for j in range(nsel):
                                 want_masks, want_syn = own(codes.ravel(), j, S, w)
-                                assert np.array_equal(bmasks[rows.ravel(), s, jj], want_masks)
-                                assert bsyn is None or np.array_equal(bsyn[rows.ravel(), s, jj], want_syn)
+                                assert np.array_equal(bmasks[rows.ravel(), s, j], want_masks)
+                                assert bsyn is None or np.array_equal(bsyn[rows.ravel(), s, j], want_syn)
                     assert seen == list(range(len(supports)))
 
 
@@ -219,26 +224,26 @@ def test_tables_are_message_major(F, n, k1, k2):
 @small_pairs
 def test_first_round_matches_plain_path(gather, F, n, k1, k2):
     # round w = r weighs each support set's one subspace, the span of e_S,
-    # from the rows S of the selected matrices; with a gather budget of 1
+    # from the rows S of the first nsel matrices; with a gather budget of 1
     # every support set is a chunk of its own
     c1, c2 = _small_pair(F, n, k1, k2)
     nmats = len(information(c1).mats)
     with budgets(gather=gather):
         for r in range(1, k1 - k2 + 1):
-            for sel in (list(range(nmats)), [nmats - 1]):
+            for nsel in (nmats, 1):
                 for upper, stop in ((n + 1, None), (n + 1, n - k1 + r), (n - r, None), (1, 0)):
-                    _check_round(c1, c2, r, r, sel, upper, stop)
+                    _check_round(c1, c2, r, r, nsel, upper, stop)
 
 
 def test_first_round_past_int64_row_codes():
     # over GF(2^16), q^r >= 2^64 from r = 4, past the int64 range of row
     # codes: the w = r round forms none, and its witness is e_S
     code = random_code(np.random.default_rng(1), F65536, 7, 5)
-    sel = list(range(len(information(code).mats)))
+    nsel = len(information(code).mats)
     for r in (4, 5):
         assert F65536.q**r >= 2**64
         for stop in (None, 7):
-            assert _check_round(code, None, r, r, sel, 8, stop)[1] is not None
+            assert _check_round(code, None, r, r, nsel, 8, stop)[1] is not None
 
 
 def test_row_tree_past_int64_row_codes():
@@ -246,10 +251,10 @@ def test_row_tree_past_int64_row_codes():
     # int64: the tree builds its rows, prefixes and witness from exact
     # Python ints, and at stop >= upper leaves after the first block
     code = random_code(np.random.default_rng(1), F65536, 7, 5)
-    sel = list(range(len(information(code).mats)))
+    nsel = len(information(code).mats)
     assert F65536.q**4 > 2**63
     for stop in (8, 7):
-        assert _check_round(code, None, 1, 4, sel, 8, stop)[2] == DEFAULT_BLOCK
+        assert _check_round(code, None, 1, 4, nsel, 8, stop)[2] == DEFAULT_BLOCK
 
 
 def test_row_tree_over_a_prefix_column_of_f_squared():
@@ -259,7 +264,7 @@ def test_row_tree_over_a_prefix_column_of_f_squared():
     # would take 64 GiB); at stop >= upper the round ends after visit (block
     # 0, S_0)
     code = random_code(np.random.default_rng(1), F65536, 7, 5)
-    want = _check_round(code, None, 2, 3, [0], 8, 8)
+    want = _check_round(code, None, 2, 3, 1, 8, 8)
     assert (want[0], want[2]) == (5, DEFAULT_BLOCK) and want[1] is not None
 
 
@@ -270,11 +275,10 @@ def test_a_stopped_row_tree_weighs_no_later_support_set():
     # one GF(2^16) product, and none on the other C(5, 4) - 1 support sets
     code = random_code(np.random.default_rng(1), F65536, 7, 5)
     mats, _, _ = _round_inputs(code, None)
-    sel = list(range(len(mats)))
     for stop in (8, 7):
-        want = GHW._scan_round(F65536, mats, sel, 1, 4, 8, None, stop)
+        want = GHW._scan_round(F65536, mats, len(mats), 1, 4, 8, None, stop)
         with budgets(gather=1, table=0), mock.patch.object(GHW, "_tables", wraps=GHW._tables) as tables:
-            got = GHW._scan_kernel(F65536, GHW._matrices(mats, None), sel, 1, 4, 8, stop)
+            got = GHW._scan_kernel(F65536, _store(mats), len(mats), 1, 4, 8, stop)
         assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), DEFAULT_BLOCK)
         assert tables.call_count == 1
 
@@ -293,11 +297,10 @@ def test_row_tree_stops_inside_a_batch_across_blocks():
     for n, seed, nsel, stop in cases:
         code = random_code(np.random.default_rng(seed), F16, n, 6)
         mats, _, _ = _round_inputs(code, None)
-        sel = list(range(len(mats)))[:nsel]
-        want = GHW._scan_round(F16, mats, sel, 1, 5, n + 1, None, stop)
+        want = GHW._scan_round(F16, mats, nsel, 1, 5, n + 1, None, stop)
         for gather in (1, None):
             with budgets(gather=gather):
-                got = GHW._scan_kernel(F16, GHW._matrices(mats, None), sel, 1, 5, n + 1, stop)
+                got = GHW._scan_kernel(F16, _store(mats), nsel, 1, 5, n + 1, stop)
             assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
         blocks.add(want[2] // (DEFAULT_BLOCK * comb(6, 5)))
     assert blocks == {0, 1, 2}
@@ -308,12 +311,11 @@ def test_row_tree_stops_inside_a_batch_across_blocks():
     for n, seed, nsel, _ in cases[3:5]:
         code = random_code(np.random.default_rng(seed), F16, n, 6)
         mats, _, _ = _round_inputs(code, None)
-        sel = list(range(len(mats)))[:nsel]
-        want = GHW._scan_round(F16, mats, sel, 1, 5, n + 1, None, None)
+        want = GHW._scan_round(F16, mats, nsel, 1, 5, n + 1, None, None)
         assert want[2] == 15**4 * comb(6, 5)
         for gather in (1, None):
             with budgets(gather=gather):
-                got = GHW._scan_kernel(F16, GHW._matrices(mats, None), sel, 1, 5, n + 1, None)
+                got = GHW._scan_kernel(F16, _store(mats), nsel, 1, 5, n + 1, None)
             assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
 
 
@@ -335,9 +337,9 @@ def test_row_tree_batches_are_one_per_stream_block():
             batches.append((a, b))
         return prefix_codes(self, field, a, b)
 
-    want = GHW._scan_round(F16, mats, [0], 1, 5, 17, None, None)
+    want = GHW._scan_round(F16, mats, 1, 1, 5, 17, None, None)
     with mock.patch.object(ShapeRows, "prefix_codes", counted):
-        got = GHW._scan_kernel(F16, GHW._matrices(mats, None), [0], 1, 5, 17, None)
+        got = GHW._scan_kernel(F16, _store(mats), 1, 1, 5, 17, None)
     assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
     assert [a for a, _ in batches] == [0] + [b for _, b in batches[:-1]] and batches[-1][1] == 15
     starts = [a * sh.P // DEFAULT_BLOCK for a, _ in batches]
@@ -356,8 +358,8 @@ def test_row_tree_stops_at_the_first_visit_with_a_hit(q, n, k, seed, r, w, upper
     # the bound it has there.  In the first two, ``upper`` is already at
     # most ``stop``, so the stop is visit 0, which holds no candidate
     code = random_code(np.random.default_rng(seed), build_field(q), n, k)
-    sel = list(range(len(information(code).mats)))
-    _check_round(code, None, r, w, sel, upper, stop)
+    nsel = len(information(code).mats)
+    _check_round(code, None, r, w, nsel, upper, stop)
 
 
 def test_row_tree_past_int64_positions():
@@ -368,8 +370,8 @@ def test_row_tree_past_int64_positions():
     # is refused before any block, like the stream
     assert 255**8 > 2**63 > 255**7
     code = random_code(np.random.default_rng(2), F256, 12, 9)
-    sel = list(range(len(information(code).mats)))
-    assert _check_round(code, None, 1, 9, sel, 13, 12)[2] == DEFAULT_BLOCK
+    nsel = len(information(code).mats)
+    assert _check_round(code, None, 1, 9, nsel, 13, 12)[2] == DEFAULT_BLOCK
     for stream in (lambda: shape_rows(1, 10, F256), lambda: next(subspace_codes(1, 10, F256))):
         with pytest.raises(WorkLimitExceeded):
             stream()
@@ -383,10 +385,9 @@ def test_first_round_builds_no_message_tables():
     cases = []
     for c1, c2 in ((code, None), pair):
         mats, h2t, ghs = _round_inputs(c1, c2)
-        sel = list(range(len(mats)))
         for r in range(1, c1.k - (0 if c2 is None else c2.k) + 1):
-            want = GHW._scan_round(c1.field, mats, sel, r, r, c1.n + 1, h2t, None)
-            cases.append(((c1.field, GHW._matrices(mats, ghs), sel, r, r, c1.n + 1, None), want))
+            want = GHW._scan_round(c1.field, mats, len(mats), r, r, c1.n + 1, h2t, None)
+            cases.append(((c1.field, _store(mats, ghs), len(mats), r, r, c1.n + 1, None), want))
     banned = mock.Mock(side_effect=AssertionError("a w = r round tabulated messages"))
     with mock.patch.object(GHW, "_round_tables", banned), mock.patch.object(GHW, "subspace_codes", banned), \
             mock.patch.object(GHW, "_tables", banned), mock.patch.object(FiniteField, "matmul", banned):
@@ -396,13 +397,13 @@ def test_first_round_builds_no_message_tables():
     assert not banned.called
 
 
-def _check_unit_round(mats, sel, r, upper, stop, h2t=None):
+def _check_unit_round(mats, nsel, r, upper, stop, h2t=None):
     """Round w = r of hand-made matrices through the plain path and through
     the kernel; returns the plain path's (upper, witness key, subspaces)."""
     field = F2
     ghs = None if h2t is None else [field.matmul(M, h2t) for M in mats]
-    want = GHW._scan_round(field, mats, sel, r, r, upper, h2t, stop)
-    got = GHW._scan_kernel(field, GHW._matrices(mats, ghs), sel, r, r, upper, stop)
+    want = GHW._scan_round(field, mats, nsel, r, r, upper, h2t, stop)
+    got = GHW._scan_kernel(field, _store(mats, ghs), nsel, r, r, upper, stop)
     assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
     return want[0], _witness_key(want[1]), want[2]
 
@@ -412,10 +413,10 @@ def test_first_round_at_a_stop_already_reached():
     # and that set is still weighed, so e_0 of weight 1 lowers the bound;
     # a heavier e_0 leaves it, and the lighter e_1 is never visited
     G = np.eye(2, dtype=np.int64)
-    assert _check_unit_round([G], [0], 1, 2, 2) == (1, ([[1, 0]], 0, 1), 1)
-    assert _check_unit_round([G], [0], 1, 1, 2) == (1, None, 1)
+    assert _check_unit_round([G], 1, 1, 2, 2) == (1, ([[1, 0]], 0, 1), 1)
+    assert _check_unit_round([G], 1, 1, 1, 2) == (1, None, 1)
     G = np.array([[1, 1, 1, 1], [0, 0, 0, 1]])
-    assert _check_unit_round([G], [0], 1, 2, 3) == (2, None, 1)
+    assert _check_unit_round([G], 1, 1, 2, 3) == (2, None, 1)
 
 
 @pytest.mark.parametrize("gather", [1, 3], ids=["chunk1", "chunk3"])
@@ -432,7 +433,7 @@ def test_first_round_stops_in_a_later_chunk(gather, hit):
     G[hit] = 0
     G[hit, :2] = 1
     with budgets(gather=gather):
-        got = _check_unit_round([G], [0], 1, 7, 2)
+        got = _check_unit_round([G], 1, 1, 7, 2)
     e = [[int(c == hit) for c in range(6)]]
     assert got == (2, (e, 0, 2), hit + 1)
 
@@ -445,8 +446,8 @@ def test_first_round_keeps_a_heavier_subspace_that_passes_c2():
     h2t = np.array([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]).T
     G0 = np.array([[1, 1, 0, 0], [0, 1, 1, 1]])
     G1 = np.array([[1, 1, 1, 0], [1, 0, 1, 1]])
-    assert _check_unit_round([G0, G1], [0, 1], 1, 5, None, h2t) == (3, ([[1, 0]], 1, 3), 2)
-    assert _check_unit_round([G0, G1], [0, 1], 1, 5, 3, h2t) == (3, ([[1, 0]], 1, 3), 1)
+    assert _check_unit_round([G0, G1], 2, 1, 5, None, h2t) == (3, ([[1, 0]], 1, 3), 2)
+    assert _check_unit_round([G0, G1], 2, 1, 5, 3, h2t) == (3, ([[1, 0]], 1, 3), 1)
 
 
 @pytest.mark.parametrize("r, rows", [
@@ -470,10 +471,10 @@ def test_first_round_rejects_its_only_light_subspace(r, rows):
         return real(field, syn)
 
     with mock.patch.object(GHW, "_independent", independent):
-        got = GHW._scan_kernel(F2, GHW._matrices(mats, ghs), [0], r, r, r + 2, None)
+        got = GHW._scan_kernel(F2, _store(mats, ghs), 1, r, r, r + 2, None)
     assert got == (r + 2, None, comb(3, r))
     assert calls == [(1, r, 2)]
-    assert _check_round(c1, c2, r, r, [0], r + 2, None) == (r + 2, None, comb(3, r))
+    assert _check_round(c1, c2, r, r, 1, r + 2, None) == (r + 2, None, comb(3, r))
     assert rhierarchy(c1, c2).values == tuple(naive_rghw(c1, c2, t) for t in (1, 2))
 
 
@@ -531,9 +532,9 @@ def test_rounds_over_the_default_cap():
     # first batch, once per table mode.  The plain path and the witness also
     # decode prefixes; only the batches that _tree_weigh weighs are recorded
     code = random_code(np.random.default_rng(16), F16, 12, 6)
-    sel = list(range(len(information(code).mats)))
-    assert comb(6, 5) * F16.q**5 * 8 * len(sel) > GHW._TABLE_BYTES
-    assert _check_round(code, None, 5, 5, sel, 13, None)[2] == comb(6, 5)
+    nsel = len(information(code).mats)
+    assert comb(6, 5) * F16.q**5 * 8 * nsel > GHW._TABLE_BYTES
+    assert _check_round(code, None, 5, 5, nsel, 13, None)[2] == comb(6, 5)
     assert GHW._row_trees(4, 5, F16)[0][0].total > 3 * DEFAULT_BLOCK
     batches, prefix_codes = [], ShapeRows.prefix_codes
 
@@ -543,7 +544,7 @@ def test_rounds_over_the_default_cap():
         return prefix_codes(self, field, a, b)
 
     with mock.patch.object(ShapeRows, "prefix_codes", counted):
-        assert _check_round(code, None, 4, 5, sel, 13, 12)[2] == len(next(subspace_blocks(4, 5, F16)))
+        assert _check_round(code, None, 4, 5, nsel, 13, 12)[2] == len(next(subspace_blocks(4, 5, F16)))
     assert batches == [(0, DEFAULT_BLOCK)] * 2
 
 
@@ -564,7 +565,7 @@ def test_one_shape_walk_per_round(monkeypatch):
     mats, _, _ = _round_inputs(code, None)
     for _ in range(2):
         assert sum(len(c) for c in subspace_codes(3, 5, F3)) == count_full_support(5, 3, 3)
-    GHW._scan_kernel(F3, GHW._matrices(mats, None), [0], 3, 5, 9, None)
+    GHW._scan_kernel(F3, _store(mats), 1, 3, 5, 9, None)
     assert walks == [(3, 5)]
 
 
@@ -586,7 +587,7 @@ def test_spectra_build_no_row_trees():
         higher_spectrum(code)
         assert built == []
         for _ in range(2):
-            GHW._scan_kernel(F3, GHW._matrices(mats, None), [0], 3, 5, 8, None)
+            GHW._scan_kernel(F3, _store(mats), 1, 3, 5, 8, None)
     assert built == [sh.pivots for sh in shape_rows(3, 5, F3)] and len(built) == comb(4, 2)
 
 
@@ -602,10 +603,10 @@ def test_bit_planes_count_against_the_table_cap():
     # the product a thousand messages at a time, so its temporaries stay small
     X = row_digits(np.arange(F256.q**2), F256.q, 2)
     want = np.concatenate([GHW._tables(F256, X[lo : lo + 1024], B[:1], cols, 48)[0] for lo in range(0, len(X), 1024)])
-    supports, _, got = GHW._round_tables(F256, [B[0]], None, [0], 2)
+    supports, _, got = GHW._round_tables(F256, _store(B[:1]), 1, 2)
     assert supports.tolist() == cols.tolist() and got[1] is None
     assert got[0].shape == want.shape and got[0].tobytes() == want.tobytes()
-    assert GHW._round_tables(F256, list(B), None, range(3), 2)[2] is None
+    assert GHW._round_tables(F256, _store(B), 3, 2)[2] is None
 
 
 def test_search_and_spectra_never_take_the_plain_path():
@@ -635,8 +636,8 @@ def test_gf5_round_of_15625_messages():
     nmats = len(information(code).mats)
     _check_spectrum(*random_nested_pair(np.random.default_rng(6), F5, 8, 6, 5))
     for r in (1, 2):
-        _check_round(code, None, r, 6, list(range(nmats)), 9, None)
-        _check_round(c1, c2, r, 6, [0], 9, r + 1)
+        _check_round(code, None, r, 6, nmats, 9, None)
+        _check_round(c1, c2, r, 6, 1, 9, r + 1)
 
 
 def test_code_with_zero_columns():
@@ -679,8 +680,7 @@ def _check_char2_tables(F, B, k, w, n, c):
     cols = np.array(list(combinations(range(k), w)), dtype=np.intp)
     X = np.arange(F.q**w)[:, None] // F.q ** np.arange(w) % F.q
     want = GHW._tables(F, X, B, cols, n)
-    mats, ghs = list(B[..., :n]), list(B[..., n:]) if c else None
-    supports, _, got = GHW._round_tables(F, mats, ghs, range(len(B)), w)
+    supports, _, got = GHW._round_tables(F, GHW._matrices(B[..., :n], B[..., n:] if c else None), len(B), w)
     assert supports.tolist() == cols.tolist()
     assert got[0].dtype == want[0].dtype == np.dtype("<u8")
     assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
@@ -703,7 +703,7 @@ def test_gf2_whole_round_tables_match_the_product(k, w, n, c):
     cols = np.array(list(combinations(range(k), w)), dtype=np.intp)
     assert len(cols) >= 120
     want = GHW._tables(F2, row_digits(np.arange(2**w), 2, w), B, cols, n)
-    supports, _, got = GHW._round_tables(F2, list(B[..., :n]), list(B[..., n:]) if c else None, range(nj), w)
+    supports, _, got = GHW._round_tables(F2, GHW._matrices(B[..., :n], B[..., n:] if c else None), nj, w)
     assert supports.tolist() == cols.tolist()
     assert (got[1] is None) == (want[1] is None) == (c == 0)
     for g, x, dtype in [(got[0], want[0], np.dtype("<u8"))] + [(got[1], want[1], np.dtype(np.int64))] * (c > 0):
@@ -726,12 +726,13 @@ def test_round_tables_stay_within_what_the_cap_counts(F, k, w, nj):
     # cap counts plus one gather
     rng = np.random.default_rng(7)
     mats, n = [rng.integers(0, F.q, (k, 48)) for _ in range(nj)], 48
+    store = _store(mats)
     counted = _counted_bytes(F, k, w, n, 0, nj)
     assert counted <= GHW._TABLE_BYTES
     GHW._supports(k, w)
     tracemalloc.start()
     try:
-        tabs = GHW._round_tables(F, mats, None, range(nj), w)
+        tabs = GHW._round_tables(F, store, nj, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -796,12 +797,11 @@ def test_row_tree_matches_plain_path(gather, F, data):
         c1, c2 = random_code(rng, F, n, k1), None
     r = data.draw(st.integers(3, min(k1 - k2, k1 - 1)), label="r")
     w = data.draw(st.integers(r + 1, k1), label="w")
-    nmats = len(information(c1).mats)
-    sel = data.draw(st.lists(st.integers(0, nmats - 1), min_size=1, unique=True), label="sel")
+    nsel = data.draw(st.integers(1, len(information(c1).mats)), label="nsel")
     upper = data.draw(st.integers(1, n + 1), label="upper")
     stop = data.draw(st.none() | st.integers(0, n), label="stop")
     with budgets(gather=gather):
-        _check_round(c1, c2, r, w, sorted(sel), upper, stop)
+        _check_round(c1, c2, r, w, nsel, upper, stop)
 
 
 def test_row_tree_prunes_every_two_row_prefix_at_d2():
@@ -814,9 +814,9 @@ def test_row_tree_prunes_every_two_row_prefix_at_d2():
     every = comb(6, 6) * count_full_support(6, 3, 2)
     for upper, weighed in ((d2, False), (13, True)):
         with mock.patch.object(GHW, "_descend", wraps=GHW._descend) as third:
-            assert _check_round(code, None, 3, 6, [0], upper, None)[2] == every
+            assert _check_round(code, None, 3, 6, 1, upper, None)[2] == every
         assert third.called == weighed
-    assert _check_round(code, None, 3, 6, [0], d2, None) == (d2, None, every)
+    assert _check_round(code, None, 3, 6, 1, d2, None) == (d2, None, every)
 
 
 @pytest.mark.parametrize("F", [F2, F3], ids=["GF2", "GF3"])
@@ -847,8 +847,8 @@ def test_row_tree_rejects_a_light_leaf_without_full_support(F):
         return ok, pos
 
     with mock.patch.object(RowTree, "place", spy):
-        got = GHW._scan_kernel(F, GHW._matrices(mats, ghs), [0], 3, 5, 10, None)
+        got = GHW._scan_kernel(F, _store(mats, ghs), 1, 3, 5, 10, None)
     assert got == (10, None, count_full_support(5, 3, F.q))
     assert [0, 0, 0] in rejected
-    assert _check_round(code, None, 3, 5, [0], 10, None) == got
+    assert _check_round(code, None, 3, 5, 1, 10, None) == got
     assert hierarchy(code).values[:3] == (1, 2, 3)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ghwkit.code import code_from_rows
 from ghwkit.errors import BadArgs, DimensionMismatch
 from ghwkit.gf import AXPY_MAX_Q, PACKED_MAX_Q, build_field
-from ghwkit.matrix import MatrixGF, rref_array
+from ghwkit.matrix import MatrixGF, rank_array, rref_array
 
 from support import span_fingerprint, tiny_rref
 
@@ -102,6 +104,19 @@ def test_rank_examples():
     assert MatrixGF.identity(F2, 4).rank() == 4
     assert MatrixGF.zeros(F3, 3, 3).rank() == 0
     assert MatrixGF(F5, [[1, 2], [2, 4]]).rank() == 1
+
+
+def test_rank_unpacks_no_rows(monkeypatch):
+    # a rank is the number of pivots of one elimination on packed rows, and
+    # over GF(25) on an array: the reduced rows are never unpacked
+    def unpack(*args):
+        raise AssertionError("a rank unpacked the reduced rows")
+
+    monkeypatch.setattr(sys.modules["ghwkit.matrix"], "unpack_rows", unpack)
+    F25 = build_field(5, 2)
+    for F, rows, rank in ((F2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]], 2), (F5, [[1, 2], [2, 4]], 1),
+                          (F25, [[1, 7, 0], [0, 24, 3]], 2)):
+        assert MatrixGF(F, rows).rank() == rank_array(F, np.array(rows)) == rank
 
 
 def test_entry_validation():
