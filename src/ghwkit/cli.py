@@ -69,7 +69,7 @@ def parse_code_file(text: str) -> LinearCode:
             modulus = [int(c) for c in m.group(3).split(",")] if m.group(3) else None
             try:
                 field = build_field(p, s, modulus)
-            except (GHWError, ValueError) as exc:
+            except GHWError as exc:
                 raise CodeFileFieldError(f"line {lineno}: {exc}") from exc
             continue
         try:
@@ -296,10 +296,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except GHWError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GHWError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

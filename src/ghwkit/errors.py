@@ -9,6 +9,10 @@ class NonPrime(GHWError):
     """Field characteristic is not a prime number."""
 
 
+class FieldTooLarge(GHWError, ValueError):
+    """Field order q exceeds the largest supported field."""
+
+
 class ReducibleModulus(GHWError):
     """Supplied modulus polynomial is reducible over GF(p)."""
 

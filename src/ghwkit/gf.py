@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadArgs, DivisionByZero, NonPrime, ReducibleModulus, WrongDegree
+from .errors import BadArgs, DivisionByZero, FieldTooLarge, NonPrime, ReducibleModulus, WrongDegree
 
 MAX_Q = 1 << 16
 AXPY_MAX_Q = 32  # largest q with a row-operation table: q^3 int64 entries, 256 KiB
@@ -391,7 +391,7 @@ def build_field(p: int, s: int = 1, modulus=None) -> FiniteField:
     if not is_prime(p):
         raise NonPrime(f"{p} is not prime")
     if p**s > MAX_Q:
-        raise ValueError(f"fields with q > {MAX_Q} are not supported")
+        raise FieldTooLarge(f"fields with q > {MAX_Q} are not supported")
     if s == 1:
         if modulus is not None:
             raise WrongDegree("prime fields take no modulus")

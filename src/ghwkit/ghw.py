@@ -263,7 +263,7 @@ def _scan_round(field, mats, nsel, r, w, upper, h2t, stop):
                     c = int(cand[weights[cand].argmin()])
                 upper = int(weights[c])
                 witness = _make_witness(field, block[c], s_cols, j, upper, k)
-            if stop is not None and upper <= stop:
+            if upper <= stop:
                 return upper, witness, count
     return upper, witness, count
 
@@ -484,29 +484,30 @@ def _row_trees(r: int, w: int, field) -> tuple:
     return tuple(trees)
 
 
-def _tree_weigh(field, sh: ShapeRows, dense, tree: RowTree, tabs, n: int, upper: int, stop):
+def _tree_weigh(field, sh: ShapeRows, dense, tree: RowTree, tabs, n: int, upper: int, stop: int):
     """One pivot shape of a round w > r by the row tree, as the plain path
-    ends it: (the visit it stops after, or None; its lightest candidate as
-    (weight, visit, j, position), or None), a visit being (block, support
-    set) and a position the matrix's place in the shape's stream, all exact
-    Python ints.  The leaves below ``upper`` keep two running minima: ``hit``,
-    the least (visit, weight, j, position) at most ``stop``, whose visit is
-    the stop; and ``low``, the least (weight, visit, j, position) of all.
-    Every candidate before the stop weighs more than ``stop``, so the bound
-    there is the least weight of the stop's visit and its first subspace is
-    ``hit``; with no hit, ``low`` is both.  If ``upper`` already is at most
-    ``stop``, the stop is visit 0 and only a hit there counts.  The prefixes
-    go in batches, one per stream block: a batch runs from the first prefix
-    after the last batch to the one that holds the end of the block where
-    it starts.  Each prefix is one tree (_tree_leaves), weighed a chunk of
-    support sets at a time (_block_tables), so that the dense levels hold at
-    most _GATHER_ELEMS elements, and no chunk or batch whose visits all come
-    after the stop is weighed."""
+    ends it: (the subspaces it visits, its lightest candidate as (weight,
+    visit, j, position) or None, whether it stopped), a visit being (block,
+    support set) and a position the matrix's place in the shape's stream,
+    all exact Python ints.  The leaves below ``upper`` keep two running
+    minima: ``hit``, the least (visit, weight, j, position) at most
+    ``stop``, whose visit is the stop; and ``low``, the least (weight,
+    visit, j, position) of all.  Every candidate before the stop weighs more
+    than ``stop``, so the bound there is the least weight of the stop's
+    visit and its first subspace is ``hit``; with no hit, ``low`` is both.
+    Each of the nS support sets pairs with a whole stream block before the
+    next block, so a stop at visit (block, s) counts the earlier blocks on
+    all nS sets and its own on s + 1.  The prefixes go in batches, one per
+    stream block: a batch runs from the first prefix after the last batch
+    to the one that holds the end of the block where it starts.  Each prefix
+    is one tree (_tree_leaves), weighed a chunk of support sets at a time
+    (_block_tables), so that the dense levels hold at most _GATHER_ELEMS
+    elements, and no chunk or batch whose visits all come after the stop is
+    weighed."""
     r, nS, prefixes = len(sh.pivots), len(tabs[0]), sh.total // sh.P
     nj, words = len(tabs[1]), -(-n // 64)
     end = sh.total * nS
-    big, hit, low = end >= 2**63, None, None
-    first = 0 if stop is not None and upper <= stop else end
+    big, hit, low, first = end >= 2**63, None, None, end
     a = 0
     while a < prefixes:
         # the batch's visits are (block, support set) from (head, 0) on; it
@@ -527,19 +528,19 @@ def _tree_weigh(field, sh: ShapeRows, dense, tree: RowTree, tabs, n: int, upper:
                     v = at // DEFAULT_BLOCK * nS + lo + s
                     least = _least(wt, v, j, at)
                     low = least if low is None else min(low, least)
-                    if stop is not None and wt.min() <= stop:
+                    if wt.min() <= stop:
                         h = wt <= stop
                         least = _least(v[h], wt[h], j[h], at[h])
                         hit = least if hit is None else min(hit, least)
-                        first = min(first, hit[0])
+                        first = hit[0]
             if first < head * nS + lo + ns:
                 break
         a = b
-    if first == end:
-        return None, low
-    if hit is None or hit[0] > first:
-        return first, None
-    return first, (hit[1], first, *hit[2:])
+    if hit is None:
+        return end, low, False
+    blk, s = divmod(first, nS)
+    count = blk * DEFAULT_BLOCK * nS + min(DEFAULT_BLOCK, sh.total - blk * DEFAULT_BLOCK) * (s + 1)
+    return count, (hit[1], first, *hit[2:]), True
 
 
 def _tree_leaves(field, tree: RowTree, dense, codes, masks, syn, s_off: int, ns: int, upper: int):
@@ -621,25 +622,14 @@ def _least(*keys) -> tuple:
     return tuple(int(x[i]) for x in keys)
 
 
-def _visited(stop_v, nS: int, total: int) -> int:
-    """The subspaces of one pivot shape that a round visits, all or through
-    visit ``stop_v``: its nS support sets each pair with every matrix of a
-    stream block of at most DEFAULT_BLOCK of its ``total`` matrices before
-    the next block."""
-    if stop_v is None:
-        return total * nS
-    blk, s = divmod(stop_v, nS)
-    return blk * DEFAULT_BLOCK * nS + min(DEFAULT_BLOCK, total - blk * DEFAULT_BLOCK) * (s + 1)
-
-
-def _unit_round(field, ms: _Matrices, nsel: int, r: int, upper: int, stop):
+def _unit_round(field, ms: _Matrices, nsel: int, r: int, upper: int, stop: int):
     """Round w = r of _scan_kernel in one direct pass through the first
     ``nsel`` matrices, a chunk of support sets at a time (see _GATHER_ELEMS),
     replayed on each chunk's weights: the round ends after the first support
-    set that holds a candidate at most ``stop`` (the first set if ``upper``
-    already is), the bound is the least weight visited, the witness the
-    first subspace at it, by support set, then matrix (None if none is below
-    ``upper``), and each set visited counts one subspace."""
+    set that holds a candidate at most ``stop``, the bound is the least
+    weight visited, the witness the first subspace at it, by support set,
+    then matrix (None if none is below ``upper``), and each set visited
+    counts one subspace."""
     (k, _, words), n = ms.masks.shape, ms.n
     supports, masks = _supports(k, r), ms.masks[:, :nsel]
     syn = ms.stack[:nsel, :, n:] if ms.stack.shape[2] > n else None
@@ -652,16 +642,14 @@ def _unit_round(field, ms: _Matrices, nsel: int, r: int, upper: int, stop):
             s, j = np.nonzero(wts < upper)
             bad = ~_independent(field, syn[j[:, None], cols[s]])
             wts[s[bad], j[bad]] = upper
-        least, end = wts.min(axis=1), len(cols)
-        if stop is not None:
-            hits = np.flatnonzero(least <= stop)
-            if upper <= stop or hits.size:
-                end = 1 if upper <= stop else int(hits[0]) + 1
+        least = wts.min(axis=1)
+        hits = np.flatnonzero(least <= stop)
+        end = int(hits[0]) + 1 if hits.size else len(cols)
         s = int(least[:end].argmin())
         if least[s] < upper:
             upper, best = int(least[s]), (cols[s], int(wts[s].argmin()))
         count += end
-        if stop is not None and upper <= stop:
+        if hits.size:
             break
     witness = None if best is None else _make_witness(field, np.eye(r, dtype=np.int64), *best, upper, k)
     return upper, witness, count
@@ -671,27 +659,29 @@ def _scan_kernel(field, ms: _Matrices, nsel: int, r, w, upper, stop):
     """_scan_round through the support-mask kernel, on the first ``nsel``
     matrices of ``ms`` and with C2 given by their syndrome matrices, with the
     same visit order (block, support set, matrix), selection rule, early
-    exit and count.  Round w = r is one direct pass (_unit_round).  A round
-    w > r goes pivot shape by pivot shape through the row tree
-    (_tree_weigh), which gives the visit where the shape stops, if it does,
-    and its lightest candidate below ``upper``: the new bound, and, by the
-    decode of its position, the witness.  A subspace the tree prunes weighs
-    at least the bound and could never become it, so the bound, witness
-    (None if none is below the ``upper`` given) and count are the plain
-    path's."""
+    exit and count.  ``stop`` is an int below ``upper``, as in _run, where
+    it is the run's lower bound: the round ends after the first visit that
+    holds a candidate at most ``stop``.  Round w = r is one direct pass
+    (_unit_round).  A round w > r goes pivot shape by pivot shape through
+    the row tree (_tree_weigh), which gives the subspaces the shape visits,
+    its lightest candidate below ``upper`` and whether it stopped: the
+    candidate is the new bound, and, by the decode of its position, the
+    witness.  A subspace the tree prunes weighs at least the bound and
+    could never become it, so the bound, witness (None if none is below the
+    ``upper`` given) and count are the plain path's."""
     if w == r:
         return _unit_round(field, ms, nsel, r, upper, stop)
     tabs = _round_tables(field, ms, nsel, w)
     k, n, supports = ms.stack.shape[1], ms.n, tabs[0]
     count, witness = 0, None
     for sh, dense, tree in _row_trees(r, w, field):
-        stop_v, best = _tree_weigh(field, sh, dense, tree, tabs, n, upper, stop)
-        count += _visited(stop_v, len(supports), sh.total)
+        nsub, best, stopped = _tree_weigh(field, sh, dense, tree, tabs, n, upper, stop)
+        count += nsub
         if best is not None:
             upper, v, j, pos = best
             base = row_digits(sh.codes(field, pos, pos + 1)[:, 0], field.q, w)
             witness = _make_witness(field, base, supports[v % len(supports)], j, upper, k)
-        if stop_v is not None:
+        if stopped:
             break
     return upper, witness, count
 
@@ -866,13 +856,14 @@ def hierarchy_auto(code: LinearCode, opts: ComputeOptions | None = None) -> Hier
 def _naive(c1: LinearCode, c2: LinearCode | None, r: int) -> int:
     """Minimum encoded support over the whole Grassmannian through C1's
     generator matrix, keeping only subspaces that meet C2 in 0, tested on
-    all n - k2 checks of C2."""
+    all n - k2 checks of C2.  No subspace weighs the stop 0, so every round
+    runs whole."""
     _, rmax = _nested_pair(c1, c2)
     _check_rank(r, rmax, c2)
     h2t = None if c2 is None else dual(c2).G.array.T
     best = c1.n + 1
     for w in range(r, c1.k + 1):
-        best = _scan_round(c1.field, [c1.G.array], 1, r, w, best, h2t, None)[0]
+        best = _scan_round(c1.field, [c1.G.array], 1, r, w, best, h2t, 0)[0]
     return best
 
 

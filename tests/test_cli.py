@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import ghwkit
 from ghwkit.cli import benchmark, parse_code_file, run, serialize_code
 from ghwkit.code import make_rm, make_rs
 from ghwkit.errors import CodeFileFieldError, CodeFileSyntaxError
@@ -72,10 +76,13 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(CodeFileSyntaxError) as exc:
         parse_code_file("field: p=2 s=1\n1 7\n")
     assert exc.value.line == 2
-    with pytest.raises(CodeFileFieldError):
-        parse_code_file("field: p=4 s=1\n1 0\n")
+    for header in ("field: p=4 s=1", "field: p=2 s=17"):
+        with pytest.raises(CodeFileFieldError):
+            parse_code_file(header + "\n1 0\n")
     with pytest.raises(CodeFileSyntaxError):
         parse_code_file("field: p=2 s=1\n")
+    with pytest.raises(CodeFileSyntaxError, match="missing 'field:' header line"):
+        parse_code_file("# comments only\n\n  # and blank lines\n")
     from ghwkit.errors import RankDeficient
 
     with pytest.raises(RankDeficient):
@@ -233,6 +240,16 @@ def test_benchmark(tmp_path, ham_file):
     assert lines[0] == "code,n,k,q,r,value,bz_ms,naive_ms,speedup"
     assert lines[1].startswith("ham,7,4,2,1,3,")
     assert "speedup" in out
+    rc, out, _ = invoke(["benchmark", ham_file, "-r", "1", "--json"])
+    (row,) = json.loads(out)
+    assert rc == 0 and (row["code"], row["value"]) == ("ham", 3)
+
+
+def test_benchmark_exits_1_when_the_oracle_disagrees(ham_file):
+    with mock.patch("ghwkit.cli.naive_ghw", return_value=4):
+        rc, out, err = invoke(["benchmark", ham_file, "-r", "1"])
+    assert rc == 1 and out == ""
+    assert err == f"error: {ham_file}: search found 3 but the naive oracle found 4\n"
 
 
 def test_removed_flags_are_usage_errors(ham_file):
@@ -279,3 +296,14 @@ def test_exit_codes(tmp_path, ham_file):
     assert rc == 1
     rc, _, err = invoke(["ghw", ham_file, "-r", "9"])
     assert rc == 1
+
+
+def test_main_exits_the_process_with_the_run_code(ham_file):
+    # main() is the console script's entry point
+    src = str(Path(ghwkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-c", "from ghwkit.cli import main; main()"]
+    done = subprocess.run(cmd + ["mindist", ham_file], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "3\n")
+    done = subprocess.run(cmd + ["mindist"], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2 and done.stderr.startswith("usage:")

@@ -18,6 +18,7 @@ from ghwkit.errors import (
     CharacteristicDividesLength,
     DegreeOutOfRange,
     DimensionMismatch,
+    GHWError,
     NotCyclic,
     RankDeficient,
     ZeroDual,
@@ -184,6 +185,9 @@ def test_bch_bound_examples():
     assert bch_bound(new_code(F2, MatrixGF.identity(F2, 7))) == 1
     with pytest.raises(CharacteristicDividesLength):
         bch_bound(code_from_rows(F2, [[1, 1]]))
+    # the all-ones [47,1] code's splitting field GF(2^23) is too large
+    with pytest.raises(GHWError):
+        bch_bound(code_from_rows(F2, [[1] * 47]))
 
 
 def test_bch_bound_is_a_minimum_distance_lower_bound():

@@ -359,6 +359,18 @@ def test_only_a_leading_information_set_reaches_the_cyclicity_product():
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def test_cyclic_floor_past_the_largest_field():
+    # the binary all-ones [47,1] code is cyclic, but its BCH bound needs
+    # GF(2^23), since ord_47(2) = 23: the floor is tried and is None, and
+    # the search still finds the one weight
+    C = code_from_rows(F2, [[1] * 47])
+    dec = information(C)
+    with mock.patch.object(GHW, "_bch_from_generator", wraps=GHW._bch_from_generator) as bch:
+        assert GHW._cyclic_floor(C, dec.mats[0].array, dec.sets[0]) is None
+    assert bch.called
+    assert hierarchy(C).values == (47,)
+
+
 def _eliminations(fn) -> int:
     """How many times fn() calls eliminate_rows, the elimination under
     rref_array, rank_array and information, from any ghwkit module."""
@@ -445,7 +457,7 @@ def test_report_fields_are_plain_ints(relative):
 
     def spy(*args):
         out = tree(*args)
-        stops.append(out[0])
+        stops.append(out[2])
         return out
 
     opts = ComputeOptions(progress=events.append, report=report)

@@ -130,7 +130,7 @@ def test_kernel_matches_plain_path(gather, F, data):
     w = data.draw(st.integers(r, k1), label="w")
     nsel = data.draw(st.integers(1, len(information(c1).mats)), label="nsel")
     upper = data.draw(st.integers(1, n + 1), label="upper")
-    stop = data.draw(st.none() | st.integers(0, n), label="stop")
+    stop = data.draw(st.integers(0, upper - 1), label="stop")
     with budgets(gather=gather):
         _check_round(c1, c2, r, w, nsel, upper, stop)
         _check_spectrum(c1, c2)
@@ -147,7 +147,7 @@ def test_kernel_on_the_scan_mixed_pair_shape(gather):
         with budgets(gather=gather):
             for r in range(1, 5):
                 for w in range(r, 6):
-                    for upper, stop in ((13, None), (12 - r, r + 2), (7, None)):
+                    for upper, stop in ((13, 0), (12 - r, r + 2), (7, 0)):
                         _check_round(c1, c2, r, w, nsel, upper, stop)
             _check_spectrum(c1, c2)
 
@@ -231,7 +231,7 @@ def test_first_round_matches_plain_path(gather, F, n, k1, k2):
     with budgets(gather=gather):
         for r in range(1, k1 - k2 + 1):
             for nsel in (nmats, 1):
-                for upper, stop in ((n + 1, None), (n + 1, n - k1 + r), (n - r, None), (1, 0)):
+                for upper, stop in ((n + 1, 0), (n + 1, n - k1 + r), (n - r, 0), (1, 0)):
                     _check_round(c1, c2, r, r, nsel, upper, stop)
 
 
@@ -242,29 +242,29 @@ def test_first_round_past_int64_row_codes():
     nsel = len(information(code).mats)
     for r in (4, 5):
         assert F65536.q**r >= 2**64
-        for stop in (None, 7):
+        for stop in (0, 7):
             assert _check_round(code, None, r, r, nsel, 8, stop)[1] is not None
 
 
 def test_row_tree_past_int64_row_codes():
     # round (1, 4) over GF(2^16) has 65,535^3 matrices, with row codes past
     # int64: the tree builds its rows, prefixes and witness from exact
-    # Python ints, and at stop >= upper leaves after the first block
+    # Python ints, and at stop = upper - 1, which every subspace of length
+    # 7 reaches, leaves after the first block
     code = random_code(np.random.default_rng(1), F65536, 7, 5)
     nsel = len(information(code).mats)
     assert F65536.q**4 > 2**63
-    for stop in (8, 7):
-        assert _check_round(code, None, 1, 4, nsel, 8, stop)[2] == DEFAULT_BLOCK
+    assert _check_round(code, None, 1, 4, nsel, 8, 7)[2] == DEFAULT_BLOCK
 
 
 def test_row_tree_over_a_prefix_column_of_f_squared():
     # round (2, 3) over GF(2^16): the free column of pivot shape (1, 2)
     # ranges over the 2^32 - 1 nonzero vectors of F^2, a prefix column whose
     # choices are decoded from their codes with no table of them (a table
-    # would take 64 GiB); at stop >= upper the round ends after visit (block
-    # 0, S_0)
+    # would take 64 GiB); at stop = upper - 1 the round ends after visit
+    # (block 0, S_0)
     code = random_code(np.random.default_rng(1), F65536, 7, 5)
-    want = _check_round(code, None, 2, 3, 1, 8, 8)
+    want = _check_round(code, None, 2, 3, 1, 8, 7)
     assert (want[0], want[2]) == (5, DEFAULT_BLOCK) and want[1] is not None
 
 
@@ -275,12 +275,11 @@ def test_a_stopped_row_tree_weighs_no_later_support_set():
     # one GF(2^16) product, and none on the other C(5, 4) - 1 support sets
     code = random_code(np.random.default_rng(1), F65536, 7, 5)
     mats, _, _ = _round_inputs(code, None)
-    for stop in (8, 7):
-        want = GHW._scan_round(F65536, mats, len(mats), 1, 4, 8, None, stop)
-        with budgets(gather=1, table=0), mock.patch.object(GHW, "_tables", wraps=GHW._tables) as tables:
-            got = GHW._scan_kernel(F65536, _store(mats), len(mats), 1, 4, 8, stop)
-        assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), DEFAULT_BLOCK)
-        assert tables.call_count == 1
+    want = GHW._scan_round(F65536, mats, len(mats), 1, 4, 8, None, 7)
+    with budgets(gather=1, table=0), mock.patch.object(GHW, "_tables", wraps=GHW._tables) as tables:
+        got = GHW._scan_kernel(F65536, _store(mats), len(mats), 1, 4, 8, 7)
+    assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), DEFAULT_BLOCK)
+    assert tables.call_count == 1
 
 
 def test_row_tree_stops_inside_a_batch_across_blocks():
@@ -304,18 +303,18 @@ def test_row_tree_stops_inside_a_batch_across_blocks():
             assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
         blocks.add(want[2] // (DEFAULT_BLOCK * comb(6, 5)))
     assert blocks == {0, 1, 2}
-    # with no stop, two of these rounds are weighed whole: the [14,6] codes
+    # at stop 0, two of these rounds are weighed whole: the [14,6] codes
     # of seeds 2 and 4 have 11 and 17 subspaces at the least weight, across
     # many visits and batches, and the first of each lies in visit (0, S_0)
     # at a position of the batch that straddles blocks 0 and 1
     for n, seed, nsel, _ in cases[3:5]:
         code = random_code(np.random.default_rng(seed), F16, n, 6)
         mats, _, _ = _round_inputs(code, None)
-        want = GHW._scan_round(F16, mats, nsel, 1, 5, n + 1, None, None)
+        want = GHW._scan_round(F16, mats, nsel, 1, 5, n + 1, None, 0)
         assert want[2] == 15**4 * comb(6, 5)
         for gather in (1, None):
             with budgets(gather=gather):
-                got = GHW._scan_kernel(F16, _store(mats), nsel, 1, 5, n + 1, None)
+                got = GHW._scan_kernel(F16, _store(mats), nsel, 1, 5, n + 1, 0)
             assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
 
 
@@ -337,9 +336,9 @@ def test_row_tree_batches_are_one_per_stream_block():
             batches.append((a, b))
         return prefix_codes(self, field, a, b)
 
-    want = GHW._scan_round(F16, mats, 1, 1, 5, 17, None, None)
+    want = GHW._scan_round(F16, mats, 1, 1, 5, 17, None, 0)
     with mock.patch.object(ShapeRows, "prefix_codes", counted):
-        got = GHW._scan_kernel(F16, _store(mats), 1, 1, 5, 17, None)
+        got = GHW._scan_kernel(F16, _store(mats), 1, 1, 5, 17, 0)
     assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
     assert [a for a, _ in batches] == [0] + [b for _, b in batches[:-1]] and batches[-1][1] == 15
     starts = [a * sh.P // DEFAULT_BLOCK for a, _ in batches]
@@ -347,16 +346,13 @@ def test_row_tree_batches_are_one_per_stream_block():
 
 
 @pytest.mark.parametrize("q, n, k, seed, r, w, upper, stop", [
-    (3, 9, 4, 2, 1, 2, 4, 4),
-    (2, 12, 7, 1, 1, 2, 4, 5),
     (3, 9, 5, 0, 2, 3, 10, 8),
     (2, 12, 6, 3, 2, 4, 11, 8),
 ])
 def test_row_tree_stops_at_the_first_visit_with_a_hit(q, n, k, seed, r, w, upper, stop):
     # the chunk that holds the stop also holds a lighter candidate at most
     # ``stop`` at a later visit: the round still ends after the stop, with
-    # the bound it has there.  In the first two, ``upper`` is already at
-    # most ``stop``, so the stop is visit 0, which holds no candidate
+    # the bound it has there
     code = random_code(np.random.default_rng(seed), build_field(q), n, k)
     nsel = len(information(code).mats)
     _check_round(code, None, r, w, nsel, upper, stop)
@@ -386,8 +382,8 @@ def test_first_round_builds_no_message_tables():
     for c1, c2 in ((code, None), pair):
         mats, h2t, ghs = _round_inputs(c1, c2)
         for r in range(1, c1.k - (0 if c2 is None else c2.k) + 1):
-            want = GHW._scan_round(c1.field, mats, len(mats), r, r, c1.n + 1, h2t, None)
-            cases.append(((c1.field, _store(mats, ghs), len(mats), r, r, c1.n + 1, None), want))
+            want = GHW._scan_round(c1.field, mats, len(mats), r, r, c1.n + 1, h2t, 0)
+            cases.append(((c1.field, _store(mats, ghs), len(mats), r, r, c1.n + 1, 0), want))
     banned = mock.Mock(side_effect=AssertionError("a w = r round tabulated messages"))
     with mock.patch.object(GHW, "_round_tables", banned), mock.patch.object(GHW, "subspace_codes", banned), \
             mock.patch.object(GHW, "_tables", banned), mock.patch.object(FiniteField, "matmul", banned):
@@ -406,17 +402,6 @@ def _check_unit_round(mats, nsel, r, upper, stop, h2t=None):
     got = GHW._scan_kernel(field, _store(mats, ghs), nsel, r, r, upper, stop)
     assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
     return want[0], _witness_key(want[1]), want[2]
-
-
-def test_first_round_at_a_stop_already_reached():
-    # upper <= stop on entry: the round visits its first support set alone,
-    # and that set is still weighed, so e_0 of weight 1 lowers the bound;
-    # a heavier e_0 leaves it, and the lighter e_1 is never visited
-    G = np.eye(2, dtype=np.int64)
-    assert _check_unit_round([G], 1, 1, 2, 2) == (1, ([[1, 0]], 0, 1), 1)
-    assert _check_unit_round([G], 1, 1, 1, 2) == (1, None, 1)
-    G = np.array([[1, 1, 1, 1], [0, 0, 0, 1]])
-    assert _check_unit_round([G], 1, 1, 2, 3) == (2, None, 1)
 
 
 @pytest.mark.parametrize("gather", [1, 3], ids=["chunk1", "chunk3"])
@@ -446,7 +431,7 @@ def test_first_round_keeps_a_heavier_subspace_that_passes_c2():
     h2t = np.array([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]).T
     G0 = np.array([[1, 1, 0, 0], [0, 1, 1, 1]])
     G1 = np.array([[1, 1, 1, 0], [1, 0, 1, 1]])
-    assert _check_unit_round([G0, G1], 2, 1, 5, None, h2t) == (3, ([[1, 0]], 1, 3), 2)
+    assert _check_unit_round([G0, G1], 2, 1, 5, 0, h2t) == (3, ([[1, 0]], 1, 3), 2)
     assert _check_unit_round([G0, G1], 2, 1, 5, 3, h2t) == (3, ([[1, 0]], 1, 3), 1)
 
 
@@ -471,10 +456,10 @@ def test_first_round_rejects_its_only_light_subspace(r, rows):
         return real(field, syn)
 
     with mock.patch.object(GHW, "_independent", independent):
-        got = GHW._scan_kernel(F2, _store(mats, ghs), 1, r, r, r + 2, None)
+        got = GHW._scan_kernel(F2, _store(mats, ghs), 1, r, r, r + 2, 0)
     assert got == (r + 2, None, comb(3, r))
     assert calls == [(1, r, 2)]
-    assert _check_round(c1, c2, r, r, 1, r + 2, None) == (r + 2, None, comb(3, r))
+    assert _check_round(c1, c2, r, r, 1, r + 2, 0) == (r + 2, None, comb(3, r))
     assert rhierarchy(c1, c2).values == tuple(naive_rghw(c1, c2, t) for t in (1, 2))
 
 
@@ -534,7 +519,7 @@ def test_rounds_over_the_default_cap():
     code = random_code(np.random.default_rng(16), F16, 12, 6)
     nsel = len(information(code).mats)
     assert comb(6, 5) * F16.q**5 * 8 * nsel > GHW._TABLE_BYTES
-    assert _check_round(code, None, 5, 5, nsel, 13, None)[2] == comb(6, 5)
+    assert _check_round(code, None, 5, 5, nsel, 13, 0)[2] == comb(6, 5)
     assert GHW._row_trees(4, 5, F16)[0][0].total > 3 * DEFAULT_BLOCK
     batches, prefix_codes = [], ShapeRows.prefix_codes
 
@@ -565,7 +550,7 @@ def test_one_shape_walk_per_round(monkeypatch):
     mats, _, _ = _round_inputs(code, None)
     for _ in range(2):
         assert sum(len(c) for c in subspace_codes(3, 5, F3)) == count_full_support(5, 3, 3)
-    GHW._scan_kernel(F3, _store(mats), 1, 3, 5, 9, None)
+    GHW._scan_kernel(F3, _store(mats), 1, 3, 5, 9, 0)
     assert walks == [(3, 5)]
 
 
@@ -587,7 +572,7 @@ def test_spectra_build_no_row_trees():
         higher_spectrum(code)
         assert built == []
         for _ in range(2):
-            GHW._scan_kernel(F3, _store(mats), 1, 3, 5, 8, None)
+            GHW._scan_kernel(F3, _store(mats), 1, 3, 5, 8, 0)
     assert built == [sh.pivots for sh in shape_rows(3, 5, F3)] and len(built) == comb(4, 2)
 
 
@@ -636,7 +621,7 @@ def test_gf5_round_of_15625_messages():
     nmats = len(information(code).mats)
     _check_spectrum(*random_nested_pair(np.random.default_rng(6), F5, 8, 6, 5))
     for r in (1, 2):
-        _check_round(code, None, r, 6, nmats, 9, None)
+        _check_round(code, None, r, 6, nmats, 9, 0)
         _check_round(c1, c2, r, 6, 1, 9, r + 1)
 
 
@@ -786,7 +771,8 @@ def test_char2_round_tables_take_no_field_product():
 @given(st.sampled_from([F2, F3, F4, F8, F16]), st.data())
 def test_row_tree_matches_plain_path(gather, F, data):
     # rounds w > r with r >= 3, which take the row tree's sparse levels past
-    # its two dense ones, in both table modes, with and without stop and C2
+    # its two dense ones, in both table modes, at every stop below the
+    # bound, with and without C2
     k1 = data.draw(st.integers(4, {2: 7, 3: 5, 4: 5, 8: 4, 16: 4}[F.q]), label="k1")
     k2 = data.draw(st.integers(0, min(1, k1 - 3)), label="k2")
     n = data.draw(st.integers(k1, 12), label="n")
@@ -799,7 +785,7 @@ def test_row_tree_matches_plain_path(gather, F, data):
     w = data.draw(st.integers(r + 1, k1), label="w")
     nsel = data.draw(st.integers(1, len(information(c1).mats)), label="nsel")
     upper = data.draw(st.integers(1, n + 1), label="upper")
-    stop = data.draw(st.none() | st.integers(0, n), label="stop")
+    stop = data.draw(st.integers(0, upper - 1), label="stop")
     with budgets(gather=gather):
         _check_round(c1, c2, r, w, nsel, upper, stop)
 
@@ -814,9 +800,9 @@ def test_row_tree_prunes_every_two_row_prefix_at_d2():
     every = comb(6, 6) * count_full_support(6, 3, 2)
     for upper, weighed in ((d2, False), (13, True)):
         with mock.patch.object(GHW, "_descend", wraps=GHW._descend) as third:
-            assert _check_round(code, None, 3, 6, 1, upper, None)[2] == every
+            assert _check_round(code, None, 3, 6, 1, upper, 0)[2] == every
         assert third.called == weighed
-    assert _check_round(code, None, 3, 6, 1, d2, None) == (d2, None, every)
+    assert _check_round(code, None, 3, 6, 1, d2, 0) == (d2, None, every)
 
 
 @pytest.mark.parametrize("F", [F2, F3], ids=["GF2", "GF3"])
@@ -847,8 +833,8 @@ def test_row_tree_rejects_a_light_leaf_without_full_support(F):
         return ok, pos
 
     with mock.patch.object(RowTree, "place", spy):
-        got = GHW._scan_kernel(F, _store(mats, ghs), 1, 3, 5, 10, None)
+        got = GHW._scan_kernel(F, _store(mats, ghs), 1, 3, 5, 10, 0)
     assert got == (10, None, count_full_support(5, 3, F.q))
     assert [0, 0, 0] in rejected
-    assert _check_round(code, None, 3, 5, 1, 10, None) == got
+    assert _check_round(code, None, 3, 5, 1, 10, 0) == got
     assert hierarchy(code).values[:3] == (1, 2, 3)

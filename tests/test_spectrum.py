@@ -177,6 +177,16 @@ def test_subset_sums_on_counts_of_four_bytes():
     _check_paths(c1, c2)
 
 
+def test_subset_sums_refused_past_int64_counts():
+    # GF(2^8) [20,8]: q^k1 = 2^64 does not fit an int64 count, so the work
+    # limit refuses the spectrum by its Grassmannian alone
+    F256 = build_field(2, 8)
+    code = random_code(np.random.default_rng(3), F256, 20, 8)
+    assert GHW._count_layout(F256, 20, 8, None) is None
+    with pytest.raises(WorkLimitExceeded, match=r"its largest Grassmannian has \d+ subspaces$"):
+        higher_spectrum(code)
+
+
 def _extension_weights(spectrum: dict, q: int, m: int) -> dict:
     """Kløve's identity: the weight distribution of C ⊗ GF(q^m) from C's
     spectra, W_m(w) = Σ_r A_w^(r)·Π_{i<r}(q^m − q^i)."""
