@@ -883,23 +883,29 @@ def naive_rghw(c1: LinearCode, c2: LinearCode, r: int) -> int:
 # faster one.  Enumeration costs a constant per subspace of the Grassmannians
 # it walks, one without C2 and a larger one with it, since each subspace then
 # also gets an elimination of its syndromes, and a constant per pivot shape of
-# its rounds, each at least one stream block of a few numpy calls; subset
-# sums cost a constant per element of the q^k1 (+ q^k2) codeword supports and
-# the n·2^n steps of the transform, plus a fixed floor.  Timed on a 2-vCPU
-# Xeon host (Python 3.11, numpy 2.4, one BLAS thread), each path forced, best
-# of 3-9 in one process (CHANGES.md has the grid): enumeration took 12-20 ns
-# a subspace without C2, 340-800 ns with it, and 49-54 µs a pivot shape on
-# codes of at most 66 subspaces; subset sums took 0.69-0.71 ns an element at
-# n = 20, down to 0.5 ns at n = 18 on one-byte counts, and 0.2-0.25 ms on
-# codes of n <= 10.  _SUBSET_S is the n = 20 figure, so shorter codes with
-# narrow counts are charged a little too much.  Its closest call on the grid is
-# GF(4) [20,6]: enumeration predicted 14.5 ms against 14.9 (measured 12.3
-# against 14.8).
+# its rounds, each at least one stream block of a few numpy calls.  Timed on
+# a 2-vCPU Xeon host (Python 3.11, numpy 2.4, one BLAS thread), each path
+# forced, best of 3-9 in one process: enumeration took 12-20 ns a subspace
+# without C2, 340-800 ns with it, and 49-54 µs a pivot shape on codes of at
+# most 66 subspaces.  Subset sums cost a constant per byte they stream, plus a
+# fixed floor: 8 bytes for each of the q^k1 (+ q^k2) int64 codeword supports,
+# and a count's itemsize for each of the n·2^n transform steps, since a step
+# costs the same per 64-bit word whatever the lane width.  Their two constants
+# were refit on a grid of 28 codes over GF(2..16) with n = 8..20 (CHANGES.md
+# has it), each path forced, best of up to 15 in one process, in two passes on
+# the same host: subset sums took 0.16-0.18 ns a byte at n = 20 and 0.2-0.35 ms
+# at n <= 10, while enumeration then ran at 0.6-0.8 of its predicted time.
+# They are the pair with the least total time lost to a wrong choice over both
+# passes: every grid code takes its faster path but GF(2) [16,4] (0.59 against
+# 0.47 ms).  GF(4) [20,6] is predicted 12.9 ms by subset sums against 14.5 by
+# enumeration (measured 6.1 against 10.7).  A codeword support costs more than
+# its 8 bytes (about 11 ns over GF(2^s) and 300 ns over GF(3)), which tips the
+# choice only where q^k1 weighs against n·2^n.
 _ENUM_S = 20e-9  # a subspace enumerated without C2
 _ENUM_C2_S = 400e-9  # a subspace enumerated with C2
 _SHAPE_S = 50e-6  # a pivot shape of an enumeration round
-_SUBSET_S = 0.7e-9  # an element of subset sums
-_SUBSET_FLOOR_S = 0.2e-3  # subset sums' fixed cost
+_SUBSET_S = 0.3e-9  # a byte of subset sums
+_SUBSET_FLOOR_S = 0.3e-3  # subset sums' fixed cost
 
 
 def _enumerated_spectrum(c1: LinearCode, h2t, rmax: int, opts: ComputeOptions) -> dict:
@@ -967,48 +973,93 @@ def _codeword_supports(field, G: np.ndarray):
         yield sup.ravel().view(np.int64)
 
 
+def _step(a: np.ndarray, i: int) -> None:
+    """One zeta step on bit i of the index of ``a``, in place: each run of
+    2^i entries adds into the run after it."""
+    v = a.reshape(-1, 2, 1 << i)
+    v[:, 1] += v[:, 0]
+
+
+def _transpose_squares(sq: np.ndarray) -> None:
+    """Transpose each square of the (m, N, N) array ``sq`` in place, N a power
+    of two, by swapping each 64 × 64 tile above the diagonal with the
+    transpose of its mirror below it (a diagonal tile with itself)."""
+    t = min(64, sq.shape[1])
+    buf = np.empty((sq.shape[0], t, t), dtype=sq.dtype)
+    for a in range(0, sq.shape[1], t):
+        for b in range(a, sq.shape[1], t):
+            upper, lower = sq[:, a : a + t, b : b + t], sq[:, b : b + t, a : a + t]
+            np.copyto(buf, upper)
+            upper[...] = lower.transpose(0, 2, 1)
+            lower[...] = buf.transpose(0, 2, 1)
+
+
 def _subset_sums(f: np.ndarray, n: int) -> np.ndarray:
-    """The zeta transform g[T] = Σ_{S ⊆ T} f[S] of ``f``, indexed by the bit
-    mask of T ⊆ [n]: one step per coordinate adds each set's entry into the
-    same set with that coordinate.  The steps of the high n - n//2 bits run in
-    place on contiguous runs of at least 2^(n//2) entries; those of the low
-    bits on a transposed copy, on runs of at least 2^(n - n//2).  Returns
-    that copy, a (2^(n//2), 2^(n - n//2)) array: entry [x, y] belongs to
-    T = y·2^(n//2) + x."""
-    lo = n // 2
-    for i in range(lo, n):
-        v = f.reshape(-1, 2, 1 << i)
-        v[:, 1] += v[:, 0]
-    g = np.ascontiguousarray(f.reshape(1 << (n - lo), 1 << lo).T)
-    for i in range(n - lo, n):
-        v = g.reshape(-1, 2, 1 << i)
-        v[:, 1] += v[:, 0]
-    return g
+    """The zeta transform g[T] = Σ_{S ⊆ T} f[S] of the little-endian counts
+    ``f``, indexed by the bit mask of T ⊆ [n], in place: one step per
+    coordinate adds each set's entry into the same set with that coordinate.
+    The steps run on ``f`` as 64-bit words.  The low ``lanes`` bits of T pick
+    a count inside a word, and each of their steps is one shift-add of the
+    word with a lane mask (SWAR); no lane carries into the next, since no
+    partial sum exceeds its final count, which fits the dtype.  The word bits
+    are split at lo, half of them: the high ones step in place on runs of at
+    least 2^lo words, then each 2^lo × 2^lo square of words is transposed in
+    place (_transpose_squares), which moves the low word bits to runs of at
+    least 2^lo too.  So on return ``f`` holds g with the two lo-bit fields of
+    the word index swapped, the same popcount at every position; the view
+    returned reads g in the order of T (its ravel() is g).  Fewer counts than
+    one word take plain element steps."""
+    lanes = (8 // f.itemsize).bit_length() - 1
+    if n < lanes:
+        for i in range(n):
+            _step(f, i)
+        return f
+    words, width = f.view("<u8"), 8 * f.itemsize
+    lane = (1 << width) - 1
+    masks = [sum(lane << j * width for j in range(1 << lanes) if not j >> i & 1) for i in range(lanes)]
+    buf = np.empty(min(len(words), _GATHER_ELEMS), dtype=words.dtype)
+    for x in range(0, len(words), _GATHER_ELEMS):
+        w = words[x : x + _GATHER_ELEMS]
+        t = buf[: len(w)]
+        for i, mask in enumerate(masks):
+            np.bitwise_and(w, mask, out=t)
+            t <<= width << i
+            w += t
+    m = n - lanes
+    lo = m // 2
+    for i in range(lo, m):
+        _step(words, i)
+    _transpose_squares(words.reshape(-1, 1 << lo, 1 << lo))
+    for i in range(lo, 2 * lo):
+        _step(words, i)
+    return f.reshape(-1, 1 << lo, 1 << lo, 1 << lanes).transpose(0, 2, 1, 3)
 
 
-def _exponents(field, c: np.ndarray) -> np.ndarray:
-    """log_p c of counts that are powers of p: the popcount of c - 1 for
-    p = 2, else rounded logarithms."""
-    if field.p == 2:
-        return np.bitwise_count(c - 1)
-    return np.rint(np.log(c, dtype=float) / np.log(field.p)).astype(np.int64)
+def _binades(c: np.ndarray) -> np.ndarray:
+    """The binary exponent of each count c >= 1 rounded to float32, as uint8.
+    Counts that are powers of p fall in distinct binades: rounding to
+    nearest is monotone and commutes with doubling, so p^(e+1) >= 2·p^e
+    rounds to at least twice p^e.  Over GF(2^s) it is log2 c."""
+    return (c.astype(np.float32).view(np.uint32) >> 23).astype(np.uint8) - 127
 
 
 def _count_layout(field, n: int, k: int, k2: int | None):
     """The 2^n subset counts of subset sums: (bits, dtype), or None when they
     do not fit.  A count is q^dim C1(T), with C2 that plus q^dim C2(T) shifted
-    by ``bits``, in the narrowest unsigned dtype that holds q^k1 (and the
-    shifted q^k2).  They fit when, with their transposed copy and one int64
-    bincount of 2^n, they are at most _TABLE_BYTES.  While the counts are
-    built, a chunk of codeword supports of up to about _TABLE_BYTES / 2 sits
-    beside them and one bincount, so the path peaks at up to about
-    1.25·_TABLE_BYTES (40 MiB by tracemalloc on GF(2) [21,20])."""
+    by ``bits``, in the narrowest unsigned little-endian dtype that holds
+    q^k1 (and the shifted q^k2).  They fit when they take at most
+    _TABLE_BYTES, the only 2^n-sized array of the path.  While they are
+    built, a chunk of codeword supports (_codeword_supports), its
+    temporaries and those of its np.unique or bincount sit beside them, up
+    to about 1.5·_TABLE_BYTES more: GF(2) [23,20], whose counts fill the
+    budget, peaks at 81 MiB by tracemalloc, GF(2) [21,20] at 40 MiB and
+    GF(4) [20,6] at 2.8 MiB."""
     bits = (field.q**k).bit_length()
     top = field.q**k if k2 is None else field.q**k | field.q**k2 << bits
     if top >= 1 << 63:
         return None
-    dtype = np.min_scalar_type(top)
-    if (1 << n) * (8 + 2 * dtype.itemsize) > _TABLE_BYTES:
+    dtype = np.min_scalar_type(top).newbyteorder("<")
+    if (1 << n) * dtype.itemsize > _TABLE_BYTES:
         return None
     return bits, dtype
 
@@ -1020,41 +1071,56 @@ def _subset_spectrum(c1: LinearCode, c2: LinearCode | None, rmax: int, layout, o
     enumerated.  C1(T), the words supported in T, has q^a words, so one
     histogram of the q^k1 codeword supports and one subset-sum transform
     (_subset_sums) give q^a for every T at once, and, in the same counts
-    shifted by ``bits``, q^b.  The r-dimensional subcodes of C1(T) meeting C2
-    in 0 number N_r(T) = q^(r·b)·[a - b, r]_q, and a subcode of support
-    size w lies in C(n - w, u - w) sets of size u, so
+    shifted by ``bits``, q^b.  A chunk of supports shorter than a quarter of
+    the 2^n counts adds its distinct supports by index (np.unique, whose
+    sort outruns a bincount of 2^n there), a longer one its bincount, a
+    temporary of at most four chunks.  The
+    transform permutes only the bits of T's position, so |T| is the popcount
+    of the position, and the histogram of (|T|, a, b) is read off the counts
+    in place, _GATHER_ELEMS keys at a time in the narrowest dtype.  The
+    r-dimensional subcodes of C1(T) meeting C2 in 0 number
+    N_r(T) = q^(r·b)·[a - b, r]_q, and a subcode of support size w lies in
+    C(n - w, u - w) sets of size u, so
     A_w^(r) = Σ_u (−1)^(w−u)·C(n−u, w−u)·Σ_{|T|=u} N_r(T), in exact Python
-    ints from one histogram of (|T|, a, b).  One RoundEvent per r, with
-    w = n and no subspaces; the first also times the transform."""
+    ints.  One RoundEvent per r, with w = n and no subspaces; the first also
+    times the transform."""
     t0 = time.perf_counter()
     field, k, n = c1.field, c1.k, c1.n
-    q, s, (bits, dtype) = field.q, field.s, layout
+    q, (bits, dtype) = field.q, layout
     f = np.zeros(1 << n, dtype=dtype)
     for G, shift in [(c1.G.array, 0)] + ([] if c2 is None else [(c2.G.array, bits)]):
         for sup in _codeword_supports(field, G):
-            found = np.bincount(sup, minlength=1 << n)
-            found <<= shift
-            np.add(f, found, out=f, casting="unsafe")
+            if 4 * len(sup) < len(f):
+                sets, found = np.unique(sup, return_counts=True)
+                f[sets] += found.astype(dtype) << shift
+            else:
+                found = np.bincount(sup, minlength=1 << n)
+                found <<= shift
+                np.add(f, found, out=f, casting="unsafe")
             del found
-    g = _subset_sums(f, n)
-    del f
-    # the histogram of (|T|, s·a, s·b), 4·_GATHER_ELEMS entries of g at a time
-    ka, kb = s * k + 1, 1 if c2 is None else s * c2.k + 1
+    _subset_sums(f, n)
+    # the histogram of (|T|, binades of q^a and q^b); a chunk's positions
+    # x + i, i < step, have popcount |x| + |i|
+    ka, kb = bits + 1, 1 if c2 is None else (q**c2.k).bit_length() + 1
     hist = np.zeros((n + 1) * ka * kb, dtype=np.int64)
-    sizes = [np.bitwise_count(np.arange(1 << m)).astype(np.int64) for m in (n // 2, n - n // 2)]
-    step = max(1, _GATHER_ELEMS * 4 // g.shape[1])
-    for x in range(0, g.shape[0], step):
-        v = g[x : x + step]
-        key = (sizes[0][x : x + step, None] + sizes[1]) * ka
+    step = min(len(f), _GATHER_ELEMS)
+    key_type = np.min_scalar_type(len(hist) - 1)
+    sizes = np.bitwise_count(np.arange(step)).astype(key_type)
+    sizes *= ka * kb
+    for x in range(0, len(f), step):
+        v = f[x : x + step]
         if c2 is None:
-            key += _exponents(field, v)
+            key = _binades(v).astype(key_type)
         else:
-            key += _exponents(field, v & ((1 << bits) - 1))
-            key = key * kb + _exponents(field, v >> bits)
-        hist += np.bincount(key.ravel(), minlength=len(hist))
-    hist = hist.reshape(n + 1, ka, kb)
-    cells = {(ea // s, eb // s): hist[:, ea, eb].tolist()
-             for ea in range(0, ka, s) for eb in range(0, kb, s) if hist[:, ea, eb].any()}
+            key = _binades(v & (1 << bits) - 1).astype(key_type)
+            key *= kb
+            key += _binades(v >> bits)
+        key += sizes
+        key += x.bit_count() * ka * kb
+        hist += np.bincount(key, minlength=len(hist))
+    at = _binades(np.array([q**a for a in range(k + 1)], dtype=dtype))
+    hist = hist.reshape(n + 1, ka, kb)[:, at][:, :, [0] if c2 is None else at[: c2.k + 1]]
+    cells = {(a, b): hist[:, a, b].tolist() for a, b in np.ndindex(hist.shape[1:]) if hist[:, a, b].any()}
     inversion = [[(-1) ** (w - u) * comb(n - u, w - u) for u in range(w + 1)] for w in range(n + 1)]
     counts = {}
     for r in range(1, rmax + 1):
@@ -1071,13 +1137,13 @@ def _subset_spectrum(c1: LinearCode, c2: LinearCode | None, rmax: int, layout, o
     return counts
 
 
-def _by_subset_sums(with_c2: bool, k: int, rmax: int, subspaces: int, elements: int) -> bool:
-    """Whether subset sums over ``elements`` are predicted faster than
+def _by_subset_sums(with_c2: bool, k: int, rmax: int, subspaces: int, nbytes: int) -> bool:
+    """Whether subset sums over ``nbytes`` are predicted faster than
     enumerating ``subspaces`` in the rounds r <= w <= k, r <= rmax, whose
     pivot shapes number C(w - 1, r - 1) (the first pivot sits in column 0)."""
     shapes = sum(comb(w - 1, r - 1) for w in range(1, k + 1) for r in range(1, min(w, rmax) + 1))
     enumeration = subspaces * (_ENUM_C2_S if with_c2 else _ENUM_S) + shapes * _SHAPE_S
-    return _SUBSET_FLOOR_S + elements * _SUBSET_S < enumeration
+    return _SUBSET_FLOOR_S + nbytes * _SUBSET_S < enumeration
 
 
 def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Spectrum:
@@ -1094,7 +1160,8 @@ def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Sp
     field, k, n = c1.field, c1.k, c1.n
     k2 = None if c2 is None else c2.k
     largest = max(gaussian_binomial(k, r, field.q) for r in range(rmax + 1))
-    elements = field.q**k + (0 if k2 is None else field.q**k2) + n * 2**n
+    codewords = field.q**k + (0 if k2 is None else field.q**k2)
+    elements = codewords + n * 2**n
     layout = _count_layout(field, n, k, k2)
     enumerable = largest <= opts.work_limit
     summable = layout is not None and elements <= opts.work_limit
@@ -1104,7 +1171,8 @@ def _spectrum(c1: LinearCode, c2: LinearCode | None, opts: ComputeOptions) -> Sp
             over += f" and its subset sums {elements} elements"
         raise WorkLimitExceeded(f"the spectrum exceeds the work limit {opts.work_limit}: {over}")
     subspaces = sum(gaussian_binomial(k, r, field.q) for r in range(1, rmax + 1))
-    subset = summable and (not enumerable or _by_subset_sums(c2 is not None, k, rmax, subspaces, elements))
+    subset = summable and (not enumerable or _by_subset_sums(
+        c2 is not None, k, rmax, subspaces, 8 * codewords + n * 2**n * layout[1].itemsize))
     if subset:
         counts = _subset_spectrum(c1, c2, rmax, layout, opts)
     else:

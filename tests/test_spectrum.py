@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from math import comb, prod
 from unittest import mock
 
@@ -185,6 +186,59 @@ def test_subset_sums_refused_past_int64_counts():
     assert GHW._count_layout(F256, 20, 8, None) is None
     with pytest.raises(WorkLimitExceeded, match=r"its largest Grassmannian has \d+ subspaces$"):
         higher_spectrum(code)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+def test_subset_sums_against_their_definition(dtype):
+    # g[T] = Σ_{S ⊆ T} f[S] by its definition, for n below the lane bits of
+    # a 64-bit word and up to 12, on random counts whose full sum, the
+    # largest entry of g, fills the dtype: no lane may carry into the next.
+    # The counts keep their popcount classes in place, which the histogram
+    # of (|T|, a, b) reads.
+    rng = np.random.default_rng(np.dtype(dtype).itemsize)
+    top = np.iinfo(dtype).max
+    for n in range(13):
+        weights = rng.integers(1, 1 << 16, 1 << n).astype(object) ** 4
+        f = (weights * top // weights.sum()).astype(dtype)
+        f[rng.integers(1 << n)] += top - f.sum(dtype=object)
+        sets = np.arange(1 << n)
+        expect = np.array([f[sets & T == sets].sum(dtype=dtype) for T in sets], dtype=dtype)
+        counts = f.copy()
+        g = GHW._subset_sums(counts, n)
+        assert np.array_equal(g.ravel(), expect), n
+        sizes = np.bitwise_count(sets)
+        for u in range(n + 1):
+            assert np.array_equal(np.sort(counts[sizes == u]), np.sort(expect[sizes == u])), (n, u)
+
+
+def test_subset_sums_hold_only_the_counts():
+    # GF(4) [20,6] goes by subset sums, and its only 2^n-sized array is its
+    # 2 MiB of uint16 counts: the traced peak stays within them plus 1 MiB
+    code = random_code(np.random.default_rng(3), F4, 20, 6)
+    assert GHW._count_layout(F4, 20, 6, None)[1] == np.uint16
+    events = []
+    tracemalloc.start()
+    try:
+        sp = higher_spectrum(code, ComputeOptions(progress=events.append))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [e.subspaces for e in events] == [0] * 6
+    assert peak <= (2 << 20) + (1 << 20), peak
+    assert sp.counts == _by_path(code)[1]
+
+
+def test_subset_sums_open_past_n_21():
+    # GF(2) [22,11]: its largest Grassmannian, [11,5]_2, has 3,548,836,819
+    # subspaces, over the default work limit, while its 2^22 two-byte counts
+    # fit the budget
+    code = random_code(np.random.default_rng(3), F2, 22, 11)
+    assert GHW._count_layout(F2, 22, 11, None)[1] == np.uint16
+    sp = higher_spectrum(code)
+    d = hierarchy(code).values
+    for r in range(1, 12):
+        assert sp.total(r) == gaussian_binomial(11, r, 2), r
+        assert sp.min_support(r) == d[r - 1], r
 
 
 def _extension_weights(spectrum: dict, q: int, m: int) -> dict:
