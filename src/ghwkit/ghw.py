@@ -890,10 +890,11 @@ def naive_rghw(c1: LinearCode, c2: LinearCode, r: int) -> int:
 # most 66 subspaces.  Subset sums cost a constant per byte they stream, plus a
 # fixed floor: 8 bytes for each of the q^k1 (+ q^k2) int64 codeword supports,
 # and a count's itemsize for each of the n·2^n transform steps, since a step
-# costs the same per 64-bit word whatever the lane width.  Their two constants
-# were refit on a grid of 28 codes over GF(2..16) with n = 8..20 (CHANGES.md
-# has it), each path forced, best of up to 15 in one process, in two passes on
-# the same host: subset sums took 0.16-0.18 ns a byte at n = 20 and 0.2-0.35 ms
+# streams its counts at about the same rate in bytes whatever their width
+# (1.4 ms for the 20 steps of 2^20 uint8 counts, 3.3 ms for uint16 ones).
+# Their two constants were refit on a grid of 28 codes over GF(2..16) with
+# n = 8..20 (CHANGES.md has it), each path forced, best of up to 15 in one
+# process, in two passes on the same host: subset sums took 0.16-0.18 ns a byte at n = 20 and 0.2-0.35 ms
 # at n <= 10, while enumeration then ran at 0.6-0.8 of its predicted time.
 # They are the pair with the least total time lost to a wrong choice over both
 # passes: every grid code takes its faster path but GF(2) [16,4] (0.59 against
@@ -995,44 +996,23 @@ def _transpose_squares(sq: np.ndarray) -> None:
 
 
 def _subset_sums(f: np.ndarray, n: int) -> np.ndarray:
-    """The zeta transform g[T] = Σ_{S ⊆ T} f[S] of the little-endian counts
-    ``f``, indexed by the bit mask of T ⊆ [n], in place: one step per
-    coordinate adds each set's entry into the same set with that coordinate.
-    The steps run on ``f`` as 64-bit words.  The low ``lanes`` bits of T pick
-    a count inside a word, and each of their steps is one shift-add of the
-    word with a lane mask (SWAR); no lane carries into the next, since no
-    partial sum exceeds its final count, which fits the dtype.  The word bits
-    are split at lo, half of them: the high ones step in place on runs of at
-    least 2^lo words, then each 2^lo × 2^lo square of words is transposed in
-    place (_transpose_squares), which moves the low word bits to runs of at
-    least 2^lo too.  So on return ``f`` holds g with the two lo-bit fields of
-    the word index swapped, the same popcount at every position; the view
-    returned reads g in the order of T (its ravel() is g).  Fewer counts than
-    one word take plain element steps."""
-    lanes = (8 // f.itemsize).bit_length() - 1
-    if n < lanes:
-        for i in range(n):
-            _step(f, i)
-        return f
-    words, width = f.view("<u8"), 8 * f.itemsize
-    lane = (1 << width) - 1
-    masks = [sum(lane << j * width for j in range(1 << lanes) if not j >> i & 1) for i in range(lanes)]
-    buf = np.empty(min(len(words), _GATHER_ELEMS), dtype=words.dtype)
-    for x in range(0, len(words), _GATHER_ELEMS):
-        w = words[x : x + _GATHER_ELEMS]
-        t = buf[: len(w)]
-        for i, mask in enumerate(masks):
-            np.bitwise_and(w, mask, out=t)
-            t <<= width << i
-            w += t
-    m = n - lanes
-    lo = m // 2
-    for i in range(lo, m):
-        _step(words, i)
-    _transpose_squares(words.reshape(-1, 1 << lo, 1 << lo))
+    """The zeta transform g[T] = Σ_{S ⊆ T} f[S] of ``f``, indexed by the bit
+    mask of T ⊆ [n], in place: one step per coordinate adds each set's entry
+    into the same set with that coordinate.  The bits of T are split at
+    lo = n//2: the high ones step in place on runs of at least 2^lo entries,
+    then each 2^lo × 2^lo square of ``f`` is transposed in place
+    (_transpose_squares), which moves the low bits to runs of at least 2^lo
+    too.  So on return ``f`` holds g with the two lo-bit fields of T
+    swapped, the same popcount at every position; the view returned reads g
+    in the order of T (its ravel() is g)."""
+    lo = n // 2
+    for i in range(lo, n):
+        _step(f, i)
+    squares = f.reshape(-1, 1 << lo, 1 << lo)
+    _transpose_squares(squares)
     for i in range(lo, 2 * lo):
-        _step(words, i)
-    return f.reshape(-1, 1 << lo, 1 << lo, 1 << lanes).transpose(0, 2, 1, 3)
+        _step(f, i)
+    return squares.transpose(0, 2, 1)
 
 
 def _binades(c: np.ndarray) -> np.ndarray:
@@ -1046,19 +1026,18 @@ def _binades(c: np.ndarray) -> np.ndarray:
 def _count_layout(field, n: int, k: int, k2: int | None):
     """The 2^n subset counts of subset sums: (bits, dtype), or None when they
     do not fit.  A count is q^dim C1(T), with C2 that plus q^dim C2(T) shifted
-    by ``bits``, in the narrowest unsigned little-endian dtype that holds
-    q^k1 (and the shifted q^k2).  They fit when they take at most
-    _TABLE_BYTES, the only 2^n-sized array of the path.  While they are
-    built, a chunk of codeword supports (_codeword_supports), its
-    temporaries and those of its np.unique or bincount sit beside them, up
-    to about 1.5·_TABLE_BYTES more: GF(2) [23,20], whose counts fill the
-    budget, peaks at 81 MiB by tracemalloc, GF(2) [21,20] at 40 MiB and
+    by ``bits``, in the narrowest unsigned dtype that holds q^k1 (and the
+    shifted q^k2).  They fit when they take at most _TABLE_BYTES, the only
+    2^n-sized array of the path.  While they are built, a chunk of codeword
+    supports (_codeword_supports) and its temporaries sit beside them, up to
+    three quarters of _TABLE_BYTES more: by tracemalloc GF(2) [23,20], whose
+    counts fill the budget, peaks at 48 MiB, GF(2) [22,21] at 40 MiB and
     GF(4) [20,6] at 2.8 MiB."""
     bits = (field.q**k).bit_length()
     top = field.q**k if k2 is None else field.q**k | field.q**k2 << bits
     if top >= 1 << 63:
         return None
-    dtype = np.min_scalar_type(top).newbyteorder("<")
+    dtype = np.min_scalar_type(top)
     if (1 << n) * dtype.itemsize > _TABLE_BYTES:
         return None
     return bits, dtype
@@ -1071,13 +1050,11 @@ def _subset_spectrum(c1: LinearCode, c2: LinearCode | None, rmax: int, layout, o
     enumerated.  C1(T), the words supported in T, has q^a words, so one
     histogram of the q^k1 codeword supports and one subset-sum transform
     (_subset_sums) give q^a for every T at once, and, in the same counts
-    shifted by ``bits``, q^b.  A chunk of supports shorter than a quarter of
-    the 2^n counts adds its distinct supports by index (np.unique, whose
-    sort outruns a bincount of 2^n there), a longer one its bincount, a
-    temporary of at most four chunks.  The
-    transform permutes only the bits of T's position, so |T| is the popcount
-    of the position, and the histogram of (|T|, a, b) is read off the counts
-    in place, _GATHER_ELEMS keys at a time in the narrowest dtype.  The
+    shifted by ``bits``, q^b.  Each chunk of supports adds into the counts
+    by index (np.add.at), with no temporary of its own.  The transform
+    permutes only the bits of T's position, so |T| is the popcount of the
+    position, and the histogram of (|T|, a, b) is read off the counts in
+    place, _GATHER_ELEMS keys at a time in the narrowest dtype.  The
     r-dimensional subcodes of C1(T) meeting C2 in 0 number
     N_r(T) = q^(r·b)·[a - b, r]_q, and a subcode of support size w lies in
     C(n - w, u - w) sets of size u, so
@@ -1090,14 +1067,7 @@ def _subset_spectrum(c1: LinearCode, c2: LinearCode | None, rmax: int, layout, o
     f = np.zeros(1 << n, dtype=dtype)
     for G, shift in [(c1.G.array, 0)] + ([] if c2 is None else [(c2.G.array, bits)]):
         for sup in _codeword_supports(field, G):
-            if 4 * len(sup) < len(f):
-                sets, found = np.unique(sup, return_counts=True)
-                f[sets] += found.astype(dtype) << shift
-            else:
-                found = np.bincount(sup, minlength=1 << n)
-                found <<= shift
-                np.add(f, found, out=f, casting="unsafe")
-            del found
+            np.add.at(f, sup, dtype.type(1 << shift))
     _subset_sums(f, n)
     # the histogram of (|T|, binades of q^a and q^b); a chunk's positions
     # x + i, i < step, have popcount |x| + |i|

@@ -171,8 +171,8 @@ def test_subset_sums_on_edge_cases(F):
 
 
 def test_subset_sums_on_counts_of_four_bytes():
-    # 5^5 | 5^4 << 12 needs a uint32 count, whose exponents are rounded
-    # logarithms, not a table lookup
+    # 5^5 | 5^4 << 12 needs a uint32 count, whose exponents are read from its
+    # float32 binade
     c1, c2 = random_nested_pair(np.random.default_rng(5), F5, 7, 5, 4)
     assert GHW._count_layout(F5, 7, 5, 4)[1] == np.uint32
     _check_paths(c1, c2)
@@ -190,11 +190,10 @@ def test_subset_sums_refused_past_int64_counts():
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
 def test_subset_sums_against_their_definition(dtype):
-    # g[T] = Σ_{S ⊆ T} f[S] by its definition, for n below the lane bits of
-    # a 64-bit word and up to 12, on random counts whose full sum, the
-    # largest entry of g, fills the dtype: no lane may carry into the next.
-    # The counts keep their popcount classes in place, which the histogram
-    # of (|T|, a, b) reads.
+    # g[T] = Σ_{S ⊆ T} f[S] by its definition, for n = 0..12, odd and even,
+    # on random counts whose full sum, the largest entry of g, fills the
+    # dtype.  The counts keep their popcount classes in place, which the
+    # histogram of (|T|, a, b) reads.
     rng = np.random.default_rng(np.dtype(dtype).itemsize)
     top = np.iinfo(dtype).max
     for n in range(13):
