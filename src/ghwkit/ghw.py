@@ -29,7 +29,7 @@ characteristic the tables go through one product per chunk of support
 sets.  A round whose tables, with those planes, would exceed a fixed byte
 budget tabulates instead only the row codes that a batch of subspaces uses,
 a few support sets at a time, through one product per chunk; both modes
-give the same bounds, witnesses and counts.
+give the same bounds, positions and counts.
 
 The search walks each round w > r as a row tree, per pivot shape of the
 RREF bases.  Adding a row to a subspace can only grow its support, so the
@@ -43,13 +43,21 @@ stream, and a shape keeps two running minima of them: the first, by visit,
 at most the stop (the run's lower bound), whose visit ends the round, and
 the lightest.  Every candidate visited before that first one weighs more
 than the stop, so it is the bound where the round ends; with none, the
-lightest is.  Either way the bound, the witness, the early exit and the
-count of visited subspaces are exactly those of the plain path.  Round
-w = r, where every run starts and most end, has one subspace on S, the span
-of e_S, which encodes through G_j to the r rows S of G_j: it is one direct
-pass over the matrices' packed row supports (and rows of syndromes), built
-once per search, with no tables and no product, that weighs, filters and
-replays a chunk of support sets at a time.
+lightest is.  Either way the bound, the early exit, the count of visited
+subspaces and the position of the lightest subspace are exactly those of
+the plain path.  Round w = r, where every run starts and most end, has one
+subspace on S, the span of e_S, which encodes through G_j to the r rows S of
+G_j: it is one direct pass over the matrices' packed row supports (and rows
+of syndromes), built once per search, with no tables and no product, that
+weighs, filters and replays a chunk of support sets at a time.
+
+A round builds no object: it returns its bound, its count and the position
+of its lightest subspace below the bound it was given (support set S,
+matrix index j, and base rows on S, or None for the unit basis e_S), or
+None.  The run keeps the last position found and, when it ends, builds its
+one Witness from it, or from the starting subspace, e_S through the first
+matrix, if no round found a lighter one, by spreading the rows over the k
+message coordinates.
 
 Relative weights M_r(C1, C2) run the same search on C1 and keep only the
 subspaces that meet C2 in 0.  A hierarchy seeds each run after the first
@@ -95,7 +103,7 @@ from .enumeration import (
     subspace_codes,
 )
 from .errors import BadHierarchy, BadRank, NotNested, WorkLimitExceeded
-from .infoset import information
+from .infoset import _decompose
 from .matrix import MatrixGF, rref_array
 
 
@@ -164,7 +172,8 @@ class RunReport:
     """Instrumentation for a single weight computation.
 
     Every run records a ``witness`` of weight ``value``: the run starts from
-    r rows of a systematic matrix and keeps the lightest subspace it finds.
+    r rows of a systematic matrix and keeps the lightest subspace it finds,
+    built as a Witness once, when the run ends.
     """
 
     r: int
@@ -201,10 +210,19 @@ def _emit(opts: ComputeOptions, ev: RoundEvent) -> None:
         opts.progress(ev)
 
 
-def _make_witness(field, base: np.ndarray, s_cols: np.ndarray, j: int, weight: int, k: int, synthesized=False):
-    expanded = np.zeros((base.shape[0], k), dtype=np.int64)
-    expanded[:, s_cols] = base
-    return Witness(MatrixGF.unchecked(field, expanded), j, weight, synthesized)
+def _witness(field, k: int, pos, weight: int, synthesized=False) -> Witness:
+    """The Witness of the subspace at a round's position ``pos`` = (support
+    set S, matrix index j, base rows on S, or None for the unit basis e_S),
+    its rows spread over the k message coordinates by index assignment."""
+    cols, j, base = pos
+    if base is None:
+        sub = np.zeros((len(cols), k), dtype=np.int64)
+        for i, c in enumerate(cols.tolist()):
+            sub[i, c] = 1
+    else:
+        sub = np.zeros((base.shape[0], k), dtype=np.int64)
+        sub[:, cols] = base
+    return Witness(MatrixGF.unchecked(field, sub), j, weight, synthesized)
 
 
 def _independent(field, syn: np.ndarray) -> np.ndarray:
@@ -236,15 +254,14 @@ def _scan_round(field, mats, nsel, r, w, upper, h2t, stop):
     """Scan round w through the first ``nsel`` matrices for the least-weight
     subspace below ``upper`` (meeting C2 in 0 when ``h2t`` is given; the
     first on ties), ending early once upper <= stop; returns (upper, the
-    witness of that subspace or None if none is below ``upper``,
-    subspaces).  The plain path of the naive oracles, and the reference the
-    kernel is tested against: each block of the subspace stream is paired
-    with every w-subset of the k message coordinates before the next block
-    is built, and each (block, support set, matrix) is encoded with one
-    matmul."""
-    k = mats[0].shape[0]
-    supports = [np.array(c, dtype=np.intp) for c in combinations(range(k), w)]
-    count, witness = 0, None
+    position of that subspace, (support set, matrix index, base rows), or
+    None if none is below ``upper``, subspaces).  The plain path of the
+    naive oracles, and the reference the kernel is tested against: each
+    block of the subspace stream is paired with every w-subset of the k
+    message coordinates before the next block is built, and each (block,
+    support set, matrix) is encoded with one matmul."""
+    supports = [np.array(c, dtype=np.intp) for c in combinations(range(mats[0].shape[0]), w)]
+    count, pos = 0, None
     for block in subspace_blocks(r, w, field):
         nsub = block.shape[0]
         for s_cols in supports:
@@ -261,11 +278,10 @@ def _scan_round(field, mats, nsel, r, w, upper, h2t, stop):
                     if not cand.size:
                         continue
                     c = int(cand[weights[cand].argmin()])
-                upper = int(weights[c])
-                witness = _make_witness(field, block[c], s_cols, j, upper, k)
+                upper, pos = int(weights[c]), (s_cols, j, block[c])
             if upper <= stop:
-                return upper, witness, count
-    return upper, witness, count
+                return upper, pos, count
+    return upper, pos, count
 
 
 # The support-mask kernel.  For every w-subset S of the message coordinates
@@ -302,9 +318,11 @@ def _scan_round(field, mats, nsel, r, w, upper, h2t, stop):
 # span of e_S, has through G_j the support of the OR of the rows S of G_j, so
 # each chunk of support sets is one gather of their r packed row supports,
 # one np.bitwise_or.reduce over the r and one popcount, an (nS, nsel) array
-# of weights in visit order, on which the round is replayed in place
-# (_unit_round); with C2, the rows S of G_j·H2ᵀ of those below the bound go
-# through one elimination.
+# of weights in visit order, flat by (S, j), on which the round is replayed in
+# place (_unit_round): the first weight at most the stop ends it after its S,
+# and the first least weight before that end is its position; with C2, the
+# rows S of G_j·H2ᵀ of those below the bound, if any, go through one
+# elimination.
 _GATHER_ELEMS = 1 << 16  # elements per _tables product, gather or tree-level chunk
 _TABLE_BYTES = 1 << 25  # largest tables of all q^w messages, with their bit-planes, in one round
 
@@ -340,9 +358,11 @@ class _Matrices(NamedTuple):
 
 def _matrices(mats: np.ndarray, syn: np.ndarray | None) -> _Matrices:
     """The store of the (m, k, n) matrices ``mats`` and of their syndrome
-    matrices ``syn``, (m, k, k1 - k2) (None without C2)."""
+    matrices ``syn``, (m, k, k1 - k2) (None without C2); the row supports
+    are packed from ``mats`` as it is and read through their (k, m, words)
+    view, with no copy."""
     stack = mats if syn is None else np.concatenate((mats, syn), axis=2)
-    return _Matrices(stack, mats.shape[2], np.ascontiguousarray(_pack(mats).transpose(1, 0, 2)))
+    return _Matrices(stack, mats.shape[2], _pack(mats).transpose(1, 0, 2))
 
 
 def _tables(field, X: np.ndarray, B: np.ndarray, cols: np.ndarray, n: int):
@@ -625,34 +645,39 @@ def _least(*keys) -> tuple:
 def _unit_round(field, ms: _Matrices, nsel: int, r: int, upper: int, stop: int):
     """Round w = r of _scan_kernel in one direct pass through the first
     ``nsel`` matrices, a chunk of support sets at a time (see _GATHER_ELEMS),
-    replayed on each chunk's weights: the round ends after the first support
-    set that holds a candidate at most ``stop``, the bound is the least
-    weight visited, the witness the first subspace at it, by support set,
-    then matrix (None if none is below ``upper``), and each set visited
-    counts one subspace."""
+    replayed on each chunk's weights; returns (bound, position, count).  The
+    round ends after the first support set that holds a candidate at most
+    ``stop``, the bound is the least weight visited, the position (S, j,
+    None) is that of the first subspace e_S at it, by support set, then
+    matrix (None if none is below ``upper``), and each set visited counts
+    one subspace.  With C2, a chunk with no candidate below ``upper`` runs
+    no elimination."""
     (k, _, words), n = ms.masks.shape, ms.n
     supports, masks = _supports(k, r), ms.masks[:, :nsel]
     syn = ms.stack[:nsel, :, n:] if ms.stack.shape[2] > n else None
     step = max(1, _GATHER_ELEMS // (nsel * r * words))
-    count, best = 0, None
+    count, pos = 0, None
     for lo in range(0, len(supports), step):
         cols = supports[lo : lo + step]
         wts = _popcount(np.bitwise_or.reduce(masks[cols], axis=1))
         if syn is not None:
             s, j = np.nonzero(wts < upper)
-            bad = ~_independent(field, syn[j[:, None], cols[s]])
-            wts[s[bad], j[bad]] = upper
-        least = wts.min(axis=1)
-        hits = np.flatnonzero(least <= stop)
-        end = int(hits[0]) + 1 if hits.size else len(cols)
-        s = int(least[:end].argmin())
-        if least[s] < upper:
-            upper, best = int(least[s]), (cols[s], int(wts[s].argmin()))
+            if s.size:
+                bad = ~_independent(field, syn[j[:, None], cols[s]])
+                wts[s[bad], j[bad]] = upper
+        # in visit order, (support set, matrix) is flat index s·nsel + j
+        wts = wts.ravel()
+        hit = wts <= stop
+        first = int(hit.argmax())
+        stopped = bool(hit[first])
+        end = first // nsel + 1 if stopped else len(cols)
+        i = int(wts[: end * nsel].argmin())
+        if wts[i] < upper:
+            upper, pos = int(wts[i]), (cols[i // nsel], i % nsel, None)
         count += end
-        if hits.size:
+        if stopped:
             break
-    witness = None if best is None else _make_witness(field, np.eye(r, dtype=np.int64), *best, upper, k)
-    return upper, witness, count
+    return upper, pos, count
 
 
 def _scan_kernel(field, ms: _Matrices, nsel: int, r, w, upper, stop):
@@ -665,34 +690,37 @@ def _scan_kernel(field, ms: _Matrices, nsel: int, r, w, upper, stop):
     (_unit_round).  A round w > r goes pivot shape by pivot shape through
     the row tree (_tree_weigh), which gives the subspaces the shape visits,
     its lightest candidate below ``upper`` and whether it stopped: the
-    candidate is the new bound, and, by the decode of its position, the
-    witness.  A subspace the tree prunes weighs at least the bound and
-    could never become it, so the bound, witness (None if none is below the
-    ``upper`` given) and count are the plain path's."""
+    candidate is the new bound.  A subspace the tree prunes weighs at least
+    the bound and could never become it, so the bound, position (None if
+    none is below the ``upper`` given) and count are the plain path's.  The
+    position's base rows are decoded from the candidate's place in its
+    shape's stream once, when the round ends."""
     if w == r:
         return _unit_round(field, ms, nsel, r, upper, stop)
     tabs = _round_tables(field, ms, nsel, w)
-    k, n, supports = ms.stack.shape[1], ms.n, tabs[0]
-    count, witness = 0, None
+    count, best = 0, None
     for sh, dense, tree in _row_trees(r, w, field):
-        nsub, best, stopped = _tree_weigh(field, sh, dense, tree, tabs, n, upper, stop)
+        nsub, found, stopped = _tree_weigh(field, sh, dense, tree, tabs, ms.n, upper, stop)
         count += nsub
-        if best is not None:
-            upper, v, j, pos = best
-            base = row_digits(sh.codes(field, pos, pos + 1)[:, 0], field.q, w)
-            witness = _make_witness(field, base, supports[v % len(supports)], j, upper, k)
+        if found is not None:
+            upper, v, j, at = found
+            best = sh
         if stopped:
             break
-    return upper, witness, count
+    if best is None:
+        return upper, None, count
+    base = row_digits(best.codes(field, at, at + 1)[:, 0], field.q, w)
+    return upper, (tabs[0][v % len(tabs[0])], j, base), count
 
 
 def _run(field, ms: _Matrices, reds, rows, start, r, lower, opts) -> RunReport:
     """Bounded search for d_r (M_r when ``ms`` has syndrome matrices)
     through the systematic matrices of ``ms``, whose redundancies ``reds``
-    never decrease, from the lower bound ``lower``.  The starting witness is
-    ``rows[:r]`` of the first matrix, of weight ``start``; it is built only
-    if the search finds nothing lighter."""
-    k = ms.stack.shape[1]
+    never decrease, from the lower bound ``lower``.  The rounds return
+    positions; the run builds one Witness, at its end, of the last position
+    found, or, if the search finds nothing lighter, of the starting
+    subspace, the span of e_S for S = ``rows[:r]`` through the first
+    matrix, of weight ``start``."""
     report = RunReport(r=r)
     # The first m matrices, those with R_j <= r, take part, each credited
     # r - R_j at the start: G_j is the identity on I_j, so every r-dimensional
@@ -701,13 +729,13 @@ def _run(field, ms: _Matrices, reds, rows, start, r, lower, opts) -> RunReport:
     m = bisect_right(reds, r)
     covered = r * m - sum(reds[:m])
     lower = max(lower, covered)
-    witness, w, upper = None, r, start
+    k, pos, w, upper = ms.stack.shape[1], None, r, start
 
     while w <= k and lower < upper:
         t0 = time.perf_counter()
         nsel = min(m, upper - covered)
         upper, found, nsub = _scan_kernel(field, ms, nsel, r, w, upper, lower)
-        witness = found or witness
+        pos = found or pos
         report.subspaces_enumerated += nsub
         covered += nsel
         lower = max(lower, covered)
@@ -718,7 +746,7 @@ def _run(field, ms: _Matrices, reds, rows, start, r, lower, opts) -> RunReport:
         w += 1
 
     report.value = upper
-    report.witness = witness or _make_witness(field, np.eye(r, dtype=np.int64), rows[:r], 0, upper, k, True)
+    report.witness = _witness(field, k, pos or (rows[:r], 0, None), upper, pos is None)
     if opts.report is not None:
         opts.report.runs.append(report)
     return report
@@ -788,23 +816,24 @@ def _search(c1, c2, ranks, opts: ComputeOptions) -> list[int]:
     ranks = range(1, rmax + 1) if ranks is None else ranks
     for r in ranks:
         _check_rank(r, rmax, c2)
-    dec = information(c1)
-    field, mats = c1.field, np.array([M.array for M in dec.mats])
-    floor = _cyclic_floor(c1, mats[0], dec.sets[0])
-    syn = None if h2t is None else field.matmul(mats.reshape(-1, c1.n), h2t).reshape(dec.m, c1.k, -1)
+    sets, mats, reds = _decompose(c1)
+    field = c1.field
+    floor = _cyclic_floor(c1, mats[0], sets[0])
+    syn = None if h2t is None else field.matmul(mats.reshape(-1, c1.n), h2t).reshape(len(sets), c1.k, -1)
     # each run's starting witness takes the first r of these rows: with C2,
     # the rows whose syndromes extend the span of those before them (the k1
     # syndromes span dimension k1 - k2 >= r)
     rows = np.arange(c1.k) if syn is None else np.array(rref_array(field, syn[0].T)[1])
-    # the starting witness of run r spans rows[:r]: one cumulative OR weighs all
-    starts = np.logical_or.accumulate(mats[0][rows] != 0, axis=0).sum(axis=1).tolist()
     ms = _matrices(mats, syn)
+    # the starting witness of run r spans rows[:r] of the first matrix: one
+    # cumulative OR of their packed supports weighs all
+    starts = _popcount(np.bitwise_or.accumulate(ms.masks[rows, 0], axis=0)).tolist()
     values: list[int] = []
     for r in ranks:
         lower = 0 if floor is None else floor + r - 1
         if values:
             lower = max(lower, -(-(field.q**r - 1) * values[-1] // (field.q**r - field.q)))
-        values.append(_run(field, ms, dec.reds, rows, starts[r - 1], r, lower, opts).value)
+        values.append(_run(field, ms, reds, rows, starts[r - 1], r, lower, opts).value)
     return values
 
 

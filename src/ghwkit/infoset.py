@@ -30,7 +30,17 @@ class InfoSetDecomposition:
 
 
 def information(code) -> InfoSetDecomposition:
-    """Greedy information-set decomposition of a linear code.
+    """Greedy information-set decomposition of a linear code: the sets,
+    matrices and redundancies of :func:`_decompose`, each matrix a view of
+    its one (m, k, n) array."""
+    sets, mats, reds = _decompose(code)
+    return InfoSetDecomposition(sets, tuple([MatrixGF.unchecked(code.field, M) for M in mats]), reds)
+
+
+def _decompose(code) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, tuple[int, ...]]:
+    """The greedy information-set decomposition of a linear code as the
+    search reads it: (the sets I_j, 1-based, the systematic matrices as one
+    (m, k, n) int64 array, the redundancies R_j).
 
     Each set takes the lowest-index columns not used by earlier sets that
     extend the rank and, when those reach only rank rho < k, the
@@ -46,9 +56,9 @@ def information(code) -> InfoSetDecomposition:
     (``matrix.pack_rows``: one int per row, a byte per entry, for q <= 16),
     each set is eliminated on those rows (``matrix.eliminate_rows``), and
     the rows of all sets are unpacked at the end as one (m, k, n) int64
-    array whose slices are the matrices.  They come from eliminating the
-    code's validated generator matrix, so they are wrapped unchecked.
-    Stops once every nonzero column of the generator matrix is covered.
+    array.  They come from eliminating the code's validated generator
+    matrix, so :func:`information` wraps them unchecked.  Stops once every
+    nonzero column of the generator matrix is covered.
 
     The redundancies never decrease: R_j = k - rank of set j's fresh
     columns, a subset of set j - 1's, so their rank cannot grow.
@@ -80,5 +90,4 @@ def information(code) -> InfoSetDecomposition:
         reds.append(len(used.intersection(piv)))
         used.update(piv)
 
-    mats = unpack_rows(field, rows, n).reshape(len(sets), k, n)
-    return InfoSetDecomposition(tuple(sets), tuple([MatrixGF.unchecked(field, M) for M in mats]), tuple(reds))
+    return tuple(sets), unpack_rows(field, rows, n).reshape(len(sets), k, n), tuple(reds)

@@ -95,7 +95,9 @@ class MatrixGF:
         """
         f = self.field
         R, pivots = rref_array(f, self.array)
-        free = np.delete(np.arange(self.cols), pivots)
+        free = np.ones(self.cols, dtype=bool)
+        free[pivots] = False
+        free = np.flatnonzero(free)
         B = np.zeros((len(free), self.cols), dtype=np.int64)
         B[np.arange(len(free)), free] = 1
         B[:, pivots] = f.neg_arrays(R[: len(pivots), free]).T

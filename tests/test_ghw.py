@@ -446,6 +446,25 @@ def test_relative_witnesses():
             verify_run(a, dec, run, c2=b)
 
 
+def test_each_run_builds_one_witness():
+    # rounds return positions and a run builds its one Witness at its end.
+    # The [18,8] code's hierarchy has a run with no round (r = 8), starting
+    # witnesses kept (r = 7, 8) and witnesses from rounds w = r and w > r;
+    # the relative hierarchy's witnesses come from rounds w = r and w > r
+    queries = (
+        partial(hierarchy, random_code(np.random.default_rng(9), F2, 18, 8)),
+        partial(rhierarchy, *random_nested_pair(np.random.default_rng(17), F2, 12, 5, 2)),
+    )
+    for query, synthesized in zip(queries, ({False, True}, {False})):
+        report = Report()
+        with mock.patch.object(GHW, "Witness", wraps=GHW.Witness) as built:
+            query(ComputeOptions(report=report))
+        assert built.call_count == len(report.runs) == len({id(run.witness) for run in report.runs})
+        assert {run.witness.synthesized for run in report.runs} == synthesized
+        late = [len(run.witness.subspace.support()) > run.r for run in report.runs]
+        assert any(late) and not all(late)
+
+
 @pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
 def test_report_fields_are_plain_ints(relative):
     # each hierarchy runs rounds w = r and row-tree rounds w > r, one of

@@ -7,7 +7,7 @@ oracles take, encodes every (block, support set, matrix) triple with one
 matmul.  Round w = r builds no tables of messages: it weighs each support
 set's one subspace from the rows of the matrices.
 Every round must agree exactly with the plain path in both table modes: the
-bound, the witness and the subspace count.  Every spectrum must agree in
+bound, the position of its lightest subspace and the subspace count.  Every spectrum must agree in
 both modes.  Over GF(2^s) the tables of all messages are built by one
 binary XOR doubling from the s bit-planes of the multiples a^u·G_j[i],
 u < s, with no product: they must equal the product's byte for byte, and
@@ -67,10 +67,15 @@ def budgets(gather=None, table=None):
         yield
 
 
-def _witness_key(wit):
-    if wit is None:
-        return None
-    return wit.subspace.array.tolist(), wit.mat_index, wit.weight
+def _outcome(field, k, out):
+    """A round's (bound, position, subspaces) with the position as the key
+    (subspace, matrix index, weight) of the Witness that a run builds from
+    it over the k message coordinates, or None."""
+    upper, pos, count = out
+    if pos is None:
+        return upper, None, count
+    wit = GHW._witness(field, k, pos, upper)
+    return upper, (wit.subspace.array.tolist(), wit.mat_index, wit.weight), count
 
 
 def _round_inputs(c1, c2):
@@ -90,14 +95,14 @@ def _store(mats, ghs=None):
 def _check_round(c1, c2, r, w, nsel, upper, stop):
     """One round through the plain path and through the kernel, at the
     default table cap and with a cap of 0, which tabulates every block's
-    distinct rows; returns the plain path's (upper, witness, subspaces)."""
+    distinct rows; returns the plain path's _outcome."""
     field = c1.field
     mats, h2t, ghs = _round_inputs(c1, c2)
-    want = GHW._scan_round(field, mats, nsel, r, w, upper, h2t, stop)
+    want = _outcome(field, c1.k, GHW._scan_round(field, mats, nsel, r, w, upper, h2t, stop))
     for table in (None, 0):
         with budgets(table=table):
             got = GHW._scan_kernel(field, _store(mats, ghs), nsel, r, w, upper, stop)
-        assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
+        assert _outcome(field, c1.k, got) == want
     return want
 
 
@@ -278,7 +283,7 @@ def test_a_stopped_row_tree_weighs_no_later_support_set():
     want = GHW._scan_round(F65536, mats, len(mats), 1, 4, 8, None, 7)
     with budgets(gather=1, table=0), mock.patch.object(GHW, "_tables", wraps=GHW._tables) as tables:
         got = GHW._scan_kernel(F65536, _store(mats), len(mats), 1, 4, 8, 7)
-    assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), DEFAULT_BLOCK)
+    assert _outcome(F65536, 5, got) == _outcome(F65536, 5, want) and got[2] == DEFAULT_BLOCK
     assert tables.call_count == 1
 
 
@@ -300,7 +305,7 @@ def test_row_tree_stops_inside_a_batch_across_blocks():
         for gather in (1, None):
             with budgets(gather=gather):
                 got = GHW._scan_kernel(F16, _store(mats), nsel, 1, 5, n + 1, stop)
-            assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
+            assert _outcome(F16, 6, got) == _outcome(F16, 6, want)
         blocks.add(want[2] // (DEFAULT_BLOCK * comb(6, 5)))
     assert blocks == {0, 1, 2}
     # at stop 0, two of these rounds are weighed whole: the [14,6] codes
@@ -315,7 +320,7 @@ def test_row_tree_stops_inside_a_batch_across_blocks():
         for gather in (1, None):
             with budgets(gather=gather):
                 got = GHW._scan_kernel(F16, _store(mats), nsel, 1, 5, n + 1, 0)
-            assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
+            assert _outcome(F16, 6, got) == _outcome(F16, 6, want)
 
 
 def test_row_tree_batches_are_one_per_stream_block():
@@ -339,7 +344,7 @@ def test_row_tree_batches_are_one_per_stream_block():
     want = GHW._scan_round(F16, mats, 1, 1, 5, 17, None, 0)
     with mock.patch.object(ShapeRows, "prefix_codes", counted):
         got = GHW._scan_kernel(F16, _store(mats), 1, 1, 5, 17, 0)
-    assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
+    assert _outcome(F16, 6, got) == _outcome(F16, 6, want)
     assert [a for a, _ in batches] == [0] + [b for _, b in batches[:-1]] and batches[-1][1] == 15
     starts = [a * sh.P // DEFAULT_BLOCK for a, _ in batches]
     assert len(set(starts)) == len(starts)
@@ -382,26 +387,24 @@ def test_first_round_builds_no_message_tables():
     for c1, c2 in ((code, None), pair):
         mats, h2t, ghs = _round_inputs(c1, c2)
         for r in range(1, c1.k - (0 if c2 is None else c2.k) + 1):
-            want = GHW._scan_round(c1.field, mats, len(mats), r, r, c1.n + 1, h2t, 0)
+            want = _outcome(c1.field, c1.k, GHW._scan_round(c1.field, mats, len(mats), r, r, c1.n + 1, h2t, 0))
             cases.append(((c1.field, _store(mats, ghs), len(mats), r, r, c1.n + 1, 0), want))
     banned = mock.Mock(side_effect=AssertionError("a w = r round tabulated messages"))
     with mock.patch.object(GHW, "_round_tables", banned), mock.patch.object(GHW, "subspace_codes", banned), \
             mock.patch.object(GHW, "_tables", banned), mock.patch.object(FiniteField, "matmul", banned):
         for args, want in cases:
-            got = GHW._scan_kernel(*args)
-            assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
+            assert _outcome(args[0], args[1].stack.shape[1], GHW._scan_kernel(*args)) == want
     assert not banned.called
 
 
 def _check_unit_round(mats, nsel, r, upper, stop, h2t=None):
     """Round w = r of hand-made matrices through the plain path and through
-    the kernel; returns the plain path's (upper, witness key, subspaces)."""
-    field = F2
+    the kernel; returns the plain path's _outcome."""
+    field, k = F2, mats[0].shape[0]
     ghs = None if h2t is None else [field.matmul(M, h2t) for M in mats]
-    want = GHW._scan_round(field, mats, nsel, r, r, upper, h2t, stop)
-    got = GHW._scan_kernel(field, _store(mats, ghs), nsel, r, r, upper, stop)
-    assert (got[0], _witness_key(got[1]), got[2]) == (want[0], _witness_key(want[1]), want[2])
-    return want[0], _witness_key(want[1]), want[2]
+    want = _outcome(field, k, GHW._scan_round(field, mats, nsel, r, r, upper, h2t, stop))
+    assert _outcome(field, k, GHW._scan_kernel(field, _store(mats, ghs), nsel, r, r, upper, stop)) == want
+    return want
 
 
 @pytest.mark.parametrize("gather", [1, 3], ids=["chunk1", "chunk3"])
@@ -433,6 +436,23 @@ def test_first_round_keeps_a_heavier_subspace_that_passes_c2():
     G1 = np.array([[1, 1, 1, 0], [1, 0, 1, 1]])
     assert _check_unit_round([G0, G1], 2, 1, 5, 0, h2t) == (3, ([[1, 0]], 1, 3), 2)
     assert _check_unit_round([G0, G1], 2, 1, 5, 3, h2t) == (3, ([[1, 0]], 1, 3), 1)
+
+
+@pytest.mark.parametrize("stop", [0, 1])
+def test_first_round_with_nothing_below_the_bound_runs_no_elimination(stop):
+    # the matrices above through C2, where every e_S weighs at least 2: at
+    # upper = 2 no (support set, matrix) pair is a candidate, so the round
+    # keeps the bound, has no position, visits both sets and never asks
+    # whether syndromes are independent
+    h2t = np.array([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]).T
+    mats = [np.array([[1, 1, 0, 0], [0, 1, 1, 1]]), np.array([[1, 1, 1, 0], [1, 0, 1, 1]])]
+    want = GHW._scan_round(F2, mats, 2, 1, 1, 2, h2t, stop)
+    assert want == (2, None, 2)
+    store = _store(mats, [F2.matmul(M, h2t) for M in mats])
+    banned = mock.Mock(side_effect=AssertionError("an elimination with no candidate"))
+    with mock.patch.object(GHW, "_independent", banned):
+        assert GHW._unit_round(F2, store, 2, 1, 2, stop) == want
+    assert not banned.called
 
 
 @pytest.mark.parametrize("r, rows", [
