@@ -21,7 +21,7 @@ from .errors import (
     ZeroDual,
 )
 from .gf import FiniteField, build_field
-from .matrix import MatrixGF, rank_array
+from .matrix import MatrixGF, rank_array, rref_array
 
 
 @dataclass(frozen=True)
@@ -90,37 +90,6 @@ def is_cyclic(code: LinearCode) -> bool:
 # -- polynomials over GF(q), coefficient lists ascending, for the BCH bound --
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod(field, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = field.inv(b[db])
-    quot = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        f = field.mul(a[-1], inv_lead)
-        shift = len(a) - 1 - db
-        quot[shift] = f
-        for i, bi in enumerate(b):
-            a[shift + i] = field.sub(a[shift + i], field.mul(f, bi))
-        _poly_trim(a)
-    return quot, a
-
-
-def _poly_gcd(field, a: list[int], b: list[int]) -> list[int]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_divmod(field, a, b)[1]
-    if a:
-        inv = field.inv(a[-1])
-        a = [field.mul(c, inv) for c in a]
-    return a
-
-
 def _poly_eval(field, c, x) -> np.ndarray:
     """The polynomial with ascending coefficients c at x, by Horner's rule on
     arrays: x and each coefficient may be arrays, taken elementwise."""
@@ -130,21 +99,33 @@ def _poly_eval(field, c, x) -> np.ndarray:
     return acc
 
 
+def _cyclic_generator(field: FiniteField, M: np.ndarray) -> np.ndarray | None:
+    """The monic generator polynomial g(x) (ascending coefficients) of the
+    code that M generates, M the identity on columns 1..k, if that code is
+    cyclic, else None.  The code is cyclic iff the right shift S of each row
+    stays in it, that is, S[:, :k]·M = S: one product.  It then holds
+    x^(k-1)·g(x)/g_0, which is zero on columns 1..k-1 and 1 on column k, so
+    it is M's last row, the unique such word: g is that row's columns k..n,
+    scaled monic."""
+    k = M.shape[0]
+    S = np.concatenate((M[:, -1:], M[:, :-1]), axis=1)
+    if not np.array_equal(field.matmul(S[:, :k], M), S):
+        return None
+    g = M[k - 1, k - 1 :]
+    return field.scale_arrays(field.inv(int(g[-1])), g)
+
+
 def generator_polynomial(code: LinearCode) -> list[int]:
-    """Monic generator polynomial of a cyclic code: the gcd of the row
-    polynomials and x^n - 1 (column i holds the coefficient of x^(i-1)),
-    which generates the least cyclic code containing this one: of dimension
-    n - deg gcd, so the code is cyclic iff deg gcd = n - k."""
-    field, n = code.field, code.n
-    xn1 = [field.neg(1)] + [0] * (n - 1) + [1]
-    g = xn1
-    for row in code.G.array:
-        g = _poly_gcd(field, g, _poly_trim([int(c) for c in row]))
-        if g == [1]:
-            break
-    if len(g) - 1 != n - code.k:
+    """Monic generator polynomial of a cyclic code (column i holds the
+    coefficient of x^(i-1)), read off the RREF of G.  A cyclic code is
+    spanned by x^i·g(x), i < k, whose first k columns are triangular with
+    g_0 ≠ 0 on the diagonal, so the RREF's pivots are the first k columns,
+    and :func:`_cyclic_generator` applies."""
+    R, piv = rref_array(code.field, code.G.array)
+    g = _cyclic_generator(code.field, R) if piv == list(range(code.k)) else None
+    if g is None:
         raise NotCyclic("code is not cyclic")
-    return g
+    return g.tolist()
 
 
 def _embedding(small: FiniteField, big: FiniteField):
@@ -183,17 +164,6 @@ def _bch_from_generator(field: FiniteField, n: int, g) -> int:
     # the circle of exponents into runs of roots
     off = np.flatnonzero(_poly_eval(big, _embedding(field, big)(g), powers))
     return int(np.diff(off, append=off[0] + n).max())
-
-
-def _systematic_generator(field: FiniteField, M: np.ndarray) -> np.ndarray:
-    """The monic generator polynomial of a cyclic code from its generator
-    matrix M that is the identity on columns 1..k (ascending coefficients).
-    The code holds x^(k-1)·g(x)/g_0, which is zero on columns 1..k-1 and 1
-    on column k, so it is M's last row, the unique such word: g is that
-    row's columns k..n, scaled monic."""
-    k = M.shape[0]
-    g = M[k - 1, k - 1 :]
-    return field.scale_arrays(field.inv(int(g[-1])), g)
 
 
 def make_rs(field: FiniteField, k: int) -> LinearCode:

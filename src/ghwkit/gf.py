@@ -36,18 +36,7 @@ PACKED_MAX_Q = 16  # largest q whose entries fit a nibble: byte tables for packe
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
+    return n >= 2 and _factorize(n) == [n]
 
 
 # -- polynomial helpers over GF(p), coefficient tuples in ascending degree --

@@ -86,12 +86,12 @@ from dataclasses import dataclass, field as dc_field
 from functools import cache
 from itertools import chain, combinations
 from math import comb, gcd
-from operator import mul
+from operator import index, mul
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .code import LinearCode, _bch_from_generator, _systematic_generator, dual
+from .code import LinearCode, _bch_from_generator, _cyclic_generator, dual
 from .enumeration import (
     DEFAULT_BLOCK,
     RowTree,
@@ -115,7 +115,7 @@ class Hierarchy:
 
     def __post_init__(self):
         v = self.values
-        if any(not isinstance(x, int) or x < 1 for x in v):
+        if any(type(x) is not int or x < 1 for x in v):
             raise BadHierarchy(f"weights must be positive integers: {v}")
         if any(a >= b for a, b in zip(v, v[1:])):
             raise BadHierarchy(f"weights must be strictly increasing: {v}")
@@ -752,26 +752,19 @@ def _run(field, ms: _Matrices, reds, rows, start, r, lower, opts) -> RunReport:
     return report
 
 
-def _is_cyclic(field, M: np.ndarray, iset) -> bool:
-    """Whether the code that M generates is cyclic, for M the identity on
-    the (1-based) information set ``iset``: whether the right shift S of
-    each row stays in the code, that is, S = S[:, I]·M."""
-    S = np.concatenate((M[:, -1:], M[:, :-1]), axis=1)
-    return np.array_equal(field.matmul(S[:, np.array(iset) - 1], M), S)
-
-
 def _cyclic_floor(code: LinearCode, M: np.ndarray, iset) -> int | None:
     """BCH bound of the code if it is cyclic and the bound is available,
-    else None; M and ``iset`` as for _is_cyclic.  A cyclic code is spanned
-    by x^i·g(x), i < k, whose first k columns are triangular with g_0 ≠ 0
-    on the diagonal, so its first information set is {1..k}: any other set,
-    or a length the characteristic divides (no BCH bound), rejects the code
-    before the product."""
+    else None; M is the identity on the (1-based) information set ``iset``.
+    A cyclic code is spanned by x^i·g(x), i < k, whose first k columns are
+    triangular with g_0 ≠ 0 on the diagonal, so its first information set
+    is {1..k}: any other set, or a length the characteristic divides (no
+    BCH bound), rejects the code before the product of _cyclic_generator."""
     field, n, k = code.field, code.n, len(iset)
-    if iset[-1] != k or gcd(n, field.p) != 1 or not _is_cyclic(field, M, iset):
+    if iset[-1] != k or gcd(n, field.p) != 1:
         return None
+    g = _cyclic_generator(field, M)
     try:
-        return _bch_from_generator(field, n, _systematic_generator(field, M))
+        return None if g is None else _bch_from_generator(field, n, g)
     except ValueError:  # GF(q^t) is larger than the largest field
         return None
 
@@ -796,10 +789,16 @@ def _nested_pair(c1: LinearCode, c2: LinearCode | None):
     return h2t[:, piv], c1.k - c2.k
 
 
-def _check_rank(r: int, rmax: int, c2) -> None:
-    if not 1 <= r <= rmax:
+def _check_rank(r, rmax: int, c2) -> None:
+    """Raise BadRank unless r is an integer in [1, rmax]: not a float or a
+    bool, while numpy integers pass through operator.index."""
+    try:
+        valid = not isinstance(r, bool) and 1 <= index(r) <= rmax
+    except TypeError:
+        valid = False
+    if not valid:
         bound = "k" if c2 is None else "k1 - k2"
-        raise BadRank(f"need 1 <= r <= {bound} = {rmax}, got r={r}")
+        raise BadRank(f"need an integer 1 <= r <= {bound} = {rmax}, got r={r!r}")
 
 
 def _search(c1, c2, ranks, opts: ComputeOptions) -> list[int]:
@@ -862,13 +861,18 @@ def rhierarchy(c1: LinearCode, c2: LinearCode, opts: ComputeOptions | None = Non
 
 def wei_duality(h, n: int) -> Hierarchy:
     """Hierarchy of the dual code: the complement of {n+1-d : d in h} in
-    {1..n}, ascending."""
-    values = tuple(int(x) for x in h)
-    if any(not 1 <= d <= n for d in values):
-        raise BadHierarchy(f"weights must lie in [1, {n}]: {values}")
-    if any(a >= b for a, b in zip(values, values[1:])):
-        raise BadHierarchy(f"weights must be strictly increasing: {values}")
-    excluded = {n + 1 - d for d in values}
+    {1..n}, ascending.  A Hierarchy is taken as it is; other weights go
+    through operator.index into one, bools untouched so that its check
+    rejects them."""
+    if not isinstance(h, Hierarchy):
+        h = list(h)
+        try:
+            h = Hierarchy(tuple(x if isinstance(x, bool) else index(x) for x in h))
+        except TypeError:
+            raise BadHierarchy(f"weights must be positive integers: {h}") from None
+    if any(not 1 <= d <= n for d in h):
+        raise BadHierarchy(f"weights must lie in [1, {n}]: {h.values}")
+    excluded = {n + 1 - d for d in h}
     return Hierarchy(tuple(w for w in range(1, n + 1) if w not in excluded))
 
 

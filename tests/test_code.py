@@ -25,7 +25,7 @@ from ghwkit.errors import (
 )
 from ghwkit.gf import build_field
 from ghwkit.infoset import information
-from ghwkit.matrix import MatrixGF, rref_array
+from ghwkit.matrix import MatrixGF, rank_array, rref_array
 from ghwkit.ghw import naive_ghw
 
 from support import (
@@ -174,6 +174,59 @@ def test_generator_polynomial_decides_cyclicity_as_is_cyclic_does():
             with pytest.raises(NotCyclic):
                 generator_polynomial(C)
     assert seen == {False, True}
+
+
+def _spanned_by_shifts_of(F, g, C) -> bool:
+    """Whether g is monic of degree n - k and its shifts x^i·g(x), i < k,
+    span C: the rank test of is_cyclic, on their rows stacked under G."""
+    n, k = C.n, C.k
+    if len(g) != n - k + 1 or g[-1] != 1:
+        return False
+    X = np.zeros((k, n), dtype=np.int64)
+    for i in range(k):
+        X[i, i : i + len(g)] = g
+    return rank_array(F, X) == rank_array(F, np.vstack([C.G.array, X])) == k
+
+
+def test_generator_polynomial_is_the_g_the_code_is_built_from():
+    # cyclic_code_from_cosets multiplies out g from its roots and writes it
+    # into row 0; g_0 = 2 over GF(3) for x - 1 of length 4 and for length 8
+    cases = [
+        (F2, 7, [1]),
+        (F2, 7, [0, 1]),
+        (F2, 15, [1, 3]),
+        (F2, 9, [1]),
+        (F3, 4, [0]),
+        (F3, 8, [1]),
+        (F3, 13, [1, 2]),
+        (F5, 12, [1, 2]),
+    ]
+    for F, n, reps in cases:
+        C = cyclic_code_from_cosets(F, n, reps)
+        g = generator_polynomial(C)
+        assert g == C.G.array[0, : n - C.k + 1].tolist(), (F.q, n, reps)
+        assert _spanned_by_shifts_of(F, g, C)
+
+
+def test_generator_polynomial_of_the_shifts_of_a_random_word():
+    # over GF(4), GF(8) and GF(9), lengths 1..9, the characteristic's
+    # multiples among them; a random basis of the code, not its RREF
+    rng = np.random.default_rng(79)
+    seen = set()
+    for F in (build_field(2, 2), build_field(2, 3), build_field(3, 2)):
+        for n in range(1, 10):
+            for _ in range(6):
+                word = rng.integers(0, F.q, n)
+                R, piv = rref_array(F, np.stack([np.roll(word, t) for t in range(n)]))
+                if not piv:
+                    continue
+                k = len(piv)
+                A = random_code(rng, F, k, k).G.array
+                C = new_code(F, MatrixGF(F, F.matmul(A, R[:k])))
+                g = generator_polynomial(C)
+                assert _spanned_by_shifts_of(F, g, C), (F.q, word.tolist())
+                seen.add((F.q, n % F.p == 0))
+    assert seen == {(q, divides) for q in (4, 8, 9) for divides in (False, True)}
 
 
 def test_bch_bound_examples():

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ghwkit.code import (
     _bch_from_generator,
-    _systematic_generator,
+    _cyclic_generator,
     bch_bound,
     code_from_rows,
     dual,
@@ -99,6 +99,18 @@ def test_ghw_bad_rank():
         ghw(hamming(), 5)
     with pytest.raises(BadRank):
         naive_ghw(hamming(), 5)
+
+
+@pytest.mark.parametrize("fn", [ghw, rghw, naive_ghw, naive_rghw])
+def test_a_rank_must_be_an_integer(fn):
+    # floats and bools are refused up front, not by a TypeError deep in the
+    # search; numpy integers pass through operator.index
+    (c1, c2), _ = example_pairs()
+    codes = (c1,) if fn in (ghw, naive_ghw) else (c1, c2)
+    for r in (2.0, 1.5, True, False, "1", None):
+        with pytest.raises(BadRank):
+            fn(*codes, r)
+    assert fn(*codes, np.int64(2)) == fn(*codes, 2)
 
 
 def test_hierarchy_examples():
@@ -215,6 +227,17 @@ def test_wei_duality_function():
         wei_duality([2, 8], 7)
 
 
+def test_wei_duality_takes_only_integer_weights():
+    # a float is not truncated and a bool is not read as 1; numpy integers
+    # pass through operator.index
+    for h, n in (([2.7], 4), ([True, 2], 3), ([1, False], 3), (["2"], 3)):
+        with pytest.raises(BadHierarchy):
+            wei_duality(h, n)
+    assert wei_duality(np.array([3, 5, 6, 7]), 7).values == (4, 6, 7)
+    with pytest.raises(BadHierarchy):
+        Hierarchy((True, 2))
+
+
 def test_duality_identity_random():
     rng = np.random.default_rng(53)
     for F in (F2, F3):
@@ -300,17 +323,10 @@ def test_cyclic_bound_does_not_break_correctness():
 
 
 def test_cyclicity_through_the_systematic_matrix():
-    # a code generated by M, the identity on I, is cyclic iff the shifted
-    # rows S satisfy S[:, I]·M = S; the cyclic codes are also tried through
-    # matrices systematic on rotated sets, and random codes include ones
-    # whose first information set is not the leading columns
-    is_cyc = sys.modules["ghwkit.ghw"]._is_cyclic
-    for F, n, reps in CYCLIC_CASES:
-        C = cyclic_code_from_cosets(F, n, reps)
-        dec = information(C)
-        iset = np.array(dec.sets[0]) - 1
-        for t in range(n):
-            assert is_cyc(F, np.roll(dec.mats[0].array, t, axis=1), (iset + t) % n + 1)
+    # a code generated by M, the identity on {1..k}, is cyclic iff its
+    # shifted rows S satisfy S[:, :k]·M = S; random codes include ones whose
+    # first information set is not the leading columns, and none of those
+    # is cyclic
     rng = np.random.default_rng(67)
     seen = set()
     for _ in range(300):
@@ -318,30 +334,33 @@ def test_cyclicity_through_the_systematic_matrix():
         n = int(rng.integers(2, 7))
         C = random_code(rng, F, n, int(rng.integers(1, n + 1)))
         dec = information(C)
-        assert is_cyc(F, dec.mats[0].array, dec.sets[0]) == is_cyclic(C), C.G.array.tolist()
-        seen.add((is_cyclic(C), dec.sets[0] != tuple(range(1, C.k + 1))))
+        leading = dec.sets[0] == tuple(range(1, C.k + 1))
+        cyclic = leading and _cyclic_generator(F, dec.mats[0].array) is not None
+        assert cyclic == is_cyclic(C), C.G.array.tolist()
+        seen.add((is_cyclic(C), not leading))
     assert seen == {(False, False), (False, True), (True, False)}
 
 
 def test_generator_polynomial_from_the_systematic_matrix():
     # a cyclic code's first information set is {1..k}, and the last row of
-    # its systematic matrix there is x^(k-1)·g(x)/g_0, so g is read off it;
-    # the BCH floor taken from that g is bch_bound's.  Over GF(3), x - 1 of
-    # length 4 and the code of length 8 have g_0 = 2, so that row is not monic
+    # its systematic matrix there is x^(k-1)·g(x)/g_0, so g is read off it:
+    # it is the g that cyclic_code_from_cosets builds into row 0, and the
+    # BCH floor taken from it is bch_bound's.  Over GF(3), x - 1 of length 4
+    # and the code of length 8 have g_0 = 2, so that row is not monic
     for F, n, reps in CYCLIC_CASES + ((F3, 4, [0]), (F3, 8, [1])):
         C = cyclic_code_from_cosets(F, n, reps)
         dec = information(C)
         assert dec.sets[0] == tuple(range(1, C.k + 1))
-        g = _systematic_generator(F, dec.mats[0].array)
-        assert g.tolist() == generator_polynomial(C), (F.q, n, reps)
+        g = _cyclic_generator(F, dec.mats[0].array)
+        assert g.tolist() == C.G.array[0, : n - C.k + 1].tolist() == generator_polynomial(C), (F.q, n, reps)
         assert _bch_from_generator(F, n, g) == bch_bound(C)
 
 
 def test_only_a_leading_information_set_reaches_the_cyclicity_product():
     # _cyclic_floor rejects a code whose first information set is not
     # {1..k}, or whose length the characteristic divides, before the
-    # product of _is_cyclic; every other code reaches it, and the floor is
-    # bch_bound exactly when the code is cyclic
+    # product of _cyclic_generator; every other code reaches it, and the
+    # floor is bch_bound exactly when the code is cyclic
     GHW = sys.modules["ghwkit.ghw"]
     rng = np.random.default_rng(71)
     seen = set()
@@ -351,7 +370,7 @@ def test_only_a_leading_information_set_reaches_the_cyclicity_product():
         C = random_code(rng, F, n, int(rng.integers(1, n + 1)))
         dec = information(C)
         leading = dec.sets[0] == tuple(range(1, C.k + 1)) and n % F.p != 0
-        with mock.patch.object(GHW, "_is_cyclic", wraps=GHW._is_cyclic) as product:
+        with mock.patch.object(GHW, "_cyclic_generator", wraps=GHW._cyclic_generator) as product:
             floor = GHW._cyclic_floor(C, dec.mats[0].array, dec.sets[0])
         assert product.called == leading, C.G.array.tolist()
         assert floor == (bch_bound(C) if leading and is_cyclic(C) else None), C.G.array.tolist()
