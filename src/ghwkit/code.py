@@ -20,7 +20,7 @@ from .errors import (
     RankDeficient,
     ZeroDual,
 )
-from .gf import FiniteField, build_field
+from .gf import FiniteField, as_int, build_field
 from .matrix import MatrixGF, rank_array, rref_array
 
 
@@ -170,8 +170,8 @@ def make_rs(field: FiniteField, k: int) -> LinearCode:
     """[q, k] Reed-Solomon code: row j evaluates x^j at all q field elements
     in ascending index order.  MDS with minimum distance q - k + 1."""
     q = field.q
-    if not 1 <= k <= q:
-        raise BadDimension(f"need 1 <= k <= q = {q}, got k={k}")
+    if as_int(k) is None or not 1 <= k <= q:
+        raise BadDimension(f"need an integer 1 <= k <= q = {q}, got k={k!r}")
     G = np.empty((k, q), dtype=np.int64)
     for j in range(k):
         G[j] = [field.pow(x, j) for x in range(q)]
@@ -196,10 +196,10 @@ def make_rm(field: FiniteField, nu: int, m: int) -> LinearCode:
     monomials in graded lexicographic order.  Requires nu < q.
     """
     q = field.q
-    if m < 1:
-        raise BadArgs(f"need m >= 1, got {m}")
-    if not 0 <= nu < q:
-        raise DegreeOutOfRange(f"need 0 <= nu < q = {q}, got nu={nu}")
+    if as_int(m) is None or m < 1:
+        raise BadArgs(f"need an integer m >= 1, got m={m!r}")
+    if as_int(nu) is None or not 0 <= nu < q:
+        raise DegreeOutOfRange(f"need an integer 0 <= nu < q = {q}, got nu={nu!r}")
     points = list(product(range(q), repeat=m))
     rows = []
     for e in _monomials(nu, m):

@@ -38,7 +38,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import BadArgs, WorkLimitExceeded
-from .gf import FiniteField
+from .gf import FiniteField, as_int
 from .matrix import MatrixGF
 
 DEFAULT_BLOCK = 1 << 14
@@ -46,8 +46,10 @@ DEFAULT_BLOCK = 1 << 14
 
 def gaussian_binomial(k: int, r: int, q: int) -> int:
     """Number of r-dimensional subspaces of GF(q)^k."""
-    if not (0 <= r <= k) or q < 2:
-        raise BadArgs(f"need 0 <= r <= k and q >= 2, got k={k}, r={r}, q={q}")
+    given = k, r, q
+    k, r, q = map(as_int, given)
+    if None in (k, r, q) or not (0 <= r <= k) or q < 2:
+        raise BadArgs("need integers 0 <= r <= k and q >= 2, got k={!r}, r={!r}, q={!r}".format(*given))
     num = den = 1
     for i in range(r):
         num *= q**k - q**i
@@ -58,8 +60,10 @@ def gaussian_binomial(k: int, r: int, q: int) -> int:
 def count_full_support(w: int, r: int, q: int) -> int:
     """Number of r-dimensional subspaces of GF(q)^w with support exactly
     {1..w}, by inclusion-exclusion over coordinate hyperplanes."""
-    if not (0 <= r <= w) or q < 2:
-        raise BadArgs(f"need 0 <= r <= w and q >= 2, got w={w}, r={r}, q={q}")
+    given = w, r, q
+    w, r, q = map(as_int, given)
+    if None in (w, r, q) or not (0 <= r <= w) or q < 2:
+        raise BadArgs("need integers 0 <= r <= w and q >= 2, got w={!r}, r={!r}, q={!r}".format(*given))
     total = 0
     for i in range(w - r + 1):
         term = comb(w, i) * gaussian_binomial(w - i, r, q)

@@ -24,7 +24,8 @@ pure and the object can be shared freely between threads.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
+from operator import index
 
 import numpy as np
 
@@ -37,6 +38,17 @@ PACKED_MAX_Q = 16  # largest q whose entries fit a nibble: byte tables for packe
 
 def is_prime(n: int) -> bool:
     return n >= 2 and _factorize(n) == [n]
+
+
+def as_int(x) -> int | None:
+    """``x`` as an int through operator.index, so that numpy integers pass,
+    or None for a bool, a float or any other non-integer."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return index(x)
+    except TypeError:
+        return None
 
 
 # -- polynomial helpers over GF(p), coefficient tuples in ascending degree --
@@ -94,9 +106,11 @@ def _decode_poly(enc: int, p: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@cache
 def default_modulus(p: int, s: int) -> tuple[int, ...]:
     """First irreducible monic polynomial of degree s over GF(p), scanning
-    coefficient vectors in ascending base-p integer encoding."""
+    coefficient vectors in ascending base-p integer encoding; found once per
+    process for each (p, s)."""
     for enc in range(p**s):
         cand = _decode_poly(enc, p, s) + (1,)
         if _is_irreducible(cand, p):
@@ -363,7 +377,7 @@ class FiniteField:
         return f"GF({self.p}^{self.s}; modulus={list(self.modulus)})"
 
 
-@lru_cache(maxsize=None)
+@cache
 def _cached_field(p: int, s: int, modulus: tuple[int, ...] | None) -> FiniteField:
     return FiniteField(p, s, modulus)
 

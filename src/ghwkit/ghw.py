@@ -103,8 +103,9 @@ from .enumeration import (
     subspace_codes,
 )
 from .errors import BadHierarchy, BadRank, NotNested, WorkLimitExceeded
+from .gf import as_int
 from .infoset import _decompose
-from .matrix import MatrixGF, rref_array
+from .matrix import MatrixGF, eliminate_rows, pack_rows, rref_array
 
 
 @dataclass(frozen=True)
@@ -320,9 +321,10 @@ def _scan_round(field, mats, nsel, r, w, upper, h2t, stop):
 # one np.bitwise_or.reduce over the r and one popcount, an (nS, nsel) array
 # of weights in visit order, flat by (S, j), on which the round is replayed in
 # place (_unit_round): the first weight at most the stop ends it after its S,
-# and the first least weight before that end is its position; with C2, the
-# rows S of G_j·H2ᵀ of those below the bound, if any, go through one
-# elimination.
+# and the first least weight before that end is its position.  With C2, a
+# candidate counts only if its r packed syndrome rows S of G_j·H2ᵀ, packed
+# once per search, have r pivots; the candidates are tested one at a time, in
+# the order the replay needs them, until the chunk's outcome is known.
 _GATHER_ELEMS = 1 << 16  # elements per _tables product, gather or tree-level chunk
 _TABLE_BYTES = 1 << 25  # largest tables of all q^w messages, with their bit-planes, in one round
 
@@ -349,20 +351,26 @@ class _Matrices(NamedTuple):
     """A search's systematic matrices as its rounds read them, built once per
     search: ``stack``, the (m, k, n + k1 - k2) array of [G_j | G_j·H2ᵀ] (G_j
     alone without C2), and, for round w = r, the packed row supports of all
-    of them, a (k, m, words) uint64 array.  A round scans the first nsel."""
+    of them, a (k, m, words) uint64 array, and the rows of their syndrome
+    matrices in the elimination's row format (matrix.pack_rows), row i of
+    G_j·H2ᵀ at j·k + i (None without C2).  A round scans the first nsel."""
 
     stack: np.ndarray
     n: int
     masks: np.ndarray
+    syn: list | np.ndarray | None
 
 
-def _matrices(mats: np.ndarray, syn: np.ndarray | None) -> _Matrices:
+def _matrices(field, mats: np.ndarray, syn: np.ndarray | None) -> _Matrices:
     """The store of the (m, k, n) matrices ``mats`` and of their syndrome
     matrices ``syn``, (m, k, k1 - k2) (None without C2); the row supports
     are packed from ``mats`` as it is and read through their (k, m, words)
-    view, with no copy."""
-    stack = mats if syn is None else np.concatenate((mats, syn), axis=2)
-    return _Matrices(stack, mats.shape[2], _pack(mats).transpose(1, 0, 2))
+    view, with no copy, and the m·k syndrome rows are packed once."""
+    masks = _pack(mats).transpose(1, 0, 2)
+    if syn is None:
+        return _Matrices(mats, mats.shape[2], masks, None)
+    rows = pack_rows(field, syn.reshape(-1, syn.shape[2]))
+    return _Matrices(np.concatenate((mats, syn), axis=2), mats.shape[2], masks, rows)
 
 
 def _tables(field, X: np.ndarray, B: np.ndarray, cols: np.ndarray, n: int):
@@ -650,34 +658,79 @@ def _unit_round(field, ms: _Matrices, nsel: int, r: int, upper: int, stop: int):
     ``stop``, the bound is the least weight visited, the position (S, j,
     None) is that of the first subspace e_S at it, by support set, then
     matrix (None if none is below ``upper``), and each set visited counts
-    one subspace.  With C2, a chunk with no candidate below ``upper`` runs
-    no elimination."""
-    (k, _, words), n = ms.masks.shape, ms.n
+    one subspace.  With C2 only the candidates that decide a chunk are
+    tested (_c2_replay)."""
+    k, _, words = ms.masks.shape
     supports, masks = _supports(k, r), ms.masks[:, :nsel]
-    syn = ms.stack[:nsel, :, n:] if ms.stack.shape[2] > n else None
     step = max(1, _GATHER_ELEMS // (nsel * r * words))
     count, pos = 0, None
     for lo in range(0, len(supports), step):
         cols = supports[lo : lo + step]
-        wts = _popcount(np.bitwise_or.reduce(masks[cols], axis=1))
-        if syn is not None:
-            s, j = np.nonzero(wts < upper)
-            if s.size:
-                bad = ~_independent(field, syn[j[:, None], cols[s]])
-                wts[s[bad], j[bad]] = upper
         # in visit order, (support set, matrix) is flat index s·nsel + j
-        wts = wts.ravel()
-        hit = wts <= stop
-        first = int(hit.argmax())
-        stopped = bool(hit[first])
-        end = first // nsel + 1 if stopped else len(cols)
-        i = int(wts[: end * nsel].argmin())
-        if wts[i] < upper:
+        wts = _popcount(np.bitwise_or.reduce(masks[cols], axis=1)).ravel()
+        if ms.syn is None:
+            hit = wts <= stop
+            first = int(hit.argmax())
+            end = first // nsel + 1 if hit[first] else len(cols)
+            i = int(wts[: end * nsel].argmin())
+            i = i if wts[i] < upper else None
+        else:
+            i, end = _c2_replay(field, ms, cols, nsel, wts, upper, stop)
+        if i is not None:
             upper, pos = int(wts[i]), (cols[i // nsel], i % nsel, None)
         count += end
-        if stopped:
+        if upper <= stop:
             break
     return upper, pos, count
+
+
+def _unit_free(field, ms: _Matrices, cols: list, j: int) -> bool:
+    """Whether e_S, for the support set ``cols``, meets C2 only in 0 through
+    matrix j: whether the r packed syndrome rows S of G_j·H2ᵀ have r
+    pivots."""
+    k = ms.stack.shape[1]
+    rows = [ms.syn[j * k + i] for i in cols]
+    return len(eliminate_rows(field, rows, ms.stack.shape[2] - ms.n)[1]) == len(rows)
+
+
+def _c2_replay(field, ms: _Matrices, cols, nsel: int, wts, upper: int, stop: int):
+    """The plain path's replay of one chunk of round w = r with C2, on its
+    flat weights ``wts`` in visit order: (the flat index of the chunk's new
+    bound, or None, the support sets visited).  A candidate below ``upper``
+    is tested (_unit_free) only when the outcome needs it, and at most once.
+    The candidates go in (weight, visit) order, the lightest first with no
+    sort, up to the first that meets C2 in 0: c, the least such weight.  If
+    c weighs more than ``stop``, no candidate stops the round and c is the
+    bound.  Else the first candidate at most ``stop`` by visit that passes,
+    d, at or before c, ends the round after its support set, and the bound
+    is the least that passes up to there: c if it is there, else the least
+    of those lighter than d that pass, or d."""
+    known = {}
+
+    def passes(i):
+        if i not in known:
+            known[i] = _unit_free(field, ms, cols[i // nsel].tolist(), i % nsel)
+        return known[i]
+
+    def first(idx, default=None):
+        # the first of the flat indices ``idx`` that passes
+        return next((i for i in idx.tolist() if passes(i)), default)
+
+    def by_weight(idx):
+        return idx[np.argsort(wts[idx], kind="stable")]
+
+    c = int(wts.argmin())
+    if wts[c] >= upper:
+        return None, len(cols)
+    if not passes(c):
+        c = first(by_weight(np.flatnonzero(wts < upper)))
+    if c is None or wts[c] > stop:
+        return c, len(cols)
+    d = first(np.flatnonzero(wts[: c + 1] <= stop))
+    end = d // nsel + 1
+    if c < end * nsel:
+        return c, end
+    return first(by_weight(np.flatnonzero(wts[: end * nsel] < wts[d])), d), end
 
 
 def _scan_kernel(field, ms: _Matrices, nsel: int, r, w, upper, stop):
@@ -792,11 +845,7 @@ def _nested_pair(c1: LinearCode, c2: LinearCode | None):
 def _check_rank(r, rmax: int, c2) -> None:
     """Raise BadRank unless r is an integer in [1, rmax]: not a float or a
     bool, while numpy integers pass through operator.index."""
-    try:
-        valid = not isinstance(r, bool) and 1 <= index(r) <= rmax
-    except TypeError:
-        valid = False
-    if not valid:
+    if as_int(r) is None or not 1 <= r <= rmax:
         bound = "k" if c2 is None else "k1 - k2"
         raise BadRank(f"need an integer 1 <= r <= {bound} = {rmax}, got r={r!r}")
 
@@ -823,7 +872,7 @@ def _search(c1, c2, ranks, opts: ComputeOptions) -> list[int]:
     # the rows whose syndromes extend the span of those before them (the k1
     # syndromes span dimension k1 - k2 >= r)
     rows = np.arange(c1.k) if syn is None else np.array(rref_array(field, syn[0].T)[1])
-    ms = _matrices(mats, syn)
+    ms = _matrices(field, mats, syn)
     # the starting witness of run r spans rows[:r] of the first matrix: one
     # cumulative OR of their packed supports weighs all
     starts = _popcount(np.bitwise_or.accumulate(ms.masks[rows, 0], axis=0)).tolist()
@@ -948,7 +997,7 @@ def _enumerated_spectrum(c1: LinearCode, h2t, rmax: int, opts: ComputeOptions) -
     so each w's tables serve every r; a subspace that meets C2 outside 0 is
     counted at weight n + 1, which is dropped."""
     field, k, n, G = c1.field, c1.k, c1.n, c1.G.array
-    ms = _matrices(G[None], None if h2t is None else field.matmul(G, h2t)[None])
+    ms = _matrices(field, G[None], None if h2t is None else field.matmul(G, h2t)[None])
     hist = np.zeros((rmax + 1, n + 2), dtype=np.int64)
     words, c = -(-n // 64), 0 if h2t is None else h2t.shape[1]
     for w in range(1, k + 1):

@@ -147,10 +147,15 @@ class MatrixGF:
 
 def pack_rows(field: FiniteField, arr: np.ndarray):
     """The rows of a 2-D index array in the elimination's row format: a
-    list of ints, one byte per entry, for q <= 16; else the int64 array."""
+    list of ints, one byte per entry, for q <= 16; else the int64 array.
+    Rows of at most 8 entries are read as one little-endian uint64 each."""
     if field.axpy_bytes is None:
         return np.asarray(arr, dtype=np.int64)
     m, n = np.shape(arr)
+    if n <= 8:
+        words = np.zeros((m, 8), dtype=np.uint8)
+        words[:, :n] = arr
+        return words.view("<u8").ravel().tolist()
     data = np.asarray(arr).astype(np.uint8).tobytes()
     return [int.from_bytes(data[i * n : (i + 1) * n], "little") for i in range(m)]
 

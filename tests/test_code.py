@@ -13,7 +13,9 @@ from ghwkit.code import (
     new_code,
     support_weight,
 )
+from ghwkit.enumeration import count_full_support, gaussian_binomial
 from ghwkit.errors import (
+    BadArgs,
     BadDimension,
     CharacteristicDividesLength,
     DegreeOutOfRange,
@@ -273,6 +275,25 @@ def test_make_rs():
         make_rs(build_field(2, 2), 5)
     with pytest.raises(BadDimension):
         make_rs(F5, 0)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda x: make_rs(F5, x), BadDimension),
+    (lambda x: make_rm(F5, x, 2), DegreeOutOfRange),
+    (lambda x: make_rm(F5, 1, x), BadArgs),
+    (lambda x: gaussian_binomial(6, x, 2), BadArgs),
+    (lambda x: count_full_support(3, x, 2), BadArgs),
+    (lambda x: gaussian_binomial(x, 1, 2), BadArgs),
+    (lambda x: count_full_support(3, 1, x), BadArgs),
+], ids=["rs-k", "rm-nu", "rm-m", "gaussian-r", "full-support-r", "gaussian-k", "full-support-q"])
+def test_a_degree_or_rank_must_be_an_integer(call, error):
+    # floats, bools and strings are refused by the range check's own error,
+    # not by a TypeError from numpy or range; numpy integers pass
+    for x in (2.0, 1.5, True, False, "2", None):
+        with pytest.raises(error):
+            call(x)
+    got = call(np.int64(2))
+    assert got == call(2) if isinstance(got, int) else got.G == call(2).G
 
 
 def test_make_rs_is_mds():

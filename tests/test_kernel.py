@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghwkit.code import code_from_rows
+from ghwkit.code import code_from_rows, dual
 from ghwkit.enumeration import (
     DEFAULT_BLOCK,
     RowTree,
@@ -86,10 +86,10 @@ def _round_inputs(c1, c2):
     return mats, h2t, None if h2t is None else [c1.field.matmul(M, h2t) for M in mats]
 
 
-def _store(mats, ghs=None):
+def _store(field, mats, ghs=None):
     """The matrices and their syndrome matrices (None without C2) as a
     search stacks them."""
-    return GHW._matrices(np.array(mats), None if ghs is None else np.array(ghs))
+    return GHW._matrices(field, np.array(mats), None if ghs is None else np.array(ghs))
 
 
 def _check_round(c1, c2, r, w, nsel, upper, stop):
@@ -101,7 +101,7 @@ def _check_round(c1, c2, r, w, nsel, upper, stop):
     want = _outcome(field, c1.k, GHW._scan_round(field, mats, nsel, r, w, upper, h2t, stop))
     for table in (None, 0):
         with budgets(table=table):
-            got = GHW._scan_kernel(field, _store(mats, ghs), nsel, r, w, upper, stop)
+            got = GHW._scan_kernel(field, _store(field, mats, ghs), nsel, r, w, upper, stop)
         assert _outcome(field, c1.k, got) == want
     return want
 
@@ -196,7 +196,7 @@ def test_tables_are_message_major(F, n, k1, k2):
         return _own_tables(F, codes, mats[j][S], None if ghs is None else ghs[j][S], n, w)
 
     for w in range(1, k1 + 1):
-        supports, _, (masks, syn) = GHW._round_tables(F, _store(mats, ghs), nsel, w)
+        supports, _, (masks, syn) = GHW._round_tables(F, _store(F, mats, ghs), nsel, w)
         assert supports.tolist() == [list(S) for S in combinations(range(k1), w)]
         assert masks.shape == (F.q**w, comb(k1, w), nsel, words)
         assert syn is None if c2 is None else syn.shape == masks.shape[:3] + (k1 - k2,)
@@ -207,7 +207,7 @@ def test_tables_are_message_major(F, n, k1, k2):
                 assert syn is None or np.array_equal(syn[:, s, j], want_syn)
         for table in (None, 0):
             with budgets(table=table):
-                tabs = GHW._round_tables(F, _store(mats, ghs), nsel, w)
+                tabs = GHW._round_tables(F, _store(F, mats, ghs), nsel, w)
             assert (tabs[2] is None) == (table == 0)
             for r in range(1, w + 1):
                 for codes in subspace_codes(r, w, F, block_size=500):
@@ -282,7 +282,7 @@ def test_a_stopped_row_tree_weighs_no_later_support_set():
     mats, _, _ = _round_inputs(code, None)
     want = GHW._scan_round(F65536, mats, len(mats), 1, 4, 8, None, 7)
     with budgets(gather=1, table=0), mock.patch.object(GHW, "_tables", wraps=GHW._tables) as tables:
-        got = GHW._scan_kernel(F65536, _store(mats), len(mats), 1, 4, 8, 7)
+        got = GHW._scan_kernel(F65536, _store(F65536, mats), len(mats), 1, 4, 8, 7)
     assert _outcome(F65536, 5, got) == _outcome(F65536, 5, want) and got[2] == DEFAULT_BLOCK
     assert tables.call_count == 1
 
@@ -304,7 +304,7 @@ def test_row_tree_stops_inside_a_batch_across_blocks():
         want = GHW._scan_round(F16, mats, nsel, 1, 5, n + 1, None, stop)
         for gather in (1, None):
             with budgets(gather=gather):
-                got = GHW._scan_kernel(F16, _store(mats), nsel, 1, 5, n + 1, stop)
+                got = GHW._scan_kernel(F16, _store(F16, mats), nsel, 1, 5, n + 1, stop)
             assert _outcome(F16, 6, got) == _outcome(F16, 6, want)
         blocks.add(want[2] // (DEFAULT_BLOCK * comb(6, 5)))
     assert blocks == {0, 1, 2}
@@ -319,7 +319,7 @@ def test_row_tree_stops_inside_a_batch_across_blocks():
         assert want[2] == 15**4 * comb(6, 5)
         for gather in (1, None):
             with budgets(gather=gather):
-                got = GHW._scan_kernel(F16, _store(mats), nsel, 1, 5, n + 1, 0)
+                got = GHW._scan_kernel(F16, _store(F16, mats), nsel, 1, 5, n + 1, 0)
             assert _outcome(F16, 6, got) == _outcome(F16, 6, want)
 
 
@@ -343,7 +343,7 @@ def test_row_tree_batches_are_one_per_stream_block():
 
     want = GHW._scan_round(F16, mats, 1, 1, 5, 17, None, 0)
     with mock.patch.object(ShapeRows, "prefix_codes", counted):
-        got = GHW._scan_kernel(F16, _store(mats), 1, 1, 5, 17, 0)
+        got = GHW._scan_kernel(F16, _store(F16, mats), 1, 1, 5, 17, 0)
     assert _outcome(F16, 6, got) == _outcome(F16, 6, want)
     assert [a for a, _ in batches] == [0] + [b for _, b in batches[:-1]] and batches[-1][1] == 15
     starts = [a * sh.P // DEFAULT_BLOCK for a, _ in batches]
@@ -388,7 +388,7 @@ def test_first_round_builds_no_message_tables():
         mats, h2t, ghs = _round_inputs(c1, c2)
         for r in range(1, c1.k - (0 if c2 is None else c2.k) + 1):
             want = _outcome(c1.field, c1.k, GHW._scan_round(c1.field, mats, len(mats), r, r, c1.n + 1, h2t, 0))
-            cases.append(((c1.field, _store(mats, ghs), len(mats), r, r, c1.n + 1, 0), want))
+            cases.append(((c1.field, _store(c1.field, mats, ghs), len(mats), r, r, c1.n + 1, 0), want))
     banned = mock.Mock(side_effect=AssertionError("a w = r round tabulated messages"))
     with mock.patch.object(GHW, "_round_tables", banned), mock.patch.object(GHW, "subspace_codes", banned), \
             mock.patch.object(GHW, "_tables", banned), mock.patch.object(FiniteField, "matmul", banned):
@@ -403,7 +403,7 @@ def _check_unit_round(mats, nsel, r, upper, stop, h2t=None):
     field, k = F2, mats[0].shape[0]
     ghs = None if h2t is None else [field.matmul(M, h2t) for M in mats]
     want = _outcome(field, k, GHW._scan_round(field, mats, nsel, r, r, upper, h2t, stop))
-    assert _outcome(field, k, GHW._scan_kernel(field, _store(mats, ghs), nsel, r, r, upper, stop)) == want
+    assert _outcome(field, k, GHW._scan_kernel(field, _store(field, mats, ghs), nsel, r, r, upper, stop)) == want
     return want
 
 
@@ -442,15 +442,15 @@ def test_first_round_keeps_a_heavier_subspace_that_passes_c2():
 def test_first_round_with_nothing_below_the_bound_runs_no_elimination(stop):
     # the matrices above through C2, where every e_S weighs at least 2: at
     # upper = 2 no (support set, matrix) pair is a candidate, so the round
-    # keeps the bound, has no position, visits both sets and never asks
-    # whether syndromes are independent
+    # keeps the bound, has no position, visits both sets and never tests a
+    # subspace against C2
     h2t = np.array([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]).T
     mats = [np.array([[1, 1, 0, 0], [0, 1, 1, 1]]), np.array([[1, 1, 1, 0], [1, 0, 1, 1]])]
     want = GHW._scan_round(F2, mats, 2, 1, 1, 2, h2t, stop)
     assert want == (2, None, 2)
-    store = _store(mats, [F2.matmul(M, h2t) for M in mats])
-    banned = mock.Mock(side_effect=AssertionError("an elimination with no candidate"))
-    with mock.patch.object(GHW, "_independent", banned):
+    store = _store(F2, mats, [F2.matmul(M, h2t) for M in mats])
+    banned = mock.Mock(side_effect=AssertionError("a C2 test with no candidate"))
+    with mock.patch.object(GHW, "_unit_free", banned):
         assert GHW._unit_round(F2, store, 2, 1, 2, stop) == want
     assert not banned.called
 
@@ -461,26 +461,126 @@ def test_first_round_with_nothing_below_the_bound_runs_no_elimination(stop):
 ])
 def test_first_round_rejects_its_only_light_subspace(r, rows):
     # C2 is spanned by the first row, and below upper = r + 2 the round has
-    # one subspace, e_S for S = {0..r-1}, which contains it: the elimination
-    # runs once, on that subspace's r syndromes, and its weight n + 1 must
-    # reach the replay, so the round finds nothing
+    # one subspace, e_S for S = {0..r-1}, which contains it: C2 is tested
+    # once, on that subspace's r syndromes, and its failure must reach the
+    # replay, so the round finds nothing
     c1 = code_from_rows(F2, rows)
     c2 = code_from_rows(F2, rows[:1])
     mats, h2t, ghs = _round_inputs(c1, c2)
     assert np.array_equal(mats[0], c1.G.array)
-    calls = []
-    real = GHW._independent
-
-    def independent(field, syn):
-        calls.append(syn.shape)
-        return real(field, syn)
-
-    with mock.patch.object(GHW, "_independent", independent):
-        got = GHW._scan_kernel(F2, _store(mats, ghs), 1, r, r, r + 2, 0)
+    with _c2_tests() as calls:
+        got = GHW._scan_kernel(F2, _store(F2, mats, ghs), 1, r, r, r + 2, 0)
     assert got == (r + 2, None, comb(3, r))
-    assert calls == [(1, r, 2)]
+    assert calls == [(list(range(r)), 0, False)]
     assert _check_round(c1, c2, r, r, 1, r + 2, 0) == (r + 2, None, comb(3, r))
     assert rhierarchy(c1, c2).values == tuple(naive_rghw(c1, c2, t) for t in (1, 2))
+
+
+@contextmanager
+def _c2_tests():
+    """Record each C2 test of a candidate of round w = r as (support set,
+    matrix index, whether it meets C2 only in 0)."""
+    calls, real = [], GHW._unit_free
+
+    def spy(field, ms, cols, j):
+        ok = real(field, ms, cols, j)
+        calls.append((list(cols), j, ok))
+        return ok
+
+    with mock.patch.object(GHW, "_unit_free", spy):
+        yield calls
+
+
+three_budgets = pytest.mark.parametrize("gather", [1, 3, None], ids=["chunk1", "chunk3", "default"])
+
+
+@three_budgets
+@pytest.mark.parametrize("k2, r, weight, witness, rejected", [
+    (3, 1, 4, [[1, 0, 0, 0]], 3),
+    (2, 1, 2, [[0, 0, 0, 1]], 2),
+    (2, 2, 6, [[1, 0, 0, 0], [0, 0, 0, 1]], 5),
+])
+def test_first_round_passes_over_light_subspaces_in_c2(gather, k2, r, weight, witness, rejected):
+    # C1 is a heavy row, then three rows of weight 2, C2 the first k2 of
+    # those three: the lightest subspaces of round w = r meet C2, and each
+    # is rejected before a heavier or later one that meets C2 only in 0
+    # becomes the bound.  No candidate is tested twice, and in one chunk
+    # (the default budget) they are tested lightest first
+    rows = [[1, 0, 0, 0, 0, 0, 0, 1, 1, 1], [0, 1, 1, 0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 1, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 1, 0, 0, 0]]
+    c1, c2 = code_from_rows(F2, rows), code_from_rows(F2, rows[1 : 1 + k2])
+    mats, h2t, ghs = _round_inputs(c1, c2)
+    assert np.array_equal(mats[0], c1.G.array)
+    store = _store(F2, mats, ghs)
+    with budgets(gather=gather):
+        for nsel in (len(mats), 1):
+            want = _outcome(F2, 4, GHW._scan_round(F2, mats, nsel, r, r, 11, h2t, 0))
+            with _c2_tests() as calls:
+                assert _outcome(F2, 4, GHW._unit_round(F2, store, nsel, r, 11, 0)) == want
+            assert len({(tuple(cols), j) for cols, j, _ in calls}) == len(calls)
+    # through the first matrix alone
+    assert want == (weight, (witness, 0, weight), comb(4, r))
+    if gather is None:
+        assert [ok for *_, ok in calls] == [False] * rejected + [True]
+
+
+@three_budgets
+@pytest.mark.parametrize("passes", [False, True], ids=["in-C2", "outside-C2"])
+def test_first_round_stops_before_its_lightest_subspace(gather, passes):
+    # C2 = <11000000, 00110000>, stop = 3.  Support set 0 holds e_S through
+    # G_0 of weight 3 outside C2, which ends the round after set 0, and
+    # through G_1 a subspace of weight 2, in C2 or outside it (then it is
+    # the bound); set 2 holds the round's lightest subspace, weight 1
+    # outside C2, which the round never reaches
+    h2t = dual(code_from_rows(F2, [[1, 1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0, 0, 0]])).G.array.T
+    G0 = np.array([[1, 1, 1, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1]])
+    G1 = np.array([[0, 0, 0, 0, 1, 1, 0, 0] if passes else [0, 0, 1, 1, 0, 0, 0, 0],
+                   [1, 0, 0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 0, 1, 1]])
+    with budgets(gather=gather), _c2_tests() as calls:
+        got = _check_unit_round([G0, G1], 2, 1, 9, 3, h2t)
+    assert got == ((2, ([[1, 0, 0]], 1, 2), 1) if passes else (3, ([[1, 0, 0]], 0, 3), 1))
+    assert len({(tuple(cols), j) for cols, j, _ in calls}) == len(calls)
+    if gather is None:
+        # the lightest is tested first, and decides that the round stops
+        assert calls[0] == ([2], 0, True)
+
+
+@three_budgets
+@pytest.mark.parametrize("F", [build_field(2, 5), F256], ids=["GF32", "GF256"])
+def test_first_round_with_c2_past_packed_rows(gather, F):
+    # above PACKED_MAX_Q the syndrome rows are rows of an int64 array; C2
+    # is spanned by C1's two rows of weight 2, so candidates are rejected
+    # as well as passed
+    rng = np.random.default_rng(F.q)
+    a, b = rng.integers(1, F.q, 2).tolist()
+    rows = [[1, a, 0, 0, 0, 0, 0, 0], [0, 0, 1, b, 0, 0, 0, 0]] + rng.integers(0, F.q, (2, 8)).tolist()
+    c1, c2 = code_from_rows(F, rows), code_from_rows(F, rows[:2])
+    mats, _, ghs = _round_inputs(c1, c2)
+    assert F.axpy_bytes is None and isinstance(_store(F, mats, ghs).syn, np.ndarray)
+    with budgets(gather=gather), _c2_tests() as calls:
+        for r in (1, 2):
+            for nsel in (len(mats), 1):
+                for upper, stop in ((9, 0), (9, 5), (6, 0), (5, 4)):
+                    _check_round(c1, c2, r, r, nsel, upper, stop)
+    assert {ok for *_, ok in calls} == {False, True}
+
+
+@three_budgets
+def test_first_round_tests_only_its_lightest_when_it_passes(gather):
+    # every e_S is below the bound and outside C2 = <11110000>; the
+    # lightest, on set 0 through G_1, is tested first, passes, and is a
+    # bound no later subspace is below: one elimination in the round
+    h2t = dual(code_from_rows(F2, [[1, 1, 1, 1, 0, 0, 0, 0]])).G.array.T
+    mats = [np.array([[1, 1, 1, 0, 0, 0, 0, 0], [0, 1, 1, 1, 1, 0, 0, 0],
+                      [0, 0, 0, 0, 1, 1, 1, 1], [1, 0, 0, 0, 1, 1, 1, 0]]),
+            np.array([[0, 0, 0, 0, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 0, 0],
+                      [0, 1, 0, 1, 0, 1, 0, 0], [0, 0, 1, 1, 0, 0, 1, 0]])]
+    want = _outcome(F2, 4, GHW._scan_round(F2, mats, 2, 1, 1, 9, h2t, 0))
+    assert want == (2, ([[1, 0, 0, 0]], 1, 2), 4)
+    store = _store(F2, mats, [F2.matmul(M, h2t) for M in mats])
+    with budgets(gather=gather), mock.patch.object(GHW, "eliminate_rows", wraps=GHW.eliminate_rows) as elim:
+        assert _outcome(F2, 4, GHW._unit_round(F2, store, 2, 1, 9, 0)) == want
+    assert elim.call_count == 1
 
 
 def _spectrum_matches_brute(code, spectrum, ranks):
@@ -570,7 +670,7 @@ def test_one_shape_walk_per_round(monkeypatch):
     mats, _, _ = _round_inputs(code, None)
     for _ in range(2):
         assert sum(len(c) for c in subspace_codes(3, 5, F3)) == count_full_support(5, 3, 3)
-    GHW._scan_kernel(F3, _store(mats), 1, 3, 5, 9, 0)
+    GHW._scan_kernel(F3, _store(F3, mats), 1, 3, 5, 9, 0)
     assert walks == [(3, 5)]
 
 
@@ -592,7 +692,7 @@ def test_spectra_build_no_row_trees():
         higher_spectrum(code)
         assert built == []
         for _ in range(2):
-            GHW._scan_kernel(F3, _store(mats), 1, 3, 5, 8, 0)
+            GHW._scan_kernel(F3, _store(F3, mats), 1, 3, 5, 8, 0)
     assert built == [sh.pivots for sh in shape_rows(3, 5, F3)] and len(built) == comb(4, 2)
 
 
@@ -608,10 +708,10 @@ def test_bit_planes_count_against_the_table_cap():
     # the product a thousand messages at a time, so its temporaries stay small
     X = row_digits(np.arange(F256.q**2), F256.q, 2)
     want = np.concatenate([GHW._tables(F256, X[lo : lo + 1024], B[:1], cols, 48)[0] for lo in range(0, len(X), 1024)])
-    supports, _, got = GHW._round_tables(F256, _store(B[:1]), 1, 2)
+    supports, _, got = GHW._round_tables(F256, _store(F256, B[:1]), 1, 2)
     assert supports.tolist() == cols.tolist() and got[1] is None
     assert got[0].shape == want.shape and got[0].tobytes() == want.tobytes()
-    assert GHW._round_tables(F256, _store(B), 3, 2)[2] is None
+    assert GHW._round_tables(F256, _store(F256, B), 3, 2)[2] is None
 
 
 def test_search_and_spectra_never_take_the_plain_path():
@@ -685,7 +785,7 @@ def _check_char2_tables(F, B, k, w, n, c):
     cols = np.array(list(combinations(range(k), w)), dtype=np.intp)
     X = np.arange(F.q**w)[:, None] // F.q ** np.arange(w) % F.q
     want = GHW._tables(F, X, B, cols, n)
-    supports, _, got = GHW._round_tables(F, GHW._matrices(B[..., :n], B[..., n:] if c else None), len(B), w)
+    supports, _, got = GHW._round_tables(F, GHW._matrices(F, B[..., :n], B[..., n:] if c else None), len(B), w)
     assert supports.tolist() == cols.tolist()
     assert got[0].dtype == want[0].dtype == np.dtype("<u8")
     assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
@@ -708,7 +808,7 @@ def test_gf2_whole_round_tables_match_the_product(k, w, n, c):
     cols = np.array(list(combinations(range(k), w)), dtype=np.intp)
     assert len(cols) >= 120
     want = GHW._tables(F2, row_digits(np.arange(2**w), 2, w), B, cols, n)
-    supports, _, got = GHW._round_tables(F2, GHW._matrices(B[..., :n], B[..., n:] if c else None), nj, w)
+    supports, _, got = GHW._round_tables(F2, GHW._matrices(F2, B[..., :n], B[..., n:] if c else None), nj, w)
     assert supports.tolist() == cols.tolist()
     assert (got[1] is None) == (want[1] is None) == (c == 0)
     for g, x, dtype in [(got[0], want[0], np.dtype("<u8"))] + [(got[1], want[1], np.dtype(np.int64))] * (c > 0):
@@ -731,7 +831,7 @@ def test_round_tables_stay_within_what_the_cap_counts(F, k, w, nj):
     # cap counts plus one gather
     rng = np.random.default_rng(7)
     mats, n = [rng.integers(0, F.q, (k, 48)) for _ in range(nj)], 48
-    store = _store(mats)
+    store = _store(F, mats)
     counted = _counted_bytes(F, k, w, n, 0, nj)
     assert counted <= GHW._TABLE_BYTES
     GHW._supports(k, w)
@@ -853,7 +953,7 @@ def test_row_tree_rejects_a_light_leaf_without_full_support(F):
         return ok, pos
 
     with mock.patch.object(RowTree, "place", spy):
-        got = GHW._scan_kernel(F, _store(mats, ghs), 1, 3, 5, 10, 0)
+        got = GHW._scan_kernel(F, _store(F, mats, ghs), 1, 3, 5, 10, 0)
     assert got == (10, None, count_full_support(5, 3, F.q))
     assert [0, 0, 0] in rejected
     assert _check_round(code, None, 3, 5, 1, 10, 0) == got

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ghwkit.code import code_from_rows
 from ghwkit.errors import BadArgs, DimensionMismatch
 from ghwkit.gf import AXPY_MAX_Q, PACKED_MAX_Q, build_field
-from ghwkit.matrix import MatrixGF, rank_array, rref_array
+from ghwkit.matrix import MatrixGF, pack_rows, rank_array, rref_array, unpack_rows
 
 from support import span_fingerprint, tiny_rref
 
@@ -117,6 +117,18 @@ def test_rank_unpacks_no_rows(monkeypatch):
     for F, rows, rank in ((F2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]], 2), (F5, [[1, 2], [2, 4]], 1),
                           (F25, [[1, 7, 0], [0, 24, 3]], 2)):
         assert MatrixGF(F, rows).rank() == rank_array(F, np.array(rows)) == rank
+
+
+@pytest.mark.parametrize("F", [F2, F5, build_field(2, 4)], ids=["GF2", "GF5", "GF16"])
+def test_packed_rows_hold_one_byte_per_entry(F):
+    # row i packs entry j into byte j, on both sides of the 8-entry word
+    rng = np.random.default_rng(F.q)
+    for m, n in [(0, 3), (3, 0), (4, 1), (5, 7), (5, 8), (5, 9), (3, 17)]:
+        A = rng.integers(0, F.q, (m, n))
+        rows = pack_rows(F, A)
+        assert all(type(x) is int for x in rows)
+        assert rows == [sum(int(v) << 8 * j for j, v in enumerate(row)) for row in A]
+        assert np.array_equal(unpack_rows(F, rows, n), A)
 
 
 def test_entry_validation():
