@@ -30,7 +30,7 @@ All counting functions use exact arbitrary-precision integers.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import comb, prod
 from typing import Iterator, NamedTuple
@@ -73,8 +73,10 @@ def count_full_support(w: int, r: int, q: int) -> int:
 
 def count_e(k: int, w: int, r: int, q: int) -> int:
     """Size of E_w^r: r-dimensional subspaces of GF(q)^k with support size w."""
-    if not (0 <= r <= w <= k):
-        raise BadArgs(f"need 0 <= r <= w <= k, got k={k}, w={w}, r={r}")
+    given = k, w, r
+    k, w, r = map(as_int, given)
+    if None in (k, w, r) or not (0 <= r <= w <= k):
+        raise BadArgs("need integers 0 <= r <= w <= k, got k={!r}, w={!r}, r={!r}".format(*given))
     return comb(k, w) * count_full_support(w, r, q)
 
 
@@ -82,8 +84,11 @@ def expected_enumeration(m: int, d: int, r: int, k: int, q: int) -> int:
     """Approximate number of subspaces a run with m information sets would
     enumerate before the lower bound m(w+1) reaches d: the sum of m * e_w^r
     for w from r up to ceil(d/m) - 1 (empty when that limit is below r)."""
-    if m < 1 or d < 1:
-        raise BadArgs(f"need m >= 1 and d >= 1, got m={m}, d={d}")
+    given = m, d, r, k, q
+    m, d, r, k, q = map(as_int, given)
+    if None in (m, d, r, k, q) or m < 1 or d < 1:
+        raise BadArgs("need integers m >= 1, d >= 1, r, k and q, got m={!r}, d={!r}, r={!r}, k={!r}, q={!r}"
+                      .format(*given))
     upper = -(-d // m) - 1
     total = 0
     for w in range(r, min(upper, k) + 1):
@@ -93,8 +98,10 @@ def expected_enumeration(m: int, d: int, r: int, k: int, q: int) -> int:
 
 def pivot_shapes(r: int, w: int) -> Iterator[tuple[int, ...]]:
     """All pivot tuples (1 = i_1 < i_2 < ... < i_r <= w), lexicographically."""
-    if not 1 <= r <= w:
-        raise BadArgs(f"need 1 <= r <= w, got r={r}, w={w}")
+    given = r, w
+    r, w = map(as_int, given)
+    if None in (r, w) or not 1 <= r <= w:
+        raise BadArgs("need integers 1 <= r <= w, got r={!r}, w={!r}".format(*given))
     for rest in combinations(range(2, w + 1), r - 1):
         yield (1,) + rest
 
@@ -232,7 +239,7 @@ class RowTree(NamedTuple):
         return ok, (code[ok] - 1) @ self.strides
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True get no entry of 2 or 1
 def shape_rows(
     r: int, w: int, field: FiniteField, block_size: int = DEFAULT_BLOCK
 ) -> tuple[ShapeRows, ...]:
@@ -241,8 +248,10 @@ def shape_rows(
     columns with at most ``block_size`` choices; built once per process and
     block size.  A shape whose prefix choices overflow intp raises
     WorkLimitExceeded."""
-    if block_size < 1:
-        raise BadArgs(f"block_size must be >= 1, got {block_size}")
+    given = r, w, block_size
+    r, w, block_size = map(as_int, given)
+    if None in (r, w, block_size) or block_size < 1:
+        raise BadArgs("need integers r, w and block_size >= 1, got r={!r}, w={!r}, block_size={!r}".format(*given))
     q, out = field.q, []
     for shape in pivot_shapes(r, w):
         piv = tuple(i - 1 for i in shape)
@@ -288,15 +297,20 @@ def subspaces(r: int, w: int, field: FiniteField) -> Iterator[MatrixGF]:
 
 def support_choices(k: int, w: int) -> Iterator[tuple[int, ...]]:
     """All w-subsets of {1..k} in lexicographic order (1-based)."""
-    if not 0 <= w <= k:
-        raise BadArgs(f"need 0 <= w <= k, got k={k}, w={w}")
+    given = k, w
+    k, w = map(as_int, given)
+    if None in (k, w) or not 0 <= w <= k:
+        raise BadArgs("need integers 0 <= w <= k, got k={!r}, w={!r}".format(*given))
     return combinations(range(1, k + 1), w)
 
 
 def expand_to_support(RE: MatrixGF, support_set, k: int) -> MatrixGF:
     """Place the columns of RE at the (1-based) positions in ``support_set``
     inside an r x k matrix that is zero elsewhere."""
-    cols = [int(c) for c in support_set]
+    given = list(support_set), k
+    cols, k = [as_int(c) for c in given[0]], as_int(k)
+    if None in cols or k is None:
+        raise BadArgs("support positions and k must be integers, got {!r} and k={!r}".format(*given))
     if len(cols) != RE.cols:
         raise BadArgs(f"support size {len(cols)} != matrix columns {RE.cols}")
     if any(a >= b for a, b in zip(cols, cols[1:])):

@@ -323,8 +323,10 @@ def _scan_round(field, mats, nsel, r, w, upper, h2t, stop):
 # place (_unit_round): the first weight at most the stop ends it after its S,
 # and the first least weight before that end is its position.  With C2, a
 # candidate counts only if its r packed syndrome rows S of G_j·H2ᵀ, packed
-# once per search, have r pivots; the candidates are tested one at a time, in
-# the order the replay needs them, until the chunk's outcome is known.
+# once per search, have r pivots.  Only those two deciders are tested, each
+# at most once per chunk; one that fails has its weight set to the bound, no
+# longer a candidate, and the chunk is replayed until both pass: the replay
+# on weights with every failing candidate masked, the plain path's with C2.
 _GATHER_ELEMS = 1 << 16  # elements per _tables product, gather or tree-level chunk
 _TABLE_BYTES = 1 << 25  # largest tables of all q^w messages, with their bit-planes, in one round
 
@@ -658,25 +660,38 @@ def _unit_round(field, ms: _Matrices, nsel: int, r: int, upper: int, stop: int):
     ``stop``, the bound is the least weight visited, the position (S, j,
     None) is that of the first subspace e_S at it, by support set, then
     matrix (None if none is below ``upper``), and each set visited counts
-    one subspace.  With C2 only the candidates that decide a chunk are
-    tested (_c2_replay)."""
+    one subspace.  With C2 the replay's deciders, ``first`` if a hit and
+    ``i``, are tested (_unit_free), each at most once; one that fails is
+    masked to ``upper`` and the chunk replayed, until both pass.  Masking
+    only removes candidates, so ``first`` is then the first hit that passes
+    and ``i`` the first least that passes before the end: the replay on
+    fully masked weights, the plain path's with C2."""
     k, _, words = ms.masks.shape
     supports, masks = _supports(k, r), ms.masks[:, :nsel]
     step = max(1, _GATHER_ELEMS // (nsel * r * words))
     count, pos = 0, None
     for lo in range(0, len(supports), step):
         cols = supports[lo : lo + step]
-        # in visit order, (support set, matrix) is flat index s·nsel + j
+        # in visit order, (support set, matrix) is flat index s·nsel + j;
+        # upper <= n + 1 fits the uint8 weights of one-word masks
         wts = _popcount(np.bitwise_or.reduce(masks[cols], axis=1)).ravel()
-        if ms.syn is None:
+        passed = set()
+        while True:
             hit = wts <= stop
             first = int(hit.argmax())
             end = first // nsel + 1 if hit[first] else len(cols)
             i = int(wts[: end * nsel].argmin())
-            i = i if wts[i] < upper else None
-        else:
-            i, end = _c2_replay(field, ms, cols, nsel, wts, upper, stop)
-        if i is not None:
+            if ms.syn is None or wts[i] >= upper:
+                break
+            for t in (first, i) if hit[first] else (i,):
+                if t not in passed:
+                    if not _unit_free(field, ms, cols[t // nsel].tolist(), t % nsel):
+                        wts[t] = upper
+                        break
+                    passed.add(t)
+            else:
+                break
+        if wts[i] < upper:
             upper, pos = int(wts[i]), (cols[i // nsel], i % nsel, None)
         count += end
         if upper <= stop:
@@ -691,46 +706,6 @@ def _unit_free(field, ms: _Matrices, cols: list, j: int) -> bool:
     k = ms.stack.shape[1]
     rows = [ms.syn[j * k + i] for i in cols]
     return len(eliminate_rows(field, rows, ms.stack.shape[2] - ms.n)[1]) == len(rows)
-
-
-def _c2_replay(field, ms: _Matrices, cols, nsel: int, wts, upper: int, stop: int):
-    """The plain path's replay of one chunk of round w = r with C2, on its
-    flat weights ``wts`` in visit order: (the flat index of the chunk's new
-    bound, or None, the support sets visited).  A candidate below ``upper``
-    is tested (_unit_free) only when the outcome needs it, and at most once.
-    The candidates go in (weight, visit) order, the lightest first with no
-    sort, up to the first that meets C2 in 0: c, the least such weight.  If
-    c weighs more than ``stop``, no candidate stops the round and c is the
-    bound.  Else the first candidate at most ``stop`` by visit that passes,
-    d, at or before c, ends the round after its support set, and the bound
-    is the least that passes up to there: c if it is there, else the least
-    of those lighter than d that pass, or d."""
-    known = {}
-
-    def passes(i):
-        if i not in known:
-            known[i] = _unit_free(field, ms, cols[i // nsel].tolist(), i % nsel)
-        return known[i]
-
-    def first(idx, default=None):
-        # the first of the flat indices ``idx`` that passes
-        return next((i for i in idx.tolist() if passes(i)), default)
-
-    def by_weight(idx):
-        return idx[np.argsort(wts[idx], kind="stable")]
-
-    c = int(wts.argmin())
-    if wts[c] >= upper:
-        return None, len(cols)
-    if not passes(c):
-        c = first(by_weight(np.flatnonzero(wts < upper)))
-    if c is None or wts[c] > stop:
-        return c, len(cols)
-    d = first(np.flatnonzero(wts[: c + 1] <= stop))
-    end = d // nsel + 1
-    if c < end * nsel:
-        return c, end
-    return first(by_weight(np.flatnonzero(wts[: end * nsel] < wts[d])), d), end
 
 
 def _scan_kernel(field, ms: _Matrices, nsel: int, r, w, upper, stop):

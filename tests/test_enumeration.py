@@ -322,6 +322,31 @@ def test_subspace_blocks_rejects_block_sizes_below_one(block_size):
             list(stream(2, 4, F2, block_size=block_size))
 
 
+@pytest.mark.parametrize("func, args", [
+    (count_e, (4, 2.0, 1, 2)),
+    (count_e, (4, 2, 1, 2.0)),
+    (expected_enumeration, (2, 5.0, 1, 4, 2)),
+    (expected_enumeration, (1, 1, 1.5, 4, 2)),
+    (pivot_shapes, (2.0, 3)),
+    (pivot_shapes, (True, 3)),
+    (support_choices, (4, 2.0)),
+    (subspaces, (1.0, 2, F2)),
+    (subspace_codes, (1, True, F2)),
+    (subspace_blocks, (1, 2, F2, 2.5)),
+    (shape_rows, (True, 2, F2, DEFAULT_BLOCK)),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_integer_arguments_reject_floats_and_bools(func, args):
+    # the cached shapes of (1, 2) must not answer for 1.0 or True
+    shape_rows(1, 2, F2, DEFAULT_BLOCK)
+    with pytest.raises(BadArgs):
+        out = func(*args)
+        if not isinstance(out, int):
+            list(out)
+    # numpy integers pass
+    assert count_e(np.int64(4), np.int8(2), np.int64(1), 2) == count_e(4, 2, 1, 2)
+    assert list(pivot_shapes(np.int64(2), np.int64(3))) == [(1, 2), (1, 3)]
+
+
 def test_support_choices():
     assert list(support_choices(3, 3)) == [(1, 2, 3)]
     assert list(support_choices(3, 2)) == [(1, 2), (1, 3), (2, 3)]
@@ -342,6 +367,11 @@ def test_expand_to_support():
         expand_to_support(m, [2, 1], 3)
     with pytest.raises(BadArgs):
         expand_to_support(m, [1, 4], 3)
+    assert expand_to_support(m, np.array([1, 3]), 3) == expand_to_support(m, [1, 3], 3)
+    # positions and k are not truncated or read from bools
+    for positions, k in (([1, 2.5], 4), ([True, 2], 4), ([1.0, 2], 4), ([1, 2], 4.0), ([1, 2], True)):
+        with pytest.raises(BadArgs):
+            expand_to_support(MatrixGF(F2, [[1, 1]]), positions, k)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -18,7 +18,7 @@ one gather.
 import sys
 import tracemalloc
 from contextlib import contextmanager
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from unittest import mock
 
@@ -147,13 +147,18 @@ def test_kernel_on_the_scan_mixed_pair_shape(gather):
     # queries, through every matrix of its decomposition and every round
     for seed in range(3):
         c1, c2 = random_nested_pair(np.random.default_rng(seed), F2, 12, 5, 1)
-        nsel = len(information(c1).mats)
+        mats, _, ghs = _round_inputs(c1, c2)
+        nsel = len(mats)
         assert nsel > 1
         with budgets(gather=gather):
             for r in range(1, 5):
                 for w in range(r, 6):
                     for upper, stop in ((13, 0), (12 - r, r + 2), (7, 0)):
-                        _check_round(c1, c2, r, w, nsel, upper, stop)
+                        count = _check_round(c1, c2, r, w, nsel, upper, stop)[2]
+                        if w == r:
+                            with _c2_tests() as calls:
+                                GHW._unit_round(F2, _store(F2, mats, ghs), nsel, r, upper, stop)
+                            _tests_stay_in_round(calls, 5, r, count)
             _check_spectrum(c1, c2)
 
 
@@ -491,6 +496,14 @@ def _c2_tests():
         yield calls
 
 
+def _tests_stay_in_round(calls, k, r, count):
+    """No candidate of round w = r is tested twice, and none lies in a
+    support set past the first ``count``, those the round visits."""
+    assert len({(tuple(cols), j) for cols, j, _ in calls}) == len(calls)
+    visited = [list(S) for S in islice(combinations(range(k), r), count)]
+    assert all(cols in visited for cols, *_ in calls)
+
+
 three_budgets = pytest.mark.parametrize("gather", [1, 3, None], ids=["chunk1", "chunk3", "default"])
 
 
@@ -539,10 +552,8 @@ def test_first_round_stops_before_its_lightest_subspace(gather, passes):
     with budgets(gather=gather), _c2_tests() as calls:
         got = _check_unit_round([G0, G1], 2, 1, 9, 3, h2t)
     assert got == ((2, ([[1, 0, 0]], 1, 2), 1) if passes else (3, ([[1, 0, 0]], 0, 3), 1))
-    assert len({(tuple(cols), j) for cols, j, _ in calls}) == len(calls)
-    if gather is None:
-        # the lightest is tested first, and decides that the round stops
-        assert calls[0] == ([2], 0, True)
+    # the round ends after set 0, so set 2's lightest is never tested
+    _tests_stay_in_round(calls, 3, 1, 1)
 
 
 @three_budgets
