@@ -11,24 +11,20 @@ from .code import (
     bch_bound,
     code_from_rows,
     dual,
-    encode_subspace,
     generator_polynomial,
     is_cyclic,
     make_rm,
     make_rs,
     new_code,
-    support_weight,
 )
 from .enumeration import (
     count_e,
     count_full_support,
-    expand_to_support,
     expected_enumeration,
     gaussian_binomial,
     pivot_shapes,
     subspace_blocks,
     subspaces,
-    support_choices,
 )
 from .errors import GHWError
 from .gf import FiniteField, build_field
@@ -73,8 +69,6 @@ __all__ = [
     "new_code",
     "code_from_rows",
     "dual",
-    "encode_subspace",
-    "support_weight",
     "is_cyclic",
     "bch_bound",
     "generator_polynomial",
@@ -88,8 +82,6 @@ __all__ = [
     "pivot_shapes",
     "subspaces",
     "subspace_blocks",
-    "support_choices",
-    "expand_to_support",
     "ghw",
     "hierarchy",
     "rghw",

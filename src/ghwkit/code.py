@@ -1,5 +1,5 @@
-"""The linear-code model: validation, duals, subspace encoding, cyclicity,
-the BCH bound, and evaluation-code constructors used as known-answer inputs.
+"""The linear-code model: validation, duals, cyclicity, the BCH bound, and
+evaluation-code constructors used as known-answer inputs.
 """
 
 from __future__ import annotations
@@ -61,22 +61,6 @@ def dual(code: LinearCode) -> LinearCode:
         raise ZeroDual("the full space has a zero dual with no generator matrix")
     H = code.G.right_kernel_basis()
     return LinearCode(field=code.field, G=H, n=code.n, k=H.rows)
-
-
-def encode_subspace(Gj: MatrixGF, RE: MatrixGF) -> MatrixGF:
-    """Generator matrix RE * Gj of the image of the subspace spanned by RE."""
-    if RE.field != Gj.field:
-        raise DimensionMismatch("matrices are over different fields")
-    if RE.cols != Gj.rows:
-        raise DimensionMismatch(
-            f"subspace matrix has {RE.cols} columns but the generator has {Gj.rows} rows"
-        )
-    return RE.matmul(Gj)
-
-
-def support_weight(Gj: MatrixGF, RE: MatrixGF) -> int:
-    """Support size of the encoded subspace RE * Gj."""
-    return encode_subspace(Gj, RE).support_size()
 
 
 def is_cyclic(code: LinearCode) -> bool:

@@ -293,30 +293,3 @@ def subspaces(r: int, w: int, field: FiniteField) -> Iterator[MatrixGF]:
     for block in subspace_blocks(r, w, field):
         for i in range(block.shape[0]):
             yield MatrixGF(field, block[i])
-
-
-def support_choices(k: int, w: int) -> Iterator[tuple[int, ...]]:
-    """All w-subsets of {1..k} in lexicographic order (1-based)."""
-    given = k, w
-    k, w = map(as_int, given)
-    if None in (k, w) or not 0 <= w <= k:
-        raise BadArgs("need integers 0 <= w <= k, got k={!r}, w={!r}".format(*given))
-    return combinations(range(1, k + 1), w)
-
-
-def expand_to_support(RE: MatrixGF, support_set, k: int) -> MatrixGF:
-    """Place the columns of RE at the (1-based) positions in ``support_set``
-    inside an r x k matrix that is zero elsewhere."""
-    given = list(support_set), k
-    cols, k = [as_int(c) for c in given[0]], as_int(k)
-    if None in cols or k is None:
-        raise BadArgs("support positions and k must be integers, got {!r} and k={!r}".format(*given))
-    if len(cols) != RE.cols:
-        raise BadArgs(f"support size {len(cols)} != matrix columns {RE.cols}")
-    if any(a >= b for a, b in zip(cols, cols[1:])):
-        raise BadArgs("support positions must be strictly ascending")
-    if cols and (cols[0] < 1 or cols[-1] > k):
-        raise BadArgs(f"support positions must lie in [1, {k}]")
-    out = np.zeros((RE.rows, k), dtype=np.int64)
-    out[:, [c - 1 for c in cols]] = RE.array
-    return MatrixGF(RE.field, out)

@@ -281,10 +281,6 @@ class FiniteField:
             return 0
         return int(self.exp_table[(int(self.log_table[a]) * e) % (self.q - 1)])
 
-    def nonzero_elements(self) -> list[int]:
-        """The q - 1 nonzero elements in ascending index order."""
-        return list(range(1, self.q))
-
     # -- vectorized operations on index arrays -----------------------------
 
     def add_arrays(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -387,14 +383,21 @@ def build_field(p: int, s: int = 1, modulus=None) -> FiniteField:
 
     If ``modulus`` (length s+1, ascending coefficients, monic) is omitted for
     s > 1, the default irreducible polynomial is chosen deterministically by
-    scanning coefficient encodings in ascending order.
+    scanning coefficient encodings in ascending order.  ``p``, ``s`` and the
+    coefficients go through :func:`as_int`, so the field holds plain ints.
     """
+    given = p, s
+    p, s = map(as_int, given)
+    if None in (p, s):
+        raise BadArgs("need integers p and s, got p={!r}, s={!r}".format(*given))
     if s < 1:
         raise BadArgs(f"extension degree must be >= 1, got {s}")
+    # q > MAX_Q is refused before p is factored, and for s >= 17, where
+    # q >= 2^17, before p**s is computed
+    if p >= 2 and (s >= MAX_Q.bit_length() or p**s > MAX_Q):
+        raise FieldTooLarge(f"fields with q > {MAX_Q} are not supported")
     if not is_prime(p):
         raise NonPrime(f"{p} is not prime")
-    if p**s > MAX_Q:
-        raise FieldTooLarge(f"fields with q > {MAX_Q} are not supported")
     if s == 1:
         if modulus is not None:
             raise WrongDegree("prime fields take no modulus")
@@ -402,7 +405,10 @@ def build_field(p: int, s: int = 1, modulus=None) -> FiniteField:
     if modulus is None:
         modulus = default_modulus(p, s)
     else:
-        modulus = tuple(int(c) for c in modulus)
+        given = list(modulus)
+        modulus = tuple(map(as_int, given))
+        if None in modulus:
+            raise BadArgs(f"modulus coefficients must be integers, got {given!r}")
         if len(modulus) != s + 1:
             raise WrongDegree(f"modulus must have length {s + 1}, got {len(modulus)}")
         if any(not 0 <= c < p for c in modulus):

@@ -888,6 +888,8 @@ def wei_duality(h, n: int) -> Hierarchy:
     {1..n}, ascending.  A Hierarchy is taken as it is; other weights go
     through operator.index into one, bools untouched so that its check
     rejects them."""
+    if as_int(n) is None:
+        raise BadHierarchy(f"code length must be an integer, got {n!r}")
     if not isinstance(h, Hierarchy):
         h = list(h)
         try:

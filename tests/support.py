@@ -13,7 +13,7 @@ import numpy as np
 
 from ghwkit.gf import build_field
 from ghwkit.matrix import MatrixGF, rank_array, rref_array
-from ghwkit.code import LinearCode, new_code
+from ghwkit.code import LinearCode, dual, new_code
 
 
 # -- tiny pure-python polynomial oracle over GF(p) (prime fields) ------------
@@ -149,6 +149,28 @@ def brute_rspectrum(c1: LinearCode, c2: LinearCode, r: int) -> dict[int, int]:
             w = int((enc != 0).any(axis=0).sum())
             counts[w] = counts.get(w, 0) + 1
     return counts
+
+
+# -- soundness of a search run ------------------------------------------------
+
+
+def verify_run(code, dec, run, c2=None, label=None):
+    """Soundness instrumentation: recorded lower bounds never exceed the
+    value, and the witness attains it and, given C2, meets it in 0.
+    ``label`` names the run in assertion messages."""
+    assert run.value is not None, label
+    for ev in run.rounds:
+        assert ev.lower <= run.value, (label, ev, run.value)
+    wit = run.witness
+    assert wit is not None, label
+    assert wit.weight == run.value, label
+    R, rank, _ = wit.subspace.rref()
+    assert rank == run.r and R == wit.subspace, label
+    enc = wit.subspace.matmul(dec.mats[wit.mat_index])
+    assert enc.support_size() == run.value, label
+    if c2 is not None:
+        h2 = dual(c2).G.array
+        assert rank_array(code.field, code.field.matmul(h2, enc.array.T)) == run.r, label
 
 
 # -- reference information-set decomposition ----------------------------------

@@ -10,7 +10,7 @@ from math import comb
 
 import numpy as np
 
-from ghwkit.code import bch_bound, dual, is_cyclic, make_rm, make_rs, support_weight
+from ghwkit.code import bch_bound, dual, is_cyclic, make_rm, make_rs
 from ghwkit.enumeration import (
     count_e,
     count_full_support,
@@ -31,7 +31,6 @@ from ghwkit.ghw import (
     wei_duality,
 )
 from ghwkit.infoset import information
-from ghwkit.matrix import rank_array
 
 from support import (
     bch_code,
@@ -39,6 +38,7 @@ from support import (
     example_pairs,
     random_code,
     random_nested_pair,
+    verify_run,
 )
 
 F2 = build_field(2)
@@ -274,17 +274,4 @@ def test_criterion_9_soundness_instrumentation():
     with _criterion(9, "bound soundness and witnesses", None):
         assert _INSTRUMENTED, "criteria 1-4 must run first"
         for label, code, dec, run, c2 in _INSTRUMENTED:
-            assert run.value is not None, label
-            for ev in run.rounds:
-                assert ev.lower <= run.value, (label, ev)
-            wit = run.witness
-            assert wit is not None, label
-            assert wit.weight == run.value, label
-            R, rank, _ = wit.subspace.rref()
-            assert rank == run.r and R == wit.subspace, label
-            Gj = dec.mats[wit.mat_index]
-            assert support_weight(Gj, wit.subspace) == run.value, label
-            if c2 is not None:
-                h2 = dual(c2).G.array
-                enc = code.field.matmul(wit.subspace.array, Gj.array)
-                assert rank_array(code.field, code.field.matmul(h2, enc.T)) == run.r, label
+            verify_run(code, dec, run, c2, label)

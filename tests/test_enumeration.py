@@ -11,7 +11,6 @@ from ghwkit.enumeration import (
     DEFAULT_BLOCK,
     count_e,
     count_full_support,
-    expand_to_support,
     expected_enumeration,
     gaussian_binomial,
     pivot_shapes,
@@ -20,7 +19,6 @@ from ghwkit.enumeration import (
     subspace_blocks,
     subspace_codes,
     subspaces,
-    support_choices,
 )
 from ghwkit.errors import BadArgs, WorkLimitExceeded
 from ghwkit.gf import build_field
@@ -329,7 +327,7 @@ def test_subspace_blocks_rejects_block_sizes_below_one(block_size):
     (expected_enumeration, (1, 1, 1.5, 4, 2)),
     (pivot_shapes, (2.0, 3)),
     (pivot_shapes, (True, 3)),
-    (support_choices, (4, 2.0)),
+    (count_full_support, (4.0, 2, 2)),
     (subspaces, (1.0, 2, F2)),
     (subspace_codes, (1, True, F2)),
     (subspace_blocks, (1, 2, F2, 2.5)),
@@ -347,42 +345,16 @@ def test_integer_arguments_reject_floats_and_bools(func, args):
     assert list(pivot_shapes(np.int64(2), np.int64(3))) == [(1, 2), (1, 3)]
 
 
-def test_support_choices():
-    assert list(support_choices(3, 3)) == [(1, 2, 3)]
-    assert list(support_choices(3, 2)) == [(1, 2), (1, 3), (2, 3)]
-    assert list(support_choices(4, 0)) == [()]
-
-
-def test_expand_to_support():
-    m = MatrixGF(F2, [[1, 0], [0, 1]])
-    assert expand_to_support(m, [1, 2], 2) == m
-    assert expand_to_support(MatrixGF(F2, [[1]]), [3], 4).array.tolist() == [[0, 0, 1, 0]]
-    assert expand_to_support(MatrixGF.identity(F3, 2), [1, 3], 3).array.tolist() == [
-        [1, 0, 0],
-        [0, 0, 1],
-    ]
-    with pytest.raises(BadArgs):
-        expand_to_support(m, [1], 3)
-    with pytest.raises(BadArgs):
-        expand_to_support(m, [2, 1], 3)
-    with pytest.raises(BadArgs):
-        expand_to_support(m, [1, 4], 3)
-    assert expand_to_support(m, np.array([1, 3]), 3) == expand_to_support(m, [1, 3], 3)
-    # positions and k are not truncated or read from bools
-    for positions, k in (([1, 2.5], 4), ([True, 2], 4), ([1.0, 2], 4), ([1, 2], 4.0), ([1, 2], True)):
-        with pytest.raises(BadArgs):
-            expand_to_support(MatrixGF(F2, [[1, 1]]), positions, k)
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_grassmannian_coverage_against_brute_force(k):
     for r in range(1, k + 1):
         mine = set()
         for w in range(r, k + 1):
-            for S in support_choices(k, w):
+            for S in combinations(range(k), w):
                 for m in subspaces(r, w, F2):
-                    e = expand_to_support(m, S, k)
-                    key = tuple(map(tuple, e.array.tolist()))
+                    e = np.zeros((r, k), dtype=np.int64)
+                    e[:, list(S)] = m.array
+                    key = tuple(map(tuple, e.tolist()))
                     assert key not in mine
                     mine.add(key)
         # brute force canonicalizes every r-tuple of vectors to its RREF, so

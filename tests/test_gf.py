@@ -3,8 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ghwkit.errors import BadArgs, DivisionByZero, NonPrime, ReducibleModulus, WrongDegree
-from ghwkit.gf import AXPY_MAX_Q, FiniteField, build_field, default_modulus, is_prime
+from ghwkit.cli import parse_code_file
+from ghwkit.errors import (
+    BadArgs,
+    CodeFileFieldError,
+    DivisionByZero,
+    FieldTooLarge,
+    NonPrime,
+    ReducibleModulus,
+    WrongDegree,
+)
+from ghwkit.gf import AXPY_MAX_Q, MAX_Q, FiniteField, _factorize, build_field, default_modulus, is_prime
 from ghwkit.matrix import rref_array
 
 from support import poly_add, poly_mul_mod
@@ -32,6 +41,42 @@ def test_build_rejects_composite_characteristic():
         build_field(4, 1)
     with pytest.raises(NonPrime):
         build_field(1, 1)
+
+
+@pytest.mark.parametrize("args", [
+    (2.0,), (True,), ("2",), (None,), (2, 2.0), (3, True), (2, "2"),
+    (2, 2, [1, 1.7, 1]), (2, 2, ["1", "1", "1"]), (2, 2, [1, True, 1]), (2, 2, [1, 1, None]),
+], ids=repr)
+def test_build_field_takes_only_integers(args):
+    # floats, bools and strings are refused, not truncated, read as 1 or left
+    # to a TypeError; numpy integers pass and the field holds plain ints, so
+    # q**w cannot wrap and the cached field is the one built from ints
+    with pytest.raises(BadArgs):
+        build_field(*args)
+    F = build_field(np.int64(2), np.int8(4), np.array([1, 1, 0, 0, 1]))
+    assert F is build_field(2, 4, [1, 1, 0, 0, 1])
+    assert all(type(x) is int for x in (F.p, F.s, F.q, *F.modulus))
+    assert build_field(np.int64(5)) is build_field(5) and type(build_field(np.int64(5)).q) is int
+
+
+def test_an_oversize_field_is_refused_before_any_arithmetic(monkeypatch):
+    # q > MAX_Q is refused before p is factored (trial division takes time
+    # growing as sqrt(p)) and, for s >= 17, before p**s is computed
+    def guarded(n):
+        assert n <= MAX_Q, f"factored {n}"
+        return _factorize(n)
+
+    monkeypatch.setattr("ghwkit.gf._factorize", guarded)
+    for p, s in ((2, 10**9), (2, 17), (3, 11), (4, 9), (MAX_Q + 1, 1), (100000000000031, 1), (2**89 - 1, 1)):
+        with pytest.raises(FieldTooLarge):
+            build_field(p, s)
+    for header in ("p=2 s=1000000000", f"p={2**89 - 1} s=1"):
+        with pytest.raises(CodeFileFieldError):
+            parse_code_file(f"field: {header}\n1\n")
+    for p in (1, 0, -3):
+        with pytest.raises(NonPrime):
+            build_field(p, 10**9)
+    assert build_field(2, 16).q == MAX_Q
 
 
 def test_build_rejects_bad_modulus():
@@ -143,12 +188,6 @@ def test_inverse_of_zero_raises():
         build_field(3).inv(0)
     with pytest.raises(DivisionByZero):
         build_field(2, 2).pow(0, -1)
-
-
-def test_nonzero_elements():
-    assert build_field(2).nonzero_elements() == [1]
-    assert build_field(2, 2).nonzero_elements() == [1, 2, 3]
-    assert build_field(5).nonzero_elements() == [1, 2, 3, 4]
 
 
 def test_vector_ops_match_scalar_ops():

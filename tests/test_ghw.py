@@ -20,7 +20,6 @@ from ghwkit.code import (
     is_cyclic,
     make_rs,
     new_code,
-    support_weight,
 )
 from ghwkit.enumeration import gaussian_binomial
 from ghwkit.errors import BadHierarchy, BadRank, NotNested
@@ -51,6 +50,7 @@ from support import (
     example_pairs,
     random_code,
     random_nested_pair,
+    verify_run,
 )
 
 F2 = build_field(2)
@@ -64,25 +64,6 @@ GHW = sys.modules["ghwkit.ghw"]
 
 def hamming():
     return code_from_rows(F2, HAMMING_7_4)
-
-
-def verify_run(code, dec, run, c2=None):
-    """Soundness instrumentation: recorded lower bounds never exceed the
-    value, and the witness attains it."""
-    assert run.value is not None
-    for ev in run.rounds:
-        assert ev.lower <= run.value, (ev, run.value)
-    wit = run.witness
-    assert wit is not None
-    assert wit.weight == run.value
-    R, rank, _ = wit.subspace.rref()
-    assert rank == run.r and R == wit.subspace
-    Gj = dec.mats[wit.mat_index]
-    assert support_weight(Gj, wit.subspace) == run.value
-    if c2 is not None:
-        h2 = dual(c2).G.array
-        enc = code.field.matmul(wit.subspace.array, Gj.array)
-        assert rank_array(code.field, code.field.matmul(h2, enc.T)) == run.r
 
 
 def test_ghw_examples():
@@ -236,6 +217,15 @@ def test_wei_duality_takes_only_integer_weights():
     assert wei_duality(np.array([3, 5, 6, 7]), 7).values == (4, 6, 7)
     with pytest.raises(BadHierarchy):
         Hierarchy((True, 2))
+
+
+@pytest.mark.parametrize("n", [7.0, 6.5, True, "7", None], ids=repr)
+def test_wei_duality_takes_only_an_integer_length(n):
+    # a float or string length is not left to a TypeError, and a bool is not
+    # read as 1; numpy integers pass
+    with pytest.raises(BadHierarchy):
+        wei_duality([1], n)
+    assert wei_duality([3, 5, 6, 7], np.int64(7)).values == (4, 6, 7)
 
 
 def test_duality_identity_random():
