@@ -74,8 +74,8 @@ A_w^(r) (Greene; Kløve).  That costs q^k + n·2^n, not the Grassmannian, and
 is open while the 2^n counts fit the byte budget.  The naive oracles
 enumerate the full Grassmannian through a single generator matrix with no
 bounds on the plain path, one matmul per (block, support set), which only
-they use, and serve as an independent cross-check of the search and of its
-kernel.
+they use, and test V ∩ C2 = 0 by its definition, a rank of V's encoded
+basis on C2's generator matrix: they share no C2 code with the kernel.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ from .enumeration import (
 from .errors import BadHierarchy, BadRank, NotNested, WorkLimitExceeded
 from .gf import as_int
 from .infoset import _decompose
-from .matrix import MatrixGF, eliminate_rows, pack_rows, rref_array
+from .matrix import MatrixGF, eliminate_rows, pack_rows, rank_array, rref_array
 
 
 @dataclass(frozen=True)
@@ -214,14 +214,14 @@ def _emit(opts: ComputeOptions, ev: RoundEvent) -> None:
 def _witness(field, k: int, pos, weight: int, synthesized=False) -> Witness:
     """The Witness of the subspace at a round's position ``pos`` = (support
     set S, matrix index j, base rows on S, or None for the unit basis e_S),
-    its rows spread over the k message coordinates by index assignment."""
+    its rows spread over the k message coordinates: e_S by one scalar store
+    a row, cheaper at so few rows than fancy indexing, others by one."""
     cols, j, base = pos
+    sub = np.zeros((len(cols) if base is None else len(base), k), dtype=np.int64)
     if base is None:
-        sub = np.zeros((len(cols), k), dtype=np.int64)
         for i, c in enumerate(cols.tolist()):
             sub[i, c] = 1
     else:
-        sub = np.zeros((base.shape[0], k), dtype=np.int64)
         sub[:, cols] = base
     return Witness(MatrixGF.unchecked(field, sub), j, weight, synthesized)
 
@@ -244,23 +244,21 @@ def _independent(field, syn: np.ndarray) -> np.ndarray:
     return ok & (syn[:, r - 1, :] != 0).any(axis=1)
 
 
-def _meets_c2_in_zero(field, enc: np.ndarray, h2t: np.ndarray) -> np.ndarray:
-    """Which subspaces meet C2 only in 0, given their encoded bases, an (m,
-    r, n) array: exactly those whose r syndromes enc·H2ᵀ are independent."""
-    syn = field.matmul(enc.reshape(-1, h2t.shape[0]), h2t).reshape(*enc.shape[:2], h2t.shape[1])
-    return _independent(field, syn)
-
-
-def _scan_round(field, mats, nsel, r, w, upper, h2t, stop):
+def _scan_round(field, mats, nsel, r, w, upper, g2, stop):
     """Scan round w through the first ``nsel`` matrices for the least-weight
-    subspace below ``upper`` (meeting C2 in 0 when ``h2t`` is given; the
-    first on ties), ending early once upper <= stop; returns (upper, the
-    position of that subspace, (support set, matrix index, base rows), or
-    None if none is below ``upper``, subspaces).  The plain path of the
-    naive oracles, and the reference the kernel is tested against: each
-    block of the subspace stream is paired with every w-subset of the k
-    message coordinates before the next block is built, and each (block,
-    support set, matrix) is encoded with one matmul."""
+    subspace below ``upper`` (the first on ties), ending early once upper <=
+    stop; returns (upper, the position of that subspace, (support set,
+    matrix index, base rows), or None if none is below ``upper``,
+    subspaces).  Given C2's k2 x n generator matrix ``g2``, a subspace V
+    counts only if V ∩ C2 = 0 by its definition: its encoded basis stacked
+    on ``g2`` has rank r + k2, tested on the candidates lightest first until
+    one passes.  The naive oracles' plain path and the kernel's reference:
+    each block of the subspace stream is paired with every w-subset of the
+    k message coordinates before the next, and each (block, support set,
+    matrix) is encoded with one matmul."""
+    def free(enc):  # V ∩ C2 = 0, by its definition
+        return g2 is None or rank_array(field, np.vstack((enc, g2))) == r + len(g2)
+
     supports = [np.array(c, dtype=np.intp) for c in combinations(range(mats[0].shape[0]), w)]
     count, pos = 0, None
     for block in subspace_blocks(r, w, field):
@@ -268,18 +266,13 @@ def _scan_round(field, mats, nsel, r, w, upper, h2t, stop):
         for s_cols in supports:
             count += nsub
             for j in range(nsel):
-                prod = field.matmul(block.reshape(-1, w), mats[j][s_cols, :])
-                weights = (prod != 0).reshape(nsub, r, -1).any(axis=1).sum(axis=1)
-                c = int(weights.argmin())
-                if weights[c] >= upper:
-                    continue
-                if h2t is not None:
-                    cand = np.flatnonzero(weights < upper)
-                    cand = cand[_meets_c2_in_zero(field, prod.reshape(nsub, r, -1)[cand], h2t)]
-                    if not cand.size:
-                        continue
-                    c = int(cand[weights[cand].argmin()])
-                upper, pos = int(weights[c]), (s_cols, j, block[c])
+                enc = field.matmul(block.reshape(-1, w), mats[j][s_cols, :]).reshape(nsub, r, -1)
+                weights = (enc != 0).any(axis=1).sum(axis=1)
+                cand = np.flatnonzero(weights < upper)
+                # lightest first, the first on ties: the first that passes is the least
+                c = next((c for c in cand[weights[cand].argsort(kind="stable")] if free(enc[c])), None)
+                if c is not None:
+                    upper, pos = int(weights[c]), (s_cols, j, block[c])
             if upper <= stop:
                 return upper, pos, count
     return upper, pos, count
@@ -836,9 +829,9 @@ def _search(c1, c2, ranks, opts: ComputeOptions) -> list[int]:
     exactly one hyperplane of D, so it lies in supp H for N - 1 of them:
     (N - 1)·d_r = sum_H |supp H| >= N·d_{r-1}, and N/(N - 1) = (q^r - 1)/(q^r - q)."""
     h2t, rmax = _nested_pair(c1, c2)
-    ranks = range(1, rmax + 1) if ranks is None else ranks
-    for r in ranks:
+    for r in () if ranks is None else ranks:
         _check_rank(r, rmax, c2)
+    ranks = range(1, rmax + 1) if ranks is None else ranks
     sets, mats, reds = _decompose(c1)
     field = c1.field
     floor = _cyclic_floor(c1, mats[0], sets[0])
@@ -914,15 +907,15 @@ def hierarchy_auto(code: LinearCode, opts: ComputeOptions | None = None) -> Hier
 
 def _naive(c1: LinearCode, c2: LinearCode | None, r: int) -> int:
     """Minimum encoded support over the whole Grassmannian through C1's
-    generator matrix, keeping only subspaces that meet C2 in 0, tested on
-    all n - k2 checks of C2.  No subspace weighs the stop 0, so every round
-    runs whole."""
+    generator matrix, keeping only subspaces V with V ∩ C2 = 0, tested by
+    the rank of V's encoded basis stacked on C2's generator matrix.  No
+    subspace weighs the stop 0, so every round runs whole."""
     _, rmax = _nested_pair(c1, c2)
     _check_rank(r, rmax, c2)
-    h2t = None if c2 is None else dual(c2).G.array.T
+    g2 = None if c2 is None else c2.G.array
     best = c1.n + 1
     for w in range(r, c1.k + 1):
-        best = _scan_round(c1.field, [c1.G.array], 1, r, w, best, h2t, 0)[0]
+        best = _scan_round(c1.field, [c1.G.array], 1, r, w, best, g2, 0)[0]
     return best
 
 
@@ -933,8 +926,9 @@ def naive_ghw(code: LinearCode, r: int) -> int:
 
 
 def naive_rghw(c1: LinearCode, c2: LinearCode, r: int) -> int:
-    """Oracle for the relative weight: full enumeration with the trivial
-    intersection test, no bounds."""
+    """Oracle for the relative weight: full enumeration, keeping the
+    subspaces V of rank r + k2 when stacked on C2's generator matrix (V ∩ C2
+    = 0 by definition), no bounds."""
     return _naive(c1, c2, r)
 
 

@@ -296,6 +296,14 @@ def test_matmul_builds_its_blocks_from_the_smaller_operand():
     assert peak < 64 << 20
 
 
+@pytest.mark.parametrize("p, s", [(5, 1), (3, 2)], ids=["GF5", "GF9"])
+@pytest.mark.parametrize("a_shape, b_shape", [((2, 3), (4, 2)), ((5, 2, 3), (2, 3))], ids=["2d", "3d"])
+def test_matmul_refuses_differing_inner_dimensions(p, s, a_shape, b_shape):
+    F = build_field(p, s)
+    with pytest.raises(BadArgs, match="inner dimensions differ"):
+        F.matmul(np.ones(a_shape, dtype=np.int64), np.ones(b_shape, dtype=np.int64))
+
+
 def test_pow_and_generator():
     for p, s in ((7, 1), (2, 3), (3, 2)):
         F = build_field(p, s)

@@ -28,7 +28,7 @@ from ghwkit.ghw import (
     ComputeOptions,
     Hierarchy,
     Report,
-    _meets_c2_in_zero,
+    _independent,
     ghw,
     hierarchy,
     hierarchy_auto,
@@ -637,7 +637,8 @@ def test_relative_weights_against_brute_force(F, data):
 )
 def test_c2_mask_against_rank(F, r, c, seed):
     # blocks of r syndromes with planted zero, repeated and combined rows;
-    # with H2^T = I the mask must equal a per-block rank test
+    # taken as the stacks themselves (H2^T = I), the kernel's elimination
+    # must equal a per-block rank test
     rng = np.random.default_rng(seed)
     S = rng.integers(0, F.q, (50, r, c)) * (rng.random((50, r, c)) < 0.7)
     for blk in S:
@@ -650,7 +651,7 @@ def test_c2_mask_against_rank(F, r, c, seed):
         elif kind == 2:
             a, b = rng.integers(F.q, size=2)
             blk[i] = F.add_arrays(F.mul_arrays(blk[j], a), F.mul_arrays(blk[l], b))
-    got = _meets_c2_in_zero(F, S, np.eye(c, dtype=np.int64))
+    got = _independent(F, S.copy())
     assert got.tolist() == [rank_array(F, blk) == r for blk in S]
 
 
@@ -706,7 +707,9 @@ def test_relative_weights_with_spare_checks(F, data):
         verify_run(c1, dec, report.runs[r - 1], c2=c2)
 
 
-def test_the_search_keeps_k1_minus_k2_checks_and_the_oracle_all():
+def test_the_search_keeps_k1_minus_k2_checks_and_the_oracle_g2():
+    # the search weighs syndromes on the k1 - k2 checks C1 needs; the
+    # oracle takes no checks, only C2's k2 x n generator matrix
     c1, c2 = random_nested_pair(np.random.default_rng(5), F3, 12, 4, 2)
     h2t, rmax = GHW._nested_pair(c1, c2)
     assert h2t.shape == (12, 2) and rmax == 2
@@ -714,7 +717,7 @@ def test_the_search_keeps_k1_minus_k2_checks_and_the_oracle_all():
             mock.patch.object(GHW, "_scan_round", wraps=GHW._scan_round) as plain:
         assert rghw(c1, c2, 2) == naive_rghw(c1, c2, 2)
     assert {call.args[1].stack.shape[1:] for call in kernel.call_args_list} == {(4, 12 + 2)}
-    assert {call.args[6].shape for call in plain.call_args_list} == {(12, 10)}
+    assert {call.args[6].shape for call in plain.call_args_list} == {(2, 12)}
 
 
 @pytest.mark.parametrize("F", [F2, F3, F4], ids=["GF2", "GF3", "GF4"])

@@ -79,11 +79,20 @@ def _outcome(field, k, out):
 
 
 def _round_inputs(c1, c2):
-    """The systematic matrices of C1, the checks of C2 (None without C2)
-    and the matrices' syndrome matrices, as a round takes them."""
+    """The systematic matrices of C1, the generator matrix of C2 that the
+    plain path takes (None without C2) and the matrices' syndrome matrices
+    on the checks of C2 that the kernel takes."""
     mats = [M.array for M in information(c1).mats]
+    if c2 is None:
+        return mats, None, None
     h2t, _ = GHW._nested_pair(c1, c2)
-    return mats, h2t, None if h2t is None else [c1.field.matmul(M, h2t) for M in mats]
+    return mats, c2.G.array, [c1.field.matmul(M, h2t) for M in mats]
+
+
+def _generator(field, h2t):
+    """The generator matrix of the code C2 whose checks are the columns of
+    ``h2t``, as the plain path takes it."""
+    return dual(code_from_rows(field, h2t.T)).G.array
 
 
 def _store(field, mats, ghs=None):
@@ -97,8 +106,8 @@ def _check_round(c1, c2, r, w, nsel, upper, stop):
     default table cap and with a cap of 0, which tabulates every block's
     distinct rows; returns the plain path's _outcome."""
     field = c1.field
-    mats, h2t, ghs = _round_inputs(c1, c2)
-    want = _outcome(field, c1.k, GHW._scan_round(field, mats, nsel, r, w, upper, h2t, stop))
+    mats, g2, ghs = _round_inputs(c1, c2)
+    want = _outcome(field, c1.k, GHW._scan_round(field, mats, nsel, r, w, upper, g2, stop))
     for table in (None, 0):
         with budgets(table=table):
             got = GHW._scan_kernel(field, _store(field, mats, ghs), nsel, r, w, upper, stop)
@@ -390,9 +399,9 @@ def test_first_round_builds_no_message_tables():
     pair = random_nested_pair(np.random.default_rng(32), F3, 9, 4, 1)
     cases = []
     for c1, c2 in ((code, None), pair):
-        mats, h2t, ghs = _round_inputs(c1, c2)
+        mats, g2, ghs = _round_inputs(c1, c2)
         for r in range(1, c1.k - (0 if c2 is None else c2.k) + 1):
-            want = _outcome(c1.field, c1.k, GHW._scan_round(c1.field, mats, len(mats), r, r, c1.n + 1, h2t, 0))
+            want = _outcome(c1.field, c1.k, GHW._scan_round(c1.field, mats, len(mats), r, r, c1.n + 1, g2, 0))
             cases.append(((c1.field, _store(c1.field, mats, ghs), len(mats), r, r, c1.n + 1, 0), want))
     banned = mock.Mock(side_effect=AssertionError("a w = r round tabulated messages"))
     with mock.patch.object(GHW, "_round_tables", banned), mock.patch.object(GHW, "subspace_codes", banned), \
@@ -406,8 +415,8 @@ def _check_unit_round(mats, nsel, r, upper, stop, h2t=None):
     """Round w = r of hand-made matrices through the plain path and through
     the kernel; returns the plain path's _outcome."""
     field, k = F2, mats[0].shape[0]
-    ghs = None if h2t is None else [field.matmul(M, h2t) for M in mats]
-    want = _outcome(field, k, GHW._scan_round(field, mats, nsel, r, r, upper, h2t, stop))
+    ghs, g2 = (None, None) if h2t is None else ([field.matmul(M, h2t) for M in mats], _generator(field, h2t))
+    want = _outcome(field, k, GHW._scan_round(field, mats, nsel, r, r, upper, g2, stop))
     assert _outcome(field, k, GHW._scan_kernel(field, _store(field, mats, ghs), nsel, r, r, upper, stop)) == want
     return want
 
@@ -451,7 +460,7 @@ def test_first_round_with_nothing_below_the_bound_runs_no_elimination(stop):
     # subspace against C2
     h2t = np.array([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]).T
     mats = [np.array([[1, 1, 0, 0], [0, 1, 1, 1]]), np.array([[1, 1, 1, 0], [1, 0, 1, 1]])]
-    want = GHW._scan_round(F2, mats, 2, 1, 1, 2, h2t, stop)
+    want = GHW._scan_round(F2, mats, 2, 1, 1, 2, _generator(F2, h2t), stop)
     assert want == (2, None, 2)
     store = _store(F2, mats, [F2.matmul(M, h2t) for M in mats])
     banned = mock.Mock(side_effect=AssertionError("a C2 test with no candidate"))
@@ -471,7 +480,7 @@ def test_first_round_rejects_its_only_light_subspace(r, rows):
     # replay, so the round finds nothing
     c1 = code_from_rows(F2, rows)
     c2 = code_from_rows(F2, rows[:1])
-    mats, h2t, ghs = _round_inputs(c1, c2)
+    mats, _, ghs = _round_inputs(c1, c2)
     assert np.array_equal(mats[0], c1.G.array)
     with _c2_tests() as calls:
         got = GHW._scan_kernel(F2, _store(F2, mats, ghs), 1, r, r, r + 2, 0)
@@ -522,12 +531,12 @@ def test_first_round_passes_over_light_subspaces_in_c2(gather, k2, r, weight, wi
     rows = [[1, 0, 0, 0, 0, 0, 0, 1, 1, 1], [0, 1, 1, 0, 0, 0, 0, 0, 0, 0],
             [0, 0, 0, 1, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 1, 0, 0, 0]]
     c1, c2 = code_from_rows(F2, rows), code_from_rows(F2, rows[1 : 1 + k2])
-    mats, h2t, ghs = _round_inputs(c1, c2)
+    mats, g2, ghs = _round_inputs(c1, c2)
     assert np.array_equal(mats[0], c1.G.array)
     store = _store(F2, mats, ghs)
     with budgets(gather=gather):
         for nsel in (len(mats), 1):
-            want = _outcome(F2, 4, GHW._scan_round(F2, mats, nsel, r, r, 11, h2t, 0))
+            want = _outcome(F2, 4, GHW._scan_round(F2, mats, nsel, r, r, 11, g2, 0))
             with _c2_tests() as calls:
                 assert _outcome(F2, 4, GHW._unit_round(F2, store, nsel, r, 11, 0)) == want
             assert len({(tuple(cols), j) for cols, j, _ in calls}) == len(calls)
@@ -586,7 +595,7 @@ def test_first_round_tests_only_its_lightest_when_it_passes(gather):
                       [0, 0, 0, 0, 1, 1, 1, 1], [1, 0, 0, 0, 1, 1, 1, 0]]),
             np.array([[0, 0, 0, 0, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 0, 0],
                       [0, 1, 0, 1, 0, 1, 0, 0], [0, 0, 1, 1, 0, 0, 1, 0]])]
-    want = _outcome(F2, 4, GHW._scan_round(F2, mats, 2, 1, 1, 9, h2t, 0))
+    want = _outcome(F2, 4, GHW._scan_round(F2, mats, 2, 1, 1, 9, _generator(F2, h2t), 0))
     assert want == (2, ([[1, 0, 0, 0]], 1, 2), 4)
     store = _store(F2, mats, [F2.matmul(M, h2t) for M in mats])
     with budgets(gather=gather), mock.patch.object(GHW, "eliminate_rows", wraps=GHW.eliminate_rows) as elim:
@@ -736,10 +745,32 @@ def test_search_and_spectra_never_take_the_plain_path():
     want = compute()
     plain = mock.Mock(side_effect=AssertionError("the plain path was taken"))
     for table in (None, 0):
-        with budgets(table=table), mock.patch.object(GHW, "_scan_round", plain), \
-                mock.patch.object(GHW, "_meets_c2_in_zero", plain):
+        with budgets(table=table), mock.patch.object(GHW, "_scan_round", plain):
             assert compute() == want
     assert not plain.called
+
+
+def test_the_oracle_never_takes_the_kernels_c2_tests():
+    # the oracle tests V ∩ C2 = 0 by its definition, the rank of V's encoded
+    # basis stacked on C2's generator matrix: neither naive_rghw nor a plain
+    # round with C2 reaches the kernel's syndrome eliminations, so a fault
+    # in those cannot pass unseen, and each oracle call computes C2's dual
+    # once, in the nesting check.  The plain rounds still match the kernel
+    c1, c2 = random_nested_pair(np.random.default_rng(12), F3, 8, 4, 1)
+    mats, g2, ghs = _round_inputs(c1, c2)
+    rounds = [(r, w) for r in (1, 2, 3) for w in range(r, 5)]
+    banned = mock.Mock(side_effect=AssertionError("the plain path took a kernel C2 test"))
+    with mock.patch.object(GHW, "_independent", banned), mock.patch.object(GHW, "_unit_free", banned), \
+            mock.patch.object(GHW, "dual", wraps=GHW.dual) as duals:
+        oracle = tuple(naive_rghw(c1, c2, r) for r in (1, 2, 3))
+        assert duals.call_count == 3
+        plain = [GHW._scan_round(F3, mats, len(mats), r, w, c1.n + 1, g2, 0) for r, w in rounds]
+    assert not banned.called
+    assert oracle == rhierarchy(c1, c2).values
+    store = _store(F3, mats, ghs)
+    for (r, w), want in zip(rounds, plain):
+        got = GHW._scan_kernel(F3, store, len(mats), r, w, c1.n + 1, 0)
+        assert _outcome(F3, c1.k, got) == _outcome(F3, c1.k, want)
 
 
 def test_gf5_round_of_15625_messages():
